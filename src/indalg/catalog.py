@@ -17,16 +17,27 @@ Each instance kind packages a small carrier with explicit operation tables:
 Operations with arity <= 3 suffice to generate each clone at these sizes; the
 bound is an explicit soundness boundary of the generation check, not a claim
 about clones in general.
+
+Every instance also names ``gen_ops``, a few basic ops that generate all of
+them by composition (the tests check this per kind).  Closure, the unary
+clone and endomorphisms are computed against ``gen_ops`` only: the same
+subalgebras, unary term ops and homomorphisms, over far smaller tuple
+spaces.  Endomorphisms come from one backtracking search that propagates
+phi(f(args)) = f(phi(args)) and stops with ``TooLarge`` past a node budget;
+the exchange check enumerates only the closed sets (Ganter's NextClosure)
+and memoizes closures by generating set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 EXCHANGE_CAP = 16
-BRUTE_ENDO_CAP = 7
+# endomorphism search-tree nodes: a carrier of size n needs at most
+# n + n^2 + ... + n^n, under the cap for every n <= 7
+ENDO_NODE_CAP = 1_000_000
 GEN_TABLE_CAP = 8192
 GEN_STEP_CAP = 20_000_000
 
@@ -66,9 +77,9 @@ class FiniteAlgebra:
     size: int
     ops: tuple[Op, ...]
     element_names: tuple[str, ...]
-    # small op subset generating every basic op by composition; closure and
-    # endomorphism checks run against this set (provably equivalent, much
-    # smaller tuple spaces)
+    # basic ops generating every basic op by composition; closure, the unary
+    # clone and the endomorphism search run against this set (same results,
+    # much smaller tuple spaces)
     gen_ops: tuple[Op, ...]
 
     @property
@@ -271,26 +282,39 @@ def _perm_group(gens: list[tuple[int, ...]], size: int) -> set:
 # closure and exchange
 
 
+def _tuples_touching(old: list, new: list, k: int) -> Iterator[tuple]:
+    """Every k-tuple over old + new with an entry in new, each exactly once.
+
+    Tuples are grouped by the first position holding an element of new; the
+    positions before it range over old only.
+    """
+    every = old + new
+    for pos in range(k):
+        yield from itertools.product(*([old] * pos + [new] + [every] * (k - pos - 1)))
+
+
+def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> set:
+    """Close start under x -> apply(op, args) for every op (semi-naive rounds)."""
+    have = set(start)
+    old, new = [], list(have)
+    while new:
+        found = set()
+        for op in ops:
+            for args in _tuples_touching(old, new, op.arity):
+                v = apply(op, args)
+                if v not in have:
+                    found.add(v)
+        have |= found
+        old += new
+        new = list(found)
+    return have
+
+
 def closure(alg: FiniteAlgebra, xs: Iterable[int]) -> frozenset[int]:
     """Subalgebra generated by xs (with every constant-op value included)."""
-    cur = set(xs)
-    for op in alg.gen_ops:
-        if op.is_constant():
-            cur.add(op.table[0])
-    frontier = set(cur)
-    while frontier:
-        new = set()
-        for op in alg.gen_ops:
-            k = op.arity
-            for args in itertools.product(sorted(cur), repeat=k):
-                if not any(a in frontier for a in args):
-                    continue
-                v = op(*args)
-                if v not in cur and v not in new:
-                    new.add(v)
-        cur |= new
-        frontier = new
-    return frozenset(cur)
+    start = set(xs)
+    start.update(op.table[0] for op in alg.gen_ops if op.is_constant())
+    return frozenset(_fixpoint(alg.gen_ops, start, lambda op, args: op(*args)))
 
 
 @dataclass(frozen=True)
@@ -299,26 +323,50 @@ class ExchangeResult:
     witness: Optional[tuple[tuple[int, ...], int, int]]  # (X, y, z)
 
 
+def _closed_sets(n: int, cl) -> Iterator[frozenset[int]]:
+    """Every closed set of the closure operator cl on {0..n-1}, in lectic order.
+
+    Ganter's NextClosure: the successor of closed A is cl(A below i + {i}) for
+    the largest i not in A whose closure adds nothing below i.
+    """
+    a = cl(())
+    while True:
+        yield a
+        for i in range(n - 1, -1, -1):
+            if i in a:
+                continue
+            b = cl({x for x in a if x < i} | {i})
+            if min(b - a) == i:
+                a = b
+                break
+        else:
+            return
+
+
 def check_exchange(alg: FiniteAlgebra) -> ExchangeResult:
-    """Exhaustively test: y in <X+{z}> \\ <X> implies z in <X+{y}>."""
+    """Exhaustively test: y in <X+{z}> \\ <X> implies z in <X+{y}>.
+
+    X ranges over the closed sets only, since <X+{z}> = <<X>+{z}>, in
+    (size, elements) order, so the first witness found is the smallest.
+    """
     n = alg.size
     if n > EXCHANGE_CAP:
         raise TooLarge(f"carrier size {n} exceeds the exhaustive bound {EXCHANGE_CAP}")
-    cl: list[frozenset[int]] = [frozenset()] * (1 << n)
-    cl[0] = closure(alg, ())
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        cl[mask] = closure(alg, cl[mask ^ (1 << low)] | {low})
-    closed = sorted({cl[m] for m in range(1 << n)}, key=lambda s: (len(s), sorted(s)))
-    mask_of = lambda s: sum(1 << e for e in s)
+    memo: dict[frozenset[int], frozenset[int]] = {}
+
+    def cl(xs: Iterable[int]) -> frozenset[int]:
+        key = frozenset(xs)
+        if key not in memo:
+            memo[key] = closure(alg, key)
+        return memo[key]
+
+    closed = sorted(_closed_sets(n, cl), key=lambda s: (len(s), sorted(s)))
     for c in closed:
-        base = mask_of(c)
         for z in range(n):
             if z in c:
                 continue
-            bigger = cl[base | (1 << z)]
-            for y in sorted(bigger - c):
-                if z not in cl[base | (1 << y)]:
+            for y in sorted(cl(c | {z}) - c):
+                if z not in cl(c | {y}):
                     return ExchangeResult(False, (tuple(sorted(c)), y, z))
     return ExchangeResult(True, None)
 
@@ -334,66 +382,89 @@ class UnaryClone:
 
 
 def unary_clone(alg: FiniteAlgebra) -> UnaryClone:
-    """All unary term operations, split into non-constant (T) and constant."""
+    """All unary term operations, split into non-constant (T) and constant.
+
+    The identity closed under the generating ops: every unary term over the
+    basic ops is one over gen_ops, which generate them.
+    """
     n = alg.size
-    seen = {bytes(range(n))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for op in alg.ops:
-            k = op.arity
-            for us in itertools.product(sorted(seen), repeat=k):
-                if not any(u in frontier for u in us):
-                    continue
-                tbl = bytes(op(*(u[x] for u in us)) for x in range(n))
-                if tbl not in seen:
-                    seen.add(tbl)
-                    nxt.append(tbl)
-        frontier = nxt
+    seen = _fixpoint(alg.gen_ops, {bytes(range(n))},
+                     lambda op, us: _compose(op, us, n))
     t_ops = sorted(t for t in seen if len(set(t)) > 1)
     consts = sorted(t for t in seen if len(set(t)) == 1)
     return UnaryClone(tuple(t_ops), tuple(consts))
 
 
 def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All self-maps commuting with every basic operation, sorted."""
+    """All self-maps commuting with every basic operation, sorted.
+
+    Backtracking homomorphism search over gen_ops (a map commutes with every
+    basic op iff it commutes with the ops generating them).  Constants are
+    fixed; each node gives the smallest unassigned element an image and
+    propagates phi(f(args)) = f(phi(args)) over every assigned argument tuple,
+    so the assigned part is always a homomorphism on a subalgebra.  More than
+    ENDO_NODE_CAP nodes raises TooLarge.
+    """
     n = alg.size
-    if alg.kind in ("linear", "affine", "q_homog_field"):
-        maps = _field_endo_candidates(alg)
-    elif n <= BRUTE_ENDO_CAP:
-        maps = itertools.product(range(n), repeat=n)
-    else:
-        raise TooLarge(f"carrier size {n} exceeds the brute-force bound")
-    out = []
-    for phi in maps:
-        if all(
-            phi[op(*args)] == op(*(phi[a] for a in args))
-            for op in alg.gen_ops
-            for args in itertools.product(range(n), repeat=op.arity)
-        ):
+    # phi(a) = a settles a constant op with value a for every argument tuple
+    fixed = sorted({op.table[0] for op in alg.gen_ops if op.is_constant()})
+    ops = [op for op in alg.gen_ops if not op.is_constant()]
+    phi = [-1] * n
+    for a in fixed:
+        phi[a] = a
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def search(dom: list[int]) -> None:
+        nonlocal nodes
+        if -1 not in phi:
             out.append(tuple(phi))
+            return
+        free = phi.index(-1)
+        for img in range(n):
+            nodes += 1
+            if nodes > ENDO_NODE_CAP:
+                raise TooLarge(f"endomorphism search exceeds {ENDO_NODE_CAP} nodes")
+            phi[free] = img
+            added = _propagate(ops, phi, dom, [free])
+            if added is not None:
+                search(dom + added)
+                for x in added:
+                    phi[x] = -1
+
+    root = _propagate(ops, phi, [], fixed)
+    if root is not None:
+        search(root)
     return sorted(out)
 
 
-def _field_endo_candidates(alg: FiniteAlgebra):
-    # recover q, dim from the carrier and an op name; A0 from constant values
-    q = next(p for p in FIELD_ORDERS if alg.size in (p, p * p))
-    dim = 1 if alg.size == q else 2
-    translate = alg.kind != "linear"  # affine & q-homogeneous allow +c
-    shifts = range(alg.size) if translate else (0,)
-    for mat in itertools.product(range(q), repeat=dim * dim):
-        rows = [mat[i * dim:(i + 1) * dim] for i in range(dim)]
-        for c in shifts:
-            cv = _vec(c, q, dim)
-            phi = []
-            for e in range(alg.size):
-                v = _vec(e, q, dim)
-                img = tuple(
-                    (sum(r * x for r, x in zip(rows[i], v)) + cv[i]) % q
-                    for i in range(dim)
-                )
-                phi.append(_vidx(img, q))
-            yield tuple(phi)
+def _propagate(ops: Sequence[Op], phi: list[int], old: list[int],
+               new: list[int]) -> Optional[list[int]]:
+    """Extend the partial map phi by phi(f(args)) = f(phi(args)).
+
+    Tuples over old are already consistent; new holds the elements just
+    assigned.  Returns every element assigned (new included), or None after
+    unassigning them when some tuple forces two images.
+    """
+    added = list(new)
+    old = list(old)
+    while new:
+        found = []
+        for op in ops:
+            for args in _tuples_touching(old, new, op.arity):
+                v = op(*args)
+                w = op(*[phi[a] for a in args])
+                if phi[v] < 0:
+                    phi[v] = w
+                    found.append(v)
+                elif phi[v] != w:
+                    for x in added + found:
+                        phi[x] = -1
+                    return None
+        old += new
+        added += found
+        new = found
+    return added
 
 
 # ---------------------------------------------------------------------------

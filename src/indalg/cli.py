@@ -187,6 +187,13 @@ def _instance_label(alg) -> str:
 
 
 def cmd_catalog(args):
+    try:
+        return _catalog_checks(args)
+    except cat.TooLarge as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _catalog_checks(args):
     checks = []
     for alg in _catalog_instances(args):
         label = _instance_label(alg)

@@ -138,11 +138,6 @@ class HMap:
         return mul(((self.lookup(mul(w1, inv(w2))), 1),), w2)
 
 
-def g_apply(h: HMap, w1: Word, w2: Word) -> Word:
-    """The algebra operation g(w1, w2) = z_h(w1 w2^-1) * w2."""
-    return h.g(w1, w2)
-
-
 def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> dict:
     """Verify g(w1 w', w2 w') == g(w1, w2) w' on seeded random triples."""
     import random

@@ -49,13 +49,6 @@ def mul(u: Word, v: Word) -> Word:
     return tuple(out)
 
 
-def mul_all(*ws: Word) -> Word:
-    acc: Word = IDENTITY
-    for w in ws:
-        acc = mul(acc, w)
-    return acc
-
-
 def inv(u: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(u))
 

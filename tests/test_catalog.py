@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indalg import catalog as cat
 from indalg.catalog import InvalidParams, TooLarge
@@ -115,9 +116,21 @@ def test_endomorphisms_linear_trivial_pair():
     assert sorted(cat.endomorphisms(lin)) == [(0, 0), (0, 1)]
 
 
+def test_endomorphisms_size_eight():
+    assert cat.endomorphisms(cat.make_instance("rank0", size=8)) == [tuple(range(8))]
+    cycle = cat.make_instance(
+        "group_action", size=8, generators=[[1, 2, 3, 4, 5, 6, 7, 0]], constants=[0]
+    )
+    assert cat.endomorphisms(cycle) == [tuple(range(8))]
+
+
 def test_endomorphisms_size_cap():
+    # 8^7 endomorphisms: the search tree exceeds the node budget
+    trivial = cat.make_instance(
+        "group_action", size=8, generators=[list(range(8))], constants=[0]
+    )
     with pytest.raises(TooLarge):
-        cat.endomorphisms(cat.make_instance("rank0", size=8))
+        cat.endomorphisms(trivial)
 
 
 def test_unary_clone_exceptional():
@@ -187,3 +200,140 @@ def test_default_catalog_shape():
     for a in algs:
         assert a.gen_ops  # every instance carries a generating op subset
         assert set(a.gen_ops) <= set(a.ops)
+
+
+# ---------------------------------------------------------------------------
+# gen_ops soundness and definitional oracles for the gen_ops-based kernels
+
+
+GEN_OPS_CASES = list(cat.DEFAULT_INSTANCES) + [
+    ("semilattice", {}),
+    ("linear", {"q": 3, "dim": 2}),
+    ("linear", {"q": 5, "dim": 1}),
+    ("affine", {"q": 3, "dim": 2}),
+    ("affine", {"q": 5, "dim": 1}),
+    ("linear", {"q": 2, "dim": 2, "a0": [[1, 1]]}),
+    ("linear", {"q": 2, "dim": 2, "a0": [[1, 0], [0, 1]]}),
+]
+
+
+@pytest.mark.parametrize("kind,params", GEN_OPS_CASES)
+def test_gen_ops_generate_every_basic_op(kind, params):
+    alg = cat.make_instance(kind, **params)
+    gen = {(op.arity, op.table) for op in alg.gen_ops}
+    targets = {(op.arity, op.table) for op in alg.ops} - gen
+    assert cat.generated_covers(alg, alg.gen_ops, targets) == targets
+
+
+def oracle_closure(alg, xs):
+    cur = set(xs)
+    cur.update(op.table[0] for op in alg.ops if op.is_constant())
+    changed = True
+    while changed:
+        changed = False
+        for op in alg.ops:
+            for args in itertools.product(sorted(cur), repeat=op.arity):
+                v = op(*args)
+                if v not in cur:
+                    cur.add(v)
+                    changed = True
+    return frozenset(cur)
+
+
+def oracle_exchange(alg):
+    """Closures of all 2^n subsets over every basic op, then the same scan."""
+    n = alg.size
+    closed = {oracle_closure(alg, xs) for r in range(n + 1)
+              for xs in itertools.combinations(range(n), r)}
+    for c in sorted(closed, key=lambda s: (len(s), sorted(s))):
+        for z in range(n):
+            if z in c:
+                continue
+            for y in sorted(oracle_closure(alg, c | {z}) - c):
+                if z not in oracle_closure(alg, c | {y}):
+                    return cat.ExchangeResult(False, (tuple(sorted(c)), y, z))
+    return cat.ExchangeResult(True, None)
+
+
+def oracle_endomorphisms(alg):
+    """Every one of the n^n self-maps checked against every basic op."""
+    n = alg.size
+    return [
+        phi for phi in itertools.product(range(n), repeat=n)
+        if all(phi[op(*args)] == op(*(phi[a] for a in args))
+               for op in alg.ops
+               for args in itertools.product(range(n), repeat=op.arity))
+    ]
+
+
+def oracle_unary_clone(alg):
+    """The identity closed under every basic op, applied pointwise."""
+    n = alg.size
+    seen = {bytes(range(n))}
+    changed = True
+    while changed:
+        changed = False
+        for op in alg.ops:
+            for us in itertools.product(sorted(seen), repeat=op.arity):
+                t = bytes(op(*(u[x] for u in us)) for x in range(n))
+                if t not in seen:
+                    seen.add(t)
+                    changed = True
+    return cat.UnaryClone(
+        tuple(sorted(t for t in seen if len(set(t)) > 1)),
+        tuple(sorted(t for t in seen if len(set(t)) == 1)),
+    )
+
+
+def assert_kernels_match_oracles(alg):
+    assert cat.endomorphisms(alg) == oracle_endomorphisms(alg)
+    assert cat.unary_clone(alg) == oracle_unary_clone(alg)
+    assert cat.check_exchange(alg) == oracle_exchange(alg)
+
+
+ORACLE_CASES = list(cat.DEFAULT_INSTANCES) + [
+    ("semilattice", {}),
+    ("rank0", {"size": 1}),
+    ("rank0", {"size": 6}),
+    ("group_action", {"size": 6, "generators": [[1, 2, 0, 4, 5, 3]], "constants": [0]}),
+    ("group_action", {"size": 6, "generators": [[1, 0, 3, 2, 5, 4]], "constants": [2, 5]}),
+    ("group_action", {"size": 4, "generators": [[0, 1, 2, 3]], "constants": []}),
+    ("linear", {"q": 2, "dim": 2, "a0": [[1, 1]]}),
+    ("linear", {"q": 5, "dim": 1, "a0": []}),
+    ("affine", {"q": 5, "dim": 1}),
+]
+
+
+@pytest.mark.parametrize("kind,params", ORACLE_CASES)
+def test_kernels_match_oracles(kind, params):
+    assert_kernels_match_oracles(cat.make_instance(kind, **params))
+
+
+@st.composite
+def group_actions(draw):
+    size = draw(st.integers(1, 5))
+    perms = draw(st.lists(st.permutations(range(size)), min_size=1, max_size=2))
+    ident = tuple(range(size))
+    must = {x for g in cat._perm_group([tuple(p) for p in perms], size)
+            if g != ident for x in range(size) if g[x] == x}
+    extra = draw(st.sets(st.integers(0, size - 1)))
+    return cat.make_instance("group_action", size=size, generators=perms,
+                             constants=sorted(must | extra))
+
+
+@st.composite
+def random_algebras(draw):
+    """Arbitrary small algebras whose generating ops are all their ops."""
+    n = draw(st.integers(1, 4))
+    ops = []
+    for k, arity in enumerate(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))):
+        table = draw(st.binary(min_size=n**arity, max_size=n**arity))
+        ops.append(cat.Op(f"f{k}", arity, n, bytes(b % n for b in table)))
+    ops = tuple(ops)
+    return cat.FiniteAlgebra("random", n, ops, tuple(map(str, range(n))), ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(group_actions(), random_algebras()))
+def test_kernels_match_oracles_on_generated_algebras(alg):
+    assert_kernels_match_oracles(alg)

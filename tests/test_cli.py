@@ -108,6 +108,32 @@ def test_catalog_witness_plus_variant(capsys):
     } in check["details"]["violations"]
 
 
+
+def test_catalog_too_large_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "catalog", "--kind", "linear", "--params", '{"q": 5, "dim": 2}',
+        "--check", "exchange",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: carrier size 25 exceeds")
+
+
+def test_catalog_larger_instances_run(capsys):
+    code, rep, _ = run_json(
+        capsys, "catalog", "--kind", "group_action", "--params",
+        '{"size": 8, "generators": [[1, 2, 3, 4, 5, 6, 7, 0]], "constants": [0]}',
+        "--check", "endos",
+    )
+    assert code == 0
+    assert rep["checks"][0]["details"]["count"] == 1
+    code, rep, _ = run_json(
+        capsys, "catalog", "--kind", "linear", "--params",
+        '{"q": 5, "dim": 1, "a0": [[1]]}', "--check", "witness",
+    )
+    assert code == 0
+    assert rep["checks"][0]["outcome"] == "pass"
+
 def test_greens_dual_routes_both_backends(capsys):
     for backend in ("matrix", "act"):
         for side in ("R", "L", "Rstar", "Lstar"):
