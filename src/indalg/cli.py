@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Each subcommand runs a batch of checks and emits a deterministic report:
-identical configurations produce byte-identical JSON.  A check carries an
-``expected`` field ("pass" or "finding") so that mathematically expected
-failures -- the semilattice control breaking exchange, the free monoid
-breaking the Ore condition, the mock backend breaking the constant
-surjection -- are distinguished from genuine errors.  The exit status is
-0 when every outcome matches its expectation, 1 otherwise, 2 on usage
-errors.
+Each subcommand runs a batch of checks (``indalg.report.Check``) and emits
+a deterministic report: identical configurations produce byte-identical
+JSON.  A check carries an ``expected`` field ("pass" or "finding") so that
+mathematically expected failures -- the semilattice control breaking
+exchange, the free monoid breaking the Ore condition -- are distinguished
+from genuine errors.  The exit status is 0 when every outcome matches its
+expectation, 1 otherwise, 2 on usage errors: a bad flag value or a
+malformed payload.
 """
 
 from __future__ import annotations
@@ -15,15 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import catalog as cat
 from . import counterexample as cx
 from . import terms as tm
 from . import words as wd
-from . import orders
 from .orders import acts, matrix, monoids
 from .orders import suite as order_suite
+from .orders.linalg import mat_z
+from .report import Check, fmt_mat
 
 
 class UsageError(Exception):
@@ -33,57 +35,67 @@ class UsageError(Exception):
 # --- input parsing -----------------------------------------------------------
 
 
+@contextmanager
+def _reading(what: str):
+    """Turn a malformed payload or parameter met inside the block into a
+    usage error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{what}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+
+
+def _at_least_one(args, *flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be at least 1")
+
+
 def _load_payload(args) -> dict | None:
     if not getattr(args, "input", None):
         return None
     try:
         if args.input == "-":
-            return json.load(sys.stdin)
-        with open(args.input, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(sys.stdin)
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read input: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError("input must be a JSON object")
+    return payload
 
 
-def _parse_qmat(rows):
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, float):
-                raise UsageError("rational entries must be exact strings like '1/2'")
-            r.append(Fraction(x) if isinstance(x, int) else Fraction(str(x)))
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def _parse_zmat(rows):
-    try:
-        return tuple(tuple(int(Fraction(str(x))) for x in row) for row in rows)
-    except ValueError as exc:
-        raise UsageError(f"integer matrix expected: {exc}") from exc
+def _parse_qmat(rows, size: int | None = None):
+    """A square rational matrix, of the given size when one is given, from
+    rows of integers and exact strings like '1/2'."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise UsageError("a matrix must be a non-empty square list of rows")
+    if size is not None and len(rows) != size:
+        raise UsageError(f"matrix sizes differ: {size} and {len(rows)}")
+    if any(isinstance(x, float) for row in rows for x in row):
+        raise UsageError("rational entries must be exact strings like '1/2'")
+    with _reading("bad matrix entry"):
+        return tuple(
+            tuple(Fraction(x) if isinstance(x, int) else Fraction(str(x)) for x in row)
+            for row in rows
+        )
 
 
 def _parse_act(d) -> acts.ActEndo:
-    try:
+    with _reading("bad act endomorphism"):
         return acts.act_endo(d.get("flavor", "B"), d["shifts"], d["targets"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad act endomorphism: {exc}") from exc
-
-
-def _fmt_qmat(m):
-    return [[str(x) for x in row] for row in m]
 
 
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _check(name, expected, outcome, details):
-    return {"name": name, "expected": expected, "outcome": outcome,
-            "details": details}
-
-
 def cmd_verify_counterexample(args):
+    _at_least_one(args, "samples", "terms", "depth")
     h = cx.HMap()
     z = wd.gen
     pinned = [
@@ -100,21 +112,21 @@ def cmd_verify_counterexample(args):
             "value": wd.format_word(got), "expected": wd.format_word(want),
         })
         all_ok = all_ok and got == want
-    checks = [_check("pinned_g_values", "pass", "pass" if all_ok else "fail",
-                     {"values": rows})]
+    checks = [Check("pinned_g_values", outcome="pass" if all_ok else "fail",
+                    details={"values": rows})]
 
     hom = cx.check_homogeneity(h, args.samples, seed=args.seed)
-    checks.append(_check(
-        "right_translation_homogeneity", "pass",
-        "pass" if hom["ok"] else "fail",
-        {"samples": hom["samples"], "failures": hom["failures"][:3]},
+    checks.append(Check(
+        "right_translation_homogeneity", outcome="pass" if hom["ok"] else "fail",
+        details={"samples": hom["samples"], "failures": hom["failures"][:3]},
     ))
 
     pool = [z(1), z(2), z(3), wd.mul(z(1), z(2)), wd.mul(z(3), z(1))]
-    corpus = tm.sample_terms(
-        max_depth=args.depth, max_var=3, coeff_pool=pool,
-        seed=args.seed, count=args.terms,
-    )
+    with _reading("--depth/--terms"):
+        corpus = tm.sample_terms(
+            max_depth=args.depth, max_var=3, coeff_pool=pool,
+            seed=args.seed, count=args.terms,
+        )
     unrefuted = []
     refuted = 0
     constant = 0
@@ -128,11 +140,10 @@ def cmd_verify_counterexample(args):
             refuted += 1
         else:
             unrefuted.append(tm.format_term(t))
-    checks.append(_check(
-        "distributivity_refutations", "pass",
-        "pass" if not unrefuted else "fail",
-        {"terms": len(corpus), "constant_prefix": constant,
-         "refuted": refuted, "unrefuted": unrefuted[:3]},
+    checks.append(Check(
+        "distributivity_refutations", outcome="pass" if not unrefuted else "fail",
+        details={"terms": len(corpus), "constant_prefix": constant,
+                 "refuted": refuted, "unrefuted": unrefuted[:3]},
     ))
     return checks
 
@@ -149,6 +160,8 @@ _DEMO_TERMS = [
 def cmd_classify(args):
     payload = _load_payload(args) or {}
     texts = payload.get("terms", _DEMO_TERMS)
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+        raise UsageError("'terms' must be a list of strings")
     h = cx.HMap()
     rows = []
     outcome = "pass"
@@ -165,21 +178,15 @@ def cmd_classify(args):
         if form.form == 1:
             row["prefix"] = wd.format_word(form.prefix)
         rows.append(row)
-    return [_check("classification", "pass", outcome, {"terms": rows})]
+    return [Check("classification", outcome=outcome, details={"terms": rows})]
 
 
 def _catalog_instances(args):
     if args.kind == "all":
-        algs = cat.default_catalog() + [cat.make_instance("semilattice")]
-        return algs
-    try:
+        return cat.default_catalog() + [cat.make_instance("semilattice")]
+    with _reading("--params"):
         params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--params must be JSON: {exc}") from exc
-    try:
         return [cat.make_instance(args.kind, **params)]
-    except (cat.InvalidParams, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _instance_label(alg) -> str:
@@ -205,9 +212,9 @@ def _catalog_checks(args):
             if res.witness:
                 x, y, zz = res.witness
                 details["witness"] = {"X": list(x), "y": y, "z": zz}
-            checks.append(_check(f"exchange[{label}]", expected, outcome, details))
+            checks.append(Check(f"exchange[{label}]", expected, outcome, details))
         elif args.check == "witness":
-            variant = args.variant or ("standard")
+            variant = args.variant or "standard"
             wit = cat.witness_set(alg, variant=variant)
             rep = cat.check_witness(alg, wit)
             expected = "finding" if (alg.kind == "linear" and variant == "plus") else "pass"
@@ -218,19 +225,18 @@ def _catalog_checks(args):
                 "missing": list(rep.missing), "non_clone": list(rep.non_clone),
                 "violations": list(rep.violations[:3]),
             }
-            checks.append(_check(f"witness[{label}]", expected, outcome, details))
+            checks.append(Check(f"witness[{label}]", expected, outcome, details))
         elif args.check == "clone":
             uc = cat.unary_clone(alg)
-            checks.append(_check(
-                f"clone[{label}]", "pass", "pass",
-                {"instance": label, "non_constant_unary": len(uc.t_ops),
-                 "constants": len(uc.constants)},
+            checks.append(Check(
+                f"clone[{label}]",
+                details={"instance": label, "non_constant_unary": len(uc.t_ops),
+                         "constants": len(uc.constants)},
             ))
         elif args.check == "endos":
             endos = cat.endomorphisms(alg)
-            checks.append(_check(
-                f"endos[{label}]", "pass", "pass",
-                {"instance": label, "count": len(endos)},
+            checks.append(Check(
+                f"endos[{label}]", details={"instance": label, "count": len(endos)}
             ))
     return checks
 
@@ -250,23 +256,23 @@ def cmd_decompose(args):
         else:
             dec = matrix.straight_left_decompose(alpha)
         ok = matrix.verify_decomposition(alpha, dec, args.mode)
-        details = {"alpha": _fmt_qmat(alpha), "mode": args.mode} | dec.as_dict()
+        details = {"alpha": fmt_mat(alpha), "mode": args.mode} | dec.as_dict()
         if args.mode == "straight":
             certs = matrix.straight_certificates(alpha, dec)
             details["certificates"] = certs
             ok = ok and all(certs.values())
-        return [_check("decompose_recompose", "pass",
-                       "pass" if ok else "fail", details)]
+        return [Check("decompose_recompose", outcome="pass" if ok else "fail",
+                      details=details)]
     # act backend: the overmonoid decomposition is the left one
     if args.mode != "left":
         raise UsageError("the act backend provides only --mode left")
     alpha = _parse_act(payload.get("alpha", _DEMO_ACT_ALPHA))
     a, b = acts.act_left_decompose(alpha)
     ok = acts.verify_act_decomposition(alpha, a, b)
-    return [_check(
-        "decompose_recompose", "pass", "pass" if ok else "fail",
-        {"alpha": alpha.as_dict(), "mode": "left",
-         "a": a.as_dict(), "b": b.as_dict()},
+    return [Check(
+        "decompose_recompose", outcome="pass" if ok else "fail",
+        details={"alpha": alpha.as_dict(), "mode": "left",
+                 "a": a.as_dict(), "b": b.as_dict()},
     )]
 
 
@@ -278,40 +284,30 @@ _DEMO_GREENS_ACT = {
 
 
 def cmd_greens(args):
-    payload = _load_payload(args) or {}
+    payload = _load_payload(args)
     side = args.side
     if args.backend == "matrix":
         raw = payload or _DEMO_GREENS_MATRIX
-        if side in ("Rstar", "Lstar"):
-            a, b = _parse_zmat(raw["a"]), _parse_zmat(raw["b"])
-            leq = orders.greens_leq("matrix", side, a, b)
-            plain = "R" if side == "Rstar" else "L"
-            other = orders.greens_leq(
-                "matrix", plain, matrix.lift_endo(a), matrix.lift_endo(b)
-            )
-        else:
-            a, b = _parse_qmat(raw["a"]), _parse_qmat(raw["b"])
-            leq = orders.greens_leq("matrix", side, a, b)
-            if side == "R":
-                other = matrix.divides_left(a, b) is not None
-            else:
-                other = matrix.divides_right(a, b) is not None
-        details = {"a": _fmt_qmat(a), "b": _fmt_qmat(b), "side": side, "leq": leq}
+        with _reading("greens payload"):
+            a = _parse_qmat(raw["a"])
+            b = _parse_qmat(raw["b"], len(a))
+            if side in ("Rstar", "Lstar"):  # the starred orders compare integer matrices
+                a, b = mat_z(a), mat_z(b)
+        leq = matrix.greens_leq(side, a, b)
+        other = order_suite.matrix_route(side, a, b)
+        details = {"a": fmt_mat(a), "b": fmt_mat(b)}
     else:
         raw = payload or _DEMO_GREENS_ACT
-        a, b = _parse_act(raw["a"]), _parse_act(raw["b"])
-        leq = orders.greens_leq("act", side, a, b)
-        if side in ("R", "Rstar"):
-            other = order_suite.window_kernel_leq(a, b)
-        else:
-            gamma = order_suite.construct_image_gamma(a, b)
-            other = gamma is not None and acts.compose(
-                gamma, acts.lift_endo(b)
-            ) == acts.ActEndo("A", a.shifts, a.targets)
-        details = {"a": a.as_dict(), "b": b.as_dict(), "side": side, "leq": leq}
+        with _reading("greens payload"):
+            a, b = _parse_act(raw["a"]), _parse_act(raw["b"])
+        if a.n != b.n:
+            raise UsageError(f"act endomorphism ranks differ: {a.n} and {b.n}")
+        leq = acts.greens_leq(side, a, b)
+        other = order_suite.act_route(side, a, b)
+        details = {"a": a.as_dict(), "b": b.as_dict()}
     agree = leq == other
-    details["routes_agree"] = agree
-    return [_check("greens_leq", "pass", "pass" if agree else "fail", details)]
+    details |= {"side": side, "leq": leq, "routes_agree": agree}
+    return [Check("greens_leq", outcome="pass" if agree else "fail", details=details)]
 
 
 _DEMO_QUOT_MATRIX = {"p": {"t": 2, "v": [1, 3]}, "q": {"t": 4, "v": [2, 6]}}
@@ -320,46 +316,33 @@ _DEMO_QUOT_ACT = {"p": {"k": 2, "m": 5, "i": 1}, "q": {"k": 3, "m": 6, "i": 1}}
 
 def cmd_quotient(args):
     payload = _load_payload(args) or {}
-    if args.action == "embed":
+    with _reading("quotient payload"):
+        if args.action == "embed":
+            if args.backend == "matrix":
+                v = payload.get("v", [1, 2])
+                details = {"v": list(v), "element": matrix.embed(v).as_dict()}
+            else:
+                m = payload.get("m", 2)
+                i = payload.get("i", 1)
+                details = {"m": m, "i": i, "element": acts.act_embed(m, i).as_dict()}
+            return [Check("quotient_embed", details=details)]
         if args.backend == "matrix":
-            v = payload.get("v", [1, 2])
-            elem = matrix.embed(v)
-            details = {"v": list(v), "element": elem.as_dict()}
+            raw = payload or _DEMO_QUOT_MATRIX
+            p = matrix.quot_elem(raw["p"]["t"], raw["p"]["v"])
+            q = matrix.quot_elem(raw["q"]["t"], raw["q"]["v"])
+            equal = matrix.quotient_eq(p, q)
         else:
-            m = payload.get("m", 2)
-            i = payload.get("i", 1)
-            details = {"m": m, "i": i, "element": acts.act_embed(m, i).as_dict()}
-        return [_check("quotient_embed", "pass", "pass", details)]
-    if args.backend == "matrix":
-        raw = payload or _DEMO_QUOT_MATRIX
-        p = matrix.quot_elem(raw["p"]["t"], raw["p"]["v"])
-        q = matrix.quot_elem(raw["q"]["t"], raw["q"]["v"])
-        equal = matrix.quotient_eq(p, q)
-        details = {"p": p.as_dict(), "q": q.as_dict(), "equal": equal}
-    else:
-        raw = payload or _DEMO_QUOT_ACT
-        p = acts.act_quot(raw["p"]["k"], raw["p"]["m"], raw["p"]["i"])
-        q = acts.act_quot(raw["q"]["k"], raw["q"]["m"], raw["q"]["i"])
-        equal = acts.act_quotient_eq(p, q)
-        details = {"p": p.as_dict(), "q": q.as_dict(), "equal": equal}
-    return [_check("quotient_eq", "pass", "pass", details)]
-
-
-def cmd_ci_check(args):
-    backends = ["matrix", "act", "mock"] if args.backend == "all" else [args.backend]
-    checks = []
-    for backend in backends:
-        res = monoids.ci_check(backend)
-        expected = "finding" if backend == "mock" else "pass"
-        outcome = "pass" if res.ok else "finding"
-        checks.append(_check(f"ci[{backend}]", expected, outcome, res.as_dict()))
-    return checks
+            raw = payload or _DEMO_QUOT_ACT
+            p = acts.act_quot(raw["p"]["k"], raw["p"]["m"], raw["p"]["i"])
+            q = acts.act_quot(raw["q"]["k"], raw["q"]["m"], raw["q"]["i"])
+            equal = acts.act_quotient_eq(p, q)
+    details = {"p": p.as_dict(), "q": q.as_dict(), "equal": equal}
+    return [Check("quotient_eq", details=details)]
 
 
 def cmd_ore_check(args):
-    monoid = monoids.MONOIDS.get(args.monoid)
-    if monoid is None:
-        raise UsageError(f"unknown monoid {args.monoid!r}")
+    _at_least_one(args, "depth")
+    monoid = monoids.MONOIDS[args.monoid]
     expected = "finding" if args.monoid == "free2" else "pass"
     checks = []
     for side in ("left", "right"):
@@ -367,20 +350,19 @@ def cmd_ore_check(args):
         outcome = {"holds": "pass", "fails": "finding"}.get(
             res.status, "inconclusive"
         )
-        checks.append(_check(
+        checks.append(Check(
             f"ore[{args.monoid},{side}]", expected, outcome, res.as_dict()
         ))
     return checks
 
 
 def cmd_suite(args):
-    raw = order_suite.run_suite(args.backend, args.n, args.seed, args.samples)
-    return [
-        _check(c["name"], c["expected"], c["outcome"],
-               {"samples": c["samples"], "failures": c["failures"],
-                **c["details"]})
-        for c in raw
-    ]
+    _at_least_one(args, "samples")
+    ranks = order_suite.RANKS[args.backend]
+    if args.n not in ranks:
+        raise UsageError(f"--n must be in {ranks[0]}..{ranks[-1]} for the "
+                         f"{args.backend} suite")
+    return order_suite.run_suite(args.backend, args.n, args.seed, args.samples)
 
 
 # --- plumbing -----------------------------------------------------------------
@@ -434,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("matrix", "act"), default="matrix")
     p.set_defaults(handler=cmd_quotient)
 
-    p = sub.add_parser("ci-check", parents=[common])
-    p.add_argument("--backend", choices=("matrix", "act", "mock", "all"),
-                   default="all")
-    p.set_defaults(handler=cmd_ci_check)
-
     p = sub.add_parser("ore-check", parents=[common])
     p.add_argument("--monoid", choices=("posint", "free2"), default="posint")
     p.set_defaults(handler=cmd_ore_check)
@@ -491,12 +468,12 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ok = all(c["outcome"] == c["expected"] for c in checks)
+    ok = all(c.outcome == c.expected for c in checks)
     report = {
         "schema": 1,
         "command": args.command,
         "config": config,
-        "checks": checks,
+        "checks": [vars(c) for c in checks],
         "ok": ok,
     }
     _emit(report, args)

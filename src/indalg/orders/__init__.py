@@ -4,8 +4,7 @@ quotient elements, Ore checks, and the sampled verification suites.
 
 Two backends are provided: ``matrix`` (integer matrices inside rational
 ones) and ``act`` (endomorphisms of a free monoid act inside its
-overmonoid).  ``greens_leq`` and ``pc_closure`` dispatch on a backend
-name so mixed comparisons are rejected loudly.
+overmonoid); each module provides its own ``greens_leq``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from . import acts, matrix, monoids, suite
 from .matrix import (
     Decomposition,
-    MixedBackends,
     NoGroupInverse,
     PreconditionViolated,
     QuotElem,
@@ -40,37 +38,5 @@ from .acts import (
     gamma_right,
     verify_act_decomposition,
 )
-from .monoids import MONOIDS, ci_check, ore_check
+from .monoids import MONOIDS, ore_check
 from .suite import run_act_suite, run_matrix_suite, run_suite
-
-_MATRIX_SIDES = {"R", "L", "Rstar", "Lstar"}
-
-
-def greens_leq(backend: str, side: str, a, b) -> bool:
-    """a <= b in the requested Green's (pre)order on the named backend."""
-    if side not in _MATRIX_SIDES:
-        raise ValueError(f"unknown side {side!r}")
-    if backend == "matrix":
-        if isinstance(a, ActEndo) or isinstance(b, ActEndo):
-            raise MixedBackends("act endomorphism passed to the matrix backend")
-        return matrix.greens_leq(side, a, b)
-    if backend == "act":
-        if not isinstance(a, ActEndo) or not isinstance(b, ActEndo):
-            raise MixedBackends("matrix passed to the act backend")
-        return acts.greens_leq(side, a, b)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def pc_closure(backend: str, generators):
-    """Smallest pure-closed subalgebra containing the generators.
-
-    matrix: the saturation of the integer lattice they span, as a Hermite
-    basis; act: the sorted set of generator indices appearing."""
-    if backend == "matrix":
-        gens = [tuple(int(x) for x in v) for v in generators]
-        if not gens:
-            return ()
-        return matrix.pc_closure(gens, dim=len(gens[0]))
-    if backend == "act":
-        return acts.pc_closure(generators)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ..report import fmt_mat
 from . import linalg
 from .linalg import (
     Mat,
     IntMat,
     apply_mat,
-    clear_denominators,
     col_space_leq,
-    hnf_rows,
     hstack,
     identity,
     inverse,
@@ -52,10 +51,6 @@ from .linalg import (
     transpose,
     zeros,
 )
-
-
-class MixedBackends(TypeError):
-    pass
 
 
 class NoGroupInverse(ValueError):
@@ -104,7 +99,7 @@ def pc_closure(vectors, dim: int) -> IntMat:
     return saturation(vs, dim)
 
 
-# --- divisibility criteria (two independent routes each) -------------------
+# --- divisibility criteria (the second route to R and L) --------------------
 
 
 def divides_left(a, b) -> Mat | None:
@@ -115,17 +110,6 @@ def divides_left(a, b) -> Mat | None:
 def divides_right(a, b) -> Mat | None:
     """g with a = b @ g if one exists (a is a right multiple of b)."""
     return solve_right(mat_q(b), mat_q(a))
-
-
-def kernel_leq(a, b) -> bool:
-    """null(b) <= null(a), checked on a nullspace basis."""
-    a = mat_q(a)
-    return all(all(x == 0 for x in apply_mat(a, v)) for v in nullspace(mat_q(b)))
-
-
-def image_leq(a, b) -> bool:
-    """col(a) <= col(b), checked by rank comparison."""
-    return col_space_leq(mat_q(a), mat_q(b))
 
 
 # --- group inverses ---------------------------------------------------------
@@ -180,10 +164,7 @@ class Decomposition:
     b: Mat
 
     def as_dict(self):
-        return {
-            "a": [[str(x) for x in row] for row in self.a],
-            "b": [[str(x) for x in row] for row in self.b],
-        }
+        return {"a": fmt_mat(self.a), "b": fmt_mat(self.b)}
 
 
 def left_decompose(alpha) -> Decomposition:
@@ -294,7 +275,10 @@ def embed(v) -> QuotElem:
 def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
     """Fraction equality through an explicit pair of multipliers:
     (t1, v1) ~ (t2, v2) iff x t1 = y t2 and x v1 = y v2 for the witnesses
-    x = t2/g, y = t1/g with g = gcd(t1, t2)."""
+    x = t2/g, y = t1/g with g = gcd(t1, t2).  Vectors of different
+    lengths are not comparable."""
+    if len(p.v) != len(q.v):
+        raise ValueError(f"vector lengths differ: {len(p.v)} and {len(q.v)}")
     g = gcd(p.t, q.t)
     x, y = q.t // g, p.t // g
     if x * p.t != y * q.t:
@@ -305,11 +289,6 @@ def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
 def quot_act(p: QuotElem, m: IntMat) -> QuotElem:
     """Right action of an integer endomorphism on a quotient element."""
     return quot_elem(p.t, apply_mat(m, p.v))
-
-
-def lift_endo(m: IntMat) -> Mat:
-    """View an integer endomorphism as a rational one."""
-    return mat_q(m)
 
 
 # --- seeded sampling --------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Common-multiple (Ore) checks for small presented monoids, and the
-constant-isomorphism check shared by the backends.
+"""Common-multiple (Ore) checks for small presented monoids.
 
 `ore_check` is a bounded search and therefore a semi-decision procedure:
 it reports "fails" only when a structural certificate rules out common
@@ -130,49 +129,3 @@ def ore_check(monoid: PresentedMonoid, side: str, depth: int) -> OreResult:
     if stuck is not None:
         return OreResult("inconclusive", stuck, pairs)
     return OreResult("holds", None, pairs)
-
-
-# --- constant-isomorphism check ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class CIResult:
-    ok: bool
-    witness: tuple | None
-    detail: str
-
-    def as_dict(self):
-        return {
-            "ok": self.ok,
-            "witness": list(self.witness) if self.witness else None,
-            "detail": self.detail,
-        }
-
-
-def ci_check(backend: str) -> CIResult:
-    """Does every non-constant unary term operation restrict to a
-    surjection of the constant subalgebra?
-
-    matrix: the constants are {0} and every scalar fixes it.
-    act: there are no constants, so the condition is vacuous.
-    mock: a deliberately failing toy (successor on a truncated copy of the
-    naturals) exercising the witness path.
-    """
-    if backend == "matrix":
-        constants = {0}
-        for t in range(1, 6):
-            image = {t * c for c in constants}
-            missing = constants - image
-            if missing:
-                return CIResult(False, (f"x -> {t}x", min(missing)), "scalar action")
-        return CIResult(True, None, "all scalars fix the zero subspace")
-    if backend == "act":
-        return CIResult(True, None, "no constants; condition holds vacuously")
-    if backend == "mock":
-        constants = set(range(101))
-        image = {min(x + 1, 100) for x in constants}
-        missing = sorted(constants - image)
-        if missing:
-            return CIResult(False, ("a", missing[0]), "successor is not surjective")
-        return CIResult(True, None, "mock surjective")
-    raise ValueError(f"unknown backend {backend!r}")

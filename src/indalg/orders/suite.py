@@ -10,9 +10,9 @@ is keyed by sample index, so reports are deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import acts, matrix
+from ..report import Check, fmt_mat
 from .linalg import lcm_denoms, mat_q, matmul, scalar_mul, is_integer_matrix
 from .acts import (
     ActEndo,
@@ -35,65 +35,40 @@ from .acts import (
 )
 
 
-@dataclass
-class Check:
-    name: str
-    expected: str = "pass"
-    samples: int = 0
-    failures: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-
-    def record(self, ok: bool, witness=None):
-        self.samples += 1
-        if not ok:
-            self.details["failed"] = self.details.get("failed", 0) + 1
-            if len(self.failures) < 3:
-                self.failures.append(witness)
-
-    @property
-    def outcome(self) -> str:
-        return "fail" if self.details.get("failed") else "pass"
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "outcome": self.outcome,
-            "samples": self.samples,
-            "failures": self.failures,
-            "details": self.details,
-        }
+# ranks each backend's suite samples from
+RANKS = {"matrix": range(1, 5), "act": range(1, 4)}
 
 
 # --- matrix backend -----------------------------------------------------------
 
 
-def _fmt_mat(a):
-    return [[str(x) for x in row] for row in a]
+def matrix_route(side: str, a, b) -> bool:
+    """a <= b by a route independent of ``matrix.greens_leq(side, a, b)``:
+    an explicit divisor for R and L; for Rstar and Lstar, the unstarred
+    order, which reads the integer matrices as rational ones."""
+    if side == "R":
+        return matrix.divides_left(a, b) is not None
+    if side == "L":
+        return matrix.divides_right(a, b) is not None
+    return matrix.greens_leq(side[0], a, b)
 
 
-def run_matrix_suite(n: int, seed: int, samples: int) -> list[dict]:
-    if not (1 <= n <= 4):
+def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
+    if n not in RANKS["matrix"]:
         raise ValueError("matrix suite supports ranks 1..4")
     rng = random.Random(seed)
-    fs_r = Check("fs_rstar_vs_r")
-    fs_l = Check("fs_lstar_vs_l")
-    eiir = Check("eii_r_matrix_informational")
+    fs_r = Check.sampled("fs_rstar_vs_r")
+    fs_l = Check.sampled("fs_lstar_vs_l")
+    eiir = Check.sampled("eii_r_matrix_informational")
 
     for _ in range(samples):
         a = matrix.rand_int_matrix(rng, n)
         b = matrix.rand_int_matrix(rng, n)
-        la, lb = matrix.lift_endo(a), matrix.lift_endo(b)
-
-        star = matrix.greens_leq("Rstar", a, b)
-        plain = matrix.greens_leq("R", la, lb)
-        fs_r.record(star == plain, {"a": _fmt_mat(a), "b": _fmt_mat(b),
-                                    "Rstar": star, "R": plain})
-
-        star = matrix.greens_leq("Lstar", a, b)
-        plain = matrix.greens_leq("L", la, lb)
-        fs_l.record(star == plain, {"a": _fmt_mat(a), "b": _fmt_mat(b),
-                                    "Lstar": star, "L": plain})
+        for check, side in ((fs_r, "Rstar"), (fs_l, "Lstar")):
+            star = matrix.greens_leq(side, a, b)
+            plain = matrix_route(side, a, b)
+            check.record(star == plain, {"a": fmt_mat(a), "b": fmt_mat(b),
+                                         side: star, side[0]: plain})
 
         # informational: on a comparable pair alpha = Gamma b (rationally),
         # clearing denominators produces an integer witness gamma with
@@ -104,7 +79,7 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[dict]:
         alpha = matmul(g, mat_q(b))
         gam = matrix.divides_left(alpha, mat_q(b))
         if gam is None:
-            eiir.record(False, {"alpha": _fmt_mat(alpha), "b": _fmt_mat(b)})
+            eiir.record(False, {"alpha": fmt_mat(alpha), "b": fmt_mat(b)})
             continue
         m = lcm_denoms(gam)
         gam_int = scalar_mul(m, gam)
@@ -114,9 +89,9 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[dict]:
             and m >= 1
             and product == scalar_mul(m, alpha)
         )
-        eiir.record(ok, {"alpha": _fmt_mat(alpha), "b": _fmt_mat(b)})
+        eiir.record(ok, {"alpha": fmt_mat(alpha), "b": fmt_mat(b)})
 
-    return [c.as_dict() for c in (fs_r, fs_l, eiir)]
+    return [fs_r, fs_l, eiir]
 
 
 # --- act backend ----------------------------------------------------------------
@@ -153,6 +128,17 @@ def construct_image_gamma(a: ActEndo, b: ActEndo) -> ActEndo | None:
         shifts.append(a.shifts[i] - b.shifts[j])
         targets.append(j)
     return ActEndo("A", tuple(shifts), tuple(targets))
+
+
+def act_route(side: str, a: ActEndo, b: ActEndo) -> bool:
+    """a <= b by an element-level route independent of
+    ``acts.greens_leq(side, a, b)``: kernels compared on a window for R and
+    Rstar; for L and Lstar, an explicit gamma whose composite with b is a
+    in the overmonoid."""
+    if side in ("R", "Rstar"):
+        return window_kernel_leq(a, b)
+    gamma = construct_image_gamma(a, b)
+    return gamma is not None and compose(gamma, lift_endo(b)) == lift_endo(a)
 
 
 def _rank_bridge(image_of: ActEndo, kernel_of: ActEndo) -> ActEndo | None:
@@ -218,22 +204,22 @@ def _kernel_preserving_twin(rng: random.Random, beta: ActEndo) -> ActEndo:
     return twin
 
 
-def run_act_suite(n: int, seed: int, samples: int) -> list[dict]:
-    if not (1 <= n <= 3):
+def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
+    if n not in RANKS["act"]:
         raise ValueError("act suite supports ranks 1..3")
     rng = random.Random(seed)
 
-    fs_r = Check("fs_rstar_vs_r")
-    fs_l = Check("fs_lstar_vs_l")
-    ei = Check("ei_commuting_compositions")
-    eii_l = Check("eii_l_gamma_left")
-    eii_r = Check("eii_r_gamma_right")
-    eiii_l = Check("eiii_l_idempotent")
-    eiii_r = Check("eiii_r_idempotent")
-    evi_l = Check("evi_l_left_cancellation")
-    evi_r = Check("evi_r_right_cancellation")
-    evii_r = Check("evii_r_kernel_cancellation")
-    gii = Check("gii_hstar_left_ore")
+    fs_r = Check.sampled("fs_rstar_vs_r")
+    fs_l = Check.sampled("fs_lstar_vs_l")
+    ei = Check.sampled("ei_commuting_compositions")
+    eii_l = Check.sampled("eii_l_gamma_left")
+    eii_r = Check.sampled("eii_r_gamma_right")
+    eiii_l = Check.sampled("eiii_l_idempotent")
+    eiii_r = Check.sampled("eiii_r_idempotent")
+    evi_l = Check.sampled("evi_l_left_cancellation")
+    evi_r = Check.sampled("evi_r_right_cancellation")
+    evii_r = Check.sampled("evii_r_kernel_cancellation")
+    gii = Check.sampled("gii_hstar_left_ore")
 
     for k in range(samples):
         alpha = rand_act_endo(rng, n)
@@ -241,18 +227,11 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[dict]:
         pair_info = {"alpha": alpha.as_dict(), "beta": beta.as_dict()}
 
         # full stratification: structural predicates vs element-level routes
-        structural = acts.greens_leq("Rstar", alpha, beta)
-        elementwise = window_kernel_leq(alpha, beta)
-        fs_r.record(structural == elementwise,
-                    dict(pair_info, Rstar=structural, R=elementwise))
-
-        structural = acts.greens_leq("Lstar", alpha, beta)
-        gamma = construct_image_gamma(alpha, beta)
-        divisible = gamma is not None and compose(gamma, lift_endo(beta)) == ActEndo(
-            "A", alpha.shifts, alpha.targets
-        )
-        fs_l.record(structural == divisible,
-                    dict(pair_info, Lstar=structural, L=divisible))
+        for check, side in ((fs_r, "Rstar"), (fs_l, "Lstar")):
+            structural = acts.greens_leq(side, alpha, beta)
+            elementwise = act_route(side, alpha, beta)
+            check.record(structural == elementwise,
+                         dict(pair_info, **{side: structural, side[0]: elementwise}))
 
         # (Ei): both relation compositions hold exactly when a bridge
         # element exists, which happens iff the ranks agree
@@ -342,12 +321,11 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[dict]:
             {"alpha": sq.as_dict(), "a": a_el.as_dict(), "b": b_el.as_dict()},
         )
 
-    checks = [fs_r, fs_l, ei, eii_l, eii_r, eiii_l, eiii_r, evi_l, evi_r,
-              evii_r, gii]
-    return [c.as_dict() for c in checks]
+    return [fs_r, fs_l, ei, eii_l, eii_r, eiii_l, eiii_r, evi_l, evi_r,
+            evii_r, gii]
 
 
-def run_suite(backend: str, n: int, seed: int, samples: int) -> list[dict]:
+def run_suite(backend: str, n: int, seed: int, samples: int) -> list[Check]:
     if backend == "matrix":
         return run_matrix_suite(n, seed, samples)
     if backend == "act":

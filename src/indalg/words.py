@@ -7,7 +7,7 @@ is the identity.  Generator indices are unbounded Python ints.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Syllable = tuple[int, int]
 Word = tuple[Syllable, ...]
@@ -94,10 +94,6 @@ def sort_key(u: Word) -> tuple:
     return (max(length, max_gen(u)), length, _letter_keys(u))
 
 
-def _word_from_letters(letters: Sequence[tuple[int, int]]) -> Word:
-    return reduce(letters)
-
-
 def _ball_words(b: int, positive_only: bool = False) -> Iterator[Word]:
     """All reduced words whose ball index equals b, in (length, letter-lex) order."""
     step = 2 if positive_only else 1
@@ -108,7 +104,7 @@ def _ball_words(b: int, positive_only: bool = False) -> Iterator[Word]:
         def rec(pos: int, has_top: bool) -> Iterator[Word]:
             if pos == length:
                 if has_top or not need_top:
-                    yield _word_from_letters(seq)
+                    yield reduce(seq)
                 return
             for key in range(0, 2 * b, step):
                 g = key // 2 + 1

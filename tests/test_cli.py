@@ -215,17 +215,6 @@ def test_quotient_eq_and_embed(capsys):
             assert code == 0, (backend, action, rep)
 
 
-def test_ci_check_all_mock_is_expected_finding(capsys):
-    code, rep, _ = run_json(capsys, "ci-check", "--backend", "all")
-    assert code == 0
-    by_name = {c["name"]: c for c in rep["checks"]}
-    assert by_name["ci[matrix]"]["outcome"] == "pass"
-    assert by_name["ci[act]"]["outcome"] == "pass"
-    assert by_name["ci[mock]"]["expected"] == "finding"
-    assert by_name["ci[mock]"]["outcome"] == "finding"
-    assert by_name["ci[mock]"]["details"]["witness"] == ["a", 0]
-
-
 def test_ore_check_posint_and_free2(capsys):
     code, rep, _ = run_json(capsys, "ore-check", "--monoid", "posint", "--depth", "3")
     assert code == 0
@@ -248,25 +237,77 @@ def test_suite_command(capsys):
 
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
-    code = cli.run(["ci-check", "--backend", "matrix", "--out", str(target)])
-    capsys.readouterr()
+    code = cli.run(["quotient", "embed", "--out", str(target)])
+    out = capsys.readouterr().out
     assert code == 0
+    assert out == ""
     rep = json.loads(target.read_text())
-    assert rep["command"] == "ci-check"
+    assert rep["command"] == "quotient"
 
 
 def test_text_format(capsys):
-    code, out, _ = run(capsys, "ci-check", "--backend", "all", "--format", "text")
+    code, out, _ = run(capsys, "catalog", "--check", "exchange", "--format", "text")
     assert code == 0
     lines = [l for l in out.splitlines() if l]
-    assert any(l.startswith("[PASS]") for l in lines)
-    assert "ci[mock]" in out
+    assert lines[0] == "indalg catalog  (schema 1)"
+    assert all(l.startswith("[PASS]") for l in lines[1:-1])
+    assert lines[-1] == "ok"
+    # an expected finding passes
+    assert any("semilattice" in l and "outcome=finding expected=finding" in l
+               for l in lines)
 
 
-def test_usage_errors_exit_2(capsys):
-    assert cli.run(["greens", "--side", "Q"]) == 2
-    capsys.readouterr()
-    assert cli.run(["no-such-command"]) == 2
-    capsys.readouterr()
-    assert cli.run(["classify", "--input", "/nonexistent/file.json"]) == 2
-    capsys.readouterr()
+USAGE_ERRORS = [
+    (["greens", "--side", "Q"], None),
+    (["no-such-command"], None),
+    (["ci-check"], None),
+    (["classify", "--input", "/nonexistent/file.json"], None),
+    (["classify", "--input", "-"], '["x1"]'),
+    (["classify", "--input", "-"], '{"terms": ["x1", 7]}'),
+    (["suite", "--samples", "-5"], None),
+    (["suite", "--backend", "matrix", "--n", "9"], None),
+    (["suite", "--backend", "act", "--n", "0"], None),
+    (["verify-counterexample", "--terms", "0"], None),
+    (["verify-counterexample", "--samples", "0"], None),
+    (["verify-counterexample", "--depth", "1", "--terms", "10"], None),
+    (["ore-check", "--depth", "0"], None),
+    (["catalog", "--kind", "linear", "--params", '{"q":"x"}'], None),
+    # quotient eq: vectors of different lengths, a zero tag, a missing element
+    (["quotient", "eq", "--input", "-"],
+     '{"p": {"t": 1, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2, 3]}}'),
+    (["quotient", "eq", "--input", "-"],
+     '{"p": {"t": 0, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2]}}'),
+    (["quotient", "eq", "--input", "-"], '{"p": {"t": 1, "v": [1, 2]}}'),
+    (["quotient", "eq", "--backend", "act", "--input", "-"],
+     '{"q": {"k": 0, "m": 1, "i": 1}}'),
+    # matrix shapes and entries
+    (["greens", "--side", "R", "--input", "-"],
+     '{"a": [[1, 0], [0, 1]], "b": [[1]]}'),
+    (["greens", "--side", "R", "--input", "-"], '{"a": [[1, 0], [0, 1]]}'),
+    (["greens", "--side", "L", "--input", "-"],
+     '{"a": [["x", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["greens", "--side", "L", "--input", "-"],
+     '{"a": [[0.5, 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["greens", "--side", "Rstar", "--input", "-"],
+     '{"a": [["1/2", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["decompose", "--mode", "straight", "--input", "-"],
+     '{"alpha": [[1, 2, 3], [4, 5, 6]]}'),
+    (["decompose", "--input", "-"], '{"alpha": []}'),
+    (["greens", "--backend", "act", "--input", "-"],
+     '{"a": {"shifts": [0], "targets": [1]}, '
+     '"b": {"shifts": [0, 0], "targets": [1, 2]}}'),
+    (["greens", "--backend", "act", "--input", "-"],
+     '{"a": {"shifts": [0], "targets": [1]}}'),
+]
+
+
+def test_usage_errors_exit_2(capsys, monkeypatch):
+    import io
+
+    for argv, stdin in USAGE_ERRORS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, (argv, stdin)
+        assert out == ""
+        assert "error:" in err, (argv, stdin)
+        assert "Traceback" not in err

@@ -67,23 +67,6 @@ def test_ore_rejects_bad_arguments():
         mo.ore_check(POSINT, "left", 0)
 
 
-def test_ci_check_backends():
-    m = mo.ci_check("matrix")
-    assert m.ok and m.witness is None
-
-    a = mo.ci_check("act")
-    assert a.ok and "vacuous" in a.detail
-
-    bad = mo.ci_check("mock")
-    assert not bad.ok
-    assert bad.witness == ("a", 0)
-
-    with pytest.raises(ValueError):
-        mo.ci_check("nope")
-
-
 def test_result_dict_shapes():
     r = mo.ore_check(POSINT, "left", 2).as_dict()
     assert r == {"status": "holds", "witness": None, "pairs_checked": 36}
-    c = mo.ci_check("mock").as_dict()
-    assert c == {"ok": False, "witness": ["a", 0], "detail": "successor is not surjective"}

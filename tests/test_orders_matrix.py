@@ -27,7 +27,6 @@ def test_r_order_is_kernel_containment():
         b = mx.rand_rational_matrix(rng, n)
         via_kernel = mx.greens_leq("R", a, b)
         assert via_kernel == (mx.divides_left(a, b) is not None)
-        assert via_kernel == mx.kernel_leq(a, b)  # null(b) <= null(a)
 
 
 def test_l_order_is_image_containment():
@@ -38,7 +37,6 @@ def test_l_order_is_image_containment():
         b = mx.rand_rational_matrix(rng, n)
         via_cols = mx.greens_leq("L", a, b)
         assert via_cols == (mx.divides_right(a, b) is not None)
-        assert via_cols == mx.image_leq(a, b)
 
 
 def test_divisor_witnesses_recompose():
@@ -62,7 +60,7 @@ def test_starred_orders_extend_unstarred_on_lifts():
         a = mx.rand_int_matrix(rng, n)
         b = mx.rand_int_matrix(rng, n)
         for side, starred in (("R", "Rstar"), ("L", "Lstar")):
-            plain = mx.greens_leq(side, mx.lift_endo(a), mx.lift_endo(b))
+            plain = mx.greens_leq(side, q(a), q(b))
             star = mx.greens_leq(starred, a, b)
             assert star == plain, (side, a, b)
 
@@ -231,6 +229,8 @@ def test_quotient_eq_cross_multiplication():
     q_ = mx.quot_elem(4, (2, 6))
     assert mx.quotient_eq(p, q_)
     assert not mx.quotient_eq(p, mx.quot_elem(2, (1, 4)))
+    with pytest.raises(ValueError):  # zip must not truncate to a false "equal"
+        mx.quotient_eq(p, mx.quot_elem(2, (1, 3, 0)))
     rng = random.Random(18)
     for _ in range(200):
         t = rng.randint(1, 9)

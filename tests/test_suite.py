@@ -21,29 +21,29 @@ ACT_CHECKS = [
 def test_act_suite_all_checks_pass_small_ranks():
     for n in (1, 2, 3):
         report = su.run_act_suite(n, seed=0, samples=60)
-        assert [c["name"] for c in report] == ACT_CHECKS
+        assert [c.name for c in report] == ACT_CHECKS
         for check in report:
-            assert check["outcome"] == "pass", (n, check)
-            assert check["samples"] == 60
-            assert check["failures"] == []
+            assert check.outcome == "pass", (n, check)
+            assert check.details["samples"] == 60
+            assert check.details["failures"] == []
 
 
 def test_act_suite_kernel_cancellation_nonvacuous():
     report = su.run_act_suite(2, seed=3, samples=80)
-    evii = next(c for c in report if c["name"] == "evii_r_kernel_cancellation")
-    assert evii["details"]["nonvacuous"] > 0
+    evii = next(c for c in report if c.name == "evii_r_kernel_cancellation")
+    assert evii.details["nonvacuous"] > 0
 
 
 def test_matrix_suite_passes():
     for n in (1, 2, 3, 4):
         report = su.run_matrix_suite(n, seed=1, samples=60)
-        assert [c["name"] for c in report] == [
+        assert [c.name for c in report] == [
             "fs_rstar_vs_r",
             "fs_lstar_vs_l",
             "eii_r_matrix_informational",
         ]
         for check in report:
-            assert check["outcome"] == "pass", (n, check)
+            assert check.outcome == "pass", (n, check)
 
 
 def test_suite_reports_deterministic():
@@ -86,3 +86,35 @@ def test_construct_image_gamma_verified_by_caller():
             "A", a.shifts, a.targets
         )
         assert divisible == ac.greens_leq("L", a, b)
+
+
+def test_sampled_check_records_failures():
+    from indalg.report import Check
+
+    check = Check.sampled("demo")
+    check.record(True)
+    assert check.outcome == "pass"
+    assert check.details == {"samples": 1, "failures": []}
+    for k in range(5):
+        check.record(False, {"k": k})
+    assert check.outcome == "fail"
+    assert check.details == {
+        "samples": 6,
+        "failures": [{"k": 0}, {"k": 1}, {"k": 2}],
+        "failed": 5,
+    }
+
+
+def test_second_routes_agree_with_greens_leq():
+    import random
+
+    from indalg.orders import matrix as mx
+
+    rng = random.Random(52)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        a, b = ac.rand_act_endo(rng, n), ac.rand_act_endo(rng, n)
+        za, zb = mx.rand_int_matrix(rng, n), mx.rand_int_matrix(rng, n)
+        for side in ("R", "L", "Rstar", "Lstar"):
+            assert su.act_route(side, a, b) == ac.greens_leq(side, a, b)
+            assert su.matrix_route(side, za, zb) == mx.greens_leq(side, za, zb)
