@@ -77,18 +77,30 @@ def _parse_qmat(rows, size: int | None = None):
         raise UsageError("a matrix must be a non-empty square list of rows")
     if size is not None and len(rows) != size:
         raise UsageError(f"matrix sizes differ: {size} and {len(rows)}")
-    if any(isinstance(x, float) for row in rows for x in row):
-        raise UsageError("rational entries must be exact strings like '1/2'")
+    if any(type(x) not in (int, str) for row in rows for x in row):
+        raise UsageError("matrix entries must be integers or exact strings "
+                         "like '1/2'")
     with _reading("bad matrix entry"):
-        return tuple(
-            tuple(Fraction(x) if isinstance(x, int) else Fraction(str(x)) for x in row)
-            for row in rows
-        )
+        return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def _int(x, what: str) -> int:
+    """An integer payload field: a JSON integer, never a float or a boolean."""
+    if type(x) is not int:
+        raise UsageError(f"{what} must be an integer, not {json.dumps(x)}")
+    return x
+
+
+def _ints(xs, what: str) -> list[int]:
+    if not isinstance(xs, list):
+        raise UsageError(f"{what} must be a list of integers")
+    return [_int(x, what) for x in xs]
 
 
 def _parse_act(d) -> acts.ActEndo:
     with _reading("bad act endomorphism"):
-        return acts.act_endo(d.get("flavor", "B"), d["shifts"], d["targets"])
+        return acts.act_endo(d.get("flavor", "B"), _ints(d["shifts"], "shifts"),
+                             _ints(d["targets"], "targets"))
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -319,22 +331,21 @@ def cmd_quotient(args):
     with _reading("quotient payload"):
         if args.action == "embed":
             if args.backend == "matrix":
-                v = payload.get("v", [1, 2])
-                details = {"v": list(v), "element": matrix.embed(v).as_dict()}
+                v = _ints(payload.get("v", [1, 2]), "v")
+                details = {"v": v, "element": matrix.embed(v).as_dict()}
             else:
-                m = payload.get("m", 2)
-                i = payload.get("i", 1)
+                m = _int(payload.get("m", 2), "m")
+                i = _int(payload.get("i", 1), "i")
                 details = {"m": m, "i": i, "element": acts.act_embed(m, i).as_dict()}
             return [Check("quotient_embed", details=details)]
         if args.backend == "matrix":
             raw = payload or _DEMO_QUOT_MATRIX
-            p = matrix.quot_elem(raw["p"]["t"], raw["p"]["v"])
-            q = matrix.quot_elem(raw["q"]["t"], raw["q"]["v"])
+            p, q = (matrix.quot_elem(_int(raw[e]["t"], "t"), _ints(raw[e]["v"], "v"))
+                    for e in "pq")
             equal = matrix.quotient_eq(p, q)
         else:
             raw = payload or _DEMO_QUOT_ACT
-            p = acts.act_quot(raw["p"]["k"], raw["p"]["m"], raw["p"]["i"])
-            q = acts.act_quot(raw["q"]["k"], raw["q"]["m"], raw["q"]["i"])
+            p, q = (acts.act_quot(*(_int(raw[e][f], f) for f in "kmi")) for e in "pq")
             equal = acts.act_quotient_eq(p, q)
     details = {"p": p.as_dict(), "q": q.as_dict(), "equal": equal}
     return [Check("quotient_eq", details=details)]
@@ -446,8 +457,11 @@ def _emit(report: dict, args) -> None:
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -465,18 +479,17 @@ def run(argv=None) -> int:
     }
     try:
         checks = args.handler(args)
+        ok = all(c.outcome == c.expected for c in checks)
+        _emit({
+            "schema": 1,
+            "command": args.command,
+            "config": config,
+            "checks": [vars(c) for c in checks],
+            "ok": ok,
+        }, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ok = all(c.outcome == c.expected for c in checks)
-    report = {
-        "schema": 1,
-        "command": args.command,
-        "config": config,
-        "checks": [vars(c) for c in checks],
-        "ok": ok,
-    }
-    _emit(report, args)
     return 0 if ok else 1
 
 

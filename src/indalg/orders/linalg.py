@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here works on immutable tuple-of-tuples matrices.  Rational
-routines use :class:`fractions.Fraction` and row reduction; integer
-routines use Hermite normal form, which gives canonical bases for row
-lattices and hence decidable lattice membership and saturation.
+routines use :class:`fractions.Fraction` and row reduction.  The integer
+routines never touch ``Fraction``: they share one unimodular kernel,
+``_echelon``, which brings integer rows to echelon form by Euclidean row
+operations.  ``hnf_rows`` finishes its output into the canonical Hermite
+normal form, which decides lattice containment (``lattice_leq``);
+``left_kernel_int`` echelons ``[m | I]`` and reads the kernel off the
+identity tails; ``saturation`` is a double kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Row = tuple[Fraction, ...]
 Mat = tuple[Row, ...]
@@ -68,10 +72,6 @@ def matmul(a, b) -> Mat:
 def scalar_mul(c, a) -> Mat:
     c = Fraction(c)
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def hstack(a, b) -> Mat:
@@ -177,114 +177,79 @@ def lcm_denoms(a) -> int:
     return d
 
 
-def clear_denominators(a) -> IntMat:
-    d = lcm_denoms(a)
-    return mat_z(scalar_mul(d, a))
-
-
 # --- integer lattice routines --------------------------------------------
+
+
+def _echelon(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """Row echelon form of integer rows over their first ``ncols`` columns.
+
+    Only unimodular row operations are used (swaps and subtracting integer
+    multiples, Euclid's algorithm down each column; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4), so the rows keep
+    spanning the same lattice.  Returns the rows and the rank r: rows[:r]
+    have pivots moving strictly right within the first ``ncols`` columns,
+    and rows[r:] vanish there.
+    """
+    work = [list(row) for row in rows]
+    r = 0
+    for c in range(ncols):
+        while live := [i for i in range(r, len(work)) if work[i][c]]:
+            if len(live) == 1:
+                work[r], work[live[0]] = work[live[0]], work[r]
+                r += 1
+                break
+            p = min(live, key=lambda i: abs(work[i][c]))
+            for i in live:
+                if i != p:
+                    q = work[i][c] // work[p][c]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[p])]
+        if r == len(work):
+            break
+    return work, r
 
 
 def hnf_rows(rows) -> IntMat:
     """Canonical row-style Hermite normal form of the lattice spanned by
     ``rows``.  Zero rows are dropped; pivots are positive and entries above
     each pivot are reduced into [0, pivot)."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            live = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                work[r], work[i] = work[i], work[r]
-                break
-            live.sort(key=lambda i: abs(work[i][c]))
-            p = live[0]
-            for i in live[1:]:
-                q = work[i][c] // work[p][c]
-                work[i] = [x - q * y for x, y in zip(work[i], work[p])]
-            work = [w for w in work[:r]] + [
-                w for w in work[r:] if any(x != 0 for x in w)
-            ]
-        if r < len(work) and work[r][c] != 0:
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            for i in range(r):
-                q = work[i][c] // work[r][c]
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-            r += 1
-            if r == len(work):
-                break
-    return tuple(tuple(w) for w in work[:r])
-
-
-def _pivot(row: IntRow) -> int:
-    return next(i for i, x in enumerate(row) if x != 0)
-
-
-def in_row_lattice(hnf: IntMat, v) -> bool:
-    """Membership of integer vector v in the row lattice given by an HNF
-    basis."""
-    w = list(v)
-    for row in hnf:
-        p = _pivot(row)
-        if any(w[i] != 0 for i in range(p)):
-            return False
-        if w[p] % row[p] != 0:
-            return False
-        q = w[p] // row[p]
-        if q:
-            w = [x - q * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
+    rows = list(rows)
+    work, r = _echelon(rows, len(rows[0]) if rows else 0)
+    work = work[:r]
+    for i, row in enumerate(work):
+        c = next(j for j, x in enumerate(row) if x)
+        if row[c] < 0:
+            work[i] = row = [-x for x in row]
+        for above in range(i):
+            q = work[above][c] // row[c]
+            if q:
+                work[above] = [x - q * y for x, y in zip(work[above], row)]
+    return tuple(map(tuple, work))
 
 
 def lattice_leq(rows_a, rows_b) -> bool:
-    """True iff the row lattice of rows_a is contained in that of rows_b."""
+    """True iff the row lattice of rows_a is contained in that of rows_b:
+    adding rows_a to rows_b leaves the canonical HNF unchanged."""
     h = hnf_rows(rows_b)
-    return all(in_row_lattice(h, r) for r in rows_a)
+    return hnf_rows([*h, *rows_a]) == h
 
 
-def left_kernel_int(m: IntMat, width: int | None = None) -> IntMat:
+def left_kernel_int(m: IntMat) -> IntMat:
     """Canonical basis of {x in Z^k : x m = 0} for an integer k-row matrix.
 
-    Row-reduces [m | I] with unimodular operations; the identity tails of
-    the rows whose m-part vanishes generate the kernel lattice exactly.
+    Echelons [m | I] over m's columns; the identity tails of the rows whose
+    m-part vanishes generate the kernel lattice exactly.
     """
-    k = len(m)
-    if k == 0:
+    if not m:
         return ()
-    n = len(m[0]) if m[0:] and m[0] else (width if width is not None else 0)
-    work = [list(m[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    r = 0
-    for c in range(n):
-        while True:
-            live = [i for i in range(r, k) if work[i][c] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                work[r], work[i] = work[i], work[r]
-                r += 1
-                break
-            live.sort(key=lambda i: abs(work[i][c]))
-            p = live[0]
-            for i in live[1:]:
-                q = work[i][c] // work[p][c]
-                work[i] = [x - q * y for x, y in zip(work[i], work[p])]
-    kernel = [tuple(w[n:]) for w in work if all(x == 0 for x in w[:n])]
-    return hnf_rows(kernel)
+    n = len(m[0])
+    aug = [[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)]
+    work, r = _echelon(aug, n)
+    return hnf_rows([row[n:] for row in work[r:]])
 
 
 def right_kernel_int(m: IntMat) -> IntMat:
     """Canonical basis (as rows) of {v in Z^n : m v = 0}."""
-    mt = transpose(m)
-    return left_kernel_int(mt, width=len(m))
+    return left_kernel_int(transpose(m))
 
 
 def saturation(rows, dim: int) -> IntMat:
@@ -292,26 +257,16 @@ def saturation(rows, dim: int) -> IntMat:
 
     Computed as a double kernel: the rational row span is the left kernel
     of any integer matrix whose columns span the right kernel of ``rows``,
-    and taking that left kernel over Z yields the saturated lattice.
+    and taking that left kernel over Z yields the saturated lattice.  A
+    zero right kernel is passed as a dim x 0 matrix, whose left kernel is
+    all of Z^dim.
     """
-    rows = tuple(r for r in rows if any(x != 0 for x in r))
+    rows = tuple(r for r in rows if any(r))
     if not rows:
         return ()
-    ker = right_kernel_int(rows)  # rows of ker are right-kernel vectors
-    if not ker:
-        return hnf_rows(
-            [[1 if j == i else 0 for j in range(dim)] for i in range(dim)]
-        )
-    n = transpose(ker)  # dim x k matrix whose columns span the kernel
-    return left_kernel_int(n, width=len(ker))
+    return left_kernel_int(transpose(right_kernel_int(rows)) or ((),) * dim)
 
 
 def is_integer_matrix(a) -> bool:
     return all(Fraction(x).denominator == 1 for row in a for x in row)
 
-
-def content_gcd(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g

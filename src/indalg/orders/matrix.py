@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..report import fmt_mat
 from . import linalg
@@ -89,14 +89,7 @@ def greens_leq(side: str, a, b) -> bool:
 
 def pc_closure_cols(a: IntMat) -> IntMat:
     """Canonical basis of the pure closure of the column lattice of a."""
-    return pc_closure(transpose(a), len(a))
-
-
-def pc_closure(vectors, dim: int) -> IntMat:
-    """Canonical basis of the smallest saturated sublattice of Z^dim
-    containing the given vectors.  The empty set closes to {0}."""
-    vs = [tuple(v) for v in vectors]
-    return saturation(vs, dim)
+    return saturation(transpose(a), len(a))
 
 
 # --- divisibility criteria (the second route to R and L) --------------------
@@ -207,10 +200,7 @@ def straight_left_decompose(alpha) -> Decomposition:
         for i in range(n)
     )
     e = matmul(matmul(p, diag), inverse(p))
-    m = 1
-    for mtx in (e, alpha):
-        m_d = lcm_denoms(mtx)
-        m = m * m_d // gcd(m, m_d)
+    m = lcm(lcm_denoms(e), lcm_denoms(alpha))
     return Decomposition(a=scalar_mul(m, e), b=scalar_mul(m, alpha))
 
 
@@ -261,7 +251,7 @@ def quot_elem(t: int, v) -> QuotElem:
     if t <= 0:
         raise ValueError("denominator tag must be positive")
     v = tuple(int(x) for x in v)
-    g = gcd(t, linalg.content_gcd(v))
+    g = gcd(t, *v)
     if g > 1:
         t //= g
         v = tuple(x // g for x in v)

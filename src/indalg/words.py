@@ -217,21 +217,3 @@ def rand_word(rng, max_gen: int = 5, max_syll: int = 4, max_exp: int = 3) -> Wor
         prev = g
     return tuple(out)
 
-
-def rand_pos_word(rng, max_gen: int = 4, max_syll: int = 2, max_exp: int = 2) -> Word:
-    """Seeded random element of F+ (nonempty, positive exponents)."""
-    length = rng.randint(1, max_syll)
-    out: list[Syllable] = []
-    prev = 0
-    for _ in range(length):
-        if max_gen == 1:
-            if prev == 1:
-                break
-            g = 1
-        else:
-            g = rng.randint(1, max_gen - 1) if prev else rng.randint(1, max_gen)
-            if prev and g >= prev:
-                g += 1
-        out.append((g, rng.randint(1, max_exp)))
-        prev = g
-    return tuple(out)

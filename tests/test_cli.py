@@ -298,6 +298,23 @@ USAGE_ERRORS = [
      '"b": {"shifts": [0, 0], "targets": [1, 2]}}'),
     (["greens", "--backend", "act", "--input", "-"],
      '{"a": {"shifts": [0], "targets": [1]}}'),
+    # integer fields: a float or a boolean is not an integer
+    (["quotient", "eq", "--input", "-"],
+     '{"p": {"t": 1, "v": [1.5, 3]}, "q": {"t": 1, "v": [1, 3]}}'),
+    (["quotient", "eq", "--input", "-"],
+     '{"p": {"t": 1.0, "v": [1, 3]}, "q": {"t": 1, "v": [1, 3]}}'),
+    (["quotient", "eq", "--backend", "act", "--input", "-"],
+     '{"p": {"k": 0, "m": 1.5, "i": 1}, "q": {"k": 0, "m": 1, "i": 1}}'),
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"shifts": [0.7, 0], "targets": [1, 2]}}'),
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"shifts": [0, 0], "targets": [1, true]}}'),
+    (["quotient", "embed", "--backend", "act", "--input", "-"], '{"m": 2.5}'),
+    (["quotient", "embed", "--input", "-"], '{"v": [1, false]}'),
+    (["greens", "--side", "R", "--input", "-"],
+     '{"a": [[true, 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    # an unwritable report path
+    (["quotient", "embed", "--out", "/nonexistent/dir/x.json"], None),
 ]
 
 

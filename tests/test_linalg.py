@@ -1,7 +1,10 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indalg.orders import linalg as la
 
@@ -113,7 +116,7 @@ def test_clear_denominators():
     a = la.mat_q([[Fraction(1, 2), Fraction(2, 3)], [1, 0]])
     m = la.lcm_denoms(a)
     assert m == 6
-    cleared = la.clear_denominators(a)
+    cleared = la.mat_z(la.scalar_mul(m, a))
     assert la.is_integer_matrix(cleared)
     assert cleared == la.scalar_mul(Fraction(m), a)
 
@@ -138,16 +141,16 @@ def test_hnf_rows_random_canonicality():
         sign_flipped = [[-x for x in r] if rng.random() < 0.5 else r for r in shuffled]
         assert la.hnf_rows(sign_flipped + rows) == h1
         for row in h1:
-            assert la.in_row_lattice(h1, row)
+            assert la.lattice_leq([row], h1)
         for row in rows:
-            assert la.in_row_lattice(h1, row)
+            assert la.lattice_leq([row], h1)
 
 
 def test_in_row_lattice_strictness():
     h = la.hnf_rows([[2, 0], [0, 2]])
-    assert la.in_row_lattice(h, (4, -2))
-    assert not la.in_row_lattice(h, (1, 0))
-    assert not la.in_row_lattice(h, (2, 1))
+    assert la.lattice_leq([(4, -2)], h)
+    assert not la.lattice_leq([(1, 0)], h)
+    assert not la.lattice_leq([(2, 1)], h)
 
 
 def test_lattice_leq():
@@ -210,14 +213,122 @@ def test_saturation_contains_originals_and_is_saturated():
         ]
         s = la.saturation(rows, dim)
         for row in rows:
-            assert la.in_row_lattice(s, row)
+            assert la.lattice_leq([row], s)
         assert la.saturation(s, dim) == s
         if s:
-            assert la.content_gcd(s[0]) >= 1
+            assert math.gcd(*s[0]) >= 1
 
 
 def test_is_integer_matrix_and_content():
     assert la.is_integer_matrix(la.mat_q([[1, 2], [3, 4]]))
     assert not la.is_integer_matrix(la.mat_q([[Fraction(1, 2)]]))
-    assert la.content_gcd((4, -6, 8)) == 2
-    assert la.content_gcd((0, 0)) == 0
+    assert math.gcd(4, -6, 8) == 2
+    assert math.gcd(0, 0) == 0
+
+
+# --- property tests for the integer-lattice laws ------------------------------
+
+int_rows = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=4
+    )
+)
+nonempty_int_rows = int_rows.filter(bool)
+
+
+def _det(m) -> int:
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _is_saturated(basis) -> bool:
+    """A rank-r lattice is saturated iff its r x r minors have gcd 1."""
+    if not basis:
+        return True
+    r, n = len(basis), len(basis[0])
+    minors = (
+        _det([[row[j] for j in cols] for row in basis])
+        for cols in itertools.combinations(range(n), r)
+    )
+    return math.gcd(*minors) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows)
+def test_hnf_rows_idempotent(rows):
+    h = la.hnf_rows(rows)
+    assert la.hnf_rows(h) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonempty_int_rows, st.data())
+def test_hnf_rows_invariant_under_unimodular_moves(rows, data):
+    h = la.hnf_rows(rows)
+    moved = data.draw(st.permutations(rows))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(moved), max_size=len(moved)))
+    moved = [[-x for x in row] if f else list(row) for row, f in zip(moved, flips)]
+    moved.append(list(data.draw(st.sampled_from(moved))))
+    i = data.draw(st.integers(0, len(moved) - 1))
+    j = data.draw(st.integers(0, len(moved) - 1).filter(lambda j: j != i))
+    q = data.draw(st.integers(-5, 5))
+    moved[i] = [x + q * y for x, y in zip(moved[i], moved[j])]
+    assert la.hnf_rows(moved) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows)
+def test_hnf_rows_shape_and_rank(rows):
+    h = la.hnf_rows(rows)
+    prev = -1
+    for i, row in enumerate(h):
+        p = next(c for c, x in enumerate(row) if x != 0)
+        assert p > prev and row[p] > 0
+        assert all(0 <= h[k][p] < row[p] for k in range(i))
+        prev = p
+    assert len(h) == la.rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonempty_int_rows)
+def test_left_kernel_int_annihilates_and_is_saturated(m):
+    k = la.left_kernel_int(m)
+    cols = len(m[0])
+    for v in k:
+        assert all(sum(v[i] * m[i][j] for i in range(len(m))) == 0 for j in range(cols))
+    assert len(k) == len(m) - la.rank(m)
+    assert _is_saturated(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows)
+def test_saturation_idempotent_and_contains_input(rows):
+    dim = len(rows[0]) if rows else 3
+    s = la.saturation(rows, dim)
+    assert la.saturation(s, dim) == s
+    assert la.lattice_leq(rows, s)
+    assert len(s) == la.rank(rows)
+    assert _is_saturated(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonempty_int_rows, st.data())
+def test_lattice_leq_agrees_with_rational_solve(rows, data):
+    h = la.hnf_rows(rows)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    v = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    if all(x % d == 0 for x in v):
+        v = [x // d for x in v]
+    if data.draw(st.booleans()):
+        v[data.draw(st.integers(0, len(v) - 1))] += data.draw(st.integers(-2, 2))
+    if h:
+        x = la.solve_left(h, [v])
+        oracle = x is not None and all(c.denominator == 1 for c in x[0])
+    else:
+        oracle = not any(v)
+    assert la.lattice_leq([v], h) == oracle

@@ -78,8 +78,6 @@ def test_starred_orders_reject_rational_input():
 def test_pc_closure_cols_saturates():
     a = z([[2, 0], [0, 4]])
     assert mx.pc_closure_cols(a) == ((1, 0), (0, 1))
-    assert mx.pc_closure([(2, 4)], 2) == ((1, 2),)
-    assert mx.pc_closure([], 2) == ()
 
 
 # --- group inverses ----------------------------------------------------------
@@ -193,8 +191,8 @@ def test_straight_decompose_scaling_structure():
         alpha = mx.rand_rational_matrix(rng, n)
         dec = mx.straight_left_decompose(alpha)
         assert la.rank(dec.a) == la.rank(la.matmul(dec.a, dec.a))
-        assert la.rank(dec.a) == la.rank(alpha) or la.is_zero(alpha)
-        assert la.col_space_leq(dec.b, dec.a) and la.col_space_leq(dec.a, dec.b) or la.is_zero(alpha)
+        assert la.rank(dec.a) == la.rank(alpha) or la.rank(alpha) == 0
+        assert la.col_space_leq(dec.b, dec.a) and la.col_space_leq(dec.a, dec.b) or la.rank(alpha) == 0
 
 
 def test_verify_decomposition_rejects_wrong_pair():

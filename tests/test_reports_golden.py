@@ -109,3 +109,31 @@ def test_report_digest(case, capsys, monkeypatch):
     assert cli.run(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Starred Green's comparisons on rank-deficient 3x3 integer pairs whose
+# column lattices are not saturated, so the integer kernel and saturation
+# steps do real work: one comparable and one incomparable pair per side.
+STARRED = [
+    ("Rstar comparable", "Rstar",
+     "33ba327bdcdd665e401daee70c80126b10086ff1691c80603a8fe36b341333b0",
+     '{"a": [[2, 4, 0], [4, 8, 0], [0, 0, 0]], "b": [[2, 4, 0], [1, 2, 0], [0, 0, 3]]}'),
+    ("Rstar incomparable", "Rstar",
+     "a855370686bd5ec8707f8a7b2b9a41a281355bc80a7fd1fe1f51a09821b00819",
+     '{"a": [[1, 1, 0], [2, 2, 0], [0, 0, 0]], "b": [[2, 4, 0], [1, 2, 0], [0, 0, 3]]}'),
+    ("Lstar comparable", "Lstar",
+     "f2dbbdb3c48a793cf1fdcf67d8c7fd7af36f93706d0258461d904b29861c0f70",
+     '{"a": [[2, 4, 0], [0, 0, 0], [2, 4, 0]], "b": [[3, 0, 0], [0, 0, 0], [0, 3, 0]]}'),
+    ("Lstar incomparable", "Lstar",
+     "6fe05c4fae134d7098b13b8e72673f5094e8b9557a7fb355676edff7b94bb795",
+     '{"a": [[2, 0, 0], [2, 0, 0], [0, 0, 0]], "b": [[3, 0, 0], [0, 0, 0], [0, 3, 0]]}'),
+]
+
+
+@pytest.mark.parametrize("case", STARRED, ids=[c[0] for c in STARRED])
+def test_starred_report_digest(case, capsys, monkeypatch):
+    _, side, digest, payload = case
+    test_report_digest(
+        (f"greens --backend matrix --side {side} --input -", 0, digest, payload),
+        capsys, monkeypatch,
+    )
