@@ -13,6 +13,7 @@ malformed payload.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -357,7 +358,10 @@ def cmd_ore_check(args):
     expected = "finding" if args.monoid == "free2" else "pass"
     checks = []
     for side in ("left", "right"):
-        res = monoids.ore_check(monoid, side, args.depth)
+        try:
+            res = monoids.ore_check(monoid, side, args.depth)
+        except ValueError as exc:  # a depth over the element cap
+            raise UsageError(f"--depth: {exc}") from exc
         outcome = {"holds": "pass", "fails": "finding"}.get(
             res.status, "inconclusive"
         )
@@ -379,7 +383,10 @@ def cmd_suite(args):
 # --- plumbing -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use; parsing
+    never changes it and every default is immutable."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=1000)

@@ -1,19 +1,29 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here works on immutable tuple-of-tuples matrices.  Rational
-routines use :class:`fractions.Fraction` and row reduction.  The integer
-routines never touch ``Fraction``: they share one unimodular kernel,
-``_echelon``, which brings integer rows to echelon form by Euclidean row
-operations.  ``hnf_rows`` finishes its output into the canonical Hermite
-normal form, which decides lattice containment (``lattice_leq``);
-``left_kernel_int`` echelons ``[m | I]`` and reads the kernel off the
-identity tails; ``saturation`` is a double kernel.
+Everything here works on immutable tuple-of-tuples matrices.
+
+Rational routines take and return :class:`fractions.Fraction` entries but
+compute fraction-free: ``rref`` scales each row to integers and eliminates
+with Bareiss's exact integer updates, and ``matmul``/``apply_mat`` take
+integer dot products of denominator-cleared rows and columns, so one
+Fraction is built per output entry.  ``rank``, ``nullspace``, ``solve_*``,
+``col_space_leq`` and ``inverse`` all go through ``rref``.  The rational
+side calls nothing from the integer side, so the unstarred Green's routes
+stay independent of the starred ones they are cross-checked against.
+
+The integer routines never touch ``Fraction``: they share one unimodular
+kernel, ``_echelon``, which brings integer rows to echelon form by
+Euclidean row operations.  ``hnf_rows`` finishes its output into the
+canonical Hermite normal form, which decides lattice containment
+(``lattice_leq``); ``left_kernel_int`` echelons ``[m | I]`` and reads the
+kernel off the identity tails; ``saturation`` is a double kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 Row = tuple[Fraction, ...]
 Mat = tuple[Row, ...]
@@ -21,9 +31,16 @@ IntRow = tuple[int, ...]
 IntMat = tuple[IntRow, ...]
 
 
+def _exact(x) -> int | Fraction:
+    """x as an exact rational; ints and Fractions (immutable) pass as they
+    are, which is much cheaper than re-wrapping them in Fraction."""
+    return x if type(x) in (int, Fraction) else Fraction(x)
+
+
 def mat_q(rows) -> Mat:
     """Coerce an iterable of iterables to a rational matrix."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                 for row in rows)
 
 
 def mat_z(rows) -> IntMat:
@@ -31,7 +48,7 @@ def mat_z(rows) -> IntMat:
     for row in rows:
         r = []
         for x in row:
-            f = Fraction(x)
+            f = _exact(x)
             if f.denominator != 1:
                 raise ValueError(f"non-integer entry {x}")
             r.append(f.numerator)
@@ -61,12 +78,25 @@ def transpose(a) -> tuple[tuple, ...]:
     return tuple(zip(*a))
 
 
-def matmul(a, b) -> Mat:
-    bt = transpose(b)
+def _cleared(row) -> tuple[list[int], int]:
+    """Integers ns and the lcm d of the denominators with row == ns / d."""
+    row = list(map(_exact, row))
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _dots(rows, cols) -> Mat:
+    """The matrix of dot products of rows with cols: one integer dot
+    product and one Fraction per entry."""
+    cols = [_cleared(col) for col in cols]
     return tuple(
-        tuple(sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in bt)
-        for row in a
+        tuple(Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols)
+        for r, dr in map(_cleared, rows)
     )
+
+
+def matmul(a, b) -> Mat:
+    return _dots(a, transpose(b))
 
 
 def scalar_mul(c, a) -> Mat:
@@ -81,28 +111,43 @@ def hstack(a, b) -> Mat:
 
 
 def rref(a) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    rows = [list(map(Fraction, row)) for row in a]
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Fraction-free Gauss-Jordan (Bareiss): each row is first scaled to
+    integers, which leaves the RREF unchanged.  Eliminating column c with
+    pivot p turns every other row y into (p*y - f*x) / prev, where x is the
+    pivot row, f is y's entry in column c and prev the previous pivot; by
+    Sylvester's identity the division is exact, all entries stay minors of
+    the scaled input, and every pivot ends equal to the last one, so one
+    division per entry at the end gives the RREF.
+    """
+    rows = [_cleared(row)[0] for row in a]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        x = rows[r]
+        p = x[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r:
+                y = rows[i]
+                f = y[c]
+                if f:
+                    rows[i] = [(p * yj - f * xj) // prev for yj, xj in zip(y, x)]
+                else:
+                    rows[i] = [p * yj // prev for yj in y]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return tuple(tuple(Fraction(x, prev) for x in row) for row in rows), tuple(pivots)
 
 
 def rank(a) -> int:
@@ -131,7 +176,7 @@ def nullspace(a) -> tuple[Row, ...]:
 
 
 def apply_mat(a, v) -> Row:
-    return tuple(sum(Fraction(x) * Fraction(y) for x, y in zip(row, v)) for row in a)
+    return tuple(row[0] for row in _dots(a, (v,)))
 
 
 def solve_right(a, b) -> Mat | None:
@@ -170,11 +215,7 @@ def inverse(a) -> Mat:
 
 
 def lcm_denoms(a) -> int:
-    d = 1
-    for row in a:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    return d
+    return lcm(*(_exact(x).denominator for row in a for x in row))
 
 
 # --- integer lattice routines --------------------------------------------
@@ -268,5 +309,5 @@ def saturation(rows, dim: int) -> IntMat:
 
 
 def is_integer_matrix(a) -> bool:
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
+    return all(_exact(x).denominator == 1 for row in a for x in row)
 

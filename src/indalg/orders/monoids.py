@@ -5,6 +5,12 @@ it reports "fails" only when a structural certificate rules out common
 multiples outright (for the free monoid: distinct terminal or initial
 letters can never be reconciled), and "inconclusive" when the search
 bound is exhausted without either a solution or a certificate.
+
+The search keeps, for each element a, the set of its multiples ua (left)
+or au (right) by the elements up to the depth; a pair (a, b) has a common
+multiple within the bound iff the two sets meet.  The element count is
+computed from the depth before anything is built and capped at
+``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ class PresentedMonoid:
     name: str
     elements: Callable[[int], list]
     op: Callable
+    # size(depth) == len(elements(depth)), computed without building them
+    size: Callable[[int], int]
     # certificate(side, a, b) -> reason string when ua = vb (left) or
     # au = bv (right) is structurally impossible
     certificate: Callable = field(default=lambda side, a, b: None)
@@ -37,6 +45,7 @@ POSINT = PresentedMonoid(
     name="posint",
     elements=_posint_elements,
     op=lambda x, y: x * y,
+    size=lambda depth: (depth + 1) * (depth + 2) // 2,
 )
 
 
@@ -67,10 +76,16 @@ FREE2 = PresentedMonoid(
     name="free2",
     elements=_free2_elements,
     op=lambda x, y: x + y,
+    size=lambda depth: 2 ** (depth + 1) - 1,
     certificate=_free2_certificate,
 )
 
 MONOIDS = {"posint": POSINT, "free2": FREE2}
+
+# The search keeps one set of multiples per element, O(N^2) memory and
+# O(N^3) time for N elements; this cap (free2 up to depth 7, posint up to
+# depth 21) keeps every accepted depth to seconds.
+MAX_ELEMENTS = 256
 
 
 @dataclass(frozen=True)
@@ -94,38 +109,28 @@ def ore_check(monoid: PresentedMonoid, side: str, depth: int) -> OreResult:
         raise ValueError(f"unknown side {side!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    # A depth past the cap is refused outright: both monoids here have more
+    # than `depth` elements up to `depth`, and free2's size at a huge depth
+    # would itself take unbounded time and memory to compute.
+    if depth > MAX_ELEMENTS or monoid.size(depth) > MAX_ELEMENTS:
+        raise ValueError(f"depth {depth} gives {monoid.name} more than "
+                         f"{MAX_ELEMENTS} elements")
     elems = monoid.elements(depth)
-    fail = None
+    op = monoid.op
+    if side == "left":
+        multiples = [{op(u, a) for u in elems} for a in elems]
+    else:
+        multiples = [{op(a, u) for u in elems} for a in elems]
+    pairs = len(elems) ** 2  # the whole pair space: a certificate settles it
     stuck = None
-    pairs = 0
-    for a in elems:
-        for b in elems:
-            pairs += 1
+    for a, ma in zip(elems, multiples):
+        for b, mb in zip(elems, multiples):
             reason = monoid.certificate(side, a, b)
             if reason is not None:
-                if fail is None:
-                    fail = {
-                        "a": monoid.fmt(a),
-                        "b": monoid.fmt(b),
-                        "certificate": reason,
-                    }
-                continue
-            found = None
-            for u in elems:
-                for v in elems:
-                    if side == "left":
-                        ok = monoid.op(u, a) == monoid.op(v, b)
-                    else:
-                        ok = monoid.op(a, u) == monoid.op(b, v)
-                    if ok:
-                        found = (u, v)
-                        break
-                if found:
-                    break
-            if found is None and stuck is None:
+                fail = {"a": monoid.fmt(a), "b": monoid.fmt(b), "certificate": reason}
+                return OreResult("fails", fail, pairs)
+            if stuck is None and ma.isdisjoint(mb):
                 stuck = {"a": monoid.fmt(a), "b": monoid.fmt(b), "depth": depth}
-    if fail is not None:
-        return OreResult("fails", fail, pairs)
     if stuck is not None:
         return OreResult("inconclusive", stuck, pairs)
     return OreResult("holds", None, pairs)

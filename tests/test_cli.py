@@ -271,6 +271,9 @@ USAGE_ERRORS = [
     (["verify-counterexample", "--samples", "0"], None),
     (["verify-counterexample", "--depth", "1", "--terms", "10"], None),
     (["ore-check", "--depth", "0"], None),
+    # ore-check depths whose element count is over the cap
+    (["ore-check", "--depth", "100000000000000000000"], None),
+    (["ore-check", "--monoid", "free2", "--depth", "8"], None),
     (["catalog", "--kind", "linear", "--params", '{"q":"x"}'], None),
     # quotient eq: vectors of different lengths, a zero tag, a missing element
     (["quotient", "eq", "--input", "-"],

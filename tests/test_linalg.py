@@ -332,3 +332,119 @@ def test_lattice_leq_agrees_with_rational_solve(rows, data):
     else:
         oracle = not any(v)
     assert la.lattice_leq([v], h) == oracle
+
+
+# --- property tests for the rational kernel -----------------------------------
+
+
+def _rref_oracle(a):
+    """Fraction Gauss-Jordan elimination: ``rref`` as it was computed before
+    the fraction-free kernel, kept verbatim as the oracle."""
+    rows = [list(map(Fraction, row)) for row in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _product(a, b):
+    """a @ b with plain Fraction sums, independent of ``la.matmul``."""
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+rational_entries = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+def _rational_rows(rows: int, cols: int):
+    return st.lists(st.lists(rational_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=9):
+    """Rational matrices up to 5 x 9, with ints and Fractions mixed, biased
+    towards zero rows, duplicated rows and rank-deficient products."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.sampled_from([1, draw(st.integers(1, max_cols))]))
+    kind = draw(st.sampled_from(["random", "zero row", "duplicate row", "product"]))
+    if kind == "product":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        return _product(draw(_rational_rows(rows, k)), draw(_rational_rows(k, cols)))
+    m = draw(_rational_rows(rows, cols))
+    i = draw(st.integers(0, rows - 1))
+    if kind == "zero row":
+        m[i] = [0] * cols
+    elif kind == "duplicate row":
+        m[i] = list(m[draw(st.integers(0, rows - 1))])
+    return m
+
+
+@settings(max_examples=500)
+@given(rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(a):
+    r, pivots = la.rref(a)
+    assert (r, pivots) == _rref_oracle(a)
+    assert all(type(x) is Fraction for row in r for x in row)
+
+
+@settings(max_examples=300)
+@given(rational_matrices(), st.data())
+def test_matmul_and_apply_mat_match_plain_products(a, data):
+    b = data.draw(_rational_rows(len(a[0]), data.draw(st.integers(1, 5))))
+    assert la.matmul(a, b) == tuple(map(tuple, _product(a, b)))
+    v = b[0]
+    assert la.apply_mat(a, v) == tuple(row[0] for row in _product(a, [[x] for x in v]))
+
+
+@settings(max_examples=300)
+@given(rational_matrices(), st.data())
+def test_solve_right_and_left_satisfy_the_equation(a, data):
+    k = data.draw(st.integers(1, 3))
+    consistent = data.draw(st.booleans())
+    # a @ X = b: b consistent by construction, or arbitrary
+    if consistent:
+        b = _product(a, data.draw(_rational_rows(len(a[0]), k)))
+    else:
+        b = data.draw(_rational_rows(len(a), k))
+    x = la.solve_right(a, b)
+    if x is None:
+        assert not consistent
+        aug = [list(row) + list(extra) for row, extra in zip(a, b)]
+        assert len(_rref_oracle(aug)[1]) > len(_rref_oracle(a)[1])
+    else:
+        assert _product(a, x) == [list(map(Fraction, row)) for row in b]
+    # X @ a = c, c a combination of a's rows
+    c = _product(data.draw(_rational_rows(k, len(a))), a)
+    y = la.solve_left(a, c)
+    assert y is not None and _product(y, a) == c
+
+
+@settings(max_examples=300)
+@given(rational_matrices())
+def test_nullspace_vectors_are_annihilated(a):
+    basis = la.nullspace(a)
+    assert len(basis) == len(a[0]) - len(_rref_oracle(a)[1])
+    for v in basis:
+        assert all(x == 0 for row in _product(a, [[x] for x in v]) for x in row)
+    if basis:
+        assert len(_rref_oracle(basis)[1]) == len(basis)

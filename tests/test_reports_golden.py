@@ -74,6 +74,10 @@ GOLDEN = [
      "879e1dc422722859c0b1f53766b0b34d07b0c39ada973837683cb8b7cd5d37ff"),
     ("ore-check --monoid free2 --depth 3", 0,
      "91fc53dd68a2b5bc32c5ec4046d91f092a59dcad5f53ba2e1bc09716b5284603"),
+    ("ore-check --monoid free2 --depth 5", 0,
+     "c28627e39284c7ff08f48048a7d14c4f998198db46ae2b3c46022b0e97faa244"),
+    ("ore-check --monoid posint --depth 8", 0,
+     "c208ad1a81ff59a5861b88bac13c45a8bfa59d51e6bb630807ded0dfccd292b8"),
     ("suite --backend matrix --samples 20", 0,
      "b73b8b9479a33387a6e25f6305e20587811bed7b1a0b365cfcaa61f5a485b0a6"),
     ("suite --backend act --samples 20", 0,
@@ -137,3 +141,31 @@ def test_starred_report_digest(case, capsys, monkeypatch):
         (f"greens --backend matrix --side {side} --input -", 0, digest, payload),
         capsys, monkeypatch,
     )
+
+
+# Rational rank-deficient payloads, so the rational row reduction under
+# the unstarred Green's orders and the straight decomposition meets
+# denominators, zero rows and dependent rows.  a = g @ b for a rank-one g,
+# so a <=_R b holds and a <=_L b does not.
+RANK_DEFICIENT_PAIR = (
+    '{"a": [["2/3", "1/14", "7/10"], ["4/3", "1/7", "7/5"], [0, 0, 0]], '
+    '"b": [["2/3", 0, "1/5"], [0, "1/7", 1], ["2/3", "1/7", "6/5"]]}'
+)
+RATIONAL = [
+    ("greens R rank-deficient", "greens --side R --input -",
+     "dd708c16d0e7de80ec804978dfc4805c8f39e707752b0564a29c299f70e15bc8",
+     RANK_DEFICIENT_PAIR),
+    ("greens L rank-deficient", "greens --side L --input -",
+     "b262bd972fafdc6f536a088be52d9c3077dcffcbd248e9be4770168222016f55",
+     RANK_DEFICIENT_PAIR),
+    ("decompose straight rank-deficient", "decompose --mode straight --input -",
+     "16b4848569478e8c8a1f19b545930dc341adb0b4b87b80e88fbda8e1495b64d8",
+     '{"alpha": [["1/2", "1/3", 0, "-2/5"], [1, "2/3", 0, "-4/5"], '
+     '[0, "1/7", "3/4", 0], ["1/2", "10/21", "3/4", "-2/5"]]}'),
+]
+
+
+@pytest.mark.parametrize("case", RATIONAL, ids=[c[0] for c in RATIONAL])
+def test_rational_report_digest(case, capsys, monkeypatch):
+    _, argv, digest, payload = case
+    test_report_digest((argv, 0, digest, payload), capsys, monkeypatch)
