@@ -148,7 +148,7 @@ def cmd_verify_counterexample(args):
         if form.form == 1:
             constant += 1
             continue
-        ref = cx.refute_distributivity(t, h)
+        ref = cx.refute_distributivity(t, h, form)
         if ref.holds:
             refuted += 1
         else:

@@ -37,6 +37,11 @@ class NotForm2(ValueError):
     """Operation requires a Form 2 classification."""
 
 
+_CHUNK_TRITS = 600
+_CHUNK_SCALE = 3**_CHUNK_TRITS
+_BIJECTIVE_DIGITS = str.maketrans("01", "12")
+
+
 def _encode(w: Word) -> int:
     """Injective self-delimiting encoding of a word as a nonnegative integer.
 
@@ -45,18 +50,27 @@ def _encode(w: Word) -> int:
     digit string is read in base 3 behind a leading sentinel.  Distinct words
     give distinct digit strings, so the map is injective, and the identity
     encodes to 0.
+
+    The bijective-base-2 digits of v are the binary digits of v + 1 after
+    its leading 1, with 0 -> 1 and 1 -> 2, so the whole trit string is built
+    at once and converted by ``int(..., 3)``, linear in its length where a
+    digit-at-a-time ``n = 3*n + d`` is quadratic.  The conversion runs in
+    chunks of at most 600 trits (the first chunk takes the remainder): the
+    interpreter's limit on digits converted from a string can be set as low
+    as 640, and changing that limit would change it for the whole process.
     """
-    n = 1
+    parts = ["1"]  # sentinel
     for g, e in w:
         z = 2 * e - 1 if e > 0 else -2 * e
-        for v in (g, z):
-            digits = []
-            while v:
-                v, r = divmod(v - 1, 2)
-                digits.append(r + 1)
-            for d in reversed(digits):
-                n = 3 * n + d
-            n = 3 * n  # separator
+        parts.append(bin(g + 1)[3:].translate(_BIJECTIVE_DIGITS))
+        parts.append("0")
+        parts.append(bin(z + 1)[3:].translate(_BIJECTIVE_DIGITS))
+        parts.append("0")
+    trits = "".join(parts)
+    head = len(trits) % _CHUNK_TRITS or _CHUNK_TRITS
+    n = int(trits[:head], 3)
+    for i in range(head, len(trits), _CHUNK_TRITS):
+        n = n * _CHUNK_SCALE + int(trits[i : i + _CHUNK_TRITS], 3)
     return n - 1
 
 
@@ -325,9 +339,14 @@ class Refutation:
         return self.lhs != self.rhs
 
 
-def refute_distributivity(t: Term, h: HMap) -> Refutation:
-    """Produce (a, mu, lhs, rhs) with a * t(mu) != t(a*mu) for a Form 2 term."""
-    form = classify(t, h)
+def refute_distributivity(
+    t: Term, h: HMap, form: Optional[TermForm] = None
+) -> Refutation:
+    """Produce (a, mu, lhs, rhs) with a * t(mu) != t(a*mu) for a Form 2 term.
+
+    ``form`` is t's classification when the caller already has it."""
+    if form is None:
+        form = classify(t, h)
     if form.form != 2:
         raise NotForm2(f"{t!r} has constant prefix; no refutation exists")
     sample = sample_witnesses(form, t, h, 1)[0]

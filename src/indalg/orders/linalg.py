@@ -181,7 +181,7 @@ def apply_mat(a, v) -> Row:
 
 def solve_right(a, b) -> Mat | None:
     """X with a @ X = b, or None.  Free variables are set to zero."""
-    n, m = shape(mat_q(a))
+    m = shape(a)[1]
     aug, pivots = rref(hstack(a, b))
     k = len(b[0]) if b else 0
     if any(p >= m for p in pivots):
@@ -205,7 +205,7 @@ def col_space_leq(a, b) -> bool:
 
 
 def inverse(a) -> Mat:
-    n, m = shape(mat_q(a))
+    n, m = shape(a)
     if n != m:
         raise ValueError("not square")
     inv = solve_right(a, identity(n))

@@ -105,10 +105,12 @@ def window_kernel_leq(a: ActEndo, b: ActEndo, width: int | None = None) -> bool:
     w = width if width is not None else 2 + max(
         [abs(s) for s in a.shifts + b.shifts] or [0]
     )
-    elems = [(m, i) for m in range(-w, w + 1) for i in range(a.n)]
-    for x in elems:
-        for y in elems:
-            if lb(x) == lb(y) and la(x) != la(y):
+    image_under_a = {}  # lb(x) -> la(x) for the first x seen with that image
+    for m in range(-w, w + 1):
+        for i in range(a.n):
+            x = (m, i)
+            ax = la(x)
+            if image_under_a.setdefault(lb(x), ax) != ax:
                 return False
     return True
 

@@ -17,6 +17,11 @@ from . import words
 from .words import Word
 
 
+# Parsing and every term walker recurse once per nesting level, so deeper
+# input would end in a RecursionError; parse_term refuses it up front.
+MAX_NESTING = 256
+
+
 class ArityError(ValueError):
     """Raised when an argument tuple is shorter than the term's max variable."""
 
@@ -109,12 +114,29 @@ def format_term(t: Term) -> str:
 
 
 def parse_term(text: str) -> Term:
-    """Parse ``x<i>``, ``nu(<word>, <term>)`` and ``g(<term>, <term>)``."""
+    """Parse ``x<i>``, ``nu(<word>, <term>)`` and ``g(<term>, <term>)``.
+
+    Raises ValueError on malformed text and on parentheses nested more than
+    MAX_NESTING deep."""
     s = text.strip()
+    _check_nesting(s)
     t, rest = _parse(s)
     if rest.strip():
         raise ValueError(f"trailing input {rest!r}")
     return t
+
+
+def _check_nesting(s: str) -> None:
+    if s.count("(") <= MAX_NESTING:
+        return
+    level = 0
+    for ch in s:
+        if ch == "(":
+            level += 1
+            if level > MAX_NESTING:
+                raise ValueError(f"term nested more than {MAX_NESTING} deep")
+        elif ch == ")":
+            level -= 1
 
 
 def _parse(s: str) -> tuple[Term, str]:

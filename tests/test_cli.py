@@ -72,6 +72,35 @@ def test_classify_parse_error_exit_code(monkeypatch, capsys):
     assert "error" in rep["checks"][0]["details"]["terms"][0]
 
 
+def test_classify_nesting_bound(monkeypatch, capsys):
+    # terms at the bound classify; deeper ones are error rows, not tracebacks
+    import io
+
+    from indalg import terms as tm
+
+    def chain(head, n):
+        return head * n + "x1" + ")" * n
+
+    # the first has more parentheses than MAX_NESTING, so its nesting is scanned
+    at_bound = [
+        "g(nu(z1, x1), " + chain("g(x2, ", tm.MAX_NESTING - 1) + ")",
+        chain("nu(z1, ", tm.MAX_NESTING),
+    ]
+    too_deep = [chain("g(x2, ", 600), chain("nu(z1, ", 3000)]
+    payload = json.dumps({"terms": at_bound + too_deep})
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code = cli.run(["classify", "--input", "-"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 1
+    assert captured.err == ""
+    rows = rep["checks"][0]["details"]["terms"]
+    assert [r.get("form") for r in rows[:2]] == [2, 1]
+    assert rows[1]["prefix"] == f"z1^{tm.MAX_NESTING}"
+    for row in rows[2:]:
+        assert row["error"] == f"term nested more than {tm.MAX_NESTING} deep"
+
+
 def test_catalog_exchange_semilattice_is_expected_finding(capsys):
     code, rep, _ = run_json(capsys, "catalog", "--check", "exchange")
     assert code == 0

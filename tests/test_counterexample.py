@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indalg import counterexample as ce
 from indalg import terms as tm
@@ -20,6 +23,50 @@ def test_encode_injective_on_enumerated_words():
         assert n not in seen, (w, seen[n])
         seen[n] = w
     assert ce._encode(IDENTITY) == 0
+
+
+def _encode_by_trits(w):
+    """The former digit-at-a-time encoder, kept as the oracle for _encode."""
+    n = 1
+    for g, e in w:
+        z = 2 * e - 1 if e > 0 else -2 * e
+        for v in (g, z):
+            digits = []
+            while v:
+                v, r = divmod(v - 1, 2)
+                digits.append(r + 1)
+            for d in reversed(digits):
+                n = 3 * n + d
+            n = 3 * n  # separator
+    return n - 1
+
+
+_exponents = st.one_of(st.integers(1, 40), st.integers(1, 2**64)).flatmap(
+    lambda e: st.sampled_from((e, -e))
+)
+_generators = st.one_of(st.integers(1, 12), st.integers(1, 2**4000))
+_words = st.lists(st.tuples(_generators, _exponents), max_size=6).map(wd.reduce)
+
+
+@given(_words)
+def test_encode_matches_the_trit_loop(w):
+    assert ce._encode(w) == _encode_by_trits(w)
+
+
+@given(_words)
+def test_decode_inverts_encode(w):
+    assert ce._decode_free_even(ce._free_even(ce._encode(w))) == w
+
+
+def test_encode_past_the_int_string_limit():
+    # over 6,000 trits, beyond the default limit of 4,300 digits that
+    # int(str, 3) accepts in one piece
+    limit = sys.get_int_max_str_digits()
+    w = ((2**6000 + 1, 1),)
+    n = ce._encode(w)
+    assert n == _encode_by_trits(w)
+    assert ce._decode_free_even(ce._free_even(n)) == w
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_free_even_skips_pinned_values():
@@ -201,6 +248,18 @@ def test_refute_distributivity_avoids_content():
         blocked |= wd.gen_content(w)
     assert wd.gen_content(r.a) == {min(k for k in range(1, 50) if k % 2 and k not in blocked)}
     assert r.holds
+
+
+def test_refute_distributivity_reuses_a_given_form():
+    h = HMap()
+    pool = [wd.gen(1), wd.gen(2), wd.parse_word("z3*z1")]
+    terms = tm.sample_terms(5, 3, pool, seed=4, count=40)
+    form2 = [t for t in terms if ce.classify(t, h).form == 2]
+    assert len(form2) >= 10
+    for t in form2:
+        reused = ce.refute_distributivity(t, h, form=ce.classify(t, h))
+        fresh = ce.refute_distributivity(t, h)
+        assert dataclasses.astuple(reused) == dataclasses.astuple(fresh)
 
 
 def test_refute_requires_form2():

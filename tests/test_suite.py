@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from indalg.orders import acts as ac
 from indalg.orders import suite as su
@@ -71,6 +72,40 @@ def test_window_kernel_leq_matches_pair_scan():
         a = ac.rand_act_endo(rng, n)
         b = ac.rand_act_endo(rng, n)
         assert su.window_kernel_leq(a, b) == ac.kernel_leq(a, b)
+
+
+def _pair_scan_kernel_leq(a, b, width=None):
+    """The former double loop of window_kernel_leq, kept as its oracle."""
+    la, lb = ac.lift_endo(a), ac.lift_endo(b)
+    w = width if width is not None else 2 + max(
+        [abs(s) for s in a.shifts + b.shifts] or [0]
+    )
+    elems = [(m, i) for m in range(-w, w + 1) for i in range(a.n)]
+    for x in elems:
+        for y in elems:
+            if lb(x) == lb(y) and la(x) != la(y):
+                return False
+    return True
+
+
+@st.composite
+def _act_endo_pairs(draw):
+    n = draw(st.integers(1, 4))
+
+    def endo():
+        return ac.ActEndo(
+            "B",
+            tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))),
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))),
+        )
+
+    return endo(), endo()
+
+
+@given(_act_endo_pairs(), st.one_of(st.none(), st.integers(0, 4)))
+def test_window_kernel_leq_matches_the_double_loop(pair, width):
+    a, b = pair
+    assert su.window_kernel_leq(a, b, width) == _pair_scan_kernel_leq(a, b, width)
 
 
 def test_construct_image_gamma_verified_by_caller():

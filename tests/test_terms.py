@@ -70,6 +70,19 @@ def test_parse_rejects_garbage():
             tm.parse_term(bad)
 
 
+def test_parse_bounds_nesting_not_size():
+    # a balanced term with far more than MAX_NESTING nodes is shallow
+    t = Var(1)
+    for _ in range(9):
+        t = G(t, Nu(wd.gen(2), t))
+    text = tm.format_term(t)
+    assert text.count("(") > tm.MAX_NESTING
+    assert tm.parse_term(text) == t
+    deep = "nu(z1, " * (tm.MAX_NESTING + 1) + "x1" + ")" * (tm.MAX_NESTING + 1)
+    with pytest.raises(ValueError, match="nested more than"):
+        tm.parse_term(deep)
+
+
 def test_sample_terms_distinct_bounded_deterministic():
     pool = [wd.gen(1), wd.gen(2), wd.parse_word("z1*z2")]
     a = tm.sample_terms(4, 3, pool, seed=11, count=150)
