@@ -13,6 +13,7 @@ explicit counterexamples to the distributivity condition.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -117,7 +118,10 @@ class HMap:
     Three values are pinned; every other word is assigned a free even index
     (2, 4, 12, 14, ...) by a deterministic injective encoding, so lookups are
     independent of query order.  Extra user pins may be supplied; injectivity
-    is then guarded at lookup time.
+    is then guarded at lookup time.  The encoding is injective and its values
+    avoid 6, 8 and 10, so a fresh word can clash only with an extra pin.
+
+    An HMap also memoizes ``classify`` for the terms classified through it.
     """
 
     def __init__(self, extra_pins: Optional[dict[Word, int]] = None):
@@ -129,23 +133,23 @@ class HMap:
                     raise ValueError(f"pinned value {v} is not an even index >= 2")
                 self.pins[w] = v
         self._memo: dict[Word, int] = dict(self.pins)
-        self._seen: dict[int, Word] = {v: w for w, v in self.pins.items()}
-        if len(self._seen) != len(self.pins):
+        self._pinned: dict[int, Word] = {v: w for w, v in self.pins.items()}
+        if len(self._pinned) != len(self.pins):
             raise ValueError("pin table is not injective")
+        self._forms: dict[Term, TermForm] = {}
 
     def lookup(self, w: Word) -> int:
         got = self._memo.get(w)
         if got is not None:
             return got
         idx = _free_even(_encode(w))
-        clash = self._seen.get(idx)
-        if clash is not None and clash != w:
+        clash = self._pinned.get(idx)
+        if clash is not None:
             raise ValueError(
                 f"h collision: {words.format_word(w)} and "
                 f"{words.format_word(clash)} both map to {idx}"
             )
         self._memo[w] = idx
-        self._seen[idx] = w
         return idx
 
     def g(self, w1: Word, w2: Word) -> Word:
@@ -154,8 +158,6 @@ class HMap:
 
 def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> dict:
     """Verify g(w1 w', w2 w') == g(w1, w2) w' on seeded random triples."""
-    import random
-
     rng = random.Random(seed)
     failures = []
     for k in range(samples):
@@ -236,56 +238,80 @@ def _fresh_pair_tuples(n: int, pos1: int, pos2: int, allowed: Callable[[int], bo
 def classify(t: Term, h: HMap) -> TermForm:
     """Decide whether t evaluates to w * y_star for a fixed word w (Form 1) or
     to a varying prefix times y_star (Form 2), following the structural
-    recursion on t."""
-    m = meta(t)
+    recursion on t.
 
+    Subterms are classified children first, left before right, on an explicit
+    stack, and each distinct subterm once per ``h``: the forms are kept in
+    ``h._forms``."""
+    forms = h._forms
+    form = forms.get(t)
+    if form is not None:
+        return form
+    meta(t)  # a bad variable anywhere in t fails here, before any work
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, G):
+            todo = [c for c in (node.right, node.left) if c not in forms]
+        elif isinstance(node, Nu) and node.child not in forms:
+            todo = [node.child]
+        else:
+            todo = None
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if node not in forms:  # a shared child may be pushed twice
+            forms[node] = _classify_node(node, forms, h)
+    return forms[t]
+
+
+def _classify_node(t: Term, forms: dict[Term, TermForm], h: HMap) -> TermForm:
+    """t's form, given the forms of its children."""
     if isinstance(t, Var):
-        return TermForm(1, m.arity, m.star, prefix=IDENTITY, case="var")
+        return TermForm(1, t.arity, t.star, prefix=IDENTITY, case="var")
 
     if isinstance(t, Nu):
-        sub = classify(t.child, h)
+        sub = forms[t.child]
         if sub.form == 1:
             prefix = mul(t.coeff, sub.prefix)
-            _check_prefix(prefix, m.content)
-            return TermForm(1, m.arity, m.star, prefix=prefix, case="nu-lift")
+            _check_prefix(prefix, t.content)
+            return TermForm(1, t.arity, t.star, prefix=prefix, case="nu-lift")
         return TermForm(
-            2, m.arity, m.star, case="nu-" + sub.case, candidates=sub.candidates
+            2, t.arity, t.star, case="nu-" + sub.case, candidates=sub.candidates
         )
 
-    if not isinstance(t, G):
-        raise TypeError(f"not a term: {t!r}")
-
-    left = classify(t.left, h)
-    right = classify(t.right, h)
-    n = m.arity
+    left = forms[t.left]
+    right = forms[t.right]
+    n = t.arity
 
     if right.form == 2:
         return TermForm(
-            2, n, m.star, case="g-right-varying", candidates=_pad(right.candidates, n)
+            2, n, t.star, case="g-right-varying", candidates=_pad(right.candidates, n)
         )
 
     w2 = right.prefix
     if left.form == 1:
         if left.star == right.star:
             prefix = mul(words.gen(h.lookup(mul(left.prefix, inv(w2)))), w2)
-            _check_prefix(prefix, m.content)
-            return TermForm(1, n, m.star, prefix=prefix, case="g-aligned")
+            _check_prefix(prefix, t.content)
+            return TermForm(1, n, t.star, prefix=prefix, case="g-aligned")
         # constant children, distinct rightmost variables
         excluded = gen_content(left.prefix) | gen_content(w2)
         stream = _fresh_pair_tuples(
             n, left.star, right.star, lambda k: k not in excluded
         )
-        return TermForm(2, n, m.star, case="g-split-stars", candidates=stream)
+        return TermForm(2, n, t.star, case="g-split-stars", candidates=stream)
 
     if left.star == right.star:
         return TermForm(
-            2, n, m.star, case="g-left-varying", candidates=_pad(left.candidates, n)
+            2, n, t.star, case="g-left-varying", candidates=_pad(left.candidates, n)
         )
-    excluded = m.content | gen_content(w2)
+    excluded = t.content | gen_content(w2)
     stream = _fresh_pair_tuples(
         n, left.star, right.star, lambda k: k % 2 == 1 and k not in excluded
     )
-    return TermForm(2, n, m.star, case="g-left-varying-split", candidates=stream)
+    return TermForm(2, n, t.star, case="g-left-varying-split", candidates=stream)
 
 
 def _check_prefix(prefix: Word, content: frozenset[int]) -> None:

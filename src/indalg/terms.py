@@ -4,21 +4,30 @@ Terms are immutable ASTs: ``Var(i)`` for the variable x_i (i >= 1),
 ``Nu(c, t)`` for nu_c applied to t, and ``G(t1, t2)``.  Evaluation plugs in
 reduced words and interprets g through a lookup object ``h`` exposing
 ``h.g(w1, w2)``.
+
+Nodes are hash-consed: a constructor returns the live node with the same
+kind and fields if there is one, so structurally equal terms are the same
+object, and equality and hashing are by identity, O(1) at any size.  The
+intern table holds its nodes weakly, so a node lives exactly as long as some
+caller keeps it; there is no process-wide cache.  Each node stores its
+``arity`` (largest variable index), ``star`` (index of the rightmost
+variable), ``content`` (generators in its nu-coefficients) and ``depth``,
+computed once from its children; ``meta`` reads them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+import re
+import weakref
 from typing import Union
 
 from . import words
 from .words import Word
 
 
-# Parsing and every term walker recurse once per nesting level, so deeper
-# input would end in a RecursionError; parse_term refuses it up front.
+# format_term and evaluate recurse once per nesting level, so deeper input
+# would end in a RecursionError; parse_term refuses it up front.
 MAX_NESTING = 256
 
 
@@ -26,72 +35,125 @@ class ArityError(ValueError):
     """Raised when an argument tuple is shorter than the term's max variable."""
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+# (kind, fields...) -> the live node; children in a key are nodes, so a key
+# hashes and compares in time independent of the subterms' sizes.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Node:
+    """Fields every node stores; ``bad`` is the leftmost variable index < 1
+    in the term, or None.  Nodes are shared, so they refuse assignment."""
+
+    __slots__ = ("arity", "star", "content", "depth", "bad", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a term")
 
     def __repr__(self) -> str:
-        return f"x{self.index}"
+        return format_term(self)
 
 
-@dataclass(frozen=True)
-class Nu:
-    coeff: Word
-    child: "Term"
-
-    def __repr__(self) -> str:
-        return f"nu({words.format_word(self.coeff)}, {self.child!r})"
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class G:
-    left: "Term"
-    right: "Term"
+def _fill(node: _Node, arity: int, star: int, content: frozenset[int],
+          depth: int, bad: int | None) -> None:
+    _set(node, "arity", arity)
+    _set(node, "star", star)
+    _set(node, "content", content)
+    _set(node, "depth", depth)
+    _set(node, "bad", bad)
 
-    def __repr__(self) -> str:
-        return f"g({self.left!r}, {self.right!r})"
+
+class Var(_Node):
+    __slots__ = ("index",)
+
+    def __new__(cls, index: int) -> Var:
+        key = (Var, index)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            _set(node, "index", index)
+            # a bad index is kept, not refused: meta reports it
+            _fill(node, index, index, frozenset(), 1, None if index >= 1 else index)
+        return node
+
+
+class Nu(_Node):
+    __slots__ = ("coeff", "child")
+
+    def __new__(cls, coeff: Word, child: Term) -> Nu:
+        key = (Nu, coeff, child)
+        node = _NODES.get(key)
+        if node is None:
+            if not isinstance(child, _Node):
+                raise TypeError(f"not a term: {child!r}")
+            node = _NODES[key] = object.__new__(cls)
+            _set(node, "coeff", coeff)
+            _set(node, "child", child)
+            _fill(node, child.arity, child.star,
+                  _union(child.content, words.gen_content(coeff)),
+                  child.depth + 1, child.bad)
+        return node
+
+
+class G(_Node):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term) -> G:
+        key = (G, left, right)
+        node = _NODES.get(key)
+        if node is None:
+            for arg in (left, right):
+                if not isinstance(arg, _Node):
+                    raise TypeError(f"not a term: {arg!r}")
+            node = _NODES[key] = object.__new__(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _fill(node, max(left.arity, right.arity), right.star,
+                  _union(left.content, right.content),
+                  max(left.depth, right.depth) + 1,
+                  right.bad if left.bad is None else left.bad)
+        return node
 
 
 Term = Union[Var, Nu, G]
 
 
-@dataclass(frozen=True)
-class TermMeta:
-    arity: int  # largest variable index occurring
-    star: int  # index of the rightmost variable
-    content: frozenset[int]  # generators appearing in nu-coefficients
+def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    if b <= a:
+        return a
+    return b if a <= b else a | b
 
 
-@lru_cache(maxsize=None)
-def meta(t: Term) -> TermMeta:
-    if isinstance(t, Var):
-        if t.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {t.index}")
-        return TermMeta(t.index, t.index, frozenset())
-    if isinstance(t, Nu):
-        m = meta(t.child)
-        return TermMeta(m.arity, m.star, m.content | words.gen_content(t.coeff))
-    if isinstance(t, G):
-        ml, mr = meta(t.left), meta(t.right)
-        return TermMeta(max(ml.arity, mr.arity), mr.star, ml.content | mr.content)
-    raise TypeError(f"not a term: {t!r}")
+def meta(t: Term) -> Term:
+    """Check t and return it: its ``arity``, ``star`` and ``content`` are
+    stored on the node.  A variable x_i with i < 1 anywhere in t raises
+    ValueError, naming the leftmost one."""
+    try:
+        bad = t.bad
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
+    if bad is not None:
+        raise ValueError(f"variable index must be >= 1, got {bad}")
+    return t
 
 
 def depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, Nu):
-        return 1 + depth(t.child)
-    if isinstance(t, G):
-        return 1 + max(depth(t.left), depth(t.right))
-    raise TypeError(f"not a term: {t!r}")
+    if not isinstance(t, _Node):
+        raise TypeError(f"not a term: {t!r}")
+    return t.depth
 
 
 def evaluate(t: Term, args: tuple[Word, ...], h) -> Word:
     """Evaluate t at the given words.  Extra arguments beyond meta(t).arity are
     ignored (projection semantics)."""
-    if len(args) < meta(t).arity:
-        raise ArityError(f"term needs {meta(t).arity} arguments, got {len(args)}")
+    arity = meta(t).arity
+    if len(args) < arity:
+        raise ArityError(f"term needs {arity} arguments, got {len(args)}")
     return _eval(t, args, h)
 
 
@@ -120,9 +182,9 @@ def parse_term(text: str) -> Term:
     MAX_NESTING deep."""
     s = text.strip()
     _check_nesting(s)
-    t, rest = _parse(s)
-    if rest.strip():
-        raise ValueError(f"trailing input {rest!r}")
+    t, end = _parse(s)
+    if end < len(s):  # s is stripped, so what is left holds a non-space
+        raise ValueError(f"trailing input {s[end:]!r}")
     return t
 
 
@@ -139,41 +201,68 @@ def _check_nesting(s: str) -> None:
             level -= 1
 
 
-def _parse(s: str) -> tuple[Term, str]:
-    s = s.lstrip()
-    if s.startswith("nu(") or s.startswith("g("):
-        head, body = s.split("(", 1)
-        if head == "nu":
-            word_text, rest = _until_comma(body)
-            child, rest = _parse(rest)
-            rest = rest.lstrip()
-            if not rest.startswith(")"):
-                raise ValueError("expected ')' closing nu(...)")
-            return Nu(words.parse_word(word_text), child), rest[1:]
-        left, rest = _parse(body)
-        rest = rest.lstrip()
-        if not rest.startswith(","):
-            raise ValueError("expected ',' inside g(...)")
-        right, rest = _parse(rest[1:])
-        rest = rest.lstrip()
-        if not rest.startswith(")"):
-            raise ValueError("expected ')' closing g(...)")
-        return G(left, right), rest[1:]
-    if s.startswith("x"):
-        i = 1
-        while i < len(s) and s[i].isdigit():
-            i += 1
-        if i == 1:
-            raise ValueError(f"bad variable in {s!r}")
-        return Var(int(s[1:i])), s[i:]
-    raise ValueError(f"cannot parse term at {s!r}")
+# at a term's start: ``nu(``, ``g(`` or a variable, after optional space
+_TERM_HEAD = re.compile(r"\s*(?:(nu\()|(g\()|x(\d*))")
+# after a term: the ``,`` or ``)`` of the frame it completes
+_CLOSER = re.compile(r"\s*([,)])")
+_SPACE = re.compile(r"\s*")  # \s is exactly str.isspace
+_NU_HEAD, _G_HEAD = 1, 2
+_OPEN_NU, _OPEN_G, _G_LEFT_DONE = range(3)
 
 
-def _until_comma(s: str) -> tuple[str, str]:
-    i = s.find(",")
-    if i < 0:
-        raise ValueError("expected ',' after nu coefficient")
-    return s[:i], s[i + 1 :]
+def _parse(s: str) -> tuple[Term, int]:
+    """The term starting at s[0] and the index just past it, in one left to
+    right pass.  Each open ``nu(`` or ``g(`` is a frame on an explicit stack:
+    ``(_OPEN_NU, coefficient text)``, ``(_OPEN_G, None)`` or, once its left
+    argument is read, ``(_G_LEFT_DONE, left)``.  A coefficient is parsed when
+    its ``nu(...)`` closes, so errors come in the order of a recursive
+    descent that parses the coefficient last."""
+    n = len(s)
+    frames: list[tuple[int, object]] = []
+    i = 0
+    while True:
+        m = _TERM_HEAD.match(s, i)
+        if m is None:
+            i = _SPACE.match(s, i).end()
+            raise ValueError(f"cannot parse term at {s[i:]!r}")
+        head = m.lastindex
+        if head == _NU_HEAD:
+            comma = s.find(",", m.end())
+            if comma < 0:
+                raise ValueError("expected ',' after nu coefficient")
+            frames.append((_OPEN_NU, s[m.end() : comma]))
+            i = comma + 1
+            continue
+        if head == _G_HEAD:
+            frames.append((_OPEN_G, None))
+            i = m.end()
+            continue
+        start, j = m.start(3), m.end()
+        while j < n and s[j].isdigit():  # digits that \d leaves out, such as "²"
+            j += 1
+        if j == start:
+            raise ValueError(f"bad variable in {s[start - 1 :]!r}")
+        t: Term = Var(int(s[start:j]))
+        i = j
+        # close every frame that t completes, up to a g( awaiting its right side
+        while frames:
+            m = _CLOSER.match(s, i)
+            closer = m.group(1) if m else None
+            kind, held = frames[-1]
+            if kind == _OPEN_G:
+                if closer != ",":
+                    raise ValueError("expected ',' inside g(...)")
+                frames[-1] = (_G_LEFT_DONE, t)
+                i = m.end()
+                break
+            if closer != ")":
+                what = "nu" if kind == _OPEN_NU else "g"
+                raise ValueError(f"expected ')' closing {what}(...)")
+            frames.pop()
+            t = Nu(words.parse_word(held), t) if kind == _OPEN_NU else G(held, t)
+            i = m.end()
+        else:
+            return t, i
 
 
 def sample_terms(
@@ -225,8 +314,6 @@ def sample_terms(
 
 
 def _has_g(t: Term) -> bool:
-    if isinstance(t, G):
-        return True
-    if isinstance(t, Nu):
-        return _has_g(t.child)
-    return False
+    while isinstance(t, Nu):
+        t = t.child
+    return isinstance(t, G)

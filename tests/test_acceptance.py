@@ -20,6 +20,8 @@ from indalg.orders import monoids as mo
 from indalg.orders import suite as su
 from indalg.words import inv, mul
 
+import word_enum as we
+
 COEFF_POOL = [
     wd.gen(1),
     wd.gen(2),
@@ -105,7 +107,7 @@ def test_04_classifier_vs_constancy_oracle():
         form = ce.classify(t, h)
         m = tm.meta(t)
         prefixes = set()
-        for mu in itertools.islice(wd.positive_tuples(m.arity), 100):
+        for mu in itertools.islice(we.positive_tuples(m.arity), 100):
             value = tm.evaluate(t, mu, h)
             prefixes.add(mul(value, inv(mu[m.star - 1])))
         oracle_constant = len(prefixes) == 1

@@ -101,6 +101,52 @@ def test_classify_nesting_bound(monkeypatch, capsys):
         assert row["error"] == f"term nested more than {tm.MAX_NESTING} deep"
 
 
+def test_classify_error_rows_keep_their_cause(monkeypatch, capsys):
+    # a bad variable is a meta error, found only once the text has parsed
+    import io
+
+    texts = ["g(x0, x1", "x0", "g(x1, nu(z1, x0))", "nu(zz, x0"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"terms": texts})))
+    code = cli.run(["classify", "--input", "-"])
+    rows = json.loads(capsys.readouterr().out)["checks"][0]["details"]["terms"]
+    assert code == 1
+    assert [r["error"] for r in rows] == [
+        "expected ')' closing g(...)",
+        "variable index must be >= 1, got 0",
+        "variable index must be >= 1, got 0",
+        "expected ')' closing nu(...)",
+    ]
+
+
+def test_term_table_is_bounded_by_a_report(monkeypatch, capsys):
+    import gc
+    import io
+
+    from indalg import counterexample as cx
+    from indalg import terms as tm
+
+    assert not hasattr(tm.meta, "cache_info")
+    gc.collect()
+    before = len(tm._NODES)
+    peak = [before]
+    classify = cx.classify
+
+    def watched(t, h):
+        peak[0] = max(peak[0], len(tm._NODES))
+        return classify(t, h)
+
+    monkeypatch.setattr(cx, "classify", watched)
+    texts = ["g(nu(z3, x1), g(x2, nu(z1*z2, x1)))", "nu(z2, g(x1, x3))", "x7"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"terms": texts})))
+    assert cli.run(["classify", "--input", "-"]) == 0
+    assert cli.run(["verify-counterexample", "--samples", "20", "--terms", "30",
+                    "--depth", "5", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert peak[0] > before + 30  # the reports did build terms
+    gc.collect()
+    assert len(tm._NODES) == before
+
+
 def test_catalog_exchange_semilattice_is_expected_finding(capsys):
     code, rep, _ = run_json(capsys, "catalog", "--check", "exchange")
     assert code == 0

@@ -12,10 +12,12 @@ from indalg.counterexample import HMap, NotForm2, WitnessExhausted
 from indalg.terms import G, Nu, Var
 from indalg.words import IDENTITY, inv, mul
 
+import word_enum as we
+
 
 def test_encode_injective_on_enumerated_words():
     seen = {}
-    it = wd.enumerate_words()
+    it = we.enumerate_words()
     for _ in range(2000):
         w = next(it)
         n = ce._encode(w)
@@ -81,7 +83,7 @@ def test_free_even_skips_pinned_values():
 def test_decode_is_inverse_of_assignment():
     # oracle route: the decoder rebuilds the word from its assigned index
     h = HMap()
-    it = wd.enumerate_words()
+    it = we.enumerate_words()
     for _ in range(1500):
         w = next(it)
         if w in ce.PINS:
@@ -107,7 +109,7 @@ def test_lookup_golden_values():
 def test_lookup_injective_across_mixed_queries():
     h = HMap()
     seen: dict[int, tuple] = {}
-    it = wd.enumerate_words()
+    it = we.enumerate_words()
     for _ in range(800):
         w = next(it)
         v = h.lookup(w)
@@ -184,6 +186,36 @@ def test_classify_propagation_cases():
     assert f.case == "g-left-varying-split"
     for mu in itertools.islice(f.candidates(), 6):
         assert len(mu) == 2
+
+
+def _subterms(t):
+    out, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if node not in out:
+            out.add(node)
+            if isinstance(node, Nu):
+                stack.append(node.child)
+            elif isinstance(node, G):
+                stack += [node.left, node.right]
+    return out
+
+
+def test_classify_memo_matches_fresh_maps_and_holds_each_subterm_once():
+    shared = HMap()
+    pool = [wd.gen(1), wd.gen(2), wd.parse_word("z3*z1")]
+    corpus = tm.sample_terms(6, 3, pool, seed=21, count=80)
+    for t in corpus:
+        memo = ce.classify(t, shared)
+        assert ce.classify(t, shared) is memo
+        fresh = ce.classify(t, HMap())
+        assert memo == fresh  # every field but the candidate stream
+        if memo.form == 2:
+            first = list(itertools.islice(memo.candidates(), 5))
+            assert first == list(itertools.islice(fresh.candidates(), 5))
+    distinct = set().union(*map(_subterms, corpus))
+    assert set(shared._forms) == distinct
+    assert len(distinct) < sum(len(_subterms(t)) for t in corpus)  # shared subterms
 
 
 def test_form1_prefix_content_invariant():
@@ -277,7 +309,7 @@ def test_classifier_agrees_with_prefix_constancy_oracle():
         f = ce.classify(t, h)
         m = tm.meta(t)
         prefixes = set()
-        for mu in itertools.islice(wd.positive_tuples(m.arity), 60):
+        for mu in itertools.islice(we.positive_tuples(m.arity), 60):
             value = tm.evaluate(t, mu, h)
             prefixes.add(mul(value, inv(mu[m.star - 1])))
         if f.form == 1:
