@@ -26,6 +26,13 @@ spaces.  Endomorphisms come from one backtracking search that propagates
 phi(f(args)) = f(phi(args)) and stops with ``TooLarge`` past a node budget;
 the exchange check enumerates only the closed sets (Ganter's NextClosure)
 and memoizes closures by generating set.
+
+Op tables are built and composed by one byte-table kernel, ``_compose``:
+the field ops fold scaled projections through the addition table, and the
+unary clone and clone generation compose tables whole.  The witness check
+tests that a unary map preserves an op one whole table at a time, by
+comparing two tables, and looks for the first failing tuple only when they
+differ.  No table is built at import.
 """
 
 from __future__ import annotations
@@ -121,29 +128,43 @@ def _span(vectors: Sequence[Sequence[int]], q: int, dim: int) -> list[int]:
 
 def _field_ops(q: int, dim: int, a0: list[int], affine_only: bool,
                with_const: bool) -> list[Op]:
+    """Every map sum(l_i * x_i) (+ a for a in a0) of arity 1-3 on F_q^dim.
+
+    Each lambda-table sums the projections scaled by l_i, composed through
+    the addition table; each shift +a is one more translation of it.
+    """
     size = q**dim
     vecs = [_vec(i, q, dim) for i in range(size)]
-    add = [[_vidx([(x + y) % q for x, y in zip(vecs[i], vecs[j])], q)
-            for j in range(size)] for i in range(size)]
-    scal = [[_vidx([(lam * x) % q for x in vecs[i]], q) for i in range(size)]
-            for lam in range(q)]
+    add = Op("add", 2, size, bytes(
+        _vidx([(x + y) % q for x, y in zip(u, v)], q) for u in vecs for v in vecs
+    ))
+    # bytes.translate tables (256 entries) of x -> lam * x and x -> a + x
+    scal = [bytes(_vidx([(lam * x) % q for x in v], q) for v in vecs)
+            .ljust(256, b"\0") for lam in range(q)]
+    plus = {a: add.table[a * size:(a + 1) * size].ljust(256, b"\0") for a in a0}
     ops = []
     for arity in (1, 2, 3):
+        projs = _projections(size, arity)
         for lam in itertools.product(range(q), repeat=arity):
             if affine_only and sum(lam) % q != 1:
                 continue
-            shifts = a0 if with_const else [0]
-            for a in shifts:
-                table = bytearray()
-                for args in itertools.product(range(size), repeat=arity):
-                    acc = a if with_const else 0
-                    for l, x in zip(lam, args):
-                        acc = add[acc][scal[l][x]]
-                    table.append(acc)
-                tag = ",".join(map(str, lam))
-                name = f"f({tag})" + (f"+{a}" if with_const else "")
-                ops.append(Op(name, arity, size, bytes(table)))
+            table = projs[0].translate(scal[lam[0]])
+            for p, l in zip(projs[1:], lam[1:]):
+                table = _compose(add, [table, p.translate(scal[l])])
+            tag = ",".join(map(str, lam))
+            if not with_const:
+                ops.append(Op(f"f({tag})", arity, size, table))
+                continue
+            for a in a0:
+                ops.append(Op(f"f({tag})+{a}", arity, size, table.translate(plus[a])))
     return ops
+
+
+def _int(x, what: str) -> int:
+    """x itself if it is an integer; a float, bool or string is refused."""
+    if type(x) is not int:
+        raise InvalidParams(f"{what} must be an integer, not {x!r}")
+    return x
 
 
 def _validate_field_params(q: int, dim: int, a0: Iterable[Sequence[int]]):
@@ -153,14 +174,14 @@ def _validate_field_params(q: int, dim: int, a0: Iterable[Sequence[int]]):
         raise InvalidParams(f"dimension must be 1 or 2, got {dim}")
     vecs = [tuple(v) for v in a0]
     for v in vecs:
-        if len(v) != dim or any(not (0 <= int(c) < q) for c in v):
+        if len(v) != dim or any(not (0 <= _int(c, "a0 entry") < q) for c in v):
             raise InvalidParams(f"spanning vector {v} not in F_{q}^{dim}")
     return vecs
 
 
 def make_instance(kind: str, **params) -> FiniteAlgebra:
     if kind == "rank0":
-        size = int(params.pop("size", 3))
+        size = _int(params.pop("size", 3), "size")
         _no_extra(params)
         if not 1 <= size <= 8:
             raise InvalidParams("rank0 size must be in [1,8]")
@@ -170,8 +191,8 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         return FiniteAlgebra(kind, size, ops, _names(size), ops)
 
     if kind in ("linear", "affine"):
-        q = int(params.pop("q", 3))
-        dim = int(params.pop("dim", 1))
+        q = _int(params.pop("q", 3), "q")
+        dim = _int(params.pop("dim", 1), "dim")
         a0_vecs = _validate_field_params(q, dim, params.pop("a0", [[1] * dim]))
         _no_extra(params)
         size = q**dim
@@ -206,9 +227,11 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         return FiniteAlgebra(kind, 4, ops, _names(4), ops)
 
     if kind == "group_action":
-        size = int(params.pop("size", 5))
-        perms = [tuple(p) for p in params.pop("generators", [(0, 2, 1, 4, 3)])]
-        consts = sorted(set(params.pop("constants", [0])))
+        size = _int(params.pop("size", 5), "size")
+        perms = [tuple(_int(x, "generators entry") for x in p)
+                 for p in params.pop("generators", [(0, 2, 1, 4, 3)])]
+        consts = sorted({_int(c, "constants entry")
+                         for c in params.pop("constants", [0])})
         _no_extra(params)
         if not 1 <= size <= 8:
             raise InvalidParams("group_action size must be in [1,8]")
@@ -234,7 +257,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         return FiniteAlgebra(kind, size, ops, _names(size), ops)
 
     if kind == "q_homog_field":
-        q = int(params.pop("q", 3))
+        q = _int(params.pop("q", 3), "q")
         _no_extra(params)
         if q not in FIELD_ORDERS:
             raise InvalidParams(f"field order must be one of {FIELD_ORDERS}")
@@ -389,7 +412,7 @@ def unary_clone(alg: FiniteAlgebra) -> UnaryClone:
     """
     n = alg.size
     seen = _fixpoint(alg.gen_ops, {bytes(range(n))},
-                     lambda op, us: _compose(op, us, n))
+                     lambda op, us: _compose(op, us))
     t_ops = sorted(t for t in seen if len(set(t)) > 1)
     consts = sorted(t for t in seen if len(set(t)) == 1)
     return UnaryClone(tuple(t_ops), tuple(consts))
@@ -472,21 +495,32 @@ def _propagate(ops: Sequence[Op], phi: list[int], old: list[int],
 
 
 def _projections(n: int, m: int) -> list[bytes]:
-    out = []
-    for i in range(m):
-        out.append(bytes(args[i] for args in itertools.product(range(n), repeat=m)))
-    return out
+    """The m projection tables of arity m on {0..n-1}."""
+    return [bytes(x for x in range(n) for _ in range(n ** (m - 1 - i))) * n**i
+            for i in range(m)]
 
 
-def _compose(f: Op, gs: Sequence[bytes], total: int) -> bytes:
+def _compose(f: Op, gs: Sequence[bytes]) -> bytes:
+    """The table of f(g_1, ..., g_k) for equal-length argument tables g_i.
+
+    The byte-table kernel under every composition in this module.  A unary
+    f is one ``bytes.translate``; otherwise each entry's flat row-major index
+    into f's table is computed from the argument tables in a comprehension.
+    Arities 2 and 3, the ones the catalog has, take one pass each: its
+    tables are mostly short, and an intermediate index list would cost as
+    much as the lookups.
+    """
     ft, n = f.table, f.size
-    out = bytearray(total)
-    for t in range(total):
-        idx = 0
-        for g in gs:
-            idx = idx * n + g[t]
-        out[t] = ft[idx]
-    return bytes(out)
+    if len(gs) == 1:
+        return gs[0].translate(ft.ljust(256, b"\0"))
+    if len(gs) == 2:
+        return bytes([ft[a * n + b] for a, b in zip(*gs)])
+    if len(gs) == 3:
+        return bytes([ft[(a * n + b) * n + c] for a, b, c in zip(*gs)])
+    idx = gs[0]
+    for g in gs[1:]:
+        idx = [i * n + x for i, x in zip(idx, g)]
+    return bytes(map(ft.__getitem__, idx))
 
 
 def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
@@ -504,7 +538,6 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
         want = {tbl for a, tbl in targets if a == m}
         if not want:
             continue
-        total = n**m
         tables = _projections(n, m)
         have = set(tables)
         for op in seed:
@@ -528,7 +561,7 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
                             steps += 1
                             if steps > GEN_STEP_CAP:
                                 raise TooLarge("generation search budget exhausted")
-                            tbl = _compose(f, gs, total)
+                            tbl = _compose(f, gs)
                             if tbl in have:
                                 continue
                             have.add(tbl)
@@ -590,9 +623,16 @@ def witness_set(alg: FiniteAlgebra, variant: str = "standard") -> WitnessSet:
 
 
 def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:
-    """Generation check plus the distributivity scan of T over W (arity >= 2)."""
+    """Generation check plus the distributivity scan of T over W (arity >= 2).
+
+    a in T preserves f iff a(f(x)) = f(a(x)) for every x: the table of
+    a(f(x)) is f's table translated through a, that of f(a(x)) is f composed
+    with the projections translated through a, and the two are compared a
+    whole table at a time.  A violation records the first failing tuple.
+    """
     n = alg.size
-    proj = {(m, t) for m in (1, 2, 3) for t in _projections(n, m)}
+    projs = {m: _projections(n, m) for m in (1, 2, 3)}
+    proj = {(m, t) for m, ts in projs.items() for t in ts}
     wtabs = {(op.arity, op.table) for op in witness.ops}
     btabs = {(op.arity, op.table) for op in alg.ops}
 
@@ -610,23 +650,24 @@ def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:
     )
 
     t_ops = unary_clone(alg).t_ops
+    wops = [op for op in witness.ops if op.arity >= 2]
+    arities = {op.arity for op in wops}
     violations = []
     for a in t_ops:
-        for op in witness.ops:
-            if op.arity < 2:
-                continue
-            for args in itertools.product(range(n), repeat=op.arity):
-                lhs = a[op(*args)]
-                rhs = op(*(a[x] for x in args))
-                if lhs != rhs:
-                    violations.append({
-                        "a": list(a),
-                        "op": op.name,
-                        "args": list(args),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    })
-                    break
+        at = a.ljust(256, b"\0")
+        moved = {m: [p.translate(at) for p in projs[m]] for m in arities}
+        for op in wops:
+            lhs = op.table.translate(at)
+            rhs = _compose(op, moved[op.arity])
+            if lhs != rhs:
+                t = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                violations.append({
+                    "a": list(a),
+                    "op": op.name,
+                    "args": [p[t] for p in projs[op.arity]],
+                    "lhs": lhs[t],
+                    "rhs": rhs[t],
+                })
     return WitnessReport(not missing, missing, non_clone, tuple(violations))
 
 

@@ -122,12 +122,6 @@ def kernel_leq(a: ActEndo, b: ActEndo) -> bool:
     return True
 
 
-def pc_closure(elements) -> tuple[int, ...]:
-    """Pure closure of a set of elements (m, i): all elements over the
-    generator indices present, represented by the sorted index set."""
-    return tuple(sorted({i for _, i in elements}))
-
-
 def pc_image(theta: ActEndo) -> tuple[int, ...]:
     return tuple(sorted(target_set(theta)))
 

@@ -276,11 +276,6 @@ def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
     return all(x * a == y * b for a, b in zip(p.v, q.v))
 
 
-def quot_act(p: QuotElem, m: IntMat) -> QuotElem:
-    """Right action of an integer endomorphism on a quotient element."""
-    return quot_elem(p.t, apply_mat(m, p.v))
-
-
 # --- seeded sampling --------------------------------------------------------
 
 

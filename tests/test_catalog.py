@@ -16,6 +16,16 @@ def test_make_instance_rejects_bad_params():
         cat.make_instance("rank0", size=17)
     with pytest.raises(InvalidParams):
         cat.make_instance("group_action", size=3, generators=[[0, 1]], constants=[])
+    # integer fields take integers only: no truncation, no booleans
+    for kind, params in [("rank0", {"size": 3.9}), ("linear", {"q": 3.0}),
+                         ("linear", {"q": 3, "dim": True}),
+                         ("affine", {"q": 3, "dim": 1, "a0": [[1.0]]}),
+                         ("q_homog_field", {"q": "3"}),
+                         ("group_action", {"size": 3, "generators": [[0, 2, True]]}),
+                         ("group_action", {"size": 5, "generators": [[0, 1, 2, 3, 4]],
+                                           "constants": [True, 3]})]:
+        with pytest.raises(InvalidParams):
+            cat.make_instance(kind, **params)
 
 
 def test_op_indexing_row_major():
@@ -322,11 +332,12 @@ def group_actions(draw):
 
 
 @st.composite
-def random_algebras(draw):
+def random_algebras(draw, max_size=4, max_arity=2):
     """Arbitrary small algebras whose generating ops are all their ops."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_size))
     ops = []
-    for k, arity in enumerate(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))):
+    arities = st.integers(1, max_arity)
+    for k, arity in enumerate(draw(st.lists(arities, min_size=1, max_size=3))):
         table = draw(st.binary(min_size=n**arity, max_size=n**arity))
         ops.append(cat.Op(f"f{k}", arity, n, bytes(b % n for b in table)))
     ops = tuple(ops)
@@ -337,3 +348,141 @@ def random_algebras(draw):
 @given(st.one_of(group_actions(), random_algebras()))
 def test_kernels_match_oracles_on_generated_algebras(alg):
     assert_kernels_match_oracles(alg)
+
+
+# ---------------------------------------------------------------------------
+# the byte-table kernel against the entry-by-entry loops it replaced
+
+
+def loop_compose(f, gs, total):
+    out = bytearray(total)
+    for t in range(total):
+        idx = 0
+        for g in gs:
+            idx = idx * f.size + g[t]
+        out[t] = f.table[idx]
+    return bytes(out)
+
+
+@st.composite
+def compositions(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    table = draw(st.binary(min_size=n**k, max_size=n**k))
+    f = cat.Op("f", k, n, bytes(b % n for b in table))
+    total = draw(st.integers(1, 40))
+    gs = [bytes(b % n for b in draw(st.binary(min_size=total, max_size=total)))
+          for _ in range(k)]
+    return f, gs
+
+
+@settings(max_examples=200, deadline=None)
+@given(compositions())
+def test_compose_matches_entry_loop(case):
+    f, gs = case
+    assert cat._compose(f, gs) == loop_compose(f, gs, len(gs[0]))
+
+
+def test_projections_are_coordinates():
+    for n, m in itertools.product((1, 2, 3, 5), (1, 2, 3)):
+        tuples = list(itertools.product(range(n), repeat=m))
+        assert cat._projections(n, m) == [bytes(t[i] for t in tuples)
+                                          for i in range(m)]
+
+
+def loop_violations(alg, witness):
+    """The nested-loop distributivity scan: first failing tuple per (a, op)."""
+    out = []
+    for a in cat.unary_clone(alg).t_ops:
+        for op in witness.ops:
+            if op.arity < 2:
+                continue
+            for args in itertools.product(range(alg.size), repeat=op.arity):
+                lhs = a[op(*args)]
+                rhs = op(*(a[x] for x in args))
+                if lhs != rhs:
+                    out.append({"a": list(a), "op": op.name, "args": list(args),
+                                "lhs": lhs, "rhs": rhs})
+                    break
+    return tuple(out)
+
+
+WITNESS_SCAN_CASES = list(cat.DEFAULT_INSTANCES) + [
+    ("semilattice", {}),
+    ("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
+    ("affine", {"q": 3, "dim": 2}),
+]
+
+
+@pytest.mark.parametrize("kind,params", WITNESS_SCAN_CASES)
+def test_whole_table_scan_matches_nested_loop(kind, params):
+    alg = cat.make_instance(kind, **params)
+    variants = ("standard", "plus") if kind == "linear" else ("standard",)
+    for variant in variants:
+        wit = cat.witness_set(alg, variant)
+        assert cat.check_witness(alg, wit).violations == loop_violations(alg, wit)
+
+
+# size 3 at most: the unary clone of a size-4 ternary algebra can hold all
+# 256 self-maps, and closing it takes tens of seconds
+@settings(max_examples=60, deadline=None)
+@given(random_algebras(max_size=3, max_arity=3))
+def test_whole_table_scan_matches_nested_loop_on_generated_algebras(alg):
+    wit = cat.WitnessSet("all", alg.ops)
+    assert cat.check_witness(alg, wit).violations == loop_violations(alg, wit)
+
+
+def loop_field_ops(q, dim, a0, affine_only, with_const):
+    """The row-by-row builder: every entry summed through add/scal lookups."""
+    size = q**dim
+    vecs = [cat._vec(i, q, dim) for i in range(size)]
+    add = [[cat._vidx([(x + y) % q for x, y in zip(vecs[i], vecs[j])], q)
+            for j in range(size)] for i in range(size)]
+    scal = [[cat._vidx([(lam * x) % q for x in vecs[i]], q) for i in range(size)]
+            for lam in range(q)]
+    ops = []
+    for arity in (1, 2, 3):
+        for lam in itertools.product(range(q), repeat=arity):
+            if affine_only and sum(lam) % q != 1:
+                continue
+            for a in (a0 if with_const else [0]):
+                table = bytearray()
+                for args in itertools.product(range(size), repeat=arity):
+                    acc = a if with_const else 0
+                    for l, x in zip(lam, args):
+                        acc = add[acc][scal[l][x]]
+                    table.append(acc)
+                tag = ",".join(map(str, lam))
+                name = f"f({tag})" + (f"+{a}" if with_const else "")
+                ops.append(cat.Op(name, arity, size, bytes(table)))
+    return ops
+
+
+# every (kind, q, dim) make_instance accepts; the 25-element fields take
+# a0 = [] (shifts by 0 only) to keep the reference loop to about a second
+FIELD_OP_CASES = [
+    (kind, q, dim, [] if q * dim == 10 else [[1] * dim])
+    for kind in ("linear", "affine") for q in cat.FIELD_ORDERS for dim in (1, 2)
+] + [("q_homog_field", q, 1, None) for q in cat.FIELD_ORDERS]
+
+
+@pytest.mark.parametrize("kind,q,dim,a0", FIELD_OP_CASES)
+def test_field_ops_match_row_by_row_builder(kind, q, dim, a0):
+    if kind == "q_homog_field":
+        args = (q, 1, [0], True, False)
+    else:
+        args = (q, dim, cat._span(a0, q, dim), kind == "affine", True)
+    assert cat._field_ops(*args) == loop_field_ops(*args)
+
+
+def test_generation_step_budget():
+    """1026 steps is the smallest budget this check finishes in, as counted
+    before the table kernel; the kernel must not change how steps count."""
+    alg = cat.make_instance("linear", q=3, dim=2, a0=[[1, 0]])
+    wit = cat.witness_set(alg, "plus")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "GEN_STEP_CAP", 1026)
+        assert cat.check_witness(alg, wit).generates
+        mp.setattr(cat, "GEN_STEP_CAP", 1025)
+        with pytest.raises(TooLarge):
+            cat.check_witness(alg, wit)

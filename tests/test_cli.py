@@ -350,6 +350,21 @@ USAGE_ERRORS = [
     (["ore-check", "--depth", "100000000000000000000"], None),
     (["ore-check", "--monoid", "free2", "--depth", "8"], None),
     (["catalog", "--kind", "linear", "--params", '{"q":"x"}'], None),
+    # catalog integer parameters: a float, boolean or string is not truncated
+    (["catalog", "--kind", "rank0", "--params", '{"size":3.9}', "--check", "endos"],
+     None),
+    (["catalog", "--kind", "rank0", "--params", '{"size":"3"}'], None),
+    (["catalog", "--kind", "linear", "--params", '{"q":3.0,"dim":1.7}'], None),
+    (["catalog", "--kind", "affine", "--params", '{"q":3,"dim":true}'], None),
+    (["catalog", "--kind", "linear", "--params", '{"q":3,"dim":1,"a0":[[1.0]]}'],
+     None),
+    (["catalog", "--kind", "q_homog_field", "--params", '{"q":5.0}'], None),
+    (["catalog", "--kind", "group_action", "--params",
+      '{"size":5,"generators":[[0,1,2,3,4]],"constants":[true,3]}'], None),
+    (["catalog", "--kind", "group_action", "--params",
+      '{"size":3,"generators":[[0,2,true]],"constants":[0]}'], None),
+    (["catalog", "--kind", "group_action", "--params",
+      '{"size":5.0,"generators":[[0,1,2,3,4]],"constants":[0]}'], None),
     # quotient eq: vectors of different lengths, a zero tag, a missing element
     (["quotient", "eq", "--input", "-"],
      '{"p": {"t": 1, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2, 3]}}'),

@@ -110,7 +110,6 @@ def test_greens_leq_sides():
 
 
 def test_pc_closure_and_image():
-    assert ac.pc_closure([(3, 2), (0, 0), (7, 2)]) == (0, 2)
     theta = act_endo("B", (1, 0, 2), (2, 2, 3))
     assert ac.pc_image(theta) == (1, 2)
     assert ac.act_rank(theta) == 2

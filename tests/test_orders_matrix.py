@@ -241,22 +241,6 @@ def test_embed_and_act():
     e = mx.embed((3, -6))
     assert (e.t, e.v) == (1, (3, -6))  # t = 1 leaves nothing to cancel
     assert mx.quotient_eq(e, mx.quot_elem(2, (6, -12)))
-    m = z([[2, 0], [0, 2]])
-    acted = mx.quot_act(mx.quot_elem(2, (1, 3)), m)
-    assert mx.quotient_eq(acted, mx.embed((1, 3)))
-
-
-def test_quot_act_is_action():
-    rng = random.Random(19)
-    for _ in range(100):
-        n = 2
-        p = mx.quot_elem(rng.randint(1, 6), tuple(rng.randint(-4, 4) for _ in range(n)))
-        m1 = mx.rand_int_matrix(rng, n)
-        m2 = mx.rand_int_matrix(rng, n)
-        # acting twice equals acting by the composite (apply m1 then m2)
-        lhs = mx.quot_act(mx.quot_act(p, m1), m2)
-        rhs = mx.quot_act(p, la.mat_z(la.matmul(m2, m1)))
-        assert mx.quotient_eq(lhs, rhs)
 
 
 def test_rand_matrices_shapes():

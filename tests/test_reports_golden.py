@@ -90,6 +90,15 @@ GOLDEN = [
      "0265515d1d0ac66d859350f466046e2c70cf7cc0a33b37a2465ecea16fe6cb29"),
     ("suite --backend act --n 3 --samples 20", 0,
      "d61754fd23a2aff6460e130c5350b18acac870ba49c667eb6f773cae126a274d"),
+    # catalog instances beyond the default list: a witness check with
+    # violations, the 5-element field and a 9-element affine clone
+    ('catalog --kind linear --params {"q":3,"dim":2,"a0":[[1,0]]} '
+     "--check witness --variant plus", 0,
+     "74bc2aec366a9cb0b7eeba95992d28dd6f6cadefe846b1e37f8795e40afbd6b2"),
+    ('catalog --kind linear --params {"q":5,"dim":1,"a0":[[1]]} --check witness', 0,
+     "c081a9e36b18e7e837e508d9f8f4b7de42eb3dbf1220f0e49304b7a32fcfcbba"),
+    ('catalog --kind affine --params {"q":3,"dim":2,"a0":[[1,0]]} --check clone', 0,
+     "0f2abe9916c7b6feec2c6cb83e00cc2c54dde90426d78d6e1fc7f59a2ffac692"),
     ("greens --backend matrix --side R --input -", 0,
      "136d42cf1d49c270e69145c2cc5c2da09483def74e4ed46f9800f9f8563ac5df",
      '{"a": [["1/2", "0"], ["0", "0"]], "b": [[1, 0], [0, 1]]}'),
