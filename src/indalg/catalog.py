@@ -27,6 +27,13 @@ phi(f(args)) = f(phi(args)) and stops with ``TooLarge`` past a node budget;
 the exchange check enumerates only the closed sets (Ganter's NextClosure)
 and memoizes closures by generating set.
 
+One semi-naive fixpoint, ``_fixpoint``, serves closure (elements under the
+basic ops), the unary clone (unary tables under composition) and clone
+generation (tables of each arity under composition by the witness ops).  It
+yields each element as it is found, in an order independent of hashing, so
+generation stops as soon as its last target appears and its step and table
+caps trip at the same place in every process.
+
 Op tables are built and composed by one byte-table kernel, ``_compose``:
 the field ops fold scaled projections through the addition table, and the
 unary clone and clone generation compose tables whole.  The witness check
@@ -83,7 +90,6 @@ class FiniteAlgebra:
     kind: str
     size: int
     ops: tuple[Op, ...]
-    element_names: tuple[str, ...]
     # basic ops generating every basic op by composition; closure, the unary
     # clone and the endomorphism search run against this set (same results,
     # much smaller tuple spaces)
@@ -188,14 +194,13 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         ops = tuple(
             Op(f"c{a}", 1, size, bytes([a] * size)) for a in range(size)
         )
-        return FiniteAlgebra(kind, size, ops, _names(size), ops)
+        return FiniteAlgebra(kind, size, ops, ops)
 
     if kind in ("linear", "affine"):
         q = _int(params.pop("q", 3), "q")
         dim = _int(params.pop("dim", 1), "dim")
         a0_vecs = _validate_field_params(q, dim, params.pop("a0", [[1] * dim]))
         _no_extra(params)
-        size = q**dim
         a0 = _span(a0_vecs, q, dim)
         ops = tuple(_field_ops(q, dim, a0, affine_only=(kind == "affine"),
                                with_const=True))
@@ -208,9 +213,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
             minus = q - 1
             gen = [by_name[f"f(1,{minus},1)+0"]]  # x-y+z
             gen += [by_name[f"f(1)+{a}"] for a in a0]
-        names = tuple(str(_vec(i, q, dim)) if dim > 1 else str(i)
-                      for i in range(size))
-        return FiniteAlgebra(kind, size, ops, names, tuple(gen))
+        return FiniteAlgebra(kind, q**dim, ops, tuple(gen))
 
     if kind == "exceptional":
         _no_extra(params)
@@ -224,7 +227,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
             else:
                 q_table.append(6 - x - y - z)
         ops = (Op("i", 1, 4, i_table), Op("q", 3, 4, bytes(q_table)))
-        return FiniteAlgebra(kind, 4, ops, _names(4), ops)
+        return FiniteAlgebra(kind, 4, ops, ops)
 
     if kind == "group_action":
         size = _int(params.pop("size", 5), "size")
@@ -254,7 +257,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
             [Op(f"g{k}", 1, size, bytes(p)) for k, p in enumerate(perms)]
             + [Op(f"c{a}", 1, size, bytes([a] * size)) for a in consts]
         )
-        return FiniteAlgebra(kind, size, ops, _names(size), ops)
+        return FiniteAlgebra(kind, size, ops, ops)
 
     if kind == "q_homog_field":
         q = _int(params.pop("q", 3), "q")
@@ -264,7 +267,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         ops = tuple(_field_ops(q, 1, [0], affine_only=True, with_const=False))
         by_name = {op.name: op for op in ops}
         gen = (by_name[f"f(1,{q-1},1)"],)  # x-y+z
-        return FiniteAlgebra(kind, q, ops, _names(q), gen)
+        return FiniteAlgebra(kind, q, ops, gen)
 
     if kind == "semilattice":
         _no_extra(params)
@@ -272,7 +275,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         for x, y in itertools.product(range(3), repeat=2):
             table.append(x if x == y else 2)
         ops = (Op("join", 2, 3, bytes(table)),)
-        return FiniteAlgebra(kind, 3, ops, _names(3), ops)
+        return FiniteAlgebra(kind, 3, ops, ops)
 
     raise InvalidParams(f"unknown kind {kind!r}")
 
@@ -280,10 +283,6 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
 def _no_extra(params: dict) -> None:
     if params:
         raise InvalidParams(f"unexpected parameters: {sorted(params)}")
-
-
-def _names(size: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(size))
 
 
 def _perm_group(gens: list[tuple[int, ...]], size: int) -> set:
@@ -316,21 +315,28 @@ def _tuples_touching(old: list, new: list, k: int) -> Iterator[tuple]:
         yield from itertools.product(*([old] * pos + [new] + [every] * (k - pos - 1)))
 
 
-def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> set:
-    """Close start under x -> apply(op, args) for every op (semi-naive rounds)."""
-    have = set(start)
-    old, new = [], list(have)
+def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> Iterator:
+    """Close start under x -> apply(op, args) for every op (semi-naive rounds).
+
+    Yields the start elements, then each new element as it is found.  A
+    round's finds are kept in a list, so the yield order does not depend on
+    hashing and a consumer may stop partway through a round.
+    """
+    new = list(dict.fromkeys(start))
+    have = set(new)
+    yield from new
+    old: list = []
     while new:
-        found = set()
+        found = []
         for op in ops:
             for args in _tuples_touching(old, new, op.arity):
                 v = apply(op, args)
                 if v not in have:
-                    found.add(v)
-        have |= found
+                    have.add(v)
+                    found.append(v)
+                    yield v
         old += new
-        new = list(found)
-    return have
+        new = found
 
 
 def closure(alg: FiniteAlgebra, xs: Iterable[int]) -> frozenset[int]:
@@ -410,9 +416,7 @@ def unary_clone(alg: FiniteAlgebra) -> UnaryClone:
     The identity closed under the generating ops: every unary term over the
     basic ops is one over gen_ops, which generate them.
     """
-    n = alg.size
-    seen = _fixpoint(alg.gen_ops, {bytes(range(n))},
-                     lambda op, us: _compose(op, us))
+    seen = list(_fixpoint(alg.gen_ops, [bytes(range(alg.size))], _compose))
     t_ops = sorted(t for t in seen if len(set(t)) > 1)
     consts = sorted(t for t in seen if len(set(t)) == 1)
     return UnaryClone(tuple(t_ops), tuple(consts))
@@ -527,60 +531,34 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
                      targets: set[tuple[int, bytes]]) -> set[tuple[int, bytes]]:
     """Which (arity, table) targets lie in the clone generated by seed?
 
-    Fixpoint per arity (outer op always from seed; complete since every term
-    unfolds to seed-rooted compositions of same-arity pieces).  Early exit
-    once all targets are found; hard caps guard runaway inputs.
+    Per arity m, the fixpoint of the projections and seed's m-ary tables
+    under composition by seed ops (outer op always from seed; complete since
+    every term unfolds to seed-rooted compositions of same-arity pieces).
+    Early exit once all targets are found; hard caps guard runaway inputs.
     """
-    n = alg.size
     found = set()
     steps = 0
+
+    def compose(f: Op, gs: Sequence[bytes]) -> bytes:
+        nonlocal steps
+        steps += 1
+        if steps > GEN_STEP_CAP:
+            raise TooLarge("generation search budget exhausted")
+        return _compose(f, gs)
+
     for m in (1, 2, 3):
         want = {tbl for a, tbl in targets if a == m}
         if not want:
             continue
-        tables = _projections(n, m)
-        have = set(tables)
-        for op in seed:
-            if op.arity == m and op.table not in have:
-                have.add(op.table)
-                tables.append(op.table)
-        found |= {(m, t) for t in want & have}
-        frontier = list(tables)
-        while frontier and want - {t for a, t in found if a == m}:
-            remaining = want - {t for a, t in found if a == m}
-            fset = set(frontier)
-            nxt = []
-            for f in seed:
-                k = f.arity
-                for pos in range(k):
-                    for gnew in frontier:
-                        pools = [tables if p != pos else [gnew] for p in range(k)]
-                        for gs in itertools.product(*pools):
-                            if pos and any(g in fset for g in gs[:pos]):
-                                continue  # counted at an earlier pos
-                            steps += 1
-                            if steps > GEN_STEP_CAP:
-                                raise TooLarge("generation search budget exhausted")
-                            tbl = _compose(f, gs)
-                            if tbl in have:
-                                continue
-                            have.add(tbl)
-                            nxt.append(tbl)
-                            if len(have) > GEN_TABLE_CAP:
-                                raise TooLarge("generated table cap exceeded")
-                            if tbl in remaining:
-                                found.add((m, tbl))
-                                remaining.discard(tbl)
-                                if not remaining:
-                                    break
-                        if not remaining:
-                            break
-                    if not remaining:
-                        break
-                if not remaining:
+        start = _projections(alg.size, m) + [op.table for op in seed if op.arity == m]
+        for count, tbl in enumerate(_fixpoint(seed, start, compose), 1):
+            if count > GEN_TABLE_CAP:
+                raise TooLarge("generated table cap exceeded")
+            if tbl in want:
+                found.add((m, tbl))
+                want.discard(tbl)
+                if not want:
                     break
-            tables.extend(nxt)
-            frontier = nxt
     return found
 
 

@@ -12,6 +12,14 @@ elements by (m, i) |-> (m + shift_i, target_i).
 Kernels are described exactly by which generator pairs get merged and at
 what exponent offset; images, up to pure closure, by the set of generator
 indices hit.  These two data drive all the order-theoretic predicates.
+
+Every kernel computation goes through three functions: ``first_preimages``
+(each target's least preimage, the representative of its merge class),
+``merge_classes`` (the classes, ordered by least member) and
+``with_kernel`` (the endomorphism that moves each class of a given one as a
+block, onto a chosen target at a chosen base shift).  Kernel keys and
+containment, the gamma constructions, the idempotents, the H*-class
+elements and the Ore solutions are all written with them.
 """
 
 from __future__ import annotations
@@ -91,34 +99,59 @@ def act_rank(theta: ActEndo) -> int:
     return len(target_set(theta))
 
 
+def first_preimages(theta: ActEndo) -> dict[int, int]:
+    """Each target of theta -> the least generator theta sends onto it."""
+    first: dict[int, int] = {}
+    for i, t in enumerate(theta.targets):
+        first.setdefault(t, i)
+    return first
+
+
+def merge_classes(theta: ActEndo) -> list[list[int]]:
+    """The generators theta merges, one class per target, ordered by least
+    member."""
+    classes: dict[int, list[int]] = {}
+    for i, t in enumerate(theta.targets):
+        classes.setdefault(t, []).append(i)
+    return list(classes.values())
+
+
+def with_kernel(alpha: ActEndo, bases, targets) -> ActEndo:
+    """The flavor-B endomorphism sending merge class k of alpha onto
+    targets[k] at shift bases[k], plus each member's offset from the
+    class's minimum shift.  Its kernel contains alpha's, and equals it
+    when the targets are distinct."""
+    shifts = [0] * alpha.n
+    image = [0] * alpha.n
+    for members, base, target in zip(merge_classes(alpha), bases, targets):
+        low = min(alpha.shifts[i] for i in members)
+        for i in members:
+            shifts[i] = base + alpha.shifts[i] - low
+            image[i] = target
+    return ActEndo("B", tuple(shifts), tuple(image))
+
+
 def kernel_key(theta: ActEndo):
     """Canonical description of the kernel: for each generator, the least
     generator it is merged with and the exponent offset to that
     representative.  Equal keys iff equal kernels."""
-    first: dict[int, int] = {}
-    key = []
-    for i in range(theta.n):
-        t = theta.targets[i]
-        rep = first.setdefault(t, i)
-        key.append((rep, theta.shifts[i] - theta.shifts[rep]))
-    return tuple(key)
+    first = first_preimages(theta)
+    shifts = theta.shifts
+    return tuple([(first[t], s - shifts[first[t]])
+                  for t, s in zip(theta.targets, shifts)])
 
 
 def kernel_leq(a: ActEndo, b: ActEndo) -> bool:
     """ker(b) <= ker(a): everything b merges, a merges the same way."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    first: dict[int, int] = {}
-    for j in range(b.n):
-        t = b.targets[j]
-        if t in first:
-            i = first[t]
-            if a.targets[i] != a.targets[j]:
-                return False
-            if b.shifts[j] - b.shifts[i] != a.shifts[j] - a.shifts[i]:
-                return False
-        else:
-            first[t] = j
+    first = first_preimages(b)
+    for j, t in enumerate(b.targets):
+        i = first[t]
+        if a.targets[i] != a.targets[j]:
+            return False
+        if b.shifts[j] - b.shifts[i] != a.shifts[j] - a.shifts[i]:
+            return False
     return True
 
 
@@ -207,10 +240,10 @@ def gamma_left(alpha: ActEndo, beta: ActEndo) -> ActEndo:
         raise PreconditionViolated("PC(im alpha) is not within PC(im beta)")
     if alpha.shifts == beta.shifts and alpha.targets == beta.targets:
         return act_identity(alpha.n)
-    hit = sorted(target_set(alpha))
-    pre = {j: min(i for i in range(beta.n) if beta.targets[i] == j) for j in hit}
-    default = pre[hit[0]]
-    targets = tuple(pre.get(j, default) for j in range(alpha.n))
+    hit = target_set(alpha)
+    first = first_preimages(beta)
+    default = first[min(hit)]
+    targets = tuple(first[j] if j in hit else default for j in range(alpha.n))
     gamma = ActEndo("B", (0,) * alpha.n, targets)
     assert pc_image(compose(gamma, beta)) == pc_image(alpha)
     return gamma
@@ -231,9 +264,8 @@ def gamma_right(alpha: ActEndo, beta: ActEndo) -> ActEndo:
         raise PreconditionViolated("ker beta is not within ker alpha")
     if alpha.shifts == beta.shifts and alpha.targets == beta.targets:
         return act_identity(alpha.n)
-    hit = sorted(target_set(beta))
-    pre = {j: min(i for i in range(beta.n) if beta.targets[i] == j) for j in hit}
-    p = max(beta.shifts[pre[j]] for j in hit)
+    pre = first_preimages(beta)
+    p = max(beta.shifts[i] for i in pre.values())
     shifts = []
     targets = []
     for j in range(alpha.n):
@@ -264,35 +296,12 @@ def lstar_idempotent(alpha: ActEndo) -> ActEndo:
 def rstar_idempotent(alpha: ActEndo) -> ActEndo:
     """An idempotent with the same kernel as alpha: each merge class is
     retracted onto its minimum-shift representative."""
-    classes: dict[int, list[int]] = {}
-    for i in range(alpha.n):
-        classes.setdefault(alpha.targets[i], []).append(i)
-    rep = {}
-    for t, members in classes.items():
-        r = min(members, key=lambda i: (alpha.shifts[i], i))
-        for i in members:
-            rep[i] = r
-    shifts = tuple(alpha.shifts[i] - alpha.shifts[rep[i]] for i in range(alpha.n))
-    targets = tuple(rep[i] for i in range(alpha.n))
-    eps = ActEndo("B", shifts, targets)
+    reps = [min(members, key=lambda i: (alpha.shifts[i], i))
+            for members in merge_classes(alpha)]
+    eps = with_kernel(alpha, [0] * len(reps), reps)
     assert compose(eps, eps) == eps
     assert kernel_key(eps) == kernel_key(alpha)
     return eps
-
-
-def _class_structure(alpha: ActEndo):
-    """Merge classes of alpha ordered by least member, with per-member
-    exponent offsets from the minimum-shift representative."""
-    by_target: dict[int, list[int]] = {}
-    for i in range(alpha.n):
-        by_target.setdefault(alpha.targets[i], []).append(i)
-    classes = sorted(by_target.values(), key=min)
-    offsets = {}
-    for members in classes:
-        base = min(alpha.shifts[i] for i in members)
-        for i in members:
-            offsets[i] = alpha.shifts[i] - base
-    return classes, offsets
 
 
 def is_square_cancellable(alpha: ActEndo) -> bool:
@@ -326,39 +335,20 @@ def rand_square_cancellable(rng: random.Random, n: int) -> ActEndo:
     return alpha
 
 
-def hstar_members(alpha: ActEndo):
-    """Parametrization helpers for the class of endomorphisms sharing
-    alpha's kernel and target set: (classes, offsets, targets)."""
-    classes, offsets = _class_structure(alpha)
-    return classes, offsets, sorted(target_set(alpha))
-
-
-def hstar_element(
-    alpha: ActEndo, assignment: dict[int, int], bases: dict[int, int]
-) -> ActEndo:
-    """The member of alpha's kernel/image class sending class k (indexed by
+def hstar_element(alpha: ActEndo, assignment, bases) -> ActEndo:
+    """The member of alpha's kernel/image class sending merge class k (by
     least member) onto target assignment[k] with base shift bases[k]."""
-    classes, offsets = _class_structure(alpha)
-    shifts = [0] * alpha.n
-    targets = [0] * alpha.n
-    for members in classes:
-        k = min(members)
-        for i in members:
-            shifts[i] = bases[k] + offsets[i]
-            targets[i] = assignment[k]
-    theta = ActEndo("B", tuple(shifts), tuple(targets))
+    theta = with_kernel(alpha, bases, assignment)
     assert kernel_key(theta) == kernel_key(alpha)
     assert target_set(theta) == target_set(alpha)
     return theta
 
 
 def rand_hstar_element(rng: random.Random, alpha: ActEndo) -> ActEndo:
-    classes, _, hit = hstar_members(alpha)
-    perm = list(hit)
+    # one merge class per target
+    perm = sorted(target_set(alpha))
     rng.shuffle(perm)
-    assignment = {min(members): perm[k] for k, members in enumerate(classes)}
-    bases = {min(members): rng.randint(0, 4) for members in classes}
-    return hstar_element(alpha, assignment, bases)
+    return hstar_element(alpha, perm, [rng.randint(0, 4) for _ in perm])
 
 
 def left_ore_solve(
@@ -367,31 +357,24 @@ def left_ore_solve(
     """u, v in the kernel/image class of alpha with u a = v b, computed by
     aligning both compositions onto a common target assignment and padding
     per-class base shifts to reconcile the exponents."""
-    classes, _ = _class_structure(alpha)
+    # common target pattern: k-th class (by least member) onto k-th target,
+    # one class per target
     hit = sorted(target_set(alpha))
-    # common target pattern: k-th class (by least member) onto k-th target
-    want = {min(members): hit[k] for k, members in enumerate(classes)}
 
     def aligned(theta: ActEndo):
         # choose the class assignment whose theta-composition lands on the
         # common pattern: route class k to the generator theta sends onto
-        # want[k] (theta permutes the hit set since alpha never merges two
+        # hit[k] (theta permutes the hit set since alpha never merges two
         # of its own targets)
         inv = {theta.targets[t]: t for t in hit}
         assert len(inv) == len(hit)
-        assignment = {min(members): inv[want[min(members)]] for members in classes}
-        return assignment, {k: theta.shifts[g] for k, g in assignment.items()}
+        assignment = [inv[t] for t in hit]
+        return assignment, [theta.shifts[g] for g in assignment]
 
     assign_u, du = aligned(a)
     assign_v, dv = aligned(b)
-    bases_u, bases_v = {}, {}
-    for members in classes:
-        k = min(members)
-        m = max(du[k], dv[k])
-        bases_u[k] = m - du[k]
-        bases_v[k] = m - dv[k]
-    u = hstar_element(alpha, assign_u, bases_u)
-    v = hstar_element(alpha, assign_v, bases_v)
+    u = hstar_element(alpha, assign_u, [max(0, y - x) for x, y in zip(du, dv)])
+    v = hstar_element(alpha, assign_v, [max(0, x - y) for x, y in zip(du, dv)])
     assert compose(u, a) == compose(v, b)
     return u, v
 

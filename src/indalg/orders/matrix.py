@@ -31,7 +31,6 @@ from .linalg import (
     IntMat,
     apply_mat,
     col_space_leq,
-    hstack,
     identity,
     inverse,
     lattice_leq,
@@ -59,9 +58,6 @@ class NoGroupInverse(ValueError):
 
 class PreconditionViolated(ValueError):
     pass
-
-
-SIDES = ("R", "L", "Rstar", "Lstar")
 
 
 def greens_leq(side: str, a, b) -> bool:
@@ -112,35 +108,26 @@ def group_inverse(s) -> Mat:
     """The group inverse of s, when s lies in a subgroup of the
     multiplicative monoid of square rational matrices.
 
-    Exists iff rank(s) == rank(s @ s); computed by block-diagonalising
-    along im(s) + ker(s) = Q^n.  Raises NoGroupInverse otherwise.
+    By full-rank factorisation (Cline, SIAM J. Numer. Anal. 1968): s = b c
+    with b the pivot columns of s (n x r) and c the nonzero rows of its
+    RREF (r x n).  s has a group inverse iff the r x r matrix c b is
+    invertible (equivalently rank(s) == rank(s @ s)), and then
+    s# = b (c b)^-2 c.  Raises NoGroupInverse otherwise.
     """
     s = mat_q(s)
     n, m = shape(s)
     if n != m:
         raise ValueError("not square")
-    r = rank(s)
-    if r != rank(matmul(s, s)):
-        raise NoGroupInverse("rank(s) != rank(s^2)")
+    rr, pivots = rref(s)
+    r = len(pivots)
     if r == 0:
         return zeros(n, n)
-    _, pivots = rref(s)
-    st = transpose(s)
-    basis = tuple(st[c] for c in pivots)  # columns of s forming an image basis
-    b = transpose(basis)  # n x r
-    ker = transpose(nullspace(s))  # n x (n - r)
-    p = hstack(b, ker) if ker else b
-    m_coords = solve_right(b, matmul(s, b))
-    assert m_coords is not None
-    m_inv = inverse(m_coords)
-    block = tuple(
-        tuple(
-            (m_inv[i][j] if i < r and j < r else Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return matmul(matmul(p, block), inverse(p))
+    b = tuple(tuple(row[c] for c in pivots) for row in s)
+    c = rr[:r]
+    w = solve_right(matmul(c, b), identity(r))
+    if w is None:
+        raise NoGroupInverse("rank(s) != rank(s^2)")
+    return matmul(matmul(b, matmul(w, w)), c)
 
 
 def has_group_inverse(s) -> bool:

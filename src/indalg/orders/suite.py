@@ -17,6 +17,7 @@ from .linalg import lcm_denoms, mat_q, matmul, scalar_mul, is_integer_matrix
 from .acts import (
     ActEndo,
     compose,
+    first_preimages,
     gamma_left,
     gamma_right,
     is_square_cancellable,
@@ -31,7 +32,7 @@ from .acts import (
     rand_square_cancellable,
     rstar_idempotent,
     target_set,
-    _class_structure,
+    with_kernel,
 )
 
 
@@ -119,9 +120,7 @@ def construct_image_gamma(a: ActEndo, b: ActEndo) -> ActEndo | None:
     """Element-level route for the L order in the overmonoid: an explicit
     gamma with gamma-then-b equal to a, or None when b misses one of a's
     targets."""
-    hit = {}
-    for j in range(b.n):
-        hit.setdefault(b.targets[j], j)
+    hit = first_preimages(b)
     shifts, targets = [], []
     for i in range(a.n):
         j = hit.get(a.targets[i])
@@ -148,15 +147,8 @@ def _rank_bridge(image_of: ActEndo, kernel_of: ActEndo) -> ActEndo | None:
     kernel of ``kernel_of``, when ranks agree; None otherwise."""
     if acts.act_rank(image_of) != acts.act_rank(kernel_of):
         return None
-    classes, offsets = _class_structure(kernel_of)
     hit = sorted(target_set(image_of))
-    shifts = [0] * kernel_of.n
-    targets = [0] * kernel_of.n
-    for k, members in enumerate(classes):
-        for i in members:
-            shifts[i] = offsets[i]
-            targets[i] = hit[k]
-    out = ActEndo("B", tuple(shifts), tuple(targets))
+    out = with_kernel(kernel_of, [0] * len(hit), hit)
     assert kernel_key(out) == kernel_key(kernel_of)
     assert target_set(out) == target_set(image_of)
     return out
@@ -175,16 +167,9 @@ def _rand_kernel_above(rng: random.Random, alpha: ActEndo) -> ActEndo:
     """Random beta with ker(alpha) <= ker(beta): constant target and
     coherent shifts on each merge class of alpha, classes allowed to
     collapse further."""
-    classes, offsets = _class_structure(alpha)
-    shifts = [0] * alpha.n
-    targets = [0] * alpha.n
-    for members in classes:
-        base = rng.randint(0, 4)
-        tgt = rng.randrange(alpha.n)
-        for i in members:
-            shifts[i] = base + offsets[i]
-            targets[i] = tgt
-    beta = ActEndo("B", tuple(shifts), tuple(targets))
+    draws = [(rng.randint(0, 4), rng.randrange(alpha.n))
+             for _ in range(acts.act_rank(alpha))]  # (base, target) per class
+    beta = with_kernel(alpha, *zip(*draws))
     assert kernel_leq(beta, alpha)
     return beta
 
@@ -192,16 +177,8 @@ def _rand_kernel_above(rng: random.Random, alpha: ActEndo) -> ActEndo:
 def _kernel_preserving_twin(rng: random.Random, beta: ActEndo) -> ActEndo:
     """An endomorphism with exactly beta's kernel but shuffled targets and
     padded shifts."""
-    classes, offsets = _class_structure(beta)
-    pool = rng.sample(range(beta.n), len(classes))
-    shifts = [0] * beta.n
-    targets = [0] * beta.n
-    for k, members in enumerate(classes):
-        base = rng.randint(0, 4)
-        for i in members:
-            shifts[i] = base + offsets[i]
-            targets[i] = pool[k]
-    twin = ActEndo("B", tuple(shifts), tuple(targets))
+    pool = rng.sample(range(beta.n), acts.act_rank(beta))
+    twin = with_kernel(beta, [rng.randint(0, 4) for _ in pool], pool)
     assert kernel_key(twin) == kernel_key(beta)
     return twin
 

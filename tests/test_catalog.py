@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,7 +104,6 @@ def test_exchange_size_cap():
         kind=alg.kind,
         size=cat.EXCHANGE_CAP + 1,
         ops=(),
-        element_names=tuple(str(i) for i in range(cat.EXCHANGE_CAP + 1)),
         gen_ops=(),
     )
     with pytest.raises(TooLarge):
@@ -341,7 +344,7 @@ def random_algebras(draw, max_size=4, max_arity=2):
         table = draw(st.binary(min_size=n**arity, max_size=n**arity))
         ops.append(cat.Op(f"f{k}", arity, n, bytes(b % n for b in table)))
     ops = tuple(ops)
-    return cat.FiniteAlgebra("random", n, ops, tuple(map(str, range(n))), ops)
+    return cat.FiniteAlgebra("random", n, ops, ops)
 
 
 @settings(max_examples=60, deadline=None)
@@ -486,3 +489,34 @@ def test_generation_step_budget():
         mp.setattr(cat, "GEN_STEP_CAP", 1025)
         with pytest.raises(TooLarge):
             cat.check_witness(alg, wit)
+
+
+def test_generation_table_cap():
+    """81 tables is the smallest cap this check finishes under, as counted
+    before generation ran on the shared fixpoint."""
+    alg = cat.make_instance("linear", q=3, dim=2, a0=[[1, 0]])
+    wit = cat.witness_set(alg, "plus")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "GEN_TABLE_CAP", 81)
+        assert cat.check_witness(alg, wit).generates
+        mp.setattr(cat, "GEN_TABLE_CAP", 80)
+        with pytest.raises(TooLarge):
+            cat.check_witness(alg, wit)
+
+
+def test_fixpoint_order_is_independent_of_the_hash_seed():
+    """Generation may stop partway through a round, so the order in which
+    the fixpoint yields tables must not depend on how bytes hash."""
+    code = ("from indalg import catalog as cat\n"
+            "a = cat.make_instance('linear', q=3, dim=2, a0=[[1, 0]])\n"
+            "start = [bytes(range(a.size))]\n"
+            "print([t.hex() for t in cat._fixpoint(a.gen_ops, start, cat._compose)])")
+    src = str(Path(cat.__file__).parents[1])
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(outs) == 1

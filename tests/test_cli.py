@@ -72,6 +72,18 @@ def test_classify_parse_error_exit_code(monkeypatch, capsys):
     assert "error" in rep["checks"][0]["details"]["terms"][0]
 
 
+def test_verify_depth_bound(capsys):
+    # sampled terms grow exponentially in depth; past the bound is a usage error
+    code, out, err = run(capsys, "verify-counterexample", "--depth", "13")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+    code, _, _ = run(capsys, "verify-counterexample", "--depth", "12",
+                     "--terms", "5", "--samples", "1")
+    assert code == 0
+
+
 def test_classify_nesting_bound(monkeypatch, capsys):
     # terms at the bound classify; deeper ones are error rows, not tracebacks
     import io

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from indalg.orders import acts as ac
 from indalg.orders.acts import ActEndo, PreconditionViolated, act_endo
@@ -312,3 +313,47 @@ def test_left_ore_solve():
         for theta in (u, v):
             assert ac.kernel_key(theta) == ac.kernel_key(alpha)
             assert ac.target_set(theta) == ac.target_set(alpha)
+
+
+# --- properties on random endomorphisms of one rank, flavors mixed ----------
+
+
+@st.composite
+def endos(draw, n):
+    flavor = draw(st.sampled_from("AB"))
+    lo = 0 if flavor == "B" else -5
+    shifts = draw(st.lists(st.integers(lo, 5), min_size=n, max_size=n))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return ActEndo(flavor, tuple(shifts), tuple(targets))
+
+
+@st.composite
+def endo_lists(draw, count):
+    n = draw(st.integers(1, 5))
+    return [draw(endos(n)) for _ in range(count)]
+
+
+@given(endo_lists(3))
+def test_compose_is_associative_with_a_two_sided_unit(abc):
+    a, b, c = abc
+    assert ac.compose(ac.compose(a, b), c) == ac.compose(a, ac.compose(b, c))
+    for e in (ac.act_identity(a.n), ac.act_identity(a.n, a.flavor)):
+        assert ac.compose(e, a) == a
+        assert ac.compose(a, e) == a
+
+
+@given(endo_lists(1), st.data())
+def test_with_kernel_keeps_the_kernel(alpha_list, data):
+    (alpha,) = alpha_list
+    n, k = alpha.n, ac.act_rank(alpha)
+    first = ac.first_preimages(alpha)
+    assert first == {t: min(i for i in range(n) if alpha.targets[i] == t)
+                     for t in alpha.targets}
+    classes = ac.merge_classes(alpha)
+    assert [c[0] for c in classes] == sorted(first.values())
+    assert sorted(i for c in classes for i in c) == list(range(n))
+    bases = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    distinct = data.draw(st.permutations(range(n)))[:k]
+    assert ac.kernel_key(ac.with_kernel(alpha, bases, distinct)) == ac.kernel_key(alpha)
+    anywhere = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    assert ac.kernel_leq(ac.with_kernel(alpha, bases, anywhere), alpha)

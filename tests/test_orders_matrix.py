@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from indalg.orders import linalg as la
 from indalg.orders import matrix as mx
@@ -103,6 +104,47 @@ def test_group_inverse_axioms_on_random_matrices():
         assert la.matmul(la.matmul(t, s), t) == t
         assert la.matmul(s, t) == la.matmul(t, s)
         hits += 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Small rational square matrices: invertible and not, rank-deficient
+    products of thin factors, and nilpotent ones."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-4, 4)
+
+    def ints_mat(rows, cols):
+        return [[draw(ints) for _ in range(cols)] for _ in range(rows)]
+
+    kind = draw(st.sampled_from(["full", "rational", "product", "nilpotent"]))
+    if kind == "full":
+        return q(ints_mat(n, n))
+    if kind == "rational":
+        dens = st.integers(1, 5)
+        return q([[Fraction(draw(ints), draw(dens)) for _ in range(n)] for _ in range(n)])
+    if kind == "product":  # rank at most k
+        k = draw(st.integers(1, n))
+        return la.matmul(ints_mat(n, k), ints_mat(k, n))
+    # a strictly upper triangular matrix conjugated by a unit lower
+    # triangular one
+    u = [[draw(ints) if j > i else 0 for j in range(n)] for i in range(n)]
+    p = q([[draw(ints) if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    return la.matmul(la.matmul(p, u), la.inverse(p))
+
+
+@given(square_matrices())
+@example(q([[0, 1], [0, 0]]))
+@example(q([[1, 1], [1, 1]]))
+@example(q([[2, 4], [-1, -2]]))
+def test_group_inverse_axioms_property(s):
+    if la.rank(s) != la.rank(la.matmul(s, s)):
+        with pytest.raises(NoGroupInverse):
+            mx.group_inverse(s)
+        return
+    t = mx.group_inverse(s)
+    assert la.matmul(la.matmul(s, t), s) == s
+    assert la.matmul(la.matmul(t, s), t) == t
+    assert la.matmul(s, t) == la.matmul(t, s)
 
 
 def test_group_inverse_invertible_matches_inverse():

@@ -167,3 +167,10 @@ def test_sample_terms_distinct_bounded_deterministic():
 def test_sample_terms_small_space_errors():
     with pytest.raises(ValueError):
         tm.sample_terms(1, 1, [], seed=0, count=5)  # only x1 exists at depth 1
+
+
+def test_sample_terms_depth_bound():
+    pool = [wd.gen(1)]
+    assert tm.sample_terms(tm.MAX_SAMPLE_DEPTH, 3, pool, seed=0, count=3)
+    with pytest.raises(ValueError, match="at most"):
+        tm.sample_terms(tm.MAX_SAMPLE_DEPTH + 1, 3, pool, seed=0, count=3)
