@@ -141,6 +141,7 @@ def cmd_verify_counterexample(args):
             seed=args.seed, count=args.terms,
         )
     unrefuted = []
+    exhausted = []  # terms whose witness search ran out of budget
     refuted = 0
     constant = 0
     for t in corpus:
@@ -148,16 +149,22 @@ def cmd_verify_counterexample(args):
         if form.form == 1:
             constant += 1
             continue
-        ref = cx.refute_distributivity(t, h, form)
+        try:
+            ref = cx.refute_distributivity(t, h, form)
+        except cx.WitnessExhausted:
+            exhausted.append(tm.format_term(t))
+            continue
         if ref.holds:
             refuted += 1
         else:
             unrefuted.append(tm.format_term(t))
-    checks.append(Check(
-        "distributivity_refutations", outcome="pass" if not unrefuted else "fail",
-        details={"terms": len(corpus), "constant_prefix": constant,
-                 "refuted": refuted, "unrefuted": unrefuted[:3]},
-    ))
+    details = {"terms": len(corpus), "constant_prefix": constant,
+               "refuted": refuted, "unrefuted": unrefuted[:3]}
+    if exhausted:
+        details.update(inconclusive=len(exhausted), exhausted=exhausted[:3],
+                       witness_budget=cx.SAMPLE_BUDGET)
+    checks.append(Check("distributivity_refutations", details=details, outcome=(
+        "fail" if unrefuted else "inconclusive" if exhausted else "pass")))
     return checks
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional
 
 from . import words
 from .terms import G, Nu, Term, Var, evaluate, meta
-from .words import IDENTITY, Word, gen_content, inv, mul
+from .words import IDENTITY, Word, div, gen_content, mul
 
 PINS: dict[Word, int] = {
     words.parse_word("z1*z2^-1"): 6,
@@ -43,6 +43,14 @@ _CHUNK_SCALE = 3**_CHUNK_TRITS
 _BIJECTIVE_DIGITS = str.maketrans("01", "12")
 
 
+def _trits(v: int) -> str:
+    """The bijective-base-2 digits of v >= 1 as trits, then a 0 separator."""
+    return bin(v + 1)[3:].translate(_BIJECTIVE_DIGITS) + "0"
+
+
+_SMALL_TRITS = tuple(_trits(v) for v in range(512))  # index 0 is never read
+
+
 def _encode(w: Word) -> int:
     """Injective self-delimiting encoding of a word as a nonnegative integer.
 
@@ -59,15 +67,17 @@ def _encode(w: Word) -> int:
     chunks of at most 600 trits (the first chunk takes the remainder): the
     interpreter's limit on digits converted from a string can be set as low
     as 640, and changing that limit would change it for the whole process.
+    Values below 512, nearly all of them, take their trits from the constant
+    table ``_SMALL_TRITS``, built once at import.
     """
     parts = ["1"]  # sentinel
     for g, e in w:
         z = 2 * e - 1 if e > 0 else -2 * e
-        parts.append(bin(g + 1)[3:].translate(_BIJECTIVE_DIGITS))
-        parts.append("0")
-        parts.append(bin(z + 1)[3:].translate(_BIJECTIVE_DIGITS))
-        parts.append("0")
+        parts.append(_SMALL_TRITS[g] if g < 512 else _trits(g))
+        parts.append(_SMALL_TRITS[z] if z < 512 else _trits(z))
     trits = "".join(parts)
+    if len(trits) <= _CHUNK_TRITS:
+        return int(trits, 3) - 1
     head = len(trits) % _CHUNK_TRITS or _CHUNK_TRITS
     n = int(trits[:head], 3)
     for i in range(head, len(trits), _CHUNK_TRITS):
@@ -153,7 +163,10 @@ class HMap:
         return idx
 
     def g(self, w1: Word, w2: Word) -> Word:
-        return mul(((self.lookup(mul(w1, inv(w2))), 1),), w2)
+        idx = self.lookup(div(w1, w2))
+        if w2 and w2[0][0] == idx:
+            return mul(((idx, 1),), w2)
+        return ((idx, 1),) + w2
 
 
 def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> dict:
@@ -201,6 +214,7 @@ class WitnessSample:
     mu: tuple[Word, ...]
     prefix: Word
     fresh_gen: int
+    value: Word  # t(mu), which is prefix * mu[star - 1]
 
 
 def _pad(stream: Callable[[], Iterator[tuple[Word, ...]]], n: int):
@@ -293,7 +307,7 @@ def _classify_node(t: Term, forms: dict[Term, TermForm], h: HMap) -> TermForm:
     w2 = right.prefix
     if left.form == 1:
         if left.star == right.star:
-            prefix = mul(words.gen(h.lookup(mul(left.prefix, inv(w2)))), w2)
+            prefix = h.g(left.prefix, w2)
             _check_prefix(prefix, t.content)
             return TermForm(1, n, t.star, prefix=prefix, case="g-aligned")
         # constant children, distinct rightmost variables
@@ -342,14 +356,14 @@ def sample_witnesses(form: TermForm, t: Term, h: HMap, count: int) -> list[Witne
         if len(mu) != form.arity or not all(words.is_positive(w) for w in mu):
             continue
         value = evaluate(t, mu, h)
-        prefix = mul(value, inv(mu[form.star - 1]))
+        prefix = div(value, mu[form.star - 1])
         _check_prefix(prefix, m.content)
         fresh = [g for g, e in prefix if e > 0 and g not in used]
         if not fresh:
             continue
         pick = max(fresh)
         used.add(pick)
-        out.append(WitnessSample(mu=mu, prefix=prefix, fresh_gen=pick))
+        out.append(WitnessSample(mu=mu, prefix=prefix, fresh_gen=pick, value=value))
     return out
 
 
@@ -384,6 +398,6 @@ def refute_distributivity(
     while k in blocked:
         k += 2
     a = words.gen(k)
-    lhs = mul(a, evaluate(t, mu, h))
+    lhs = mul(a, sample.value)
     rhs = evaluate(t, tuple(mul(a, w) for w in mu), h)
     return Refutation(a=a, mu=mu, lhs=lhs, rhs=rhs)

@@ -130,11 +130,6 @@ def group_inverse(s) -> Mat:
     return matmul(matmul(b, matmul(w, w)), c)
 
 
-def has_group_inverse(s) -> bool:
-    s = mat_q(s)
-    return rank(s) == rank(matmul(s, s))
-
-
 # --- decompositions ---------------------------------------------------------
 
 

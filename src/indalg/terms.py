@@ -221,9 +221,11 @@ def _parse(s: str) -> tuple[Term, int]:
     ``(_OPEN_NU, coefficient text)``, ``(_OPEN_G, None)`` or, once its left
     argument is read, ``(_G_LEFT_DONE, left)``.  A coefficient is parsed when
     its ``nu(...)`` closes, so errors come in the order of a recursive
-    descent that parses the coefficient last."""
+    descent that parses the coefficient last; each distinct coefficient text
+    is parsed once a call."""
     n = len(s)
     frames: list[tuple[int, object]] = []
+    coeffs: dict[str, Word] = {}  # coefficient text -> its parsed word
     i = 0
     while True:
         m = _TERM_HEAD.match(s, i)
@@ -264,7 +266,9 @@ def _parse(s: str) -> tuple[Term, int]:
                 what = "nu" if kind == _OPEN_NU else "g"
                 raise ValueError(f"expected ')' closing {what}(...)")
             frames.pop()
-            t = Nu(words.parse_word(held), t) if kind == _OPEN_NU else G(held, t)
+            if kind == _OPEN_NU and held not in coeffs:
+                coeffs[held] = words.parse_word(held)
+            t = Nu(coeffs[held], t) if kind == _OPEN_NU else G(held, t)
             i = m.end()
         else:
             return t, i

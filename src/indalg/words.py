@@ -50,7 +50,19 @@ def mul(u: Word, v: Word) -> Word:
 
 
 def inv(u: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(u))
+    return tuple([(g, -e) for g, e in reversed(u)])
+
+
+def div(u: Word, v: Word) -> Word:
+    """u * v**-1 (reduced) without building v**-1: u and v are reduced, so
+    past their common trailing syllables at most one pair merges."""
+    i, n = 0, min(len(u), len(v))
+    while i < n and u[-1 - i] == v[-1 - i]:
+        i += 1
+    u, v = u[: len(u) - i], v[: len(v) - i]
+    if u and v and u[-1][0] == v[-1][0]:
+        return u[:-1] + ((u[-1][0], u[-1][1] - v[-1][1]),) + inv(v[:-1])
+    return u + inv(v)
 
 
 def gen(i: int, e: int = 1) -> Word:
@@ -107,8 +119,22 @@ def parse_word(text: str) -> Word:
 
 
 def rand_word(rng, max_gen: int = 5, max_syll: int = 4, max_exp: int = 3) -> Word:
-    """Seeded random reduced word (possibly identity)."""
-    length = rng.randint(0, max_syll)
+    """Seeded random reduced word (possibly identity).
+
+    Stream contract: the words, and the state ``rng`` is left in, are those
+    of ``rng.randint(0, max_syll)`` for the length and, per syllable,
+    ``rng.randint`` for the generator (never the previous one) and the
+    exponent and ``rng.choice((1, -1))`` for its sign.  Each draw below n is
+    read straight from ``rng.getrandbits`` by their rule: ``n.bit_length()``
+    bits, drawn again while the value is n or more."""
+    if max_syll < 0 or max_gen < 1 or max_exp < 1:
+        raise ValueError("rand_word needs max_syll >= 0, max_gen >= 1, max_exp >= 1")
+    bits = rng.getrandbits
+    kl, ke = (max_syll + 1).bit_length(), max_exp.bit_length()
+    kg, kg1 = max_gen.bit_length(), (max_gen - 1).bit_length()
+    length = bits(kl)
+    while length > max_syll:
+        length = bits(kl)
     out: list[Syllable] = []
     prev = 0
     for _ in range(length):
@@ -116,12 +142,18 @@ def rand_word(rng, max_gen: int = 5, max_syll: int = 4, max_exp: int = 3) -> Wor
             if prev == 1:
                 break
             g = 1
-        else:
-            g = rng.randint(1, max_gen - 1) if prev else rng.randint(1, max_gen)
-            if prev and g >= prev:
-                g += 1
-        e = rng.randint(1, max_exp) * rng.choice((1, -1))
-        out.append((g, e))
+        else:  # below max_gen, or below max_gen - 1 skipping prev
+            n, k = (max_gen - 1, kg1) if prev else (max_gen, kg)
+            g = bits(k)
+            while g >= n:
+                g = bits(k)
+            g += 1 if not prev or g + 1 < prev else 2
+        e = bits(ke)
+        while e >= max_exp:
+            e = bits(ke)
+        sign = bits(2)  # rng.choice((1, -1)) draws below 2
+        while sign >= 2:
+            sign = bits(2)
+        out.append((g, -1 - e if sign else 1 + e))
         prev = g
     return tuple(out)
-

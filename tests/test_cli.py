@@ -84,6 +84,28 @@ def test_verify_depth_bound(capsys):
     assert code == 0
 
 
+def test_verify_witness_budget_is_an_outcome(monkeypatch, capsys):
+    # a witness search that runs out is an inconclusive check, not a traceback
+    from indalg import counterexample as cx
+
+    monkeypatch.setattr(cx, "SAMPLE_BUDGET", 0)
+    code, out, err = run(capsys, "verify-counterexample", "--samples", "5",
+                         "--terms", "6", "--depth", "3")
+    assert code == 1
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    check = rep["checks"][2]
+    assert check["name"] == "distributivity_refutations"
+    assert check["outcome"] == "inconclusive"
+    details = check["details"]
+    assert details["witness_budget"] == 0
+    assert details["refuted"] == 0 and details["unrefuted"] == []
+    assert details["constant_prefix"] + details["inconclusive"] == details["terms"]
+    assert 1 <= len(details["exhausted"]) <= 3
+    assert [c["outcome"] for c in rep["checks"][:2]] == ["pass", "pass"]
+
+
 def test_classify_nesting_bound(monkeypatch, capsys):
     # terms at the bound classify; deeper ones are error rows, not tracebacks
     import io

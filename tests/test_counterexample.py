@@ -3,7 +3,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from indalg import counterexample as ce
 from indalg import terms as tm
@@ -43,19 +43,34 @@ def _encode_by_trits(w):
     return n - 1
 
 
-_exponents = st.one_of(st.integers(1, 40), st.integers(1, 2**64)).flatmap(
-    lambda e: st.sampled_from((e, -e))
-)
-_generators = st.one_of(st.integers(1, 12), st.integers(1, 2**4000))
-_words = st.lists(st.tuples(_generators, _exponents), max_size=6).map(wd.reduce)
-
-
-@given(_words)
+@given(we.words)
 def test_encode_matches_the_trit_loop(w):
     assert ce._encode(w) == _encode_by_trits(w)
 
 
-@given(_words)
+def _trit_count(w):
+    # the sentinel, then v + 1's binary digits after the leading 1 and a
+    # separator for each generator and zigzagged exponent v
+    return 1 + sum((g + 1).bit_length() + (2 * e if e > 0 else 1 - 2 * e).bit_length()
+                   for g, e in w)
+
+
+def test_encode_at_the_table_edge_and_past_one_chunk():
+    # values 510-514 straddle the 512-entry trit table, as generators and as
+    # zigzagged exponents (2e - 1 for e > 0, -2e for e < 0)
+    zigzag = {510: -255, 511: 256, 512: -256, 513: 257, 514: -257}
+    cases = [((v, 1),) for v in zigzag] + [((3, e),) for e in zigzag.values()]
+    cases.append(tuple((v, e) for v, e in zigzag.items()))
+    # just over the 600 trits that one int(..., 3) call converts
+    long_small = tuple((2 * k + 1, 255 + k) for k in range(40))
+    long_large = ((2**597, 1),)
+    assert _trit_count(long_small) == 623 and _trit_count(long_large) == 601
+    for w in cases + [long_small, long_large]:
+        assert ce._encode(w) == _encode_by_trits(w)
+        assert ce._decode_free_even(ce._free_even(ce._encode(w))) == w
+
+
+@given(we.words)
 def test_decode_inverts_encode(w):
     assert ce._decode_free_even(ce._free_even(ce._encode(w))) == w
 
@@ -136,6 +151,28 @@ def test_pinned_g_values():
     assert h.g(z("z1"), z("z2")) == z("z6*z2")
     assert h.g(z("z3"), z("z2")) == z("z8*z2")
     assert h.g(z("z1"), z("z4")) == z("z10*z4")
+
+
+def _former_g(h, w1, w2):
+    return mul(((h.lookup(mul(w1, inv(w2))), 1),), w2)
+
+
+@given(we.words, we.words)
+def test_g_matches_the_former_product(w1, w2):
+    h = HMap()
+    assert h.g(w1, w2) == _former_g(h, w1, w2)
+
+
+@given(we.words, we.words, st.integers(6, 2**70).map(lambda k: 2 * k), we.exponents)
+@example((), ((1, 1),), 12, -1)  # z12 * z12^-1 * z1 cancels to z1
+@example(((12, 1),), ((12, 2),), 14, 1)
+def test_g_matches_the_former_product_when_w2_starts_with_the_index(w1, rest, idx, e):
+    # pin w1 * w2^-1 to w2's first generator, so the product merges
+    w2 = wd.reduce(((idx, e),) + rest)
+    assume(w2 and w2[0][0] == idx)
+    h = HMap({wd.div(w1, w2): idx})
+    assert h.lookup(wd.div(w1, w2)) == idx
+    assert h.g(w1, w2) == _former_g(h, w1, w2)
 
 
 def test_right_translation_homogeneity():
@@ -240,6 +277,7 @@ def test_sample_witnesses_fresh_generators_distinct():
         assert all(wd.is_positive(w) for w in s.mu)
         value = tm.evaluate(t, s.mu, h)
         assert s.prefix == mul(value, inv(s.mu[f.star - 1]))
+        assert s.value == value
     assert samples[0].mu == (wd.gen(1), wd.gen(2))
     assert samples[0].prefix == wd.parse_word("z6")
     assert samples[0].fresh_gen == 6

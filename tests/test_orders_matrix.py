@@ -95,7 +95,7 @@ def test_group_inverse_axioms_on_random_matrices():
     while hits < 80:
         n = rng.randint(1, 4)
         s = mx.rand_rational_matrix(rng, n)
-        if not mx.has_group_inverse(s):
+        if la.rank(s) != la.rank(la.matmul(s, s)):
             with pytest.raises(NoGroupInverse):
                 mx.group_inverse(s)
             continue
@@ -161,7 +161,7 @@ def test_group_inverse_invertible_matches_inverse():
 
 def test_group_inverse_nilpotent_rejected():
     nil = q([[0, 1], [0, 0]])
-    assert not mx.has_group_inverse(nil)
+    assert la.rank(nil) != la.rank(la.matmul(nil, nil))
     with pytest.raises(NoGroupInverse):
         mx.group_inverse(nil)
 

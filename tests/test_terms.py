@@ -137,6 +137,24 @@ def test_parse_rejects_garbage():
         tm.parse_term("g(x1², x2)")
 
 
+def test_parse_reads_each_coefficient_text_once_a_call(monkeypatch):
+    calls = []
+    parse_word = wd.parse_word
+    monkeypatch.setattr(wd, "parse_word", lambda text: calls.append(text) or parse_word(text))
+    text = "g(nu(z1*z2, x1), g(nu(z1*z2, x2), nu( z3 , nu(z1*z2, x1))))"
+    c, z3 = parse_word("z1*z2"), wd.gen(3)
+    want = G(Nu(c, Var(1)), G(Nu(c, Var(2)), Nu(z3, Nu(c, Var(1)))))
+    for _ in range(2):  # nothing is kept from one call to the next
+        calls.clear()
+        assert tm.parse_term(text) == want
+        assert sorted(calls) == [" z3 ", "z1*z2"]
+    # a bad coefficient still fails when its nu(...) closes, after its term
+    with pytest.raises(ValueError, match="generator index must be >= 1 in 'z0'"):
+        tm.parse_term("g(nu(z1, x1), nu(z1, nu(z0, x2)))")
+    with pytest.raises(ValueError, match="expected ',' inside g"):
+        tm.parse_term("nu(z0, g(x1))")
+
+
 def test_parse_bounds_nesting_not_size():
     # a balanced term with far more than MAX_NESTING nodes is shallow
     t = Var(1)

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from indalg import words as wd
-from indalg.words import IDENTITY, gen, inv, mul
+from indalg.words import IDENTITY, div, gen, inv, mul
 
 import word_enum as we
 
@@ -33,6 +34,27 @@ def test_mul_inv_group_laws():
         assert mul(inv(u), u) == IDENTITY
         assert mul(u, IDENTITY) == u
         assert inv(mul(u, v)) == mul(inv(v), inv(u))
+
+
+@given(we.words, we.words, we.words)
+def test_free_group_laws(u, v, w):
+    assert mul(mul(u, v), w) == mul(u, mul(v, w))
+    assert mul(u, IDENTITY) == mul(IDENTITY, u) == u
+    assert mul(u, inv(u)) == mul(inv(u), u) == IDENTITY
+    assert inv(mul(u, v)) == mul(inv(v), inv(u))
+    assert wd.reduce(mul(u, v)) == mul(u, v)
+
+
+@given(we.words, we.words)
+def test_div_is_product_with_the_inverse(u, v):
+    assert div(u, v) == mul(u, inv(v))
+    assert div(mul(u, v), v) == u
+    assert div(u, u) == IDENTITY
+
+
+@given(we.words)
+def test_format_parse_round_trip_property(w):
+    assert wd.parse_word(wd.format_word(w)) == w
 
 
 def test_is_positive():
@@ -101,3 +123,25 @@ def test_rand_word_reduced_and_bounded():
         assert we.max_gen(w) <= 4
         for _, e in w:
             assert abs(e) <= 2 + 2  # merges can sum adjacent exponents
+
+
+@pytest.mark.parametrize("params", [(6, 4, 3), (5, 4, 3), (4, 3, 2), (2, 2, 1),
+                                    (1, 4, 3), (6, 0, 3)])
+def test_rand_word_keeps_the_randint_stream(params):
+    # reports cannot catch a changed stream: homogeneity holds on any words
+    fast, oracle = random.Random(11), random.Random(11)
+    for _ in range(20_000):
+        assert wd.rand_word(fast, *params) == we.rand_word_by_randint(oracle, *params)
+    assert fast.random() == oracle.random()
+
+
+class _NoDraws:
+    def getrandbits(self, k):
+        raise AssertionError("a draw before the ranges were checked")
+
+
+def test_rand_word_rejects_empty_ranges():
+    # checked up front: a draw below 0 would take 0 bits and never end
+    for params in [(0, 2, 2), (3, -1, 2), (3, 2, 0)]:
+        with pytest.raises(ValueError):
+            wd.rand_word(_NoDraws(), *params)

@@ -1,4 +1,5 @@
-"""Canonical enumeration of the free group's reduced words, for tests.
+"""Words for tests: the free group's reduced words in canonical order, an
+unbounded ``hypothesis`` strategy, and the former ``rand_word`` as oracle.
 
 Test oracles walk every reduced word, or every tuple of positive words, in
 one fixed well-order; the library never does, so these live beside the tests.
@@ -8,7 +9,38 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from indalg.words import IDENTITY, Word, reduce
+from hypothesis import strategies as st
+
+from indalg.words import IDENTITY, Syllable, Word, reduce
+
+# exponents and generators both small and unbounded (up to 4,000 bits)
+exponents = st.one_of(st.integers(1, 40), st.integers(1, 2**64)).flatmap(
+    lambda e: st.sampled_from((e, -e))
+)
+generators = st.one_of(st.integers(1, 12), st.integers(1, 2**4000))
+words = st.lists(st.tuples(generators, exponents), max_size=6).map(reduce)
+
+
+def rand_word_by_randint(rng, max_gen: int = 5, max_syll: int = 4,
+                         max_exp: int = 3) -> Word:
+    """The former body of ``words.rand_word``, through ``rng.randint`` and
+    ``rng.choice``: the oracle for its stream."""
+    length = rng.randint(0, max_syll)
+    out: list[Syllable] = []
+    prev = 0
+    for _ in range(length):
+        if max_gen == 1:
+            if prev == 1:
+                break
+            g = 1
+        else:
+            g = rng.randint(1, max_gen - 1) if prev else rng.randint(1, max_gen)
+            if prev and g >= prev:
+                g += 1
+        e = rng.randint(1, max_exp) * rng.choice((1, -1))
+        out.append((g, e))
+        prev = g
+    return tuple(out)
 
 
 def letter_len(u: Word) -> int:
