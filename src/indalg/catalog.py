@@ -22,24 +22,27 @@ Every instance also names ``gen_ops``, a few basic ops that generate all of
 them by composition (the tests check this per kind).  Closure, the unary
 clone and endomorphisms are computed against ``gen_ops`` only: the same
 subalgebras, unary term ops and homomorphisms, over far smaller tuple
-spaces.  Endomorphisms come from one backtracking search that propagates
-phi(f(args)) = f(phi(args)) and stops with ``TooLarge`` past a node budget;
-the exchange check enumerates only the closed sets (Ganter's NextClosure)
-and memoizes closures by generating set.
+spaces.  Endomorphisms are searched over a generating set, as UACalc
+searches homomorphisms: each assignment of images to the generators is
+filled in along one recorded derivation per element and kept iff it
+preserves every op, and ``TooLarge`` is raised up front when there are more
+assignments than a budget; the exchange check enumerates only the closed
+sets (Ganter's NextClosure) and memoizes closures by generating set.
 
-One semi-naive fixpoint, ``_fixpoint``, serves closure (elements under the
-basic ops), the unary clone (unary tables under composition) and clone
-generation (tables of each arity under composition by the witness ops).  It
-yields each element as it is found, in an order independent of hashing, so
-generation stops as soon as its last target appears and its step and table
-caps trip at the same place in every process.
+One semi-naive fixpoint, ``_fixpoint``, serves closure and the derivations
+of the endomorphism search (elements under the basic ops), the unary clone
+(unary tables under composition) and clone generation (tables of each arity
+under composition by the witness ops).  It yields each element as it is
+found, in an order independent of hashing, so generation stops as soon as
+its last target appears and its step and table caps trip at the same place
+in every process.
 
-Op tables are built and composed by one byte-table kernel, ``_compose``:
-the field ops fold scaled projections through the addition table, and the
-unary clone and clone generation compose tables whole.  The witness check
-tests that a unary map preserves an op one whole table at a time, by
-comparing two tables, and looks for the first failing tuple only when they
-differ.  No table is built at import.
+Op tables are composed by one byte-table kernel, ``_compose``: the unary
+clone and clone generation compose tables whole.  The field ops are built
+row by row from the tables of their coefficient prefixes.  The witness
+check and the endomorphism search test that a unary map preserves an op one
+whole table at a time, by comparing two tables; the witness check looks for
+the first failing tuple only when they differ.  No table is built at import.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 EXCHANGE_CAP = 16
-# endomorphism search-tree nodes: a carrier of size n needs at most
-# n + n^2 + ... + n^n, under the cap for every n <= 7
-ENDO_NODE_CAP = 1_000_000
+# endomorphism search: n^g assignments of images to g generators; g <= n,
+# so every carrier of size n <= 7 is under the cap (7^7 = 823,543)
+ENDO_ASSIGNMENT_CAP = 1_000_000
 GEN_TABLE_CAP = 8192
 GEN_STEP_CAP = 20_000_000
 
@@ -136,27 +139,32 @@ def _field_ops(q: int, dim: int, a0: list[int], affine_only: bool,
                with_const: bool) -> list[Op]:
     """Every map sum(l_i * x_i) (+ a for a in a0) of arity 1-3 on F_q^dim.
 
-    Each lambda-table sums the projections scaled by l_i, composed through
-    the addition table; each shift +a is one more translation of it.
+    The table of (l_1, ..., l_k) is built once from that of its prefix
+    (l_1, ..., l_{k-1}), the previous arity's: with the first k-1 arguments
+    fixed, the prefix value c is constant, so each row of the table is the
+    row of x -> c + l_k * x.  The empty prefix is the constant 0.  Each
+    shift +a is one more translation of the table.
     """
     size = q**dim
     vecs = [_vec(i, q, dim) for i in range(size)]
-    add = Op("add", 2, size, bytes(
+    add = bytes(
         _vidx([(x + y) % q for x, y in zip(u, v)], q) for u in vecs for v in vecs
-    ))
-    # bytes.translate tables (256 entries) of x -> lam * x and x -> a + x
-    scal = [bytes(_vidx([(lam * x) % q for x in v], q) for v in vecs)
-            .ljust(256, b"\0") for lam in range(q)]
-    plus = {a: add.table[a * size:(a + 1) * size].ljust(256, b"\0") for a in a0}
+    )
+    scal = [[_vidx([(lam * x) % q for x in v], q) for v in vecs] for lam in range(q)]
+    # rows[l][c]: the table of x -> c + l * x
+    rows = [[bytes(add[c * size + s] for s in scal[l]) for c in range(size)]
+            for l in range(q)]
+    # bytes.translate tables (256 entries) of x -> a + x
+    plus = {a: add[a * size:(a + 1) * size].ljust(256, b"\0") for a in a0}
     ops = []
+    tables = {(): b"\0"}
     for arity in (1, 2, 3):
-        projs = _projections(size, arity)
-        for lam in itertools.product(range(q), repeat=arity):
+        # insertion order is itertools.product order: prefix first, l_k last
+        tables = {lam + (l,): b"".join(map(rows[l].__getitem__, prefix))
+                  for lam, prefix in tables.items() for l in range(q)}
+        for lam, table in tables.items():
             if affine_only and sum(lam) % q != 1:
                 continue
-            table = projs[0].translate(scal[lam[0]])
-            for p, l in zip(projs[1:], lam[1:]):
-                table = _compose(add, [table, p.translate(scal[l])])
             tag = ",".join(map(str, lam))
             if not with_const:
                 ops.append(Op(f"f({tag})", arity, size, table))
@@ -425,73 +433,55 @@ def unary_clone(alg: FiniteAlgebra) -> UnaryClone:
 def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All self-maps commuting with every basic operation, sorted.
 
-    Backtracking homomorphism search over gen_ops (a map commutes with every
-    basic op iff it commutes with the ops generating them).  Constants are
-    fixed; each node gives the smallest unassigned element an image and
-    propagates phi(f(args)) = f(phi(args)) over every assigned argument tuple,
-    so the assigned part is always a homomorphism on a subalgebra.  More than
-    ENDO_NODE_CAP nodes raises TooLarge.
+    A homomorphism is fixed by its values on a generating set, and a map
+    commutes with every basic op iff it commutes with gen_ops, which
+    generate them.  Constants are fixed points.  One closure from the
+    constants, restarted from the smallest missing element whenever it stops
+    short, picks the generators and records one derivation v = f(args) per
+    other element.  Each assignment of images to the generators fills phi
+    along the derivations and is kept iff it preserves every non-constant
+    gen op, checked one whole table at a time as in ``check_witness``.  More
+    than ENDO_ASSIGNMENT_CAP assignments raises TooLarge before any search.
     """
     n = alg.size
     # phi(a) = a settles a constant op with value a for every argument tuple
     fixed = sorted({op.table[0] for op in alg.gen_ops if op.is_constant()})
     ops = [op for op in alg.gen_ops if not op.is_constant()]
-    phi = [-1] * n
-    for a in fixed:
-        phi[a] = a
-    out: list[tuple[int, ...]] = []
-    nodes = 0
+    last: tuple = ()
 
-    def search(dom: list[int]) -> None:
-        nonlocal nodes
-        if -1 not in phi:
+    def apply(op: Op, args: tuple) -> int:
+        nonlocal last
+        last = (op, args)
+        return op(*args)
+
+    placed = dict.fromkeys(fixed)
+    plan: list[tuple] = []  # (v, op, args); op None marks a generator
+    while True:
+        for v in _fixpoint(ops, list(placed), apply):
+            if v not in placed:
+                placed[v] = None
+                plan.append((v, *last))
+        missing = next((x for x in range(n) if x not in placed), None)
+        if missing is None:
+            break
+        placed[missing] = None
+        plan.append((missing, None, ()))
+    gens = sum(op is None for _, op, _ in plan)
+    if n ** gens > ENDO_ASSIGNMENT_CAP:
+        raise TooLarge(f"endomorphism search needs {n}^{gens} assignments, "
+                       f"over {ENDO_ASSIGNMENT_CAP}")
+    projs = {op.arity: _projections(n, op.arity) for op in ops}
+    phi = list(range(n))
+    out = []
+    for images in itertools.product(range(n), repeat=gens):
+        image = iter(images)
+        for v, op, args in plan:
+            phi[v] = next(image) if op is None else op(*[phi[a] for a in args])
+        t = bytes(phi).ljust(256, b"\0")
+        moved = {m: [p.translate(t) for p in ps] for m, ps in projs.items()}
+        if all(op.table.translate(t) == _compose(op, moved[op.arity]) for op in ops):
             out.append(tuple(phi))
-            return
-        free = phi.index(-1)
-        for img in range(n):
-            nodes += 1
-            if nodes > ENDO_NODE_CAP:
-                raise TooLarge(f"endomorphism search exceeds {ENDO_NODE_CAP} nodes")
-            phi[free] = img
-            added = _propagate(ops, phi, dom, [free])
-            if added is not None:
-                search(dom + added)
-                for x in added:
-                    phi[x] = -1
-
-    root = _propagate(ops, phi, [], fixed)
-    if root is not None:
-        search(root)
     return sorted(out)
-
-
-def _propagate(ops: Sequence[Op], phi: list[int], old: list[int],
-               new: list[int]) -> Optional[list[int]]:
-    """Extend the partial map phi by phi(f(args)) = f(phi(args)).
-
-    Tuples over old are already consistent; new holds the elements just
-    assigned.  Returns every element assigned (new included), or None after
-    unassigning them when some tuple forces two images.
-    """
-    added = list(new)
-    old = list(old)
-    while new:
-        found = []
-        for op in ops:
-            for args in _tuples_touching(old, new, op.arity):
-                v = op(*args)
-                w = op(*[phi[a] for a in args])
-                if phi[v] < 0:
-                    phi[v] = w
-                    found.append(v)
-                elif phi[v] != w:
-                    for x in added + found:
-                        phi[x] = -1
-                    return None
-        old += new
-        added += found
-        new = found
-    return added
 
 
 # ---------------------------------------------------------------------------

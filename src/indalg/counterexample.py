@@ -90,38 +90,6 @@ def _free_even(m: int) -> int:
     return 2 * m + 2 if m < 2 else 2 * m + 8
 
 
-def _decode_free_even(idx: int) -> Word:
-    """Inverse of the non-pinned assignment (used as a test oracle)."""
-    if idx % 2 or idx < 2 or idx in (6, 8, 10):
-        raise ValueError(f"{idx} is not a non-pinned image value")
-    m = (idx - 2) // 2 if idx in (2, 4) else (idx - 8) // 2
-    n = m + 1
-    digits: list[int] = []
-    while n > 1:
-        n, r = divmod(n, 3)
-        digits.append(r)
-    digits.reverse()
-    syllables: list[tuple[int, int]] = []
-    nums: list[int] = []
-    cur = 0
-    started = False
-    for d in digits:
-        if d == 0:
-            if not started:
-                raise ValueError("malformed encoding")
-            nums.append(cur)
-            cur, started = 0, False
-        else:
-            cur = 2 * cur + d
-            started = True
-    if started or len(nums) % 2:
-        raise ValueError("malformed encoding")
-    for g, z in zip(nums[::2], nums[1::2]):
-        e = (z + 1) // 2 if z % 2 else -(z // 2)
-        syllables.append((g, e))
-    return words.reduce(syllables)
-
-
 class HMap:
     """Total injective map from words to even generator indices.
 

@@ -353,6 +353,124 @@ def test_kernels_match_oracles_on_generated_algebras(alg):
     assert_kernels_match_oracles(alg)
 
 
+# ternary ops too: their derivations index tables by three placed elements
+@settings(max_examples=60, deadline=None)
+@given(random_algebras(max_size=4, max_arity=3))
+def test_endomorphisms_match_oracle_on_ternary_algebras(alg):
+    assert cat.endomorphisms(alg) == oracle_endomorphisms(alg)
+
+
+# ---------------------------------------------------------------------------
+# the search over generators against the backtracking search it replaced
+
+
+def backtrack_endomorphisms(alg):
+    """The propagating backtracking search over gen_ops, without its budget.
+
+    Constants are fixed; each node gives the smallest unassigned element an
+    image and propagates phi(f(args)) = f(phi(args)) over every assigned
+    argument tuple, so the assigned part is always a homomorphism on a
+    subalgebra.
+    """
+    n = alg.size
+    fixed = sorted({op.table[0] for op in alg.gen_ops if op.is_constant()})
+    ops = [op for op in alg.gen_ops if not op.is_constant()]
+    phi = [-1] * n
+    for a in fixed:
+        phi[a] = a
+    out = []
+
+    def search(dom):
+        if -1 not in phi:
+            out.append(tuple(phi))
+            return
+        free = phi.index(-1)
+        for img in range(n):
+            phi[free] = img
+            added = propagate(ops, phi, dom, [free])
+            if added is not None:
+                search(dom + added)
+                for x in added:
+                    phi[x] = -1
+
+    root = propagate(ops, phi, [], fixed)
+    if root is not None:
+        search(root)
+    return sorted(out)
+
+
+def propagate(ops, phi, old, new):
+    """Extend the partial map phi by phi(f(args)) = f(phi(args)).
+
+    Tuples over old are already consistent; new holds the elements just
+    assigned.  Returns every element assigned (new included), or None after
+    unassigning them when some tuple forces two images.
+    """
+    added = list(new)
+    old = list(old)
+    while new:
+        found = []
+        for op in ops:
+            for args in cat._tuples_touching(old, new, op.arity):
+                v = op(*args)
+                w = op(*[phi[a] for a in args])
+                if phi[v] < 0:
+                    phi[v] = w
+                    found.append(v)
+                elif phi[v] != w:
+                    for x in added + found:
+                        phi[x] = -1
+                    return None
+        old += new
+        added += found
+        new = found
+    return added
+
+
+# every instance of the seed-0 catalog benchmark workload (perfbench)
+SEED0_CATALOG_INSTANCES = [
+    ("linear", {"q": 2, "dim": 1, "a0": [[1]]}),
+    ("linear", {"q": 2, "dim": 2, "a0": [[0, 1]]}),
+    ("linear", {"q": 3, "dim": 1, "a0": [[1]]}),
+    ("linear", {"q": 3, "dim": 1, "a0": [[2]]}),
+    ("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
+    ("affine", {"q": 2, "dim": 1, "a0": [[1]]}),
+    ("affine", {"q": 2, "dim": 2, "a0": [[0, 1]]}),
+    ("affine", {"q": 3, "dim": 1, "a0": [[1]]}),
+    ("affine", {"q": 3, "dim": 2, "a0": [[2, 1]]}),
+    ("affine", {"q": 5, "dim": 1, "a0": [[1]]}),
+    ("group_action", {"size": 3, "generators": [[1, 2, 0]], "constants": [1]}),
+    ("group_action", {"size": 4, "generators": [[0, 2, 3, 1]], "constants": [0]}),
+    ("group_action", {"size": 4, "generators": [[2, 3, 0, 1]], "constants": [3]}),
+    ("group_action", {"size": 5, "generators": [[4, 2, 1, 3, 0]], "constants": [3]}),
+    ("group_action", {"size": 6, "generators": [[5, 2, 1, 4, 3, 0]], "constants": [0]}),
+    ("group_action", {"size": 6, "generators": [[4, 0, 5, 2, 1, 3]], "constants": [2]}),
+    ("rank0", {"size": 2}),
+    ("rank0", {"size": 4}),
+    ("rank0", {"size": 6}),
+    ("q_homog_field", {"q": 2}),
+    ("q_homog_field", {"q": 3}),
+    ("q_homog_field", {"q": 5}),
+    ("exceptional", {}),
+]
+
+BACKTRACK_CASES = SEED0_CATALOG_INSTANCES + [
+    # size-7 actions, cycle types (7) and (1,2,2,2): n^n = 823,543 maps
+    ("group_action", {"size": 7, "generators": [[1, 2, 3, 4, 5, 6, 0]],
+                      "constants": [0]}),
+    ("group_action", {"size": 7, "generators": [[0, 2, 1, 4, 3, 6, 5]],
+                      "constants": [0]}),
+    ("affine", {"q": 3, "dim": 2, "a0": []}),  # 729 endomorphisms
+    ("linear", {"q": 5, "dim": 2, "a0": [[1, 0]]}),
+]
+
+
+@pytest.mark.parametrize("kind,params", BACKTRACK_CASES)
+def test_endomorphisms_match_backtracking_search(kind, params):
+    alg = cat.make_instance(kind, **params)
+    assert cat.endomorphisms(alg) == backtrack_endomorphisms(alg)
+
+
 # ---------------------------------------------------------------------------
 # the byte-table kernel against the entry-by-entry loops it replaced
 

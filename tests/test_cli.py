@@ -399,6 +399,10 @@ USAGE_ERRORS = [
       '{"size":3,"generators":[[0,2,true]],"constants":[0]}'], None),
     (["catalog", "--kind", "group_action", "--params",
       '{"size":5.0,"generators":[[0,1,2,3,4]],"constants":[0]}'], None),
+    # 8^7 generator assignments, over the endomorphism search's cap
+    (["catalog", "--kind", "group_action", "--params",
+      '{"size":8,"generators":[[0,1,2,3,4,5,6,7]],"constants":[0]}',
+      "--check", "endos"], None),
     # quotient eq: vectors of different lengths, a zero tag, a missing element
     (["quotient", "eq", "--input", "-"],
      '{"p": {"t": 1, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2, 3]}}'),

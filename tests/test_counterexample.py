@@ -67,12 +67,12 @@ def test_encode_at_the_table_edge_and_past_one_chunk():
     assert _trit_count(long_small) == 623 and _trit_count(long_large) == 601
     for w in cases + [long_small, long_large]:
         assert ce._encode(w) == _encode_by_trits(w)
-        assert ce._decode_free_even(ce._free_even(ce._encode(w))) == w
+        assert we.decode_free_even(ce._free_even(ce._encode(w))) == w
 
 
 @given(we.words)
 def test_decode_inverts_encode(w):
-    assert ce._decode_free_even(ce._free_even(ce._encode(w))) == w
+    assert we.decode_free_even(ce._free_even(ce._encode(w))) == w
 
 
 def test_encode_past_the_int_string_limit():
@@ -82,7 +82,7 @@ def test_encode_past_the_int_string_limit():
     w = ((2**6000 + 1, 1),)
     n = ce._encode(w)
     assert n == _encode_by_trits(w)
-    assert ce._decode_free_even(ce._free_even(n)) == w
+    assert we.decode_free_even(ce._free_even(n)) == w
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -103,13 +103,13 @@ def test_decode_is_inverse_of_assignment():
         w = next(it)
         if w in ce.PINS:
             continue
-        assert ce._decode_free_even(h.lookup(w)) == w
+        assert we.decode_free_even(h.lookup(w)) == w
 
 
 def test_decode_rejects_non_image_values():
     for bad in (0, 1, 3, 6, 8, 10, -2):
         with pytest.raises(ValueError):
-            ce._decode_free_even(bad)
+            we.decode_free_even(bad)
 
 
 def test_lookup_golden_values():

@@ -1,5 +1,6 @@
 """Words for tests: the free group's reduced words in canonical order, an
-unbounded ``hypothesis`` strategy, and the former ``rand_word`` as oracle.
+unbounded ``hypothesis`` strategy, the former ``rand_word`` as oracle, and
+the decoder of the h-map's free indices.
 
 Test oracles walk every reduced word, or every tuple of positive words, in
 one fixed well-order; the library never does, so these live beside the tests.
@@ -133,3 +134,36 @@ def positive_tuples(n: int) -> Iterator[tuple[Word, ...]]:
         for idx in parts(total, n, []):
             yield tuple(pool[i - 1] for i in idx)
         total += 1
+
+
+def decode_free_even(idx: int) -> Word:
+    """The word the h-map assigns the non-pinned index idx: the inverse of
+    ``counterexample._free_even`` after ``counterexample._encode``."""
+    if idx % 2 or idx < 2 or idx in (6, 8, 10):
+        raise ValueError(f"{idx} is not a non-pinned image value")
+    m = (idx - 2) // 2 if idx in (2, 4) else (idx - 8) // 2
+    n = m + 1
+    digits: list[int] = []
+    while n > 1:
+        n, r = divmod(n, 3)
+        digits.append(r)
+    digits.reverse()
+    syllables: list[tuple[int, int]] = []
+    nums: list[int] = []
+    cur = 0
+    started = False
+    for d in digits:
+        if d == 0:
+            if not started:
+                raise ValueError("malformed encoding")
+            nums.append(cur)
+            cur, started = 0, False
+        else:
+            cur = 2 * cur + d
+            started = True
+    if started or len(nums) % 2:
+        raise ValueError("malformed encoding")
+    for g, z in zip(nums[::2], nums[1::2]):
+        e = (z + 1) // 2 if z % 2 else -(z // 2)
+        syllables.append((g, e))
+    return reduce(syllables)
