@@ -63,11 +63,27 @@ def _load_payload(args) -> dict | None:
         else:
             with open(args.input, encoding="utf-8") as fh:
                 payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also an integer too long to read
         raise UsageError(f"cannot read input: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError("input must be a JSON object")
     return payload
+
+
+def _max_digits() -> int:
+    """The most digits an integer may have to be printed in a report."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _entry(x) -> Fraction:
+    """An exact rational from an integer or an exact string.  An e-notation
+    string is refused, before its value is built, when that value could
+    have more digits than a report may print."""
+    if isinstance(x, str):
+        mantissa, e, exponent = x.lower().partition("e")
+        if e and len(mantissa) + abs(int(exponent)) > _max_digits():
+            raise ValueError(f"{x[:20]!r} has more than {_max_digits()} digits")
+    return Fraction(x)
 
 
 def _parse_qmat(rows, size: int | None = None):
@@ -82,7 +98,7 @@ def _parse_qmat(rows, size: int | None = None):
         raise UsageError("matrix entries must be integers or exact strings "
                          "like '1/2'")
     with _reading("bad matrix entry"):
-        return tuple(tuple(Fraction(x) for x in row) for row in rows)
+        return tuple(tuple(map(_entry, row)) for row in rows)
 
 
 def _int(x, what: str) -> int:
@@ -276,7 +292,8 @@ def cmd_decompose(args):
         else:
             dec = matrix.straight_left_decompose(alpha)
         ok = matrix.verify_decomposition(alpha, dec, args.mode)
-        details = {"alpha": fmt_mat(alpha), "mode": args.mode} | dec.as_dict()
+        with _reading("decomposition"):  # an entry too long to print
+            details = {"alpha": fmt_mat(alpha), "mode": args.mode} | dec.as_dict()
         if args.mode == "straight":
             certs = matrix.straight_certificates(alpha, dec)
             details["certificates"] = certs

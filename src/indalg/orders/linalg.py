@@ -1,132 +1,112 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here works on immutable tuple-of-tuples matrices.
+Matrices are tuples of row tuples.  After the shared helpers come two
+halves that never call each other, so the unstarred Green's routes stay
+independent of the starred ones they are cross-checked against.
 
-Rational routines take and return :class:`fractions.Fraction` entries but
-compute fraction-free: ``rref`` scales each row to integers and eliminates
-with Bareiss's exact integer updates, and ``matmul``/``apply_mat`` take
-integer dot products of denominator-cleared rows and columns, so one
-Fraction is built per output entry.  ``rank``, ``nullspace``, ``solve_*``,
-``col_space_leq`` and ``inverse`` all go through ``rref``.  The rational
-side calls nothing from the integer side, so the unstarred Green's routes
-stay independent of the starred ones they are cross-checked against.
+The rational half holds a rational matrix as integer rows over one
+positive denominator, ``(rows, d)``, from ``split`` in lowest terms;
+``join`` builds Fractions only where a public routine returns a matrix.
+Its kernel ``bareiss`` returns an RREF's integer rows, denominator and
+pivot columns: ``rank``, ``col_space_leq`` and ``solvable`` read only the
+pivots, ``nullspace`` and ``solve_int`` read integer vectors off the rows.
 
-The integer routines never touch ``Fraction``: they share one unimodular
-kernel, ``_echelon``, which brings integer rows to echelon form by
-Euclidean row operations.  ``hnf_rows`` finishes its output into the
-canonical Hermite normal form, which decides lattice containment
-(``lattice_leq``); ``left_kernel_int`` echelons ``[m | I]`` and reads the
-kernel off the identity tails; ``saturation`` is a double kernel.
+The integer half never touches ``Fraction``.  Its unimodular kernel
+``_echelon`` echelons integer rows by Euclidean row operations;
+``hnf_rows`` finishes that into the canonical Hermite normal form, which
+decides ``lattice_leq``; ``left_kernel_int`` echelons ``[m | I]`` and
+reads the kernel off the identity tails; ``saturation`` is a double kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import attrgetter, mul
 
-Row = tuple[Fraction, ...]
-Mat = tuple[Row, ...]
-IntRow = tuple[int, ...]
-IntMat = tuple[IntRow, ...]
-
-
-def _exact(x) -> int | Fraction:
-    """x as an exact rational; ints and Fractions (immutable) pass as they
-    are, which is much cheaper than re-wrapping them in Fraction."""
-    return x if type(x) in (int, Fraction) else Fraction(x)
+Mat = tuple[tuple[Fraction, ...], ...]
+IntMat = tuple[tuple[int, ...], ...]
 
 
 def mat_q(rows) -> Mat:
     """Coerce an iterable of iterables to a rational matrix."""
-    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                 for row in rows)
+    return tuple(tuple(map(Fraction, row)) for row in rows)
 
 
 def mat_z(rows) -> IntMat:
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            f = _exact(x)
-            if f.denominator != 1:
-                raise ValueError(f"non-integer entry {x}")
-            r.append(f.numerator)
-        out.append(tuple(r))
-    return tuple(out)
+    """Integer entries (ints or Fractions) as ints; ValueError otherwise."""
+    for x in chain.from_iterable(rows):
+        if x.denominator != 1:
+            raise ValueError(f"non-integer entry {x}")
+    return tuple(tuple(x.numerator for x in row) for row in rows)
 
 
-def shape(a: Mat) -> tuple[int, int]:
+def shape(a) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def identity(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+def identity(n: int) -> IntMat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int) -> Mat:
-    z = Fraction(0)
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
+def zeros(n: int, m: int) -> IntMat:
+    return ((0,) * m,) * n
 
 
 def transpose(a) -> tuple[tuple, ...]:
-    if not a:
-        return ()
     return tuple(zip(*a))
 
 
-def _cleared(row) -> tuple[list[int], int]:
-    """Integers ns and the lcm d of the denominators with row == ns / d."""
-    row = list(map(_exact, row))
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row], d
+# --- rational routines: integer rows over one positive denominator -------
 
 
-def _dots(rows, cols) -> Mat:
-    """The matrix of dot products of rows with cols: one integer dot
-    product and one Fraction per entry."""
-    cols = [_cleared(col) for col in cols]
-    return tuple(
-        tuple(Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols)
-        for r, dr in map(_cleared, rows)
-    )
+def split(a) -> tuple[IntMat, int]:
+    """(rows, d) with a == rows / d in lowest terms, d the denominators' lcm."""
+    d = lcm(*map(attrgetter("denominator"), chain.from_iterable(a)))
+    if d == 1:
+        return tuple(tuple(map(attrgetter("numerator"), row)) for row in a), 1
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in a), d
 
 
-def matmul(a, b) -> Mat:
-    return _dots(a, transpose(b))
+def join(rows, d: int) -> Mat:
+    """The Fraction matrix rows / d."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
 
 
-def scalar_mul(c, a) -> Mat:
-    c = Fraction(c)
+def lowest(rows, d: int) -> tuple[IntMat, int]:
+    """rows / d (d > 0) in lowest terms: both divided by gcd(d, entries)."""
+    g = gcd(d, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), d // g
+
+
+def matmul_int(a, b) -> IntMat:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def scale_int(c: int, a) -> IntMat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def hstack(a, b) -> Mat:
-    if not a:
-        return mat_q(b)
-    return tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))
+def hstack(a, b) -> tuple[tuple, ...]:
+    return tuple((*ra, *rb) for ra, rb in zip(a, b))
 
 
-def rref(a) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
+def bareiss(rows) -> tuple[IntMat, int, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
+    1968) of integer rows: (rows, d, pivots) with rows / d the reduced row
+    echelon form, d > 0 and ``pivots`` its pivot columns.
 
-    Fraction-free Gauss-Jordan (Bareiss): each row is first scaled to
-    integers, which leaves the RREF unchanged.  Eliminating column c with
-    pivot p turns every other row y into (p*y - f*x) / prev, where x is the
-    pivot row, f is y's entry in column c and prev the previous pivot; by
-    Sylvester's identity the division is exact, all entries stay minors of
-    the scaled input, and every pivot ends equal to the last one, so one
-    division per entry at the end gives the RREF.
+    Eliminating column c with pivot p turns every other row y into
+    (p*y - f*x) / prev, with x the pivot row, f = y[c] and prev the last
+    pivot; by Sylvester's identity the division is exact and every pivot
+    ends equal to the last one, which is d up to sign.
     """
-    rows = [_cleared(row)[0] for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    prev = 1
-    r = 0
+    rows = [list(row) for row in rows]
+    nrows, ncols = shape(rows)
+    pivots, prev, r = [], 1, 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
@@ -145,58 +125,80 @@ def rref(a) -> tuple[Mat, tuple[int, ...]]:
         prev = p
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(Fraction(x, prev) for x in row) for row in rows), tuple(pivots)
+    s = -1 if prev < 0 else 1
+    return tuple(tuple(s * x for x in row) for row in rows), s * prev, tuple(pivots)
+
+
+def rref(a) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    rows, d, pivots = bareiss(split(a)[0])
+    return join(rows, d), pivots
 
 
 def rank(a) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+    return len(bareiss(split(a)[0])[2])
 
 
-def nullspace(a) -> tuple[Row, ...]:
-    """Basis of the right kernel {v : a v = 0}, vectors as tuples."""
-    if not a:
-        return ()
-    r, pivots = rref(a)
-    ncols = len(a[0])
-    pivset = set(pivots)
+def nullspace(a) -> IntMat:
+    """Integer basis of the right kernel {v : a v = 0}: for each free
+    column f of a's RREF rows / d, d at f and -row[f] at each row's pivot
+    (the RREF kernel vector scaled by d > 0)."""
+    rows, d, pivots = bareiss(split(a)[0])
+    ncols = shape(a)[1]
     basis = []
     for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][free]
-        basis.append(tuple(v))
+        if free not in pivots:
+            v = [0] * ncols
+            v[free] = d
+            for row, p in zip(rows, pivots):
+                v[p] = -row[free]
+            basis.append(tuple(v))
     return tuple(basis)
 
 
-def apply_mat(a, v) -> Row:
-    return tuple(row[0] for row in _dots(a, (v,)))
+def apply_mat(a, v) -> tuple[Fraction, ...]:
+    return tuple(row[0] for row in matmul(a, [(x,) for x in v]))
+
+
+def matmul(a, b) -> Mat:
+    (x, dx), (y, dy) = split(a), split(b)
+    return join(matmul_int(x, y), dx * dy)
+
+
+def scalar_mul(c, a) -> Mat:
+    x, d = split(a)
+    return join(scale_int(c.numerator, x), d * c.denominator)
+
+
+def solvable(a, b) -> bool:
+    """True iff a @ X = b is solvable: no pivot of [a | b] is in b."""
+    pivots = bareiss(split(hstack(a, b))[0])[2]
+    return not pivots or pivots[-1] < shape(a)[1]
+
+
+def solve_int(a, b) -> tuple[IntMat, int] | None:
+    """(X, d) with a @ (X / d) = b, X integer and d > 0, or None.  Free
+    variables are set to zero, so X / d is read off the RREF of [a | b]."""
+    m, k = shape(a)[1], shape(b)[1]
+    rows, d, pivots = bareiss(split(hstack(a, b))[0])
+    if pivots and pivots[-1] >= m:
+        return None
+    x = [(0,) * k] * m
+    for row, p in zip(rows, pivots):
+        x[p] = row[m:]
+    return tuple(x), d
 
 
 def solve_right(a, b) -> Mat | None:
     """X with a @ X = b, or None.  Free variables are set to zero."""
-    m = shape(a)[1]
-    aug, pivots = rref(hstack(a, b))
-    k = len(b[0]) if b else 0
-    if any(p >= m for p in pivots):
-        return None
-    x = [[Fraction(0)] * k for _ in range(m)]
-    for i, p in enumerate(pivots):
-        for j in range(k):
-            x[p][j] = aug[i][m + j]
-    return tuple(tuple(row) for row in x)
+    sol = solve_int(a, b)
+    return None if sol is None else join(*sol)
 
 
 def solve_left(a, b) -> Mat | None:
     """X with X @ a = b, or None."""
-    xt = solve_right(transpose(a), transpose(b))
-    return None if xt is None else transpose(xt)
+    sol = solve_int(transpose(a), transpose(b))
+    return None if sol is None else transpose(join(*sol))
 
 
 def col_space_leq(a, b) -> bool:
@@ -205,17 +207,20 @@ def col_space_leq(a, b) -> bool:
 
 
 def inverse(a) -> Mat:
-    n, m = shape(a)
-    if n != m:
+    if len(a) != shape(a)[1]:
         raise ValueError("not square")
-    inv = solve_right(a, identity(n))
-    if inv is None:
+    sol = solve_int(a, identity(len(a)))
+    if sol is None:
         raise ValueError("singular matrix")
-    return inv
+    return join(*sol)
 
 
 def lcm_denoms(a) -> int:
-    return lcm(*(_exact(x).denominator for row in a for x in row))
+    return split(a)[1]
+
+
+def is_integer_matrix(a) -> bool:
+    return all(x.denominator == 1 for row in a for x in row)
 
 
 # --- integer lattice routines --------------------------------------------
@@ -306,8 +311,3 @@ def saturation(rows, dim: int) -> IntMat:
     if not rows:
         return ()
     return left_kernel_int(transpose(right_kernel_int(rows)) or ((),) * dim)
-
-
-def is_integer_matrix(a) -> bool:
-    return all(_exact(x).denominator == 1 for row in a for x in row)
-

@@ -23,30 +23,32 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from ..report import fmt_mat
-from . import linalg
 from .linalg import (
-    Mat,
     IntMat,
-    apply_mat,
+    Mat,
+    bareiss,
     col_space_leq,
     identity,
-    inverse,
+    is_integer_matrix,
+    join,
     lattice_leq,
-    lcm_denoms,
-    mat_q,
+    lowest,
     mat_z,
-    matmul,
+    matmul_int,
     nullspace,
     rank,
     right_kernel_int,
     rref,
     saturation,
-    scalar_mul,
+    scale_int,
     shape,
+    solve_int,
     solve_left,
     solve_right,
+    split,
     transpose,
     zeros,
 )
@@ -67,20 +69,21 @@ def greens_leq(side: str, a, b) -> bool:
     matrices through lattice arithmetic.
     """
     if side == "R":
-        a, b = mat_q(a), mat_q(b)
-        return all(
-            all(x == 0 for x in apply_mat(a, v)) for v in nullspace(b)
-        )
+        return _annihilates(split(a)[0], nullspace(b))
     if side == "L":
-        return col_space_leq(mat_q(a), mat_q(b))
+        return col_space_leq(a, b)
     if side == "Rstar":
         a, b = mat_z(a), mat_z(b)
-        kb = right_kernel_int(b)
-        return all(all(x == 0 for x in apply_mat(a, v)) for v in kb)
+        return _annihilates(a, right_kernel_int(b))
     if side == "Lstar":
         a, b = mat_z(a), mat_z(b)
         return lattice_leq(pc_closure_cols(a), pc_closure_cols(b))
     raise ValueError(f"unknown side {side!r}")
+
+
+def _annihilates(rows, vectors) -> bool:
+    """True iff every integer row has a zero dot product with every vector."""
+    return all(not any(sum(map(mul, row, v)) for row in rows) for v in vectors)
 
 
 def pc_closure_cols(a: IntMat) -> IntMat:
@@ -93,15 +96,37 @@ def pc_closure_cols(a: IntMat) -> IntMat:
 
 def divides_left(a, b) -> Mat | None:
     """g with a = g @ b if one exists (a is a left multiple of b)."""
-    return solve_left(mat_q(b), mat_q(a))
+    return solve_left(b, a)
 
 
 def divides_right(a, b) -> Mat | None:
     """g with a = b @ g if one exists (a is a right multiple of b)."""
-    return solve_right(mat_q(b), mat_q(a))
+    return solve_right(b, a)
 
 
 # --- group inverses ---------------------------------------------------------
+
+
+def _group_inverse(s: IntMat, ds: int) -> tuple[IntMat, int]:
+    """The group inverse of s / ds as integer rows over a positive
+    denominator; see ``group_inverse``."""
+    n, m = shape(s)
+    if n != m:
+        raise ValueError("not square")
+    rows, d, pivots = bareiss(s)
+    r = len(pivots)
+    if r == 0:
+        return zeros(n, n), 1
+    # s = b c with b = s's pivot columns / ds and c = rows[:r] / d, so
+    # (c b)^-1 = d ds w / dw for (w, dw) solving (c b)_int w = I
+    b = tuple(tuple(row[j] for j in pivots) for row in s)
+    c = rows[:r]
+    sol = solve_int(matmul_int(c, b), identity(r))
+    if sol is None:
+        raise NoGroupInverse("rank(s) != rank(s^2)")
+    w, dw = sol
+    # b (c b)^-2 c = d ds (b w w c) / dw^2
+    return scale_int(d * ds, matmul_int(matmul_int(b, matmul_int(w, w)), c)), dw * dw
 
 
 def group_inverse(s) -> Mat:
@@ -114,20 +139,7 @@ def group_inverse(s) -> Mat:
     invertible (equivalently rank(s) == rank(s @ s)), and then
     s# = b (c b)^-2 c.  Raises NoGroupInverse otherwise.
     """
-    s = mat_q(s)
-    n, m = shape(s)
-    if n != m:
-        raise ValueError("not square")
-    rr, pivots = rref(s)
-    r = len(pivots)
-    if r == 0:
-        return zeros(n, n)
-    b = tuple(tuple(row[c] for c in pivots) for row in s)
-    c = rr[:r]
-    w = solve_right(matmul(c, b), identity(r))
-    if w is None:
-        raise NoGroupInverse("rank(s) != rank(s^2)")
-    return matmul(matmul(b, matmul(w, w)), c)
+    return join(*_group_inverse(*split(s)))
 
 
 # --- decompositions ---------------------------------------------------------
@@ -135,8 +147,8 @@ def group_inverse(s) -> Mat:
 
 @dataclass(frozen=True)
 class Decomposition:
-    a: Mat
-    b: Mat
+    a: IntMat
+    b: IntMat
 
     def as_dict(self):
         return {"a": fmt_mat(self.a), "b": fmt_mat(self.b)}
@@ -145,20 +157,14 @@ class Decomposition:
 def left_decompose(alpha) -> Decomposition:
     """alpha = a# . b with integer parts, taking a = d I and b = d alpha
     for d the lcm of the denominators.  (d I)# = (1/d) I, so a# b = alpha."""
-    alpha = mat_q(alpha)
-    n, _ = shape(alpha)
-    d = lcm_denoms(alpha)
-    a = scalar_mul(d, identity(n))
-    b = scalar_mul(d, alpha)
-    return Decomposition(a=a, b=b)
+    b, d = split(alpha)
+    return Decomposition(a=scale_int(d, identity(len(b))), b=b)
 
 
 def right_decompose(alpha) -> Decomposition:
     """alpha = a . b# with integer parts, taking a = d alpha and b = d I."""
-    alpha = mat_q(alpha)
-    n, _ = shape(alpha)
-    d = lcm_denoms(alpha)
-    return Decomposition(a=scalar_mul(d, alpha), b=scalar_mul(d, identity(n)))
+    a, d = split(alpha)
+    return Decomposition(a=a, b=scale_int(d, identity(len(a))))
 
 
 def straight_left_decompose(alpha) -> Decomposition:
@@ -166,38 +172,42 @@ def straight_left_decompose(alpha) -> Decomposition:
     projector:  E projects onto the row space of alpha along a standard
     complement, so E @ alpha = alpha; scaling E and alpha by a common
     denominator-clearing factor gives an integer pair with a# b = alpha.
+
+    E = p diag(1, .., 1, 0, .., 0) p^-1, where p's columns are the r
+    nonzero rows of the RREF of alpha^T followed by the unit vectors of its
+    non-pivot columns; all of them are taken over the RREF rows' common
+    denominator, which cancels in E.
     """
-    alpha = mat_q(alpha)
-    n, _ = shape(alpha)
-    rr, pivots = rref(transpose(alpha))
-    cols = [tuple(rr[i]) for i in range(len(pivots))]
-    pivset = set(pivots)
-    for j in range(n):
-        if j not in pivset:
-            cols.append(tuple(Fraction(1) if i == j else Fraction(0) for i in range(n)))
-    p = transpose(tuple(cols))
+    al, da = split(alpha)
+    n = len(al)
+    rr, pivots = rref(transpose(al))
     r = len(pivots)
-    diag = tuple(
-        tuple(Fraction(1) if (i == j and i < r) else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-    e = matmul(matmul(p, diag), inverse(p))
-    m = lcm(lcm_denoms(e), lcm_denoms(alpha))
-    return Decomposition(a=scalar_mul(m, e), b=scalar_mul(m, alpha))
+    rows, d = split(rr[:r])
+    units = (tuple(d * (i == j) for i in range(n)) for j in range(n) if j not in pivots)
+    p = transpose((*rows, *units))
+    pinv, dp = solve_int(p, identity(n))
+    p_diag = tuple(tuple(x if j < r else 0 for j, x in enumerate(row)) for row in p)
+    e, de = lowest(matmul_int(p_diag, pinv), dp)
+    m = lcm(de, da)
+    return Decomposition(a=scale_int(m // de, e), b=scale_int(m // da, al))
+
+
+def _times_q(x: tuple[IntMat, int], y: tuple[IntMat, int]) -> tuple[IntMat, int]:
+    """The product of two rational matrices given as (rows, d), in lowest
+    terms."""
+    return lowest(matmul_int(x[0], y[0]), x[1] * y[1])
 
 
 def verify_decomposition(alpha, dec: Decomposition, mode: str) -> bool:
     """Recompose and compare exactly.  ``mode`` is 'left', 'right' or
     'straight'; left/straight recompose as a# @ b, right as a @ b#."""
-    alpha = mat_q(alpha)
-    if not linalg.is_integer_matrix(dec.a) or not linalg.is_integer_matrix(dec.b):
+    if not is_integer_matrix(dec.a) or not is_integer_matrix(dec.b):
         return False
+    a, b = split(dec.a), split(dec.b)
     if mode in ("left", "straight"):
-        ga = group_inverse(dec.a)
-        return matmul(ga, dec.b) == alpha
+        return _times_q(_group_inverse(*a), b) == split(alpha)
     if mode == "right":
-        gb = group_inverse(dec.b)
-        return matmul(dec.a, gb) == alpha
+        return _times_q(a, _group_inverse(*b)) == split(alpha)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -205,12 +215,12 @@ def straight_certificates(alpha, dec: Decomposition) -> dict:
     """Certificates that a straight decomposition is straight:
     a# (a b-ish) relations reduce to E acting as the identity on col(alpha),
     checked directly, plus rank agreement between a and alpha."""
-    alpha = mat_q(alpha)
-    ga = group_inverse(dec.a)
+    alpha, a = split(alpha), split(dec.a)
+    ga = _group_inverse(*a)
     return {
-        "projector_fixes_alpha": matmul(ga, matmul(dec.a, alpha)) == alpha,
-        "rank_match": rank(dec.a) == rank(alpha),
-        "recompose": matmul(ga, dec.b) == alpha,
+        "projector_fixes_alpha": _times_q(ga, _times_q(a, alpha)) == alpha,
+        "rank_match": rank(dec.a) == rank(alpha[0]),
+        "recompose": _times_q(ga, split(dec.b)) == alpha,
     }
 
 
@@ -276,7 +286,7 @@ def rand_int_matrix(rng: random.Random, n: int, low_rank_bias: float = 0.4) -> I
         k = rng.randint(1, n - 1)
         a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        return mat_z(matmul(a, b))
+        return matmul_int(a, b)
     return tuple(
         tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
     )

@@ -10,10 +10,11 @@ is keyed by sample index, so reports are deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from . import acts, matrix
 from ..report import Check, fmt_mat
-from .linalg import lcm_denoms, mat_q, matmul, scalar_mul, is_integer_matrix
+from .linalg import join, matmul_int, scale_int, solvable, solve_int, split, transpose
 from .acts import (
     ActEndo,
     compose,
@@ -45,12 +46,13 @@ RANKS = {"matrix": range(1, 5), "act": range(1, 4)}
 
 def matrix_route(side: str, a, b) -> bool:
     """a <= b by a route independent of ``matrix.greens_leq(side, a, b)``:
-    an explicit divisor for R and L; for Rstar and Lstar, the unstarred
-    order, which reads the integer matrices as rational ones."""
+    the solvability of a = g @ b for R and of a = b @ g for L; for Rstar
+    and Lstar, the unstarred order, which reads the integer matrices as
+    rational ones."""
     if side == "R":
-        return matrix.divides_left(a, b) is not None
+        return solvable(transpose(b), transpose(a))
     if side == "L":
-        return matrix.divides_right(a, b) is not None
+        return solvable(b, a)
     return matrix.greens_leq(side[0], a, b)
 
 
@@ -68,29 +70,35 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
         for check, side in ((fs_r, "Rstar"), (fs_l, "Lstar")):
             star = matrix.greens_leq(side, a, b)
             plain = matrix_route(side, a, b)
-            check.record(star == plain, {"a": fmt_mat(a), "b": fmt_mat(b),
-                                         side: star, side[0]: plain})
+            check.record(star == plain, lambda: {"a": fmt_mat(a), "b": fmt_mat(b),
+                                                 side: star, side[0]: plain})
 
         # informational: on a comparable pair alpha = Gamma b (rationally),
         # clearing denominators produces an integer witness gamma with
         # gamma b = m alpha, i.e. the kernel-side divisibility is realized
         # inside the integer monoid up to a positive scalar unit of the
-        # overmonoid.
-        g = matrix.rand_rational_matrix(rng, n)
-        alpha = matmul(g, mat_q(b))
-        gam = matrix.divides_left(alpha, mat_q(b))
-        if gam is None:
-            eiir.record(False, {"alpha": fmt_mat(alpha), "b": fmt_mat(b)})
+        # overmonoid.  In integers: alpha = g_b / dg, gamma = x^T / den
+        # solves b^T gamma^T = alpha^T, and gamma_int b = m alpha reads
+        # dg (gamma_int b) = m g_b.
+        g, dg = split(matrix.rand_rational_matrix(rng, n))
+        g_b = matmul_int(g, b)
+        witness = lambda: {"alpha": fmt_mat(join(g_b, dg)), "b": fmt_mat(b)}
+        sol = solve_int(transpose(b), transpose(g_b))
+        if sol is None:
+            eiir.record(False, witness)
             continue
-        m = lcm_denoms(gam)
-        gam_int = scalar_mul(m, gam)
-        product = matmul(gam_int, mat_q(b))
+        x, d = sol
+        den = d * dg  # gamma = x^T / den
+        # m is the lcm of gamma's denominators
+        m = den // gcd(den, *(y for row in x for y in row))
+        gam_den = scale_int(m, transpose(x))  # den * (m gamma)
+        gam_int = tuple(tuple(y // den for y in row) for row in gam_den)
         ok = (
-            is_integer_matrix(gam_int)
+            all(y % den == 0 for row in gam_den for y in row)
             and m >= 1
-            and product == scalar_mul(m, alpha)
+            and scale_int(dg, matmul_int(gam_int, b)) == scale_int(m, g_b)
         )
-        eiir.record(ok, {"alpha": fmt_mat(alpha), "b": fmt_mat(b)})
+        eiir.record(ok, witness)
 
     return [fs_r, fs_l, eiir]
 
@@ -183,6 +191,13 @@ def _kernel_preserving_twin(rng: random.Random, beta: ActEndo) -> ActEndo:
     return twin
 
 
+def _witness(**parts):
+    """A witness built only when its sample fails: act endomorphisms as
+    dicts, other values as they are."""
+    return lambda: {k: v.as_dict() if isinstance(v, ActEndo) else v
+                    for k, v in parts.items()}
+
+
 def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
     if n not in RANKS["act"]:
         raise ValueError("act suite supports ranks 1..3")
@@ -203,14 +218,14 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
     for k in range(samples):
         alpha = rand_act_endo(rng, n)
         beta = rand_act_endo(rng, n)
-        pair_info = {"alpha": alpha.as_dict(), "beta": beta.as_dict()}
 
         # full stratification: structural predicates vs element-level routes
         for check, side in ((fs_r, "Rstar"), (fs_l, "Lstar")):
             structural = acts.greens_leq(side, alpha, beta)
             elementwise = act_route(side, alpha, beta)
             check.record(structural == elementwise,
-                         dict(pair_info, **{side: structural, side[0]: elementwise}))
+                         _witness(alpha=alpha, beta=beta,
+                                  **{side: structural, side[0]: elementwise}))
 
         # (Ei): both relation compositions hold exactly when a bridge
         # element exists, which happens iff the ranks agree
@@ -219,7 +234,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         ranks_equal = acts.act_rank(alpha) == acts.act_rank(beta)
         ei.record(
             (lr is not None) == ranks_equal and (rl is not None) == ranks_equal,
-            dict(pair_info, ranks_equal=ranks_equal),
+            _witness(alpha=alpha, beta=beta, ranks_equal=ranks_equal),
         )
 
         # (Eii)(l): construct a comparable pair and verify gamma_left
@@ -227,7 +242,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         g = gamma_left(below, beta)
         eii_l.record(
             pc_image(compose(g, beta)) == pc_image(below),
-            {"alpha": below.as_dict(), "beta": beta.as_dict()},
+            _witness(alpha=below, beta=beta),
         )
 
         # (Eii)(r): alpha' = beta-then-theta is kernel-comparable; verify
@@ -237,7 +252,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         g = gamma_right(above, beta)
         eii_r.record(
             kernel_key(compose(beta, g)) == kernel_key(above),
-            {"alpha": above.as_dict(), "beta": beta.as_dict()},
+            _witness(alpha=above, beta=beta),
         )
 
         # (Eiii): idempotents in the same starred classes
@@ -246,14 +261,14 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
             compose(eps, eps) == eps
             and pc_image(eps) == pc_image(alpha)
             and is_square_cancellable(eps),
-            {"alpha": alpha.as_dict(), "eps": eps.as_dict()},
+            _witness(alpha=alpha, eps=eps),
         )
         eps = rstar_idempotent(alpha)
         eiii_r.record(
             compose(eps, eps) == eps
             and kernel_key(eps) == kernel_key(alpha)
             and is_square_cancellable(eps),
-            {"alpha": alpha.as_dict(), "eps": eps.as_dict()},
+            _witness(alpha=alpha, eps=eps),
         )
 
         # cancellation conditions around a square-cancellable element
@@ -263,7 +278,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         lhs_equal = compose(b1, sq) == compose(b2, sq)
         evi_l.record(
             lhs_equal == (b1 == b2),
-            {"alpha": sq.as_dict(), "beta": b1.as_dict(), "gamma": b2.as_dict()},
+            _witness(alpha=sq, beta=b1, gamma=b2),
         )
 
         c1 = _rand_kernel_above(rng, sq)
@@ -271,7 +286,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         lhs_equal = compose(sq, c1) == compose(sq, c2)
         evi_r.record(
             lhs_equal == (c1 == c2),
-            {"alpha": sq.as_dict(), "beta": c1.as_dict(), "gamma": c2.as_dict()},
+            _witness(alpha=sq, beta=c1, gamma=c2),
         )
 
         # (Evii)(r): kernel-level cancellation, with kernel-preserving
@@ -282,7 +297,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         concl = kernel_key(c1) == kernel_key(c2)
         evii_r.record(
             (not hyp) or concl,
-            {"alpha": sq.as_dict(), "beta": c1.as_dict(), "gamma": c2.as_dict()},
+            _witness(alpha=sq, beta=c1, gamma=c2),
         )
         if hyp:
             evii_r.details["nonvacuous"] = evii_r.details.get("nonvacuous", 0) + 1
@@ -297,7 +312,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
             and target_set(u) == target_set(sq)
             and kernel_key(v) == kernel_key(sq)
             and target_set(v) == target_set(sq),
-            {"alpha": sq.as_dict(), "a": a_el.as_dict(), "b": b_el.as_dict()},
+            _witness(alpha=sq, a=a_el, b=b_el),
         )
 
     return [fs_r, fs_l, ei, eii_l, eii_r, eiii_l, eiii_r, evi_l, evi_r,

@@ -25,12 +25,15 @@ class Check:
 
     def record(self, ok: bool, witness=None) -> None:
         """Count one sample; a failing one fails the check and keeps the
-        first three witnesses."""
+        first three witnesses.  A callable witness is called, with no
+        arguments, only when it is kept."""
         self.details["samples"] += 1
         if not ok:
             self.outcome = "fail"
             self.details["failed"] = self.details.get("failed", 0) + 1
             if len(self.details["failures"]) < 3:
+                if callable(witness):
+                    witness = witness()
                 self.details["failures"].append(witness)
 
 

@@ -138,7 +138,7 @@ def test_endomorphisms_size_eight():
 
 
 def test_endomorphisms_size_cap():
-    # 8^7 endomorphisms: the search tree exceeds the node budget
+    # 8^7 generator assignments exceed ENDO_ASSIGNMENT_CAP: refused before any search
     trivial = cat.make_instance(
         "group_action", size=8, generators=[list(range(8))], constants=[0]
     )

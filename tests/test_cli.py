@@ -424,6 +424,20 @@ USAGE_ERRORS = [
     (["decompose", "--mode", "straight", "--input", "-"],
      '{"alpha": [[1, 2, 3], [4, 5, 6]]}'),
     (["decompose", "--input", "-"], '{"alpha": []}'),
+    # entries too long to print: refused from the exponent before they are
+    # built, as a JSON integer, or when a result entry grows past the limit
+    (["greens", "--backend", "matrix", "--input", "-"],
+     '{"a": [["1e5000", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["greens", "--backend", "matrix", "--input", "-"],
+     '{"a": [["1e999999999", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["greens", "--side", "L", "--input", "-"],
+     '{"a": [["-2.5E-4400", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["decompose", "--mode", "left", "--input", "-"],
+     '{"alpha": [["1e5000", 0], [0, 1]]}'),
+    (["greens", "--input", "-"],
+     '{"a": [[1' + "0" * 5000 + ', 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+    (["decompose", "--mode", "left", "--input", "-"],
+     '{"alpha": [["1e2500", 0], [0, "1e-2000"]]}'),
     (["greens", "--backend", "act", "--input", "-"],
      '{"a": {"shifts": [0], "targets": [1]}, '
      '"b": {"shifts": [0, 0], "targets": [1, 2]}}'),
@@ -459,3 +473,14 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         assert out == ""
         assert "error:" in err, (argv, stdin)
         assert "Traceback" not in err
+
+
+def test_matrix_entries_up_to_the_digit_limit_are_read(capsys, monkeypatch):
+    import io
+
+    # 10^4299 has 4300 digits, the most a report may print
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"a": [["1e4299", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'))
+    code, rep, _ = run_json(capsys, "greens", "--side", "L", "--input", "-")
+    assert code == 0
+    assert rep["checks"][0]["details"]["a"][0][0] == "1" + "0" * 4299

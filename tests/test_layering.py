@@ -1,7 +1,10 @@
-"""No module of the package imports a private (underscore) name of another.
+"""Layering rules, checked on the source with ``ast``.
 
-Each module under ``src/indalg`` is parsed with ``ast``; an ``import``
-that reaches into the package and binds an underscore name fails the test.
+No module of the package imports a private (underscore) name of another:
+an ``import`` that reaches into the package and binds an underscore name
+fails the test.  In ``orders/linalg.py`` neither the rational half nor the
+integer-lattice half uses a function of the other, so the two Green's
+routes the suites cross-check stay independent.
 """
 
 import ast
@@ -43,3 +46,47 @@ def test_checker_flags_private_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_imports_another_modules_private_names(path):
     assert private_imports(path.read_text()) == []
+
+
+LINALG = ROOT / "orders" / "linalg.py"
+HALVES = ("# --- rational routines", "# --- integer lattice routines")
+
+
+def cross_half_uses(source: str) -> list[str]:
+    """``f -> g`` for each top-level function f of one half of a linalg-like
+    source that names a top-level function g of the other half.  A half
+    runs from its ``HALVES`` comment to the next one or the end; functions
+    before the first are shared by both."""
+    starts = [next(n for n, line in enumerate(source.splitlines(), 1)
+                   if line.startswith(marker)) for marker in HALVES]
+    half = {node.name: (sum(node.lineno > s for s in starts), node)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    out = []
+    for name, (side, node) in half.items():
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Name) and sub.id in half and side
+                    and half[sub.id][0] not in (0, side)):
+                out.append(f"{name} -> {sub.id}")
+    return out
+
+
+def test_checker_flags_cross_half_uses():
+    source = "\n".join([
+        "def shape(a): return len(a)",
+        "# --- rational routines",
+        "def rank(a): return len(hnf(a)) + shape(a)",
+        "def solve(a): return rank(a)",
+        "# --- integer lattice routines",
+        "def hnf(a): return shape(a)",
+        "def kernel(a): return list(map(solve, a))",
+    ])
+    assert cross_half_uses(source) == ["rank -> hnf", "kernel -> solve"]
+    assert cross_half_uses(source.replace("hnf(a)) +", "a) +")
+                           .replace("map(solve", "map(hnf")) == []
+
+
+def test_linalg_halves_do_not_use_each_other():
+    source = LINALG.read_text()
+    assert all(marker in source for marker in HALVES)
+    assert cross_half_uses(source) == []

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indalg.orders import linalg as la
 
@@ -448,3 +448,120 @@ def test_nullspace_vectors_are_annihilated(a):
         assert all(x == 0 for row in _product(a, [[x] for x in v]) for x in row)
     if basis:
         assert len(_rref_oracle(basis)[1]) == len(basis)
+
+
+# --- oracles for the integer-rows-over-one-denominator kernel -----------------
+
+
+def _oracle_kernel(a):
+    """The RREF kernel basis: 1 at each free column, minus the RREF entries
+    at the pivots."""
+    r, pivots = _rref_oracle(a)
+    basis = []
+    for free in range(len(a[0])):
+        if free not in pivots:
+            v = [Fraction(0)] * len(a[0])
+            v[free] = Fraction(1)
+            for row, p in zip(r, pivots):
+                v[p] = -row[free]
+            basis.append(v)
+    return basis
+
+
+def _oracle_solution(a, b):
+    """X with a @ X = b read off the RREF of [a | b], free variables zero;
+    None when a pivot falls in b's columns."""
+    m = len(a[0])
+    r, pivots = _rref_oracle([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if any(p >= m for p in pivots):
+        return None
+    x = [[Fraction(0)] * len(b[0]) for _ in range(m)]
+    for row, p in zip(r, pivots):
+        x[p] = list(row[m:])
+    return [tuple(row) for row in x]
+
+
+# Bareiss ends [[1, 2], [3, 4]] on the pivot -2 and [[0, 1], [-1, 0]]
+# (rows swapped) on -1; the zero matrix has no pivot, [[2, 4], [1, 2]] one
+@settings(max_examples=400)
+@given(rational_matrices())
+@example([[1, 2], [3, 4]])
+@example([[0, 1], [-1, 0]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 4], [1, 2]])
+def test_bareiss_rank_and_kernel_match_the_oracle(a):
+    r, pivots = _rref_oracle(a)
+    rows, d, got_pivots = la.bareiss(la.split(a)[0])
+    assert d > 0 and got_pivots == pivots
+    assert la.join(rows, d) == r
+    assert la.rank(a) == len(pivots)
+    kernel = la.nullspace(a)
+    assert all(type(x) is int for v in kernel for x in v)
+    oracle = _oracle_kernel(a)
+    assert len(kernel) == len(oracle)
+    for v, w in zip(kernel, oracle):
+        free = next(j for j, x in enumerate(w) if x == 1 and j not in pivots)
+        assert v[free] > 0  # a positive scale of the oracle vector
+        assert [Fraction(x, v[free]) for x in v] == w
+
+
+@settings(max_examples=400)
+@given(rational_matrices(max_cols=5), st.data())
+@example([[1, 2], [2, 4]], None)
+@example([[0, 0], [0, 0]], None)
+def test_solvability_and_solutions_match_the_oracle(a, data):
+    if data is None:  # the explicit examples: a right-hand side off the image
+        b = [[1], [0]]
+    else:
+        k = data.draw(st.integers(1, 3))
+        b = (_product(a, data.draw(_rational_rows(len(a[0]), k)))
+             if data.draw(st.booleans()) else data.draw(_rational_rows(len(a), k)))
+    want = _oracle_solution(a, b)
+    assert la.solvable(a, b) == (want is not None)
+    assert la.solve_right(a, b) == (None if want is None else tuple(want))
+    sol = la.solve_int(a, b)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        x, d = sol
+        assert d > 0 and all(type(y) is int for row in x for y in row)
+        assert la.join(x, d) == tuple(want)
+    # X @ a = c, which is a^T @ X^T = c^T; c in a's row space half the time
+    if data is None:
+        c = [list(col) for col in zip(*b)]
+    else:
+        k = data.draw(st.integers(1, 3))
+        c = (_product(data.draw(_rational_rows(k, len(a))), a)
+             if data.draw(st.booleans()) else data.draw(_rational_rows(k, len(a[0]))))
+    left = _oracle_solution(list(zip(*a)), list(zip(*c)))
+    assert la.solve_left(a, c) == (None if left is None else tuple(zip(*left)))
+
+
+@settings(max_examples=300)
+@given(rational_matrices(max_rows=4, max_cols=4), st.data())
+def test_products_and_inverse_match_the_oracle(a, data):
+    b = data.draw(_rational_rows(len(a[0]), data.draw(st.integers(1, 4))))
+    (x, dx), (y, dy) = la.split(a), la.split(b)
+    assert la.matmul(a, b) == tuple(map(tuple, _product(a, b)))
+    assert la.join(la.matmul_int(x, y), dx * dy) == la.matmul(a, b)
+    assert la.lowest(la.matmul_int(x, y), dx * dy) == la.split(la.matmul(a, b))
+    c = data.draw(rational_entries)
+    assert la.scalar_mul(c, a) == tuple(tuple(c * Fraction(v) for v in row) for row in a)
+    square = [row[:len(a)] for row in a] if len(a[0]) >= len(a) else None
+    if square is None:
+        return
+    n = len(square)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    want = _oracle_solution(square, eye)
+    if want is None:
+        with pytest.raises(ValueError):
+            la.inverse(square)
+    else:
+        assert la.inverse(square) == tuple(want)
+        assert _product(square, want) == [list(map(Fraction, row)) for row in eye]
+
+
+def test_split_is_lowest_terms():
+    a = [[Fraction(1, 6), Fraction(-3, 4)], [2, 0]]
+    assert la.split(a) == (((2, -9), (24, 0)), 12)
+    assert la.lowest(((4, -18), (48, 0)), 24) == la.split(a)
+    assert la.split([[0, 0]]) == (((0, 0),), 1)
