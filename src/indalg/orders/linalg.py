@@ -12,10 +12,12 @@ pivot columns: ``rank``, ``col_space_leq`` and ``solvable`` read only the
 pivots, ``nullspace`` and ``solve_int`` read integer vectors off the rows.
 
 The integer half never touches ``Fraction``.  Its unimodular kernel
-``_echelon`` echelons integer rows by Euclidean row operations;
-``hnf_rows`` finishes that into the canonical Hermite normal form, which
-decides ``lattice_leq``; ``left_kernel_int`` echelons ``[m | I]`` and
-reads the kernel off the identity tails; ``saturation`` is a double kernel.
+``_echelon`` makes one pass per pivot row, clearing the column below it
+by one extended-Euclid 2 x 2 step per live row; ``hnf_rows`` finishes
+that into the canonical Hermite normal form; ``left_kernel_int`` echelons
+``[m | I]`` and reads the kernel off the identity tails.  Each starred
+Green's order is one such integer kernel (``matrix.greens_leq``);
+``saturation``, a double kernel, is not on that path.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ from operator import attrgetter, mul
 
 Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[int, ...], ...]
-
-
-def mat_q(rows) -> Mat:
-    """Coerce an iterable of iterables to a rational matrix."""
-    return tuple(tuple(map(Fraction, row)) for row in rows)
 
 
 def mat_z(rows) -> IntMat:
@@ -156,18 +153,9 @@ def nullspace(a) -> IntMat:
     return tuple(basis)
 
 
-def apply_mat(a, v) -> tuple[Fraction, ...]:
-    return tuple(row[0] for row in matmul(a, [(x,) for x in v]))
-
-
 def matmul(a, b) -> Mat:
     (x, dx), (y, dy) = split(a), split(b)
     return join(matmul_int(x, y), dx * dy)
-
-
-def scalar_mul(c, a) -> Mat:
-    x, d = split(a)
-    return join(scale_int(c.numerator, x), d * c.denominator)
 
 
 def solvable(a, b) -> bool:
@@ -215,10 +203,6 @@ def inverse(a) -> Mat:
     return join(*sol)
 
 
-def lcm_denoms(a) -> int:
-    return split(a)[1]
-
-
 def is_integer_matrix(a) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 
@@ -226,30 +210,55 @@ def is_integer_matrix(a) -> bool:
 # --- integer lattice routines --------------------------------------------
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s a + t b a gcd of a and b (of either sign)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
 def _echelon(rows, ncols: int) -> tuple[list[list[int]], int]:
     """Row echelon form of integer rows over their first ``ncols`` columns.
 
-    Only unimodular row operations are used (swaps and subtracting integer
-    multiples, Euclid's algorithm down each column; Cohen, *A Course in
-    Computational Algebraic Number Theory*, 2.4), so the rows keep
-    spanning the same lattice.  Returns the rows and the rank r: rows[:r]
-    have pivots moving strictly right within the first ``ncols`` columns,
-    and rows[r:] vanish there.
+    Only unimodular row operations are used (Euclid's algorithm down each
+    column; Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4), so the rows keep spanning the same lattice.  In column c the
+    first live row becomes the pivot row x, and each later row y with
+    b = y[c] != 0 is cleared in one step: y -= (b / a) x when a = x[c]
+    divides b, else, with g = s a + t b = gcd(a, b), the 2 x 2 step of
+    determinant 1  x, y <- s x + t y, (a/g) y - (b/g) x.  Returns the rows
+    and the rank r: rows[:r] have pivots moving strictly right within the
+    first ``ncols`` columns, and rows[r:] vanish there.
     """
     work = [list(row) for row in rows]
-    r = 0
+    n, r = len(work), 0
     for c in range(ncols):
-        while live := [i for i in range(r, len(work)) if work[i][c]]:
-            if len(live) == 1:
-                work[r], work[live[0]] = work[live[0]], work[r]
-                r += 1
-                break
-            p = min(live, key=lambda i: abs(work[i][c]))
-            for i in live:
-                if i != p:
-                    q = work[i][c] // work[p][c]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[p])]
-        if r == len(work):
+        p = next((i for i in range(r, n) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        x = work[r]
+        for i in range(r + 1, n):
+            y = work[i]
+            b = y[c]
+            if not b:
+                continue
+            a = x[c]
+            q, rem = divmod(b, a)
+            if not rem:
+                work[i] = [yj - q * xj for yj, xj in zip(y, x)]
+                continue
+            g, s, t = _xgcd(a, b)
+            a, b = a // g, b // g
+            work[i] = [a * yj - b * xj for yj, xj in zip(y, x)]
+            x = [s * xj + t * yj for xj, yj in zip(x, y)]
+        work[r] = x
+        r += 1
+        if r == n:
             break
     return work, r
 
@@ -270,13 +279,6 @@ def hnf_rows(rows) -> IntMat:
             if q:
                 work[above] = [x - q * y for x, y in zip(work[above], row)]
     return tuple(map(tuple, work))
-
-
-def lattice_leq(rows_a, rows_b) -> bool:
-    """True iff the row lattice of rows_a is contained in that of rows_b:
-    adding rows_a to rows_b leaves the canonical HNF unchanged."""
-    h = hnf_rows(rows_b)
-    return hnf_rows([*h, *rows_a]) == h
 
 
 def left_kernel_int(m: IntMat) -> IntMat:

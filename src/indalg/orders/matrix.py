@@ -10,9 +10,12 @@ and column spaces:
   equivalent to solvability of a = g @ b;
 * ``greens_leq(side="L")``  -- column-space containment, equivalent to
   solvability of a = b @ g;
-* the starred variants apply to integer matrices and are computed with
-  integer lattice arithmetic (Hermite forms and saturations) so that they
-  are independent of the rational route used for the unstarred ones.
+* the starred variants apply to integer matrices and are each one integer
+  kernel, independent of the rational route used for the unstarred ones:
+  ``Rstar`` asks whether a kills the integer right kernel of b, and
+  ``Lstar``, containment of the pure closures (saturations) of the column
+  lattices, is its transpose dual: every integer x with x b = 0 has
+  x a = 0.
 
 Composition convention: "apply a, then b" is the matrix product b @ a.
 """
@@ -34,7 +37,7 @@ from .linalg import (
     identity,
     is_integer_matrix,
     join,
-    lattice_leq,
+    left_kernel_int,
     lowest,
     mat_z,
     matmul_int,
@@ -42,12 +45,10 @@ from .linalg import (
     rank,
     right_kernel_int,
     rref,
-    saturation,
     scale_int,
     shape,
     solve_int,
     solve_left,
-    solve_right,
     split,
     transpose,
     zeros,
@@ -66,7 +67,8 @@ def greens_leq(side: str, a, b) -> bool:
     """Green's order comparisons for matrix endomorphisms.
 
     R and L compare rational matrices; Rstar and Lstar compare integer
-    matrices through lattice arithmetic.
+    matrices through one integer kernel each, so Lstar(a, b) is
+    Rstar(a^T, b^T).
     """
     if side == "R":
         return _annihilates(split(a)[0], nullspace(b))
@@ -77,7 +79,7 @@ def greens_leq(side: str, a, b) -> bool:
         return _annihilates(a, right_kernel_int(b))
     if side == "Lstar":
         a, b = mat_z(a), mat_z(b)
-        return lattice_leq(pc_closure_cols(a), pc_closure_cols(b))
+        return _annihilates(transpose(a), left_kernel_int(b))
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -86,22 +88,12 @@ def _annihilates(rows, vectors) -> bool:
     return all(not any(sum(map(mul, row, v)) for row in rows) for v in vectors)
 
 
-def pc_closure_cols(a: IntMat) -> IntMat:
-    """Canonical basis of the pure closure of the column lattice of a."""
-    return saturation(transpose(a), len(a))
-
-
-# --- divisibility criteria (the second route to R and L) --------------------
+# --- divisibility (the second route to R) ------------------------------------
 
 
 def divides_left(a, b) -> Mat | None:
     """g with a = g @ b if one exists (a is a left multiple of b)."""
     return solve_left(b, a)
-
-
-def divides_right(a, b) -> Mat | None:
-    """g with a = b @ g if one exists (a is a right multiple of b)."""
-    return solve_right(b, a)
 
 
 # --- group inverses ---------------------------------------------------------

@@ -1,0 +1,24 @@
+"""Matrix helpers for tests: rational coercion and lattice containment.
+
+The library compares lattices only through integer kernels, so the
+containment test by canonical Hermite forms lives beside the tests, where
+it is the oracle for the starred Green's orders.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from indalg.orders import linalg as la
+
+
+def mat_q(rows) -> la.Mat:
+    """Coerce an iterable of iterables to a rational matrix."""
+    return tuple(tuple(map(Fraction, row)) for row in rows)
+
+
+def lattice_leq(rows_a, rows_b) -> bool:
+    """True iff the row lattice of rows_a is contained in that of rows_b:
+    adding rows_a to rows_b leaves the canonical HNF unchanged."""
+    h = la.hnf_rows(rows_b)
+    return la.hnf_rows([*h, *rows_a]) == h

@@ -182,6 +182,30 @@ def test_right_translation_homogeneity():
     assert report["failures"] == []
 
 
+# generator indices up to 2^70, exponents up to 2^64
+wide_words = st.lists(
+    st.tuples(st.one_of(st.integers(1, 12), st.integers(1, 2**70)), we.exponents),
+    max_size=6,
+).map(wd.reduce)
+STARTS = ("free", "w2 starts with the index", "w2 w' starts with the index")
+
+
+@given(wide_words, wide_words, wide_words, st.sampled_from(STARTS), we.exponents,
+       st.integers(6, 2**69).map(lambda k: 2 * k))
+@example((), ((1, 1),), (), STARTS[2], -1, 12)  # h.g(w1 w', w2 w') cancels to 1
+@example(((3, 1),), ((5, 2),), ((2**70, -7),), STARTS[2], 2, 12)
+@example((), ((1, 1),), ((1, -1),), STARTS[1], 1, 2**71)  # w2 w' = z_idx
+def test_g_is_right_translation_homogeneous_on_wide_words(w1, w2, wp, start, e, idx):
+    h = HMap()
+    if start == STARTS[1]:  # pin w1 w2^-1 to w2's first generator
+        w2 = wd.reduce(((idx, e),) + w2)
+        h = HMap({wd.div(w1, w2): idx})
+    elif start == STARTS[2]:  # w' = w2^-1 z_idx^e w', so w2 w' = z_idx^e w'
+        idx = h.lookup(wd.div(w1, w2))
+        wp = wd.div(wd.reduce(((idx, e),) + wp), w2)
+    assert h.g(mul(w1, wp), mul(w2, wp)) == mul(h.g(w1, w2), wp)
+
+
 def test_classify_variable_and_nu_lift():
     h = HMap()
     f = ce.classify(Var(2), h)

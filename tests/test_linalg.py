@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from indalg.orders import linalg as la
 
+from linalg_oracles import lattice_leq, mat_q
+
 
 def _rand_q(rng, r, c):
-    return la.mat_q(
+    return mat_q(
         [
             [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(c)]
             for _ in range(r)
@@ -23,7 +25,7 @@ def _rand_z(rng, r, c, bound=6):
 
 
 def test_rref_shape_and_pivots():
-    a = la.mat_q([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    a = mat_q([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     r, pivots = la.rref(a)
     assert pivots == (0, 1)
     assert la.rank(a) == 2
@@ -50,9 +52,9 @@ def test_nullspace_is_annihilated_and_spans():
         basis = la.nullspace(a)
         assert len(basis) == cols - la.rank(a)
         for v in basis:
-            assert all(x == 0 for x in la.apply_mat(a, v))
+            assert all(row == (0,) for row in la.matmul(a, [(x,) for x in v]))
         if basis:
-            stacked = la.mat_q([list(v) for v in basis])
+            stacked = mat_q([list(v) for v in basis])
             assert la.rank(stacked) == len(basis)
 
 
@@ -67,8 +69,8 @@ def test_solve_right():
         assert x is not None
         assert la.matmul(a, x) == b
     # unsolvable case: second row of b is outside the image
-    a = la.mat_q([[1, 0], [0, 0]])
-    b = la.mat_q([[0, 0], [1, 0]])
+    a = mat_q([[1, 0], [0, 0]])
+    b = mat_q([[0, 0], [1, 0]])
     assert la.solve_right(a, b) is None
 
 
@@ -83,14 +85,14 @@ def test_solve_left():
         assert got is not None
         assert la.matmul(got, b) == a
     # row space of the target escapes the row space of the base
-    a = la.mat_q([[1, 0], [0, 0]])
-    b = la.mat_q([[0, 1], [0, 0]])
+    a = mat_q([[1, 0], [0, 0]])
+    b = mat_q([[0, 1], [0, 0]])
     assert la.solve_left(a, b) is None
 
 
 def test_col_space_leq():
-    a = la.mat_q([[1], [1]])
-    b = la.mat_q([[1, 0], [0, 1]])
+    a = mat_q([[1], [1]])
+    b = mat_q([[1, 0], [0, 1]])
     assert la.col_space_leq(a, b)
     assert not la.col_space_leq(b, a)
     assert la.col_space_leq(a, a)
@@ -113,12 +115,11 @@ def test_inverse_round_trip():
 
 
 def test_clear_denominators():
-    a = la.mat_q([[Fraction(1, 2), Fraction(2, 3)], [1, 0]])
-    m = la.lcm_denoms(a)
+    a = mat_q([[Fraction(1, 2), Fraction(2, 3)], [1, 0]])
+    cleared, m = la.split(a)
     assert m == 6
-    cleared = la.mat_z(la.scalar_mul(m, a))
-    assert la.is_integer_matrix(cleared)
-    assert cleared == la.scalar_mul(Fraction(m), a)
+    assert cleared == la.mat_z(tuple(tuple(m * x for x in row) for row in a))
+    assert la.join(cleared, m) == a
 
 
 def test_hnf_rows_canonical():
@@ -141,26 +142,26 @@ def test_hnf_rows_random_canonicality():
         sign_flipped = [[-x for x in r] if rng.random() < 0.5 else r for r in shuffled]
         assert la.hnf_rows(sign_flipped + rows) == h1
         for row in h1:
-            assert la.lattice_leq([row], h1)
+            assert lattice_leq([row], h1)
         for row in rows:
-            assert la.lattice_leq([row], h1)
+            assert lattice_leq([row], h1)
 
 
 def test_in_row_lattice_strictness():
     h = la.hnf_rows([[2, 0], [0, 2]])
-    assert la.lattice_leq([(4, -2)], h)
-    assert not la.lattice_leq([(1, 0)], h)
-    assert not la.lattice_leq([(2, 1)], h)
+    assert lattice_leq([(4, -2)], h)
+    assert not lattice_leq([(1, 0)], h)
+    assert not lattice_leq([(2, 1)], h)
 
 
 def test_lattice_leq():
     fine = [[1, 0], [0, 1]]
     coarse = [[2, 0], [0, 2]]
-    assert la.lattice_leq(coarse, fine)
-    assert not la.lattice_leq(fine, coarse)
-    assert la.lattice_leq([], fine)
-    assert la.lattice_leq([], [])
-    assert not la.lattice_leq([[1, 0]], [])
+    assert lattice_leq(coarse, fine)
+    assert not lattice_leq(fine, coarse)
+    assert lattice_leq([], fine)
+    assert lattice_leq([], [])
+    assert not lattice_leq([[1, 0]], [])
 
 
 def test_left_kernel_int():
@@ -181,7 +182,7 @@ def test_left_kernel_int_random_completeness():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _rand_z(rng, rows, cols)
         k = la.left_kernel_int(m)
-        rational_nullity = rows - la.rank(la.mat_q(m))
+        rational_nullity = rows - la.rank(mat_q(m))
         assert len(k) == rational_nullity
         for v in k:
             assert all(
@@ -213,15 +214,15 @@ def test_saturation_contains_originals_and_is_saturated():
         ]
         s = la.saturation(rows, dim)
         for row in rows:
-            assert la.lattice_leq([row], s)
+            assert lattice_leq([row], s)
         assert la.saturation(s, dim) == s
         if s:
             assert math.gcd(*s[0]) >= 1
 
 
 def test_is_integer_matrix_and_content():
-    assert la.is_integer_matrix(la.mat_q([[1, 2], [3, 4]]))
-    assert not la.is_integer_matrix(la.mat_q([[Fraction(1, 2)]]))
+    assert la.is_integer_matrix(mat_q([[1, 2], [3, 4]]))
+    assert not la.is_integer_matrix(mat_q([[Fraction(1, 2)]]))
     assert math.gcd(4, -6, 8) == 2
     assert math.gcd(0, 0) == 0
 
@@ -310,7 +311,7 @@ def test_saturation_idempotent_and_contains_input(rows):
     dim = len(rows[0]) if rows else 3
     s = la.saturation(rows, dim)
     assert la.saturation(s, dim) == s
-    assert la.lattice_leq(rows, s)
+    assert lattice_leq(rows, s)
     assert len(s) == la.rank(rows)
     assert _is_saturated(s)
 
@@ -331,7 +332,52 @@ def test_lattice_leq_agrees_with_rational_solve(rows, data):
         oracle = x is not None and all(c.denominator == 1 for c in x[0])
     else:
         oracle = not any(v)
-    assert la.lattice_leq([v], h) == oracle
+    assert lattice_leq([v], h) == oracle
+
+
+# --- the one-pass echelon, seen through hnf_rows and left_kernel_int ---------
+
+# entries of 200 bits and more next to small ones, so the 2 x 2 Euclid steps
+# meet coefficient growth
+wide_ints = st.one_of(
+    st.integers(-6, 6),
+    st.integers(2**200, 2**264).flatmap(lambda x: st.sampled_from((x, -x))),
+)
+
+
+@st.composite
+def wide_int_rows(draw):
+    """1-5 integer rows of width 1-4 with wide entries: random, or a thin
+    product of wide factors (rank-deficient, so kernels are wide too)."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return [draw(st.lists(wide_ints, min_size=cols, max_size=cols)) for _ in range(rows)]
+    k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    left = [draw(st.lists(wide_ints, min_size=k, max_size=k)) for _ in range(rows)]
+    right = [draw(st.lists(wide_ints, min_size=cols, max_size=cols)) for _ in range(k)]
+    return [list(row) for row in la.matmul_int(left, right)]
+
+
+@settings(max_examples=300)
+@given(wide_int_rows(), st.data())
+def test_hnf_rows_unchanged_by_an_added_integer_combination(rows, data):
+    coeffs = data.draw(st.lists(wide_ints, min_size=len(rows), max_size=len(rows)))
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+    at = data.draw(st.integers(0, len(rows)))
+    assert la.hnf_rows(rows[:at] + [combo] + rows[at:]) == la.hnf_rows(rows)
+
+
+@settings(max_examples=300)
+@given(wide_int_rows())
+def test_left_kernel_int_is_complete_on_wide_entries(m):
+    k = la.left_kernel_int(m)
+    cols = len(m[0])
+    for v in k:
+        assert all(sum(v[i] * m[i][j] for i in range(len(m))) == 0 for j in range(cols))
+    # rank k - rank(m) and saturated: k spans every integer kernel vector
+    assert len(k) == len(m) - la.rank(m)
+    assert _is_saturated(k)
+    assert la.hnf_rows(k) == k
 
 
 # --- property tests for the rational kernel -----------------------------------
@@ -409,11 +455,9 @@ def test_rref_matches_fraction_gauss_jordan(a):
 
 @settings(max_examples=300)
 @given(rational_matrices(), st.data())
-def test_matmul_and_apply_mat_match_plain_products(a, data):
+def test_matmul_matches_plain_products(a, data):
     b = data.draw(_rational_rows(len(a[0]), data.draw(st.integers(1, 5))))
     assert la.matmul(a, b) == tuple(map(tuple, _product(a, b)))
-    v = b[0]
-    assert la.apply_mat(a, v) == tuple(row[0] for row in _product(a, [[x] for x in v]))
 
 
 @settings(max_examples=300)
@@ -544,8 +588,9 @@ def test_products_and_inverse_match_the_oracle(a, data):
     assert la.matmul(a, b) == tuple(map(tuple, _product(a, b)))
     assert la.join(la.matmul_int(x, y), dx * dy) == la.matmul(a, b)
     assert la.lowest(la.matmul_int(x, y), dx * dy) == la.split(la.matmul(a, b))
-    c = data.draw(rational_entries)
-    assert la.scalar_mul(c, a) == tuple(tuple(c * Fraction(v) for v in row) for row in a)
+    c = data.draw(st.integers(-9, 9))
+    assert la.join(la.scale_int(c, x), dx) == tuple(tuple(c * Fraction(v) for v in row)
+                                                    for row in a)
     square = [row[:len(a)] for row in a] if len(a[0]) >= len(a) else None
     if square is None:
         return

@@ -1,16 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indalg.orders import linalg as la
 from indalg.orders import matrix as mx
 from indalg.orders.matrix import NoGroupInverse
 
+from linalg_oracles import lattice_leq, mat_q
+
 
 def q(rows):
-    return la.mat_q(rows)
+    return mat_q(rows)
 
 
 def z(rows):
@@ -37,7 +40,7 @@ def test_l_order_is_image_containment():
         a = mx.rand_rational_matrix(rng, n)
         b = mx.rand_rational_matrix(rng, n)
         via_cols = mx.greens_leq("L", a, b)
-        assert via_cols == (mx.divides_right(a, b) is not None)
+        assert via_cols == (la.solve_right(b, a) is not None)
 
 
 def test_divisor_witnesses_recompose():
@@ -49,7 +52,7 @@ def test_divisor_witnesses_recompose():
         g = mx.divides_left(a, b)
         if g is not None:
             assert la.matmul(g, b) == a
-        g = mx.divides_right(a, b)
+        g = la.solve_right(b, a)
         if g is not None:
             assert la.matmul(b, g) == a
 
@@ -76,9 +79,75 @@ def test_starred_orders_reject_rational_input():
         mx.greens_leq("bogus", a, a)
 
 
+def pc_closure_cols(a):
+    """Canonical basis of the pure closure of the column lattice of a."""
+    return la.saturation(la.transpose(a), len(a))
+
+
+def pc_closure_lstar(a, b) -> bool:
+    """Lstar as computed before it became one integer kernel: containment
+    of the saturated column lattices, compared by canonical HNF."""
+    return lattice_leq(pc_closure_cols(a), pc_closure_cols(b))
+
+
 def test_pc_closure_cols_saturates():
     a = z([[2, 0], [0, 4]])
-    assert mx.pc_closure_cols(a) == ((1, 0), (0, 1))
+    assert pc_closure_cols(a) == ((1, 0), (0, 1))
+
+
+small_ints = st.integers(-4, 4)
+nonzero_ints = st.integers(-5, 5).filter(bool)
+
+
+@st.composite
+def lstar_pairs(draw):
+    """Square integer pairs of size 1-4: random entries, thin products
+    times a scalar (rank-deficient, column lattice not saturated), zero,
+    full rank (upper triangular, nonzero diagonal), and a = b g, with its
+    content divided out half the time."""
+
+    def square(kind, n):
+        if kind == "random":
+            return [draw(st.lists(small_ints, min_size=n, max_size=n)) for _ in range(n)]
+        if kind == "thin times scalar":
+            k = draw(st.integers(1, max(1, n - 1)))
+            left = [draw(st.lists(small_ints, min_size=k, max_size=k)) for _ in range(n)]
+            right = [draw(st.lists(small_ints, min_size=n, max_size=n)) for _ in range(k)]
+            return la.scale_int(draw(st.integers(2, 6)), la.matmul_int(left, right))
+        if kind == "zero":
+            return la.zeros(n, n)
+        return [[draw(nonzero_ints) if i == j else draw(small_ints) if j > i else 0
+                 for j in range(n)] for i in range(n)]
+
+    kinds = ("random", "thin times scalar", "zero", "full rank")
+    n = draw(st.integers(1, 4))
+    b = square(draw(st.sampled_from(kinds)), n)
+    a = square(draw(st.sampled_from(kinds)), n)
+    if draw(st.booleans()):  # a = b g, inside b's column span
+        a = la.matmul_int(b, a)
+        content = math.gcd(*(x for row in a for x in row))
+        if content > 1 and draw(st.booleans()):  # often off b's column lattice
+            a = [[x // content for x in row] for row in a]
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+PIN_B = ((3, 0, 0), (0, 0, 0), (0, 3, 0))
+ZERO_2 = la.zeros(2, 2)
+
+
+@settings(max_examples=400)
+@given(lstar_pairs())
+# the two Lstar golden pins' pairs, b = 0, and a full-rank b (empty kernel)
+@example((((2, 4, 0), (0, 0, 0), (2, 4, 0)), PIN_B))
+@example((((2, 0, 0), (2, 0, 0), (0, 0, 0)), PIN_B))
+@example((((1, 2), (3, 4)), ZERO_2))
+@example((ZERO_2, ZERO_2))
+@example((((1, 2), (3, 4)), ((2, 1), (0, 3))))
+def test_lstar_is_one_kernel_and_matches_the_pure_closure_route(pair):
+    a, b = pair
+    got = mx.greens_leq("Lstar", a, b)
+    assert got == pc_closure_lstar(a, b)
+    assert got == mx.greens_leq("Rstar", la.transpose(a), la.transpose(b))
 
 
 # --- group inverses ----------------------------------------------------------
@@ -291,5 +360,5 @@ def test_rand_matrices_shapes():
         a = mx.rand_rational_matrix(rng, n)
         assert la.shape(a) == (n, n)
         b = mx.rand_int_matrix(rng, n)
-        assert la.shape(la.mat_q(b)) == (n, n)
-        assert la.is_integer_matrix(la.mat_q(b))
+        assert la.shape(q(b)) == (n, n)
+        assert la.is_integer_matrix(q(b))

@@ -125,8 +125,10 @@ def test_report_digest(case, capsys, monkeypatch):
 
 
 # Starred Green's comparisons on rank-deficient 3x3 integer pairs whose
-# column lattices are not saturated, so the integer kernel and saturation
-# steps do real work: one comparable and one incomparable pair per side.
+# column lattices are not saturated: one comparable and one incomparable
+# pair per side.  The comparable Lstar pair holds only up to saturation
+# (a's column lattice is not inside b's), which the one integer kernel of
+# Lstar must see.
 STARRED = [
     ("Rstar comparable", "Rstar",
      "33ba327bdcdd665e401daee70c80126b10086ff1691c80603a8fe36b341333b0",
