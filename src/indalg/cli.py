@@ -26,7 +26,7 @@ from . import words as wd
 from .orders import acts, matrix, monoids
 from .orders import suite as order_suite
 from .orders.linalg import mat_z
-from .report import Check, fmt_mat
+from .report import Check, fmt_mat, max_digits
 
 
 class UsageError(Exception):
@@ -70,19 +70,14 @@ def _load_payload(args) -> dict | None:
     return payload
 
 
-def _max_digits() -> int:
-    """The most digits an integer may have to be printed in a report."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
 def _entry(x) -> Fraction:
     """An exact rational from an integer or an exact string.  An e-notation
     string is refused, before its value is built, when that value could
     have more digits than a report may print."""
     if isinstance(x, str):
         mantissa, e, exponent = x.lower().partition("e")
-        if e and len(mantissa) + abs(int(exponent)) > _max_digits():
-            raise ValueError(f"{x[:20]!r} has more than {_max_digits()} digits")
+        if e and len(mantissa) + abs(int(exponent)) > max_digits():
+            raise ValueError(f"{x[:20]!r} has more than {max_digits()} digits")
     return Fraction(x)
 
 
@@ -205,14 +200,13 @@ def cmd_classify(args):
         try:
             t = tm.parse_term(text)
             form = cx.classify(t, h)
+            row = {"term": text, "form": form.form, "case": form.case,
+                   "arity": form.arity, "star": form.star}
+            if form.form == 1:  # a summed exponent may be too long to print
+                row["prefix"] = wd.format_word(form.prefix)
         except (ValueError, tm.ArityError) as exc:
-            rows.append({"term": text, "error": str(exc)})
+            row = {"term": text, "error": str(exc)}
             outcome = "fail"
-            continue
-        row = {"term": text, "form": form.form, "case": form.case,
-               "arity": form.arity, "star": form.star}
-        if form.form == 1:
-            row["prefix"] = wd.format_word(form.prefix)
         rows.append(row)
     return [Check("classification", outcome=outcome, details={"terms": rows})]
 

@@ -9,15 +9,24 @@ values h(z1*z2^-1) = 6, h(z3*z2^-1) = 8, h(z1*z4^-1) = 10.  Every term t in
 the language {nu_c, g} evaluates to either a fixed prefix times its rightmost
 variable (Form 1) or a genuinely varying prefix (Form 2); Form 2 terms yield
 explicit counterexamples to the distributivity condition.
+
+A Form 2 classification carries its witness plan as data: the two argument
+positions that receive fresh generators, the generators to avoid, and
+whether only odd ones may be used.  ``sample_witnesses`` draws its tuples
+from the one stream a plan names, ``_fresh_pair_tuples``.  A Form 1 prefix
+whose h-index has more digits than a report may print is refused with a
+ValueError: the next g over it would encode a still longer index.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from . import words
+from .report import max_digits, printable
 from .terms import G, Nu, Term, Var, evaluate, meta
 from .words import IDENTITY, Word, div, gen_content, mul
 
@@ -172,9 +181,9 @@ class TermForm:
     star: int
     prefix: Optional[Word] = None  # Form 1 only
     case: str = ""
-    candidates: Optional[Callable[[], Iterator[tuple[Word, ...]]]] = field(
-        default=None, repr=False, compare=False
-    )
+    # Form 2 only: (pos1, pos2, excluded, odd_only), the arguments after the
+    # arity of the _fresh_pair_tuples stream its witnesses are drawn from
+    plan: Optional[tuple[int, int, frozenset[int], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -185,36 +194,24 @@ class WitnessSample:
     value: Word  # t(mu), which is prefix * mu[star - 1]
 
 
-def _pad(stream: Callable[[], Iterator[tuple[Word, ...]]], n: int):
+def _fresh_pair_tuples(
+    n: int, pos1: int, pos2: int, excluded: frozenset[int], odd_only: bool
+) -> Iterator[tuple[Word, ...]]:
+    """n-tuples of positive words: single generators at positions pos1 and
+    pos2, z1 elsewhere.  Each generator k not in ``excluded`` (and odd, if
+    ``odd_only``) is paired, both ways round, with every earlier one."""
     z1 = words.gen(1)
-
-    def padded() -> Iterator[tuple[Word, ...]]:
-        for tup in stream():
-            yield tup + (z1,) * (n - len(tup))
-
-    return padded
-
-
-def _fresh_pair_tuples(n: int, pos1: int, pos2: int, allowed: Callable[[int], bool]):
-    """Tuples with single fresh generators at two coordinates, z1 elsewhere."""
-    z1 = words.gen(1)
-
-    def stream() -> Iterator[tuple[Word, ...]]:
-        chosen: list[int] = []
-        k = 0
-        while True:
-            k += 1
-            if not allowed(k):
-                continue
-            for other in chosen:
-                for u1, u2 in ((other, k), (k, other)):
-                    base = [z1] * n
-                    base[pos1 - 1] = words.gen(u1)
-                    base[pos2 - 1] = words.gen(u2)
-                    yield tuple(base)
-            chosen.append(k)
-
-    return stream
+    chosen: list[int] = []
+    for k in itertools.count(1, 2 if odd_only else 1):
+        if k in excluded:
+            continue
+        for other in chosen:
+            for u1, u2 in ((other, k), (k, other)):
+                base = [z1] * n
+                base[pos1 - 1] = words.gen(u1)
+                base[pos2 - 1] = words.gen(u2)
+                yield tuple(base)
+        chosen.append(k)
 
 
 def classify(t: Term, h: HMap) -> TermForm:
@@ -259,41 +256,35 @@ def _classify_node(t: Term, forms: dict[Term, TermForm], h: HMap) -> TermForm:
             prefix = mul(t.coeff, sub.prefix)
             _check_prefix(prefix, t.content)
             return TermForm(1, t.arity, t.star, prefix=prefix, case="nu-lift")
-        return TermForm(
-            2, t.arity, t.star, case="nu-" + sub.case, candidates=sub.candidates
-        )
+        return TermForm(2, t.arity, t.star, case="nu-" + sub.case, plan=sub.plan)
 
     left = forms[t.left]
     right = forms[t.right]
     n = t.arity
 
     if right.form == 2:
-        return TermForm(
-            2, n, t.star, case="g-right-varying", candidates=_pad(right.candidates, n)
-        )
+        return TermForm(2, n, t.star, case="g-right-varying", plan=right.plan)
 
     w2 = right.prefix
     if left.form == 1:
         if left.star == right.star:
             prefix = h.g(left.prefix, w2)
             _check_prefix(prefix, t.content)
+            # any other index in prefix is w2's, checked when w2 was formed
+            if prefix and not printable(prefix[0][0]):
+                raise ValueError(
+                    f"an h-index in the prefix has more than {max_digits()} digits"
+                )
             return TermForm(1, n, t.star, prefix=prefix, case="g-aligned")
         # constant children, distinct rightmost variables
         excluded = gen_content(left.prefix) | gen_content(w2)
-        stream = _fresh_pair_tuples(
-            n, left.star, right.star, lambda k: k not in excluded
-        )
-        return TermForm(2, n, t.star, case="g-split-stars", candidates=stream)
+        plan = (left.star, right.star, excluded, False)
+        return TermForm(2, n, t.star, case="g-split-stars", plan=plan)
 
     if left.star == right.star:
-        return TermForm(
-            2, n, t.star, case="g-left-varying", candidates=_pad(left.candidates, n)
-        )
-    excluded = t.content | gen_content(w2)
-    stream = _fresh_pair_tuples(
-        n, left.star, right.star, lambda k: k % 2 == 1 and k not in excluded
-    )
-    return TermForm(2, n, t.star, case="g-left-varying-split", candidates=stream)
+        return TermForm(2, n, t.star, case="g-left-varying", plan=left.plan)
+    plan = (left.star, right.star, t.content | gen_content(w2), True)
+    return TermForm(2, n, t.star, case="g-left-varying-split", plan=plan)
 
 
 def _check_prefix(prefix: Word, content: frozenset[int]) -> None:
@@ -312,7 +303,7 @@ def sample_witnesses(form: TermForm, t: Term, h: HMap, count: int) -> list[Witne
     m = meta(t)
     used: set[int] = set()
     out: list[WitnessSample] = []
-    stream = form.candidates()
+    stream = _fresh_pair_tuples(form.arity, *form.plan)
     budget = SAMPLE_BUDGET
     while len(out) < count:
         if budget <= 0:
@@ -321,8 +312,6 @@ def sample_witnesses(form: TermForm, t: Term, h: HMap, count: int) -> list[Witne
             )
         budget -= 1
         mu = next(stream)
-        if len(mu) != form.arity or not all(words.is_positive(w) for w in mu):
-            continue
         value = evaluate(t, mu, h)
         prefix = div(value, mu[form.star - 1])
         _check_prefix(prefix, m.content)

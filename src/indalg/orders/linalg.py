@@ -194,15 +194,6 @@ def col_space_leq(a, b) -> bool:
     return rank(b) == rank(hstack(b, a))
 
 
-def inverse(a) -> Mat:
-    if len(a) != shape(a)[1]:
-        raise ValueError("not square")
-    sol = solve_int(a, identity(len(a)))
-    if sol is None:
-        raise ValueError("singular matrix")
-    return join(*sol)
-
-
 def is_integer_matrix(a) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 

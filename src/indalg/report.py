@@ -3,11 +3,13 @@
 A check carries an ``expected`` outcome ("pass" or "finding") next to the
 ``outcome`` actually observed, so that mathematically expected failures
 are told apart from genuine errors.  Its fields are its serialised form:
-a report lists ``vars(check)`` for each check.
+a report lists ``vars(check)`` for each check.  ``max_digits`` is the most
+digits an integer in a report may have: the interpreter's print limit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 
@@ -40,3 +42,16 @@ class Check:
 def fmt_mat(m) -> list[list[str]]:
     """A matrix as rows of exact strings."""
     return [[str(x) for x in row] for row in m]
+
+
+def max_digits() -> int:
+    """The most digits an integer may have to be printed in a report."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def printable(n: int) -> bool:
+    """Whether n has at most ``max_digits()`` digits.  A number of at most
+    3 * limit bits is below 8**limit, so only a longer one is compared with
+    10**limit."""
+    limit = max_digits()
+    return abs(n).bit_length() <= 3 * limit or abs(n) < 10**limit

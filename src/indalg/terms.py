@@ -11,8 +11,8 @@ object, and equality and hashing are by identity, O(1) at any size.  The
 intern table holds its nodes weakly, so a node lives exactly as long as some
 caller keeps it; there is no process-wide cache.  Each node stores its
 ``arity`` (largest variable index), ``star`` (index of the rightmost
-variable), ``content`` (generators in its nu-coefficients) and ``depth``,
-computed once from its children; ``meta`` reads them.
+variable) and ``content`` (generators in its nu-coefficients), computed
+once from its children; ``meta`` reads them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class _Node:
     """Fields every node stores; ``bad`` is the leftmost variable index < 1
     in the term, or None.  Nodes are shared, so they refuse assignment."""
 
-    __slots__ = ("arity", "star", "content", "depth", "bad", "__weakref__")
+    __slots__ = ("arity", "star", "content", "bad", "__weakref__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a term")
@@ -65,11 +65,10 @@ _set = object.__setattr__
 
 
 def _fill(node: _Node, arity: int, star: int, content: frozenset[int],
-          depth: int, bad: int | None) -> None:
+          bad: int | None) -> None:
     _set(node, "arity", arity)
     _set(node, "star", star)
     _set(node, "content", content)
-    _set(node, "depth", depth)
     _set(node, "bad", bad)
 
 
@@ -83,7 +82,7 @@ class Var(_Node):
             node = _NODES[key] = object.__new__(cls)
             _set(node, "index", index)
             # a bad index is kept, not refused: meta reports it
-            _fill(node, index, index, frozenset(), 1, None if index >= 1 else index)
+            _fill(node, index, index, frozenset(), None if index >= 1 else index)
         return node
 
 
@@ -100,8 +99,7 @@ class Nu(_Node):
             _set(node, "coeff", coeff)
             _set(node, "child", child)
             _fill(node, child.arity, child.star,
-                  _union(child.content, words.gen_content(coeff)),
-                  child.depth + 1, child.bad)
+                  _union(child.content, words.gen_content(coeff)), child.bad)
         return node
 
 
@@ -120,7 +118,6 @@ class G(_Node):
             _set(node, "right", right)
             _fill(node, max(left.arity, right.arity), right.star,
                   _union(left.content, right.content),
-                  max(left.depth, right.depth) + 1,
                   right.bad if left.bad is None else left.bad)
         return node
 
@@ -145,12 +142,6 @@ def meta(t: Term) -> Term:
     if bad is not None:
         raise ValueError(f"variable index must be >= 1, got {bad}")
     return t
-
-
-def depth(t: Term) -> int:
-    if not isinstance(t, _Node):
-        raise TypeError(f"not a term: {t!r}")
-    return t.depth
 
 
 def evaluate(t: Term, args: tuple[Word, ...], h) -> Word:

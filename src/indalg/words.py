@@ -66,13 +66,12 @@ def div(u: Word, v: Word) -> Word:
 
 
 def gen(i: int, e: int = 1) -> Word:
-    """The word z_i**e."""
-    return reduce([(i, e)])
-
-
-def is_positive(u: Word) -> bool:
-    """True iff u is a nonempty product of generators with positive exponents."""
-    return bool(u) and all(e > 0 for _, e in u)
+    """The word z_i**e, checked as ``reduce`` checks a syllable."""
+    if not (isinstance(i, int) and i >= 1):
+        raise ValueError(f"generator index must be a positive int, got {i!r}")
+    if not isinstance(e, int):
+        raise ValueError(f"exponent must be an int, got {e!r}")
+    return ((i, e),) if e else IDENTITY
 
 
 def gen_content(u: Word) -> frozenset[int]:

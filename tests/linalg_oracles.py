@@ -1,8 +1,10 @@
-"""Matrix helpers for tests: rational coercion and lattice containment.
+"""Matrix helpers for tests: rational coercion, the inverse and lattice
+containment.
 
 The library compares lattices only through integer kernels, so the
 containment test by canonical Hermite forms lives beside the tests, where
-it is the oracle for the starred Green's orders.
+it is the oracle for the starred Green's orders.  Nothing in the library
+inverts a matrix either.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ from indalg.orders import linalg as la
 def mat_q(rows) -> la.Mat:
     """Coerce an iterable of iterables to a rational matrix."""
     return tuple(tuple(map(Fraction, row)) for row in rows)
+
+
+def inverse(a) -> la.Mat:
+    if len(a) != la.shape(a)[1]:
+        raise ValueError("not square")
+    sol = la.solve_int(a, la.identity(len(a)))
+    if sol is None:
+        raise ValueError("singular matrix")
+    return la.join(*sol)
 
 
 def lattice_leq(rows_a, rows_b) -> bool:

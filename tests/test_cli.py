@@ -135,6 +135,31 @@ def test_classify_nesting_bound(monkeypatch, capsys):
         assert row["error"] == f"term nested more than {tm.MAX_NESTING} deep"
 
 
+def test_classify_prefixes_too_long_to_print_are_error_rows(monkeypatch, capsys):
+    # each aligned g level encodes the last h-index into a ~2.5x longer one:
+    # 18 levels passed the print limit (a traceback), 28 took 12 s
+    import io
+    import time
+
+    def chain(levels):
+        return "g(" * levels + "x1" + ", x1)" * levels
+
+    big = "9" * 4300  # two exponents that print, whose sum does not
+    texts = [chain(12), chain(18), chain(40), f"nu(z1^{big}, nu(z1^{big}, x1))"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"terms": texts})))
+    start = time.perf_counter()
+    code = cli.run(["classify", "--input", "-"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    rows = json.loads(captured.out)["checks"][0]["details"]["terms"]
+    assert (rows[0]["form"], rows[0]["case"]) == (1, "g-aligned")
+    for row in rows[1:3]:
+        assert row["error"] == "an h-index in the prefix has more than 4300 digits"
+    assert "4300 digits" in rows[3]["error"]
+
+
 def test_classify_error_rows_keep_their_cause(monkeypatch, capsys):
     # a bad variable is a meta error, found only once the text has parsed
     import io

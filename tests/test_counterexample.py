@@ -3,12 +3,13 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from indalg import counterexample as ce
 from indalg import terms as tm
 from indalg import words as wd
 from indalg.counterexample import HMap, NotForm2, WitnessExhausted
+from indalg.report import max_digits, printable
 from indalg.terms import G, Nu, Var
 from indalg.words import IDENTITY, inv, mul
 
@@ -227,11 +228,15 @@ def test_classify_aligned_g_has_constant_prefix():
         assert tm.evaluate(t, mu, h) == mul(f.prefix, mu[0])
 
 
+def _plan_stream(f):
+    return ce._fresh_pair_tuples(f.arity, *f.plan)
+
+
 def test_classify_split_stars_and_first_candidates():
     h = HMap()
     f = ce.classify(G(Var(1), Var(2)), h)
     assert f.form == 2 and f.case == "g-split-stars"
-    first = list(itertools.islice(f.candidates(), 4))
+    first = list(itertools.islice(_plan_stream(f), 4))
     assert first[0] == (wd.gen(1), wd.gen(2))
     assert first[1] == (wd.gen(2), wd.gen(1))
     assert all(len(t) == 2 for t in first)
@@ -245,7 +250,7 @@ def test_classify_propagation_cases():
     assert ce.classify(G(inner, Var(2)), h).case == "g-left-varying"
     f = ce.classify(G(inner, Var(1)), h)
     assert f.case == "g-left-varying-split"
-    for mu in itertools.islice(f.candidates(), 6):
+    for mu in itertools.islice(_plan_stream(f), 6):
         assert len(mu) == 2
 
 
@@ -270,13 +275,122 @@ def test_classify_memo_matches_fresh_maps_and_holds_each_subterm_once():
         memo = ce.classify(t, shared)
         assert ce.classify(t, shared) is memo
         fresh = ce.classify(t, HMap())
-        assert memo == fresh  # every field but the candidate stream
+        assert memo == fresh and hash(memo) == hash(fresh)  # the plan too
         if memo.form == 2:
-            first = list(itertools.islice(memo.candidates(), 5))
-            assert first == list(itertools.islice(fresh.candidates(), 5))
+            first = list(itertools.islice(_plan_stream(memo), 5))
+            assert first == list(itertools.islice(_plan_stream(fresh), 5))
     distinct = set().union(*map(_subterms, corpus))
     assert set(shared._forms) == distinct
     assert len(distinct) < sum(len(_subterms(t)) for t in corpus)  # shared subterms
+
+
+def _closure_pad(stream, n):
+    z1 = wd.gen(1)
+
+    def padded():
+        for tup in stream():
+            yield tup + (z1,) * (n - len(tup))
+
+    return padded
+
+
+def _closure_fresh_pairs(n, pos1, pos2, allowed):
+    z1 = wd.gen(1)
+
+    def stream():
+        chosen = []
+        k = 0
+        while True:
+            k += 1
+            if not allowed(k):
+                continue
+            for other in chosen:
+                for u1, u2 in ((other, k), (k, other)):
+                    base = [z1] * n
+                    base[pos1 - 1] = wd.gen(u1)
+                    base[pos2 - 1] = wd.gen(u2)
+                    yield tuple(base)
+            chosen.append(k)
+
+    return stream
+
+
+def closure_candidates(t, h):
+    """The former witness builder, kept as the oracle for witness plans: a
+    zero-argument stream for a Form 2 term, in which each g level pads its
+    varying child's stream with z1 up to its own arity; None for Form 1."""
+    if isinstance(t, Var):
+        return None
+    if isinstance(t, Nu):
+        return closure_candidates(t.child, h)
+    left, right, n = ce.classify(t.left, h), ce.classify(t.right, h), t.arity
+    if right.form == 2:
+        return _closure_pad(closure_candidates(t.right, h), n)
+    if left.form == 1:
+        if left.star == right.star:
+            return None
+        excluded = wd.gen_content(left.prefix) | wd.gen_content(right.prefix)
+        return _closure_fresh_pairs(n, left.star, right.star,
+                                    lambda k: k not in excluded)
+    if left.star == right.star:
+        return _closure_pad(closure_candidates(t.left, h), n)
+    excluded = t.content | wd.gen_content(right.prefix)
+    return _closure_fresh_pairs(n, left.star, right.star,
+                                lambda k: k % 2 == 1 and k not in excluded)
+
+
+POOLS = (
+    [wd.gen(1), wd.gen(2), wd.gen(3), wd.parse_word("z1*z2"), wd.parse_word("z3*z1")],
+    [wd.gen(2), wd.parse_word("z4*z1"), wd.parse_word("z5^2*z2^-1"), wd.gen(7)],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 7), st.integers(2, 4),
+       st.sampled_from(POOLS))
+def test_witness_plans_stream_what_the_padded_closures_did(seed, depth, max_var, pool):
+    h = HMap()
+    form2 = 0
+    for t in tm.sample_terms(depth, max_var, pool, seed=seed, count=12):
+        f = ce.classify(t, h)
+        assert (closure_candidates(t, h) is None) == (f.form == 1)
+        if f.form == 1:
+            assert f.plan is None
+            continue
+        form2 += 1
+        hash(f)  # a plain value
+        first = list(itertools.islice(_plan_stream(f), 12))
+        assert first == list(itertools.islice(closure_candidates(t, h)(), 12))
+        for mu in first:
+            assert len(mu) == f.arity == t.arity
+            assert all(we.is_positive(w) for w in mu)
+    assume(form2)
+
+
+def _aligned_chain(levels):
+    return tm.parse_term("g(" * levels + "x1" + ", x1)" * levels)
+
+
+def test_printable_is_exact_at_the_print_limit():
+    # the bit-length shortcut must not decide the numbers near 10**limit
+    limit = max_digits()
+    for n in (10**limit - 1, -(10**limit - 1), 2 ** (3 * limit), 1, 0):
+        assert printable(n)
+        str(n)
+    for n in (10**limit, 2 ** (4 * limit)):
+        assert not printable(n)
+        with pytest.raises(ValueError):
+            str(n)
+
+
+def test_classify_refuses_an_h_index_too_long_to_print():
+    # each aligned level encodes the last h-index into the next, about 2.5
+    # times as many bits, so 18 levels pass the print limit and 28 took 12 s
+    f = ce.classify(_aligned_chain(12), HMap())
+    assert f.form == 1 and f.case == "g-aligned"
+    for levels in (18, 40):
+        with pytest.raises(ValueError, match="h-index .* more than 4300 digits"):
+            ce.classify(_aligned_chain(levels), HMap())
 
 
 def test_form1_prefix_content_invariant():
@@ -298,7 +412,7 @@ def test_sample_witnesses_fresh_generators_distinct():
     fresh = [s.fresh_gen for s in samples]
     assert len(set(fresh)) == 30
     for s in samples:
-        assert all(wd.is_positive(w) for w in s.mu)
+        assert all(we.is_positive(w) for w in s.mu)
         value = tm.evaluate(t, s.mu, h)
         assert s.prefix == mul(value, inv(s.mu[f.star - 1]))
         assert s.value == value
@@ -314,13 +428,16 @@ def test_sample_witnesses_rejects_form1():
         ce.sample_witnesses(f, Var(1), h, 1)
 
 
-def test_sample_witnesses_budget():
-    # a synthetic stream that never yields a usable tuple must exhaust honestly
-    form = ce.TermForm(
-        2, 1, 1, case="synthetic", candidates=lambda: itertools.repeat((IDENTITY,))
-    )
-    with pytest.raises(WitnessExhausted):
-        ce.sample_witnesses(form, Var(1), HMap(), 1)
+def test_sample_witnesses_budget(monkeypatch):
+    # each candidate gives at most one sample, so more samples than the
+    # budget must exhaust it honestly
+    h = HMap()
+    t = G(Var(1), Var(2))
+    f = ce.classify(t, h)
+    monkeypatch.setattr(ce, "SAMPLE_BUDGET", 5)
+    assert len(ce.sample_witnesses(f, t, h, 5)) == 5
+    with pytest.raises(WitnessExhausted, match="after 5 of 6 samples"):
+        ce.sample_witnesses(f, t, h, 6)
 
 
 def test_refute_distributivity_basic():

@@ -4,7 +4,10 @@ No module of the package imports a private (underscore) name of another:
 an ``import`` that reaches into the package and binds an underscore name
 fails the test.  In ``orders/linalg.py`` neither the rational half nor the
 integer-lattice half uses a function of the other, so the two Green's
-routes the suites cross-check stay independent.
+routes the suites cross-check stay independent.  Every public top-level
+function is named somewhere in the package outside its own body, unless
+the benchmark's span tracer wraps it by name (``TARGETS`` in
+``perfbench/spans.py``): a helper only the tests call lives in the tests.
 """
 
 import ast
@@ -90,3 +93,59 @@ def test_linalg_halves_do_not_use_each_other():
     source = LINALG.read_text()
     assert all(marker in source for marker in HALVES)
     assert cross_half_uses(source) == []
+
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def traced_functions(source: str) -> set[tuple[str, str]]:
+    """(module, function) for each entry of the ``TARGETS`` literal in a
+    spans-like source."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]):
+            targets = ast.literal_eval(node.value)
+            return {(mod, fn) for mod, fns in targets.items() for fn in fns}
+    raise LookupError("no TARGETS assignment")
+
+
+def unreferenced(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``module.f`` for each public top-level function f of the sources
+    (module name -> source) that no name or attribute outside f's own body
+    mentions, unless (module, f) is exempt.  Matching is by name alone."""
+    defs, uses = [], {}
+    for mod, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, ast.FunctionDef) and not owner.startswith("_"):
+                defs.append((mod, owner))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name:
+                    uses.setdefault(name, set()).add((mod, owner))
+    return [f"{mod}.{fn}" for mod, fn in defs
+            if (mod, fn) not in exempt and not uses.get(fn, set()) - {(mod, fn)}]
+
+
+def test_checker_flags_unreferenced_functions():
+    sources = {
+        "a": "def used(x): return helper(x)\n"
+             "def helper(x): return helper(x - 1) if x else 0\n"
+             "def _private(): pass\n"
+             "def traced(): pass\n"
+             "def lonely(): return lonely\n",
+        "b": "from . import a\n"
+             "class C:\n    def lonely(self): pass\n"
+             "RUN = a.used\n",
+    }
+    assert unreferenced(sources) == ["a.traced", "a.lonely"]
+    assert unreferenced(sources, {("a", "traced")}) == ["a.lonely"]
+    assert traced_functions('X = 1\nTARGETS = {"a": ("traced", "C.lonely")}\n') == {
+        ("a", "traced"), ("a", "C.lonely")}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    sources = {".".join(p.relative_to(ROOT).with_suffix("").parts): p.read_text()
+               for p in MODULES}
+    assert unreferenced(sources, traced_functions(SPANS.read_text())) == []

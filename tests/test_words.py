@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from indalg import words as wd
 from indalg.words import IDENTITY, div, gen, inv, mul
@@ -57,12 +57,32 @@ def test_format_parse_round_trip_property(w):
     assert wd.parse_word(wd.format_word(w)) == w
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+loose = st.one_of(st.integers(-3, 3), st.integers(), st.booleans(), st.floats(),
+                  st.text(max_size=2), st.none())
+
+
+@given(loose, loose)
+@example(True, 1)
+@example(1, False)
+@example(2, True)
+def test_gen_is_the_reduced_single_syllable(i, e):
+    # the same word, down to a bool kept as given, or the same ValueError
+    assert repr(_outcome(gen, i, e)) == repr(_outcome(wd.reduce, [(i, e)]))
+
+
 def test_is_positive():
-    assert not wd.is_positive(IDENTITY)  # identity excluded
-    assert wd.is_positive(gen(3))
-    assert wd.is_positive(mul(gen(1, 2), gen(2)))
-    assert not wd.is_positive(gen(1, -1))
-    assert not wd.is_positive(mul(gen(1), gen(2, -3)))
+    assert not we.is_positive(IDENTITY)  # identity excluded
+    assert we.is_positive(gen(3))
+    assert we.is_positive(mul(gen(1, 2), gen(2)))
+    assert not we.is_positive(gen(1, -1))
+    assert not we.is_positive(mul(gen(1), gen(2, -3)))
 
 
 def test_gen_content_and_lengths():
@@ -103,7 +123,7 @@ def test_enumeration_is_graded_and_injective():
 def test_positive_words_all_positive():
     it = we.positive_words()
     batch = [next(it) for _ in range(200)]
-    assert all(wd.is_positive(w) for w in batch)
+    assert all(we.is_positive(w) for w in batch)
     assert len(set(batch)) == len(batch)
 
 

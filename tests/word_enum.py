@@ -1,6 +1,7 @@
 """Words for tests: the free group's reduced words in canonical order, an
-unbounded ``hypothesis`` strategy, the former ``rand_word`` as oracle, and
-the decoder of the h-map's free indices.
+unbounded ``hypothesis`` strategy, the former ``rand_word`` as oracle, the
+positivity test for witness tuples and the decoder of the h-map's free
+indices.
 
 Test oracles walk every reduced word, or every tuple of positive words, in
 one fixed well-order; the library never does, so these live beside the tests.
@@ -42,6 +43,11 @@ def rand_word_by_randint(rng, max_gen: int = 5, max_syll: int = 4,
         out.append((g, e))
         prev = g
     return tuple(out)
+
+
+def is_positive(u: Word) -> bool:
+    """True iff u is a nonempty product of generators with positive exponents."""
+    return bool(u) and all(e > 0 for _, e in u)
 
 
 def letter_len(u: Word) -> int:
