@@ -38,11 +38,19 @@ its last target appears and its step and table caps trip at the same place
 in every process.
 
 Op tables are composed by one byte-table kernel, ``_compose``: the unary
-clone and clone generation compose tables whole.  The field ops are built
-row by row from the tables of their coefficient prefixes.  The witness
-check and the endomorphism search test that a unary map preserves an op one
-whole table at a time, by comparing two tables; the witness check looks for
-the first failing tuple only when they differ.  No table is built at import.
+clone and clone generation compose tables whole.  It runs no Python code
+per entry: it reads each argument table as one big integer with one lane
+per entry, forms every entry's index into f's table at once, and reads the
+table through the indices with one ``translate`` -- byte lanes for tables
+of at most 256 entries, 16-bit lanes decoded as UTF-16 for longer ones
+(every table here has at most 25**3 = 15,625 < 0xD800 entries, so each
+index is one code unit outside the surrogate range).  Lanes never carry
+because every table entry is below its op's size, which the tests check
+for every instance kind.  The field ops are built row by row from the
+tables of their coefficient prefixes.  The witness check and the
+endomorphism search test that a unary map preserves an op one whole table
+at a time, by comparing two tables; the witness check looks for the first
+failing tuple only when they differ.  No table is built at import.
 """
 
 from __future__ import annotations
@@ -181,12 +189,20 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _validate_field_params(q: int, dim: int, a0: Iterable[Sequence[int]]):
+def _list(x, what: str) -> Sequence:
+    """x itself if it is a list (or tuple); a number, string or null is
+    refused."""
+    if not isinstance(x, (list, tuple)):
+        raise InvalidParams(f"{what} must be a list, not {x!r}")
+    return x
+
+
+def _validate_field_params(q: int, dim: int, a0):
     if q not in FIELD_ORDERS:
         raise InvalidParams(f"field order must be one of {FIELD_ORDERS}, got {q}")
     if dim not in (1, 2):
         raise InvalidParams(f"dimension must be 1 or 2, got {dim}")
-    vecs = [tuple(v) for v in a0]
+    vecs = [tuple(_list(v, "a0 entry")) for v in _list(a0, "a0")]
     for v in vecs:
         if len(v) != dim or any(not (0 <= _int(c, "a0 entry") < q) for c in v):
             raise InvalidParams(f"spanning vector {v} not in F_{q}^{dim}")
@@ -239,10 +255,12 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
 
     if kind == "group_action":
         size = _int(params.pop("size", 5), "size")
-        perms = [tuple(_int(x, "generators entry") for x in p)
-                 for p in params.pop("generators", [(0, 2, 1, 4, 3)])]
+        perms = [tuple(_int(x, "generators entry")
+                       for x in _list(p, "generators entry"))
+                 for p in _list(params.pop("generators", [(0, 2, 1, 4, 3)]),
+                                "generators")]
         consts = sorted({_int(c, "constants entry")
-                         for c in params.pop("constants", [0])})
+                         for c in _list(params.pop("constants", [0]), "constants")})
         _no_extra(params)
         if not 1 <= size <= 8:
             raise InvalidParams("group_action size must be in [1,8]")
@@ -497,24 +515,32 @@ def _projections(n: int, m: int) -> list[bytes]:
 def _compose(f: Op, gs: Sequence[bytes]) -> bytes:
     """The table of f(g_1, ..., g_k) for equal-length argument tables g_i.
 
-    The byte-table kernel under every composition in this module.  A unary
-    f is one ``bytes.translate``; otherwise each entry's flat row-major index
-    into f's table is computed from the argument tables in a comprehension.
-    Arities 2 and 3, the ones the catalog has, take one pass each: its
-    tables are mostly short, and an intermediate index list would cost as
-    much as the lookups.
+    The byte-table kernel under every composition in this module; no Python
+    code runs per entry.  Each argument table is read as one big integer
+    with one lane per entry, and ``idx = idx * n + g`` builds every entry's
+    flat row-major index into f's table at once.  No lane carries into the
+    next, because every argument entry is below n = f.size (every op table
+    holds entries below its size) and so every index is below len(f.table).
+    f's table is then read through the indices in one C call:
+
+    * at most 256 entries: byte lanes, read by ``bytes.translate``;
+    * longer tables: 16-bit little-endian lanes, decoded as UTF-16 and read
+      by ``str.translate``.  Each index is one code unit outside the
+      surrogate range, since every catalog table has at most 25**3 = 15,625
+      < 0xD800 entries.
     """
-    ft, n = f.table, f.size
-    if len(gs) == 1:
-        return gs[0].translate(ft.ljust(256, b"\0"))
-    if len(gs) == 2:
-        return bytes([ft[a * n + b] for a, b in zip(*gs)])
-    if len(gs) == 3:
-        return bytes([ft[(a * n + b) * n + c] for a, b, c in zip(*gs)])
-    idx = gs[0]
-    for g in gs[1:]:
-        idx = [i * n + x for i, x in zip(idx, g)]
-    return bytes(map(ft.__getitem__, idx))
+    ft, n, m = f.table, f.size, len(gs[0])
+    idx = 0
+    if len(ft) <= 256:
+        for g in gs:
+            idx = idx * n + int.from_bytes(g, "big")
+        return idx.to_bytes(m, "big").translate(ft.ljust(256, b"\0"))
+    lanes = bytearray(2 * m)
+    for g in gs:
+        lanes[::2] = g
+        idx = idx * n + int.from_bytes(lanes, "little")
+    return (idx.to_bytes(2 * m, "little").decode("utf-16-le")
+            .translate(ft).encode("latin-1"))
 
 
 def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],

@@ -216,6 +216,8 @@ def _catalog_instances(args):
         return cat.default_catalog() + [cat.make_instance("semilattice")]
     with _reading("--params"):
         params = json.loads(args.params) if args.params else {}
+        if not isinstance(params, dict):
+            raise UsageError("--params must be a JSON object")
         return [cat.make_instance(args.kind, **params)]
 
 

@@ -1,14 +1,26 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indalg import catalog as cat
 from indalg.catalog import InvalidParams, TooLarge
+
+
+# (kind, params, field): a list parameter given something else
+SHAPE_ERRORS = [
+    ("linear", {"q": 3, "a0": 5}, "a0"),
+    ("affine", {"q": 3, "a0": [5]}, "a0 entry"),
+    ("linear", {"q": 3, "a0": None}, "a0"),
+    ("group_action", {"size": 5, "generators": 5}, "generators"),
+    ("group_action", {"size": 5, "generators": [5]}, "generators entry"),
+    ("group_action", {"size": 5, "constants": 5}, "constants"),
+]
 
 
 def test_make_instance_rejects_bad_params():
@@ -29,6 +41,10 @@ def test_make_instance_rejects_bad_params():
                          ("group_action", {"size": 5, "generators": [[0, 1, 2, 3, 4]],
                                            "constants": [True, 3]})]:
         with pytest.raises(InvalidParams):
+            cat.make_instance(kind, **params)
+    # list fields take lists only, and the error names the field
+    for kind, params, field in SHAPE_ERRORS:
+        with pytest.raises(InvalidParams, match=f"^{field} must be a list"):
             cat.make_instance(kind, **params)
 
 
@@ -227,12 +243,19 @@ GEN_OPS_CASES = list(cat.DEFAULT_INSTANCES) + [
     ("affine", {"q": 5, "dim": 1}),
     ("linear", {"q": 2, "dim": 2, "a0": [[1, 1]]}),
     ("linear", {"q": 2, "dim": 2, "a0": [[1, 0], [0, 1]]}),
+    ("affine", {"q": 5, "dim": 2}),
 ]
 
 
 @pytest.mark.parametrize("kind,params", GEN_OPS_CASES)
 def test_gen_ops_generate_every_basic_op(kind, params):
     alg = cat.make_instance(kind, **params)
+    # the lane precondition of _compose: an entry at or above the size
+    # would carry into the next entry's lane and give a wrong table
+    for op in alg.ops:
+        assert op.size == alg.size
+        assert len(op.table) == op.size ** op.arity
+        assert max(op.table) < op.size
     gen = {(op.arity, op.table) for op in alg.gen_ops}
     targets = {(op.arity, op.table) for op in alg.ops} - gen
     assert cat.generated_covers(alg, alg.gen_ops, targets) == targets
@@ -487,18 +510,37 @@ def loop_compose(f, gs, total):
 
 @st.composite
 def compositions(draw):
-    n = draw(st.integers(1, 9))
     k = draw(st.integers(1, 4))
-    table = draw(st.binary(min_size=n**k, max_size=n**k))
-    f = cat.Op("f", k, n, bytes(b % n for b in table))
-    total = draw(st.integers(1, 40))
+    top = max(n for n in range(1, 26) if n**k <= 25**3)
+    # drawn from either end, so both lane widths of _compose come up often
+    n = draw(st.integers(1, top) | st.integers(1, top).map(lambda i: top + 1 - i))
+    # a seeded table: up to 15,625 drawn entries would overrun the example
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    f = cat.Op("f", k, n, bytes(rnd.randrange(n) for _ in range(n**k)))
+    total = draw(st.integers(1, 800))
     gs = [bytes(b % n for b in draw(st.binary(min_size=total, max_size=total)))
           for _ in range(k)]
     return f, gs
 
 
+def lane_edge(n, k, total=None):
+    """f of arity k on n elements with a fixed pseudo-random table, applied
+    to the full projections, or to total-entry pseudo-random arguments."""
+    rnd = random.Random(n * 100 + k)
+    f = cat.Op("f", k, n, bytes(rnd.randrange(n) for _ in range(n**k)))
+    if total is None:
+        return f, cat._projections(n, k)
+    return f, [bytes(rnd.randrange(n) for _ in range(total)) for _ in range(k)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(compositions())
+@example(lane_edge(16, 2))          # 256 entries: the last byte-lane table
+@example(lane_edge(4, 4))
+@example(lane_edge(17, 2))          # 289 entries: the first 16-bit one
+@example(lane_edge(9, 3, 729))
+@example(lane_edge(25, 3))          # 15,625 entries, every index once
+@example(lane_edge(1, 3, 5))
 def test_compose_matches_entry_loop(case):
     f, gs = case
     assert cat._compose(f, gs) == loop_compose(f, gs, len(gs[0]))

@@ -500,6 +500,25 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_catalog_params_of_the_wrong_shape_name_the_field(capsys):
+    cases = [(kind, text, f"--params: {field} must be a list")
+             for kind, text, field in [
+                 ("linear", '{"q":3,"a0":5}', "a0"),
+                 ("affine", '{"q":3,"a0":[5]}', "a0 entry"),
+                 ("linear", '{"q":3,"a0":null}', "a0"),
+                 ("group_action", '{"size":5,"generators":5}', "generators"),
+                 ("group_action", '{"size":5,"generators":[5]}', "generators entry"),
+                 ("group_action", '{"size":5,"constants":5}', "constants")]]
+    cases += [("linear", text, "--params must be a JSON object")
+              for text in ("[1]", "5", '"x"', "null")]
+    for kind, text, message in cases:
+        code, out, err = run(capsys, "catalog", "--kind", kind, "--params", text)
+        assert code == 2, text
+        assert out == ""
+        assert f"error: {message}" in err, text
+        assert "Traceback" not in err
+
+
 def test_matrix_entries_up_to_the_digit_limit_are_read(capsys, monkeypatch):
     import io
 

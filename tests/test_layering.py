@@ -1,6 +1,8 @@
 """Layering rules, checked on the source with ``ast``.
 
-No module of the package imports a private (underscore) name of another:
+The package imports only itself and the standard library, as
+``dependencies = []`` in ``pyproject.toml`` promises.  No module of the
+package imports a private (underscore) name of another:
 an ``import`` that reaches into the package and binds an underscore name
 fails the test.  In ``orders/linalg.py`` neither the rational half nor the
 integer-lattice half uses a function of the other, so the two Green's
@@ -11,6 +13,7 @@ the benchmark's span tracer wraps it by name (``TARGETS`` in
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,39 @@ import indalg
 
 ROOT = Path(indalg.__file__).parent
 MODULES = sorted(ROOT.rglob("*.py"))
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules outside the package and the standard library that the
+    absolute imports in source name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        out += [f"line {node.lineno}: {name}" for name in names
+                if name.split(".")[0] != "indalg"
+                and name.split(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+def test_checker_flags_foreign_imports():
+    assert foreign_imports("import numpy") == ["line 1: numpy"]
+    assert foreign_imports("import os, numpy.linalg as la\n"
+                           "from hypothesis import given") == [
+        "line 1: numpy.linalg", "line 2: hypothesis"]
+    assert foreign_imports("from __future__ import annotations\n"
+                           "import itertools\nfrom fractions import Fraction\n"
+                           "from indalg.orders import linalg\n"
+                           "from . import acts\nfrom .linalg import rref") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_itself_and_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def private_imports(source: str) -> list[str]:

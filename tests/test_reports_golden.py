@@ -91,7 +91,9 @@ GOLDEN = [
     ("suite --backend act --n 3 --samples 20", 0,
      "d61754fd23a2aff6460e130c5350b18acac870ba49c667eb6f773cae126a274d"),
     # catalog instances beyond the default list: a witness check with
-    # violations, the 5-element field and a 9-element affine clone
+    # violations, the 5-element field, a 9-element affine clone and the
+    # 25-element affine space, whose 15,625-entry ternary tables take the
+    # 16-bit lanes of the composition kernel
     ('catalog --kind linear --params {"q":3,"dim":2,"a0":[[1,0]]} '
      "--check witness --variant plus", 0,
      "74bc2aec366a9cb0b7eeba95992d28dd6f6cadefe846b1e37f8795e40afbd6b2"),
@@ -99,6 +101,10 @@ GOLDEN = [
      "c081a9e36b18e7e837e508d9f8f4b7de42eb3dbf1220f0e49304b7a32fcfcbba"),
     ('catalog --kind affine --params {"q":3,"dim":2,"a0":[[1,0]]} --check clone', 0,
      "0f2abe9916c7b6feec2c6cb83e00cc2c54dde90426d78d6e1fc7f59a2ffac692"),
+    ('catalog --kind affine --params {"q":5,"dim":2,"a0":[[1,0]]} --check witness', 0,
+     "d37db64de4b15120bd66d08419a72eb152654e93509f33417560421e6e2d40d3"),
+    ('catalog --kind affine --params {"q":5,"dim":2,"a0":[[1,0]]} --check endos', 0,
+     "314581eca4adf332b3b0c0331f86bc0cef1deea75d8d142934721987b960d7d1"),
     ("greens --backend matrix --side R --input -", 0,
      "136d42cf1d49c270e69145c2cc5c2da09483def74e4ed46f9800f9f8563ac5df",
      '{"a": [["1/2", "0"], ["0", "0"]], "b": [[1, 0], [0, 1]]}'),
