@@ -632,15 +632,16 @@ def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:
 
     goal = btabs - wtabs - proj
     got = generated_covers(alg, witness.ops, goal) if goal else set()
+    ungenerated = goal - got
     missing = tuple(
-        sorted(op.name for op in alg.ops if (op.arity, op.table) in goal - got)
+        sorted(op.name for op in alg.ops if (op.arity, op.table) in ungenerated)
     )
 
     alien = wtabs - btabs - proj
     ok_alien = generated_covers(alg, alg.ops, alien) if alien else set()
+    outside = alien - ok_alien
     non_clone = tuple(
-        sorted(op.name for op in witness.ops
-               if (op.arity, op.table) in alien - ok_alien)
+        sorted(op.name for op in witness.ops if (op.arity, op.table) in outside)
     )
 
     t_ops = unary_clone(alg).t_ops

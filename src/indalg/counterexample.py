@@ -149,13 +149,14 @@ class HMap:
 def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> dict:
     """Verify g(w1 w', w2 w') == g(w1, w2) w' on seeded random triples."""
     rng = random.Random(seed)
+    g, rand_word = h.g, words.rand_word
     failures = []
     for k in range(samples):
-        w1 = words.rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
-        w2 = words.rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
-        wp = words.rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
-        lhs = h.g(mul(w1, wp), mul(w2, wp))
-        rhs = mul(h.g(w1, w2), wp)
+        w1 = rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
+        w2 = rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
+        wp = rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
+        lhs = g(mul(w1, wp), mul(w2, wp))
+        rhs = mul(g(w1, w2), wp)
         if lhs != rhs:
             failures.append(
                 {
@@ -288,7 +289,7 @@ def _classify_node(t: Term, forms: dict[Term, TermForm], h: HMap) -> TermForm:
 
 
 def _check_prefix(prefix: Word, content: frozenset[int]) -> None:
-    for g in gen_content(prefix):
+    for g, _ in prefix:
         if g % 2 and g not in content:
             raise AssertionError(_PREFIX_INVARIANT)
 

@@ -8,8 +8,11 @@ reduced words and interprets g through a lookup object ``h`` exposing
 Nodes are hash-consed: a constructor returns the live node with the same
 kind and fields if there is one, so structurally equal terms are the same
 object, and equality and hashing are by identity, O(1) at any size.  The
-intern table holds its nodes weakly, so a node lives exactly as long as some
-caller keeps it; there is no process-wide cache.  Each node stores its
+intern table is a plain dict from a node's key to a ``weakref.KeyedRef`` to
+the node, so a node lives exactly as long as some caller keeps it; there is
+no process-wide cache.  The ref's callback deletes the entry when the node
+dies, but only while the dict still holds that same ref: a term built again
+meanwhile has a newer entry, which stays.  Each node stores its
 ``arity`` (largest variable index), ``star`` (index of the rightmost
 variable) and ``content`` (generators in its nu-coefficients), computed
 once from its children; ``meta`` reads them.
@@ -40,9 +43,19 @@ class ArityError(ValueError):
     """Raised when an argument tuple is shorter than the term's max variable."""
 
 
-# (kind, fields...) -> the live node; children in a key are nodes, so a key
-# hashes and compares in time independent of the subterms' sizes.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (kind, fields...) -> a KeyedRef to the live node, whose callback is _drop;
+# children in a key are nodes, so a key hashes and compares in time
+# independent of the subterms' sizes.  A plain dict costs one ``get`` and one
+# call per lookup, where a WeakValueDictionary runs Python code per access.
+_NODES: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _drop(ref: weakref.KeyedRef, nodes: dict = _NODES) -> None:
+    """Callback of a dead node's ref: delete its entry unless the key now
+    holds a newer ref.  The table is bound here, not read as a global, so a
+    callback that runs while the interpreter clears this module finds it."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 class _Node:
@@ -62,6 +75,7 @@ class _Node:
 
 
 _set = object.__setattr__
+_KeyedRef = weakref.KeyedRef
 
 
 def _fill(node: _Node, arity: int, star: int, content: frozenset[int],
@@ -77,12 +91,16 @@ class Var(_Node):
 
     def __new__(cls, index: int) -> Var:
         key = (Var, index)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = object.__new__(cls)
-            _set(node, "index", index)
-            # a bad index is kept, not refused: meta reports it
-            _fill(node, index, index, frozenset(), None if index >= 1 else index)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _NODES[key] = _KeyedRef(node, _drop, key)
+        _set(node, "index", index)
+        # a bad index is kept, not refused: meta reports it
+        _fill(node, index, index, frozenset(), None if index >= 1 else index)
         return node
 
 
@@ -91,15 +109,19 @@ class Nu(_Node):
 
     def __new__(cls, coeff: Word, child: Term) -> Nu:
         key = (Nu, coeff, child)
-        node = _NODES.get(key)
-        if node is None:
-            if not isinstance(child, _Node):
-                raise TypeError(f"not a term: {child!r}")
-            node = _NODES[key] = object.__new__(cls)
-            _set(node, "coeff", coeff)
-            _set(node, "child", child)
-            _fill(node, child.arity, child.star,
-                  _union(child.content, words.gen_content(coeff)), child.bad)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if not isinstance(child, _Node):
+            raise TypeError(f"not a term: {child!r}")
+        node = object.__new__(cls)
+        _NODES[key] = _KeyedRef(node, _drop, key)
+        _set(node, "coeff", coeff)
+        _set(node, "child", child)
+        _fill(node, child.arity, child.star,
+              _union(child.content, words.gen_content(coeff)), child.bad)
         return node
 
 
@@ -108,17 +130,21 @@ class G(_Node):
 
     def __new__(cls, left: Term, right: Term) -> G:
         key = (G, left, right)
-        node = _NODES.get(key)
-        if node is None:
-            for arg in (left, right):
-                if not isinstance(arg, _Node):
-                    raise TypeError(f"not a term: {arg!r}")
-            node = _NODES[key] = object.__new__(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _fill(node, max(left.arity, right.arity), right.star,
-                  _union(left.content, right.content),
-                  right.bad if left.bad is None else left.bad)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        for arg in (left, right):
+            if not isinstance(arg, _Node):
+                raise TypeError(f"not a term: {arg!r}")
+        node = object.__new__(cls)
+        _NODES[key] = _KeyedRef(node, _drop, key)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        _fill(node, max(left.arity, right.arity), right.star,
+              _union(left.content, right.content),
+              right.bad if left.bad is None else left.bad)
         return node
 
 
@@ -154,9 +180,10 @@ def evaluate(t: Term, args: tuple[Word, ...], h) -> Word:
 
 
 def _eval(t: Term, args: tuple[Word, ...], h) -> Word:
-    if isinstance(t, Var):
+    kind = type(t)  # exact: the node classes are never subclassed
+    if kind is Var:
         return args[t.index - 1]
-    if isinstance(t, Nu):
+    if kind is Nu:
         return words.mul(t.coeff, _eval(t.child, args, h))
     left = _eval(t.left, args, h)
     right = _eval(t.right, args, h)
@@ -277,23 +304,22 @@ def sample_terms(
     Depth <= max_depth (at most MAX_SAMPLE_DEPTH), variables <= max_var,
     nu-coefficients drawn from coeff_pool.  When max_depth >= 2 the corpus
     contains at least one G node.
+
+    Stream contract: each term is drawn from ``random.Random(seed)`` as by a
+    recursive ``gen_term(budget)`` that, below budget 2, returns
+    ``Var(rng.randint(1, max_var))``; otherwise it rolls ``rng.random()``:
+    below 0.25 a variable as before, below 0.55 with a nonempty pool
+    ``Nu(pool[rng.randrange(len(pool))], gen_term(budget - 1))``, else
+    ``G`` of two such terms, left first.  Each draw below n is read straight
+    from ``rng.getrandbits`` by their rule: ``n.bit_length()`` bits, drawn
+    again while the value is n or more.
     """
     if max_depth < 1 or max_var < 1 or count < 1:
         raise ValueError("max_depth, max_var and count must all be >= 1")
     if max_depth > MAX_SAMPLE_DEPTH:
         raise ValueError(f"max_depth must be at most {MAX_SAMPLE_DEPTH}, got {max_depth}")
-    rng = random.Random(seed)
-    pool = [words.reduce(w) for w in coeff_pool]
-
-    def gen_term(budget: int) -> Term:
-        if budget <= 1:
-            return Var(rng.randint(1, max_var))
-        roll = rng.random()
-        if roll < 0.25:
-            return Var(rng.randint(1, max_var))
-        if roll < 0.55 and pool:
-            return Nu(pool[rng.randrange(len(pool))], gen_term(budget - 1))
-        return G(gen_term(budget - 1), gen_term(budget - 1))
+    gen_term = _term_sampler(random.Random(seed), max_var,
+                             [words.reduce(w) for w in coeff_pool])
 
     seen: set[Term] = set()
     out: list[Term] = []
@@ -314,6 +340,30 @@ def sample_terms(
                 out[-1] = t
                 break
     return out
+
+
+def _term_sampler(rng: random.Random, max_var: int, pool: list[Word]):
+    """``gen_term(budget)`` of ``sample_terms``' stream contract, over rng."""
+    bits, roll = rng.getrandbits, rng.random
+    n_pool = len(pool)
+    k_var, k_pool = max_var.bit_length(), n_pool.bit_length()
+
+    def gen_term(budget: int) -> Term:
+        if budget > 1:
+            r = roll()
+            if r >= 0.25:
+                if r < 0.55 and pool:
+                    i = bits(k_pool)
+                    while i >= n_pool:
+                        i = bits(k_pool)
+                    return Nu(pool[i], gen_term(budget - 1))
+                return G(gen_term(budget - 1), gen_term(budget - 1))
+        i = bits(k_var)
+        while i >= max_var:
+            i = bits(k_var)
+        return Var(i + 1)
+
+    return gen_term
 
 
 def _has_g(t: Term) -> bool:

@@ -55,14 +55,16 @@ def inv(u: Word) -> Word:
 
 def div(u: Word, v: Word) -> Word:
     """u * v**-1 (reduced) without building v**-1: u and v are reduced, so
-    past their common trailing syllables at most one pair merges."""
-    i, n = 0, min(len(u), len(v))
-    while i < n and u[-1 - i] == v[-1 - i]:
-        i += 1
-    u, v = u[: len(u) - i], v[: len(v) - i]
-    if u and v and u[-1][0] == v[-1][0]:
-        return u[:-1] + ((u[-1][0], u[-1][1] - v[-1][1]),) + inv(v[:-1])
-    return u + inv(v)
+    past their common trailing syllables at most one pair merges.  One walk
+    back over both tails finds where they part."""
+    i, j = len(u), len(v)
+    while i and j and u[i - 1] == v[j - 1]:
+        i -= 1
+        j -= 1
+    if i and j and u[i - 1][0] == v[j - 1][0]:
+        g, e = u[i - 1]
+        return u[: i - 1] + ((g, e - v[j - 1][1]),) + inv(v[: j - 1])
+    return u[:i] + inv(v[:j])
 
 
 def gen(i: int, e: int = 1) -> Word:

@@ -176,6 +176,44 @@ def test_g_matches_the_former_product_when_w2_starts_with_the_index(w1, rest, id
     assert h.g(w1, w2) == _former_g(h, w1, w2)
 
 
+def _g_by_composition(h, w1, w2):
+    """HMap.g as one lookup and one product, kept as its oracle: the index of
+    w1 w2^-1, multiplied onto w2 when w2 opens with it, else prepended."""
+    idx = h.lookup(wd.div(w1, w2))
+    if w2 and w2[0][0] == idx:
+        return mul(((idx, 1),), w2)
+    return ((idx, 1),) + w2
+
+
+even_indices = st.integers(6, 2**70).map(lambda k: 2 * k)
+OPENINGS = ("free", "w2 opens with the index", "w2 opens with the pinned index")
+
+
+@given(we.words, we.words, we.long_words, st.sampled_from(OPENINGS), we.exponents,
+       even_indices)
+@example(((3, 1),), ((5, 2),), ((2**4000, 1), (7, -2)) * 10, OPENINGS[2], -1, 12)
+@example((), (), ((9, 1),), OPENINGS[2], 2, 2**71)  # w1 w2^-1 = z_idx^-2
+def test_g_matches_its_composition_on_long_common_tails(a, b, tail, opening, e, idx):
+    if opening != OPENINGS[0]:
+        b = wd.reduce(((idx, e),) + b)
+    w1, w2 = mul(a, tail), mul(b, tail)
+    pins = {wd.div(w1, w2): idx} if opening == OPENINGS[2] else None
+    h = HMap(pins)
+    assert h.g(w1, w2) == _g_by_composition(h, w1, w2)
+
+
+@given(we.words, we.long_words, even_indices)
+@example((), (), 12)  # w2 = z12^-1, so g(w1, w2) is the identity
+@example(((1, 1), (2, -1)), ((12, 1),), 14)  # d is a pinned word too
+def test_g_cancels_the_new_syllable_into_w2(d, rest, idx):
+    # w1 w2^-1 = d is pinned to idx and w2 opens with z_idx^-1
+    assume(not rest or rest[0][0] != idx)
+    w2 = ((idx, -1),) + rest
+    w1 = mul(d, w2)
+    h = HMap({d: idx})
+    assert h.g(w1, w2) == _g_by_composition(h, w1, w2) == rest
+
+
 def test_right_translation_homogeneity():
     report = ce.check_homogeneity(HMap(), samples=2000, seed=5)
     assert report["ok"]

@@ -18,6 +18,10 @@ GOLDEN = [
      "67ea7a13d3c44065099bd28aed4fb921b47f76396ae3d1fa08eeccbb62366e51"),
     ("classify", 0,
      "09cfae30ac75b1d174b6a715e3fc2860a7ada96a77aabf621a549e08a113af68"),
+    # deep sampled terms: h-indices up to ~22,600 bits, so long divisions and
+    # the chunked path of the h-map's encoding run
+    ("verify-counterexample --samples 50 --terms 40 --depth 9 --seed 7", 0,
+     "f11c76766a55ca71cd82d9229a8df0c14db78582a366c22fb7931d59de22e5f9"),
     ("catalog", 0,
      "7bd07561afa02f809cd688525d33772d303604040d95ed661d19f1d0b6de9503"),
     ("catalog --check witness", 0,

@@ -45,11 +45,17 @@ def test_free_group_laws(u, v, w):
     assert wd.reduce(mul(u, v)) == mul(u, v)
 
 
-@given(we.words, we.words)
-def test_div_is_product_with_the_inverse(u, v):
+@given(we.words, we.words, we.long_words)
+@example(((1, 1),), ((1, 2),), ((2, 1), (1, 1)))  # z1 z1^-2 merges once past the tail
+@example(((1, 1),), (), ((1, -1), (2, 3)))  # u's own syllable cancels into the tail
+def test_div_is_product_with_the_inverse(u, v, tail):
     assert div(u, v) == mul(u, inv(v))
     assert div(mul(u, v), v) == u
     assert div(u, u) == IDENTITY
+    # a long common tail, walked back before u and v part
+    ut, vt = mul(u, tail), mul(v, tail)
+    assert div(ut, vt) == mul(ut, inv(vt)) == mul(u, inv(v))
+    assert div(ut, tail) == u
 
 
 @given(we.words)

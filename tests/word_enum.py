@@ -21,6 +21,8 @@ exponents = st.one_of(st.integers(1, 40), st.integers(1, 2**64)).flatmap(
 )
 generators = st.one_of(st.integers(1, 12), st.integers(1, 2**4000))
 words = st.lists(st.tuples(generators, exponents), max_size=6).map(reduce)
+# up to 30 syllables: a common tail of two words, as right translation makes
+long_words = st.lists(st.tuples(generators, exponents), max_size=30).map(reduce)
 
 
 def rand_word_by_randint(rng, max_gen: int = 5, max_syll: int = 4,
