@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import PreconditionViolated
+from .matrix import PreconditionViolated, randints
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class ActEndo:
         n = len(self.shifts)
         if len(self.targets) != n:
             raise ValueError("shifts/targets length mismatch")
-        if any(not (0 <= t < n) for t in self.targets):
+        if n and (min(self.targets) < 0 or max(self.targets) >= n):
             raise ValueError("target index out of range")
-        if self.flavor == "B" and any(s < 0 for s in self.shifts):
+        if self.flavor == "B" and n and min(self.shifts) < 0:
             raise ValueError("flavor B requires nonnegative shifts")
 
     @property
@@ -79,11 +79,9 @@ def compose(theta: ActEndo, phi: ActEndo) -> ActEndo:
     if theta.n != phi.n:
         raise ValueError("rank mismatch")
     flavor = "A" if "A" in (theta.flavor, phi.flavor) else "B"
-    shifts = tuple(
-        theta.shifts[i] + phi.shifts[theta.targets[i]] for i in range(theta.n)
-    )
-    targets = tuple(phi.targets[theta.targets[i]] for i in range(theta.n))
-    return ActEndo(flavor, shifts, targets)
+    ps, pt = phi.shifts, phi.targets
+    shifts = tuple([s + ps[t] for s, t in zip(theta.shifts, theta.targets)])
+    return ActEndo(flavor, shifts, tuple([pt[t] for t in theta.targets]))
 
 
 def lift_endo(theta: ActEndo) -> ActEndo:
@@ -323,13 +321,9 @@ def rand_square_cancellable(rng: random.Random, n: int) -> ActEndo:
     shifts = []
     targets = []
     for i in range(n):
-        if i in rho:
-            shifts.append(rng.randint(0, 5))
-            targets.append(rho[i])
-        else:
-            anchor = rng.choice(t)
-            shifts.append(rng.randint(0, 5))
-            targets.append(rho[anchor])
+        anchor = i if i in rho else rng.choice(t)
+        shifts.append(rng.randint(0, 5))
+        targets.append(rho[anchor])
     alpha = ActEndo("B", tuple(shifts), tuple(targets))
     assert is_square_cancellable(alpha)
     return alpha
@@ -348,7 +342,7 @@ def rand_hstar_element(rng: random.Random, alpha: ActEndo) -> ActEndo:
     # one merge class per target
     perm = sorted(target_set(alpha))
     rng.shuffle(perm)
-    return hstar_element(alpha, perm, [rng.randint(0, 4) for _ in perm])
+    return hstar_element(alpha, perm, randints(rng, [(0, 4)] * len(perm)))
 
 
 def left_ore_solve(
@@ -384,8 +378,5 @@ def left_ore_solve(
 
 def rand_act_endo(rng: random.Random, n: int, flavor: str = "B") -> ActEndo:
     lo = 0 if flavor == "B" else -5
-    return ActEndo(
-        flavor,
-        tuple(rng.randint(lo, 5) for _ in range(n)),
-        tuple(rng.randrange(n) for _ in range(n)),
-    )
+    draws = randints(rng, [(lo, 5)] * n + [(0, n - 1)] * n)
+    return ActEndo(flavor, tuple(draws[:n]), tuple(draws[n:]))

@@ -8,16 +8,18 @@ The rational half holds a rational matrix as integer rows over one
 positive denominator, ``(rows, d)``, from ``split`` in lowest terms;
 ``join`` builds Fractions only where a public routine returns a matrix.
 Its kernel ``bareiss`` returns an RREF's integer rows, denominator and
-pivot columns: ``rank``, ``col_space_leq`` and ``solvable`` read only the
-pivots, ``nullspace`` and ``solve_int`` read integer vectors off the rows.
+pivot columns: ``rank`` and ``solvable`` read only the pivots,
+``nullspace`` and ``solve_int`` read integer vectors off the rows.
 
 The integer half never touches ``Fraction``.  Its unimodular kernel
 ``_echelon`` makes one pass per pivot row, clearing the column below it
 by one extended-Euclid 2 x 2 step per live row; ``hnf_rows`` finishes
-that into the canonical Hermite normal form; ``left_kernel_int`` echelons
-``[m | I]`` and reads the kernel off the identity tails.  Each starred
-Green's order is one such integer kernel (``matrix.greens_leq``);
-``saturation``, a double kernel, is not on that path.
+that into the canonical Hermite normal form; ``left_kernel_gens`` echelons
+``[m | I]`` and reads a generating set of the kernel off the identity
+tails, which ``left_kernel_int`` puts in Hermite form.  Each starred
+Green's order only tests annihilation, so it is one echelon of the
+generators (``matrix.greens_leq``); ``saturation``, a double canonical
+kernel, is not on that path.
 """
 
 from __future__ import annotations
@@ -189,11 +191,6 @@ def solve_left(a, b) -> Mat | None:
     return None if sol is None else transpose(join(*sol))
 
 
-def col_space_leq(a, b) -> bool:
-    """True iff every column of a lies in the column span of b."""
-    return rank(b) == rank(hstack(b, a))
-
-
 def is_integer_matrix(a) -> bool:
     return all(x.denominator == 1 for row in a for x in row)
 
@@ -272,18 +269,25 @@ def hnf_rows(rows) -> IntMat:
     return tuple(map(tuple, work))
 
 
-def left_kernel_int(m: IntMat) -> IntMat:
-    """Canonical basis of {x in Z^k : x m = 0} for an integer k-row matrix.
+def left_kernel_gens(m: IntMat) -> list[list[int]]:
+    """A basis, not canonical, of {x in Z^k : x m = 0} for an integer
+    k-row matrix.
 
     Echelons [m | I] over m's columns; the identity tails of the rows whose
     m-part vanishes generate the kernel lattice exactly.
     """
     if not m:
-        return ()
+        return []
     n = len(m[0])
     aug = [[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)]
     work, r = _echelon(aug, n)
-    return hnf_rows([row[n:] for row in work[r:]])
+    return [row[n:] for row in work[r:]]
+
+
+def left_kernel_int(m: IntMat) -> IntMat:
+    """Canonical basis of {x in Z^k : x m = 0}: ``left_kernel_gens`` in
+    Hermite normal form."""
+    return hnf_rows(left_kernel_gens(m))
 
 
 def right_kernel_int(m: IntMat) -> IntMat:

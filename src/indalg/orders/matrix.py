@@ -9,13 +9,15 @@ and column spaces:
 * ``greens_leq(side="R")``  -- kernel containment (null(b) <= null(a)),
   equivalent to solvability of a = g @ b;
 * ``greens_leq(side="L")``  -- column-space containment, equivalent to
-  solvability of a = b @ g;
+  solvability of a = b @ g; it is R's transpose dual (every x with
+  x b = 0 has x a = 0), so each of R and L is one rational kernel;
 * the starred variants apply to integer matrices and are each one integer
   kernel, independent of the rational route used for the unstarred ones:
   ``Rstar`` asks whether a kills the integer right kernel of b, and
   ``Lstar``, containment of the pure closures (saturations) of the column
   lattices, is its transpose dual: every integer x with x b = 0 has
-  x a = 0.
+  x a = 0.  Annihilation needs only generators of a kernel, not its
+  canonical basis.
 
 Composition convention: "apply a, then b" is the matrix product b @ a.
 """
@@ -33,17 +35,15 @@ from .linalg import (
     IntMat,
     Mat,
     bareiss,
-    col_space_leq,
     identity,
     is_integer_matrix,
     join,
-    left_kernel_int,
+    left_kernel_gens,
     lowest,
     mat_z,
     matmul_int,
     nullspace,
     rank,
-    right_kernel_int,
     rref,
     scale_int,
     shape,
@@ -66,20 +66,21 @@ class PreconditionViolated(ValueError):
 def greens_leq(side: str, a, b) -> bool:
     """Green's order comparisons for matrix endomorphisms.
 
-    R and L compare rational matrices; Rstar and Lstar compare integer
-    matrices through one integer kernel each, so Lstar(a, b) is
-    Rstar(a^T, b^T).
+    R and L compare rational matrices through one rational kernel each,
+    Rstar and Lstar integer matrices through one integer kernel each; in
+    both pairs the left order is the transpose dual of the right one:
+    L(a, b) is R(a^T, b^T).
     """
     if side == "R":
         return _annihilates(split(a)[0], nullspace(b))
     if side == "L":
-        return col_space_leq(a, b)
+        return _annihilates(split(transpose(a))[0], nullspace(transpose(b)))
     if side == "Rstar":
         a, b = mat_z(a), mat_z(b)
-        return _annihilates(a, right_kernel_int(b))
+        return _annihilates(a, left_kernel_gens(transpose(b)))
     if side == "Lstar":
         a, b = mat_z(a), mat_z(b)
-        return _annihilates(transpose(a), left_kernel_int(b))
+        return _annihilates(transpose(a), left_kernel_gens(b))
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -263,12 +264,32 @@ def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
 # --- seeded sampling --------------------------------------------------------
 
 
+def randints(rng: random.Random, bounds) -> list[int]:
+    """One draw of ``rng.randint(lo, hi)`` per ``(lo, hi)`` in ``bounds``,
+    in order, leaving rng as those calls do: each is read straight from
+    ``rng.getrandbits`` by ``_randbelow``'s rule, ``width.bit_length()``
+    bits drawn again while the value is ``width`` or more.  A draw in
+    ``(0, n - 1)`` is ``rng.randrange(n)``, and indexes as ``rng.choice``."""
+    bits = rng.getrandbits
+    out = []
+    for lo, hi in bounds:
+        width = hi - lo + 1
+        k = width.bit_length()
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        out.append(lo + x)
+    return out
+
+
+_NONZERO = [d for d in range(-9, 10) if d != 0]
+
+
 def rand_rational_matrix(rng: random.Random, n: int) -> Mat:
-    nonzero = [d for d in range(-9, 10) if d != 0]
-    return tuple(
-        tuple(Fraction(rng.randint(-9, 9), rng.choice(nonzero)) for _ in range(n))
-        for _ in range(n)
-    )
+    """Entries p / q row by row, p drawn from -9..9 and then q from the
+    nonzero ones."""
+    draws = iter(randints(rng, [(-9, 9), (0, 17)] * (n * n)))
+    return _rows([Fraction(p, _NONZERO[q]) for p, q in zip(draws, draws)], n)
 
 
 def rand_int_matrix(rng: random.Random, n: int, low_rank_bias: float = 0.4) -> IntMat:
@@ -276,9 +297,11 @@ def rand_int_matrix(rng: random.Random, n: int, low_rank_bias: float = 0.4) -> I
     thin factors so that rank-deficient cases are well represented."""
     if n > 1 and rng.random() < low_rank_bias:
         k = rng.randint(1, n - 1)
-        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
-        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-        return matmul_int(a, b)
-    return tuple(
-        tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)
-    )
+        ab = randints(rng, [(-4, 4)] * (2 * n * k))  # n x k, then k x n
+        return matmul_int(_rows(ab[:n * k], k), _rows(ab[n * k:], n))
+    return _rows(randints(rng, [(-9, 9)] * (n * n)), n)
+
+
+def _rows(entries: list, width: int) -> tuple[tuple, ...]:
+    """The row-major ``entries`` as rows of ``width``."""
+    return tuple(zip(*[iter(entries)] * width))

@@ -15,6 +15,7 @@ from math import gcd
 from . import acts, matrix
 from ..report import Check, fmt_mat
 from .linalg import join, matmul_int, scale_int, solvable, solve_int, split, transpose
+from .matrix import randints
 from .acts import (
     ActEndo,
     compose,
@@ -46,9 +47,10 @@ RANKS = {"matrix": range(1, 5), "act": range(1, 4)}
 
 def matrix_route(side: str, a, b) -> bool:
     """a <= b by a route independent of ``matrix.greens_leq(side, a, b)``:
-    the solvability of a = g @ b for R and of a = b @ g for L; for Rstar
-    and Lstar, the unstarred order, which reads the integer matrices as
-    rational ones."""
+    the solvability of a = g @ b for R and of a = b @ g for L, one
+    elimination of a stacked matrix where ``greens_leq`` reads a kernel;
+    for Rstar and Lstar, the unstarred order, which reads the integer
+    matrices as rational ones."""
     if side == "R":
         return solvable(transpose(b), transpose(a))
     if side == "L":
@@ -164,20 +166,17 @@ def _rank_bridge(image_of: ActEndo, kernel_of: ActEndo) -> ActEndo | None:
 
 def _rand_lstar_below(rng: random.Random, beta: ActEndo) -> ActEndo:
     pool = sorted(target_set(beta))
-    return ActEndo(
-        "B",
-        tuple(rng.randint(0, 5) for _ in range(beta.n)),
-        tuple(rng.choice(pool) for _ in range(beta.n)),
-    )
+    n = beta.n
+    draws = randints(rng, [(0, 5)] * n + [(0, len(pool) - 1)] * n)
+    return ActEndo("B", tuple(draws[:n]), tuple([pool[i] for i in draws[n:]]))
 
 
 def _rand_kernel_above(rng: random.Random, alpha: ActEndo) -> ActEndo:
     """Random beta with ker(alpha) <= ker(beta): constant target and
     coherent shifts on each merge class of alpha, classes allowed to
-    collapse further."""
-    draws = [(rng.randint(0, 4), rng.randrange(alpha.n))
-             for _ in range(acts.act_rank(alpha))]  # (base, target) per class
-    beta = with_kernel(alpha, *zip(*draws))
+    collapse further.  Each class draws its base, then its target."""
+    draws = randints(rng, [(0, 4), (0, alpha.n - 1)] * acts.act_rank(alpha))
+    beta = with_kernel(alpha, draws[::2], draws[1::2])
     assert kernel_leq(beta, alpha)
     return beta
 
@@ -186,7 +185,7 @@ def _kernel_preserving_twin(rng: random.Random, beta: ActEndo) -> ActEndo:
     """An endomorphism with exactly beta's kernel but shuffled targets and
     padded shifts."""
     pool = rng.sample(range(beta.n), acts.act_rank(beta))
-    twin = with_kernel(beta, [rng.randint(0, 4) for _ in pool], pool)
+    twin = with_kernel(beta, randints(rng, [(0, 4)] * len(pool)), pool)
     assert kernel_key(twin) == kernel_key(beta)
     return twin
 

@@ -1,10 +1,11 @@
-"""Matrix helpers for tests: rational coercion, the inverse and lattice
-containment.
+"""Matrix helpers for tests: rational coercion, the inverse, column-space
+containment and lattice containment.
 
 The library compares lattices only through integer kernels, so the
 containment test by canonical Hermite forms lives beside the tests, where
-it is the oracle for the starred Green's orders.  Nothing in the library
-inverts a matrix either.
+it is the oracle for the starred Green's orders.  Likewise the L order is
+one rational kernel in the library, and the rank count that it replaced is
+its oracle here.  Nothing in the library inverts a matrix either.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def inverse(a) -> la.Mat:
     if sol is None:
         raise ValueError("singular matrix")
     return la.join(*sol)
+
+
+def col_space_leq(a, b) -> bool:
+    """True iff every column of a lies in the column span of b: appending
+    a's columns to b leaves its rank unchanged."""
+    return la.rank(b) == la.rank(la.hstack(b, a))
 
 
 def lattice_leq(rows_a, rows_b) -> bool:

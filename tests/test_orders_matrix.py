@@ -7,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from indalg.orders import linalg as la
 from indalg.orders import matrix as mx
+from indalg.orders import suite as su
 from indalg.orders.matrix import NoGroupInverse
 
-from linalg_oracles import inverse, lattice_leq, mat_q
+from linalg_oracles import col_space_leq, inverse, lattice_leq, mat_q
 
 
 def q(rows):
@@ -148,6 +149,58 @@ def test_lstar_is_one_kernel_and_matches_the_pure_closure_route(pair):
     got = mx.greens_leq("Lstar", a, b)
     assert got == pc_closure_lstar(a, b)
     assert got == mx.greens_leq("Rstar", la.transpose(a), la.transpose(b))
+
+
+rational_or_integer = st.sampled_from((
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+))
+
+
+@st.composite
+def l_pairs(draw):
+    """Square pairs of size 1-4, all rational or all integer: random
+    entries, thin products (rank-deficient), zero and full rank (upper
+    triangular, nonzero diagonal); half the time a = b g, inside b's
+    column space."""
+    entries = draw(rational_or_integer)
+
+    def rows(r, c):
+        return [draw(st.lists(entries, min_size=c, max_size=c)) for _ in range(r)]
+
+    def square(kind, n):
+        if kind == "random":
+            return mat_q(rows(n, n))
+        if kind == "thin":
+            k = draw(st.integers(1, max(1, n - 1)))
+            return la.matmul(mat_q(rows(n, k)), mat_q(rows(k, n)))
+        if kind == "zero":
+            return mat_q(la.zeros(n, n))
+        return mat_q([[draw(entries.filter(bool)) if i == j else draw(entries) if j > i
+                       else 0 for j in range(n)] for i in range(n)])
+
+    kinds = ("random", "thin", "zero", "full rank")
+    n = draw(st.integers(1, 4))
+    b = square(draw(st.sampled_from(kinds)), n)
+    a = square(draw(st.sampled_from(kinds)), n)
+    if draw(st.booleans()):
+        a = la.matmul(b, a)
+    return a, b
+
+
+@settings(max_examples=400)
+@given(l_pairs())
+# the rational rank-deficient golden pair, where a <=_L b fails
+@example((q([["2/3", "1/14", "7/10"], ["4/3", "1/7", "7/5"], [0, 0, 0]]),
+          q([["2/3", 0, "1/5"], [0, "1/7", 1], ["2/3", "1/7", "6/5"]])))
+@example((q([[1, 2], [3, 4]]), q(la.zeros(2, 2))))
+@example((q(la.zeros(2, 2)), q(la.zeros(2, 2))))
+def test_l_is_one_kernel_and_matches_the_rank_and_solvability_routes(pair):
+    a, b = pair
+    got = mx.greens_leq("L", a, b)
+    assert got == col_space_leq(a, b)
+    assert got == su.matrix_route("L", a, b)
+    assert got == mx.greens_leq("R", la.transpose(a), la.transpose(b))
 
 
 # --- group inverses ----------------------------------------------------------
@@ -303,7 +356,7 @@ def test_straight_decompose_scaling_structure():
         dec = mx.straight_left_decompose(alpha)
         assert la.rank(dec.a) == la.rank(la.matmul(dec.a, dec.a))
         assert la.rank(dec.a) == la.rank(alpha) or la.rank(alpha) == 0
-        assert la.col_space_leq(dec.b, dec.a) and la.col_space_leq(dec.a, dec.b) or la.rank(alpha) == 0
+        assert col_space_leq(dec.b, dec.a) and col_space_leq(dec.a, dec.b) or la.rank(alpha) == 0
 
 
 def test_verify_decomposition_rejects_wrong_pair():
@@ -362,3 +415,49 @@ def test_rand_matrices_shapes():
         b = mx.rand_int_matrix(rng, n)
         assert la.shape(q(b)) == (n, n)
         assert la.is_integer_matrix(q(b))
+
+
+# --- seeded samplers against their randint streams ----------------------------
+
+
+def rand_rational_matrix_by_randint(rng, n):
+    """``rand_rational_matrix`` as it drew before reading ``getrandbits``
+    directly, kept as the oracle for its values and its stream."""
+    nonzero = [d for d in range(-9, 10) if d != 0]
+    return tuple(
+        tuple(Fraction(rng.randint(-9, 9), rng.choice(nonzero)) for _ in range(n))
+        for _ in range(n)
+    )
+
+
+def rand_int_matrix_by_randint(rng, n, low_rank_bias=0.4):
+    """``rand_int_matrix`` as it drew before, kept as its oracle."""
+    if n > 1 and rng.random() < low_rank_bias:
+        k = rng.randint(1, n - 1)
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        return la.matmul_int(a, b)
+    return tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+
+
+# widths 1, powers of two and their neighbours, where a wrong bit count or
+# rejection test first reads the stream differently
+bounds = st.tuples(st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 5, 8, 9, 18, 19, 64, 2**70)))
+
+
+@given(st.integers(), st.lists(bounds, max_size=12))
+def test_randints_reads_the_randint_stream(seed, spans):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    spans = [(lo, lo + width - 1) for lo, width in spans]
+    assert mx.randints(rng, spans) == [oracle.randint(lo, hi) for lo, hi in spans]
+    assert rng.random() == oracle.random()
+
+
+@given(st.integers(), st.integers(1, 4), st.sampled_from((0, 0.4, 1)))
+def test_matrix_samplers_read_the_randint_stream(seed, n, low_rank_bias):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert (mx.rand_int_matrix(rng, n, low_rank_bias)
+                == rand_int_matrix_by_randint(oracle, n, low_rank_bias))
+        assert mx.rand_rational_matrix(rng, n) == rand_rational_matrix_by_randint(oracle, n)
+    assert rng.random() == oracle.random()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -153,3 +155,45 @@ def test_second_routes_agree_with_greens_leq():
         for side in ("R", "L", "Rstar", "Lstar"):
             assert su.act_route(side, a, b) == ac.greens_leq(side, a, b)
             assert su.matrix_route(side, za, zb) == mx.greens_leq(side, za, zb)
+
+
+# --- the suite's own samplers against their randint streams ------------------
+
+
+def rand_lstar_below_by_randint(rng, beta):
+    """``suite._rand_lstar_below`` as it drew before reading ``getrandbits``
+    directly, kept as the oracle for its values and its stream."""
+    pool = sorted(ac.target_set(beta))
+    return ac.ActEndo(
+        "B",
+        tuple(rng.randint(0, 5) for _ in range(beta.n)),
+        tuple(rng.choice(pool) for _ in range(beta.n)),
+    )
+
+
+def rand_kernel_above_by_randint(rng, alpha):
+    """``suite._rand_kernel_above`` as it drew before, kept as its oracle."""
+    draws = [(rng.randint(0, 4), rng.randrange(alpha.n))
+             for _ in range(ac.act_rank(alpha))]
+    return ac.with_kernel(alpha, *zip(*draws))
+
+
+def kernel_preserving_twin_by_randint(rng, beta):
+    """``suite._kernel_preserving_twin`` as it drew before, kept as its
+    oracle."""
+    pool = rng.sample(range(beta.n), ac.act_rank(beta))
+    return ac.with_kernel(beta, [rng.randint(0, 4) for _ in pool], pool)
+
+
+@given(st.integers(), st.integers(1, 4), st.sampled_from("AB"))
+def test_suite_samplers_read_the_randint_stream(seed, n, flavor):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        beta = ac.rand_act_endo(rng, n, flavor)
+        assert beta == ac.rand_act_endo(oracle, n, flavor)
+        assert su._rand_lstar_below(rng, beta) == rand_lstar_below_by_randint(oracle, beta)
+        above = su._rand_kernel_above(rng, beta)
+        assert above == rand_kernel_above_by_randint(oracle, beta)
+        assert (su._kernel_preserving_twin(rng, above)
+                == kernel_preserving_twin_by_randint(oracle, above))
+    assert rng.random() == oracle.random()
