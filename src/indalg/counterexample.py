@@ -4,8 +4,10 @@ The carrier is the free group F on z1, z2, ...; the binary operation is
 
     g(w1, w2) = z_h(w1 * w2^-1) * w2
 
-where h maps words injectively to even generator indices, with three pinned
-values h(z1*z2^-1) = 6, h(z3*z2^-1) = 8, h(z1*z4^-1) = 10.  Every term t in
+where h maps words to even generator indices: three values are pinned,
+h(z1*z2^-1) = 6, h(z3*z2^-1) = 8, h(z1*z4^-1) = 10, and every other word
+takes the free even index (2, 4, 12, 14, ...) its injective encoding names.
+The free indices skip 6, 8 and 10, so h is injective.  Every term t in
 the language {nu_c, g} evaluates to either a fixed prefix times its rightmost
 variable (Form 1) or a genuinely varying prefix (Form 2); Form 2 terms yield
 explicit counterexamples to the distributivity condition.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import words
-from .report import max_digits, printable
+from .report import Check, max_digits, printable
 from .terms import G, Nu, Term, Var, evaluate, meta
 from .words import IDENTITY, Word, div, gen_content, mul
 
@@ -104,40 +106,21 @@ class HMap:
 
     Three values are pinned; every other word is assigned a free even index
     (2, 4, 12, 14, ...) by a deterministic injective encoding, so lookups are
-    independent of query order.  Extra user pins may be supplied; injectivity
-    is then guarded at lookup time.  The encoding is injective and its values
-    avoid 6, 8 and 10, so a fresh word can clash only with an extra pin.
+    independent of query order.  The encoding is injective and its values
+    avoid 6, 8 and 10, so no two words share an index.
 
     An HMap also memoizes ``classify`` for the terms classified through it.
     """
 
-    def __init__(self, extra_pins: Optional[dict[Word, int]] = None):
-        self.pins = dict(PINS)
-        if extra_pins:
-            for w, v in extra_pins.items():
-                w = words.reduce(w)
-                if v % 2 or v < 2:
-                    raise ValueError(f"pinned value {v} is not an even index >= 2")
-                self.pins[w] = v
-        self._memo: dict[Word, int] = dict(self.pins)
-        self._pinned: dict[int, Word] = {v: w for w, v in self.pins.items()}
-        if len(self._pinned) != len(self.pins):
-            raise ValueError("pin table is not injective")
+    def __init__(self):
+        self._memo: dict[Word, int] = dict(PINS)
         self._forms: dict[Term, TermForm] = {}
 
     def lookup(self, w: Word) -> int:
         got = self._memo.get(w)
-        if got is not None:
-            return got
-        idx = _free_even(_encode(w))
-        clash = self._pinned.get(idx)
-        if clash is not None:
-            raise ValueError(
-                f"h collision: {words.format_word(w)} and "
-                f"{words.format_word(clash)} both map to {idx}"
-            )
-        self._memo[w] = idx
-        return idx
+        if got is None:
+            got = self._memo[w] = _free_even(_encode(w))
+        return got
 
     def g(self, w1: Word, w2: Word) -> Word:
         idx = self.lookup(div(w1, w2))
@@ -146,28 +129,19 @@ class HMap:
         return ((idx, 1),) + w2
 
 
-def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> dict:
+def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> Check:
     """Verify g(w1 w', w2 w') == g(w1, w2) w' on seeded random triples."""
     rng = random.Random(seed)
-    g, rand_word = h.g, words.rand_word
-    failures = []
-    for k in range(samples):
-        w1 = rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
-        w2 = rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
-        wp = rand_word(rng, max_gen=6, max_syll=4, max_exp=3)
+    g, rand_word, fmt = h.g, words.rand_word, words.format_word
+    check = Check.sampled("right_translation_homogeneity")
+    record = check.record
+    for _ in range(samples):
+        w1, w2, wp = rand_word(rng), rand_word(rng), rand_word(rng)
         lhs = g(mul(w1, wp), mul(w2, wp))
         rhs = mul(g(w1, w2), wp)
-        if lhs != rhs:
-            failures.append(
-                {
-                    "w1": words.format_word(w1),
-                    "w2": words.format_word(w2),
-                    "wprime": words.format_word(wp),
-                    "lhs": words.format_word(lhs),
-                    "rhs": words.format_word(rhs),
-                }
-            )
-    return {"samples": samples, "failures": failures, "ok": not failures}
+        record(lhs == rhs, lambda: {"w1": fmt(w1), "w2": fmt(w2), "wprime": fmt(wp),
+                                    "lhs": fmt(lhs), "rhs": fmt(rhs)})
+    return check
 
 
 _PREFIX_INVARIANT = "prefix generators must be even or lie in the term's content"

@@ -70,10 +70,6 @@ def act_endo(flavor: str, shifts, targets_one_based) -> ActEndo:
     )
 
 
-def act_identity(n: int, flavor: str = "B") -> ActEndo:
-    return ActEndo(flavor, (0,) * n, tuple(range(n)))
-
-
 def compose(theta: ActEndo, phi: ActEndo) -> ActEndo:
     """Apply theta, then phi."""
     if theta.n != phi.n:
@@ -198,10 +194,6 @@ def act_embed(m: int, i_one_based: int) -> ActQuot:
     return act_quot(0, m, i_one_based)
 
 
-def act_quotient_eq(p: ActQuot, q: ActQuot) -> bool:
-    return p == q
-
-
 # --- decomposition ----------------------------------------------------------
 
 
@@ -236,8 +228,6 @@ def gamma_left(alpha: ActEndo, beta: ActEndo) -> ActEndo:
         raise ValueError("rank mismatch")
     if not greens_leq("Lstar", alpha, beta):
         raise PreconditionViolated("PC(im alpha) is not within PC(im beta)")
-    if alpha.shifts == beta.shifts and alpha.targets == beta.targets:
-        return act_identity(alpha.n)
     hit = target_set(alpha)
     first = first_preimages(beta)
     default = first[min(hit)]
@@ -260,8 +250,6 @@ def gamma_right(alpha: ActEndo, beta: ActEndo) -> ActEndo:
         raise ValueError("rank mismatch")
     if not kernel_leq(alpha, beta):
         raise PreconditionViolated("ker beta is not within ker alpha")
-    if alpha.shifts == beta.shifts and alpha.targets == beta.targets:
-        return act_identity(alpha.n)
     pre = first_preimages(beta)
     p = max(beta.shifts[i] for i in pre.values())
     shifts = []
@@ -376,7 +364,6 @@ def left_ore_solve(
 # --- seeded sampling --------------------------------------------------------
 
 
-def rand_act_endo(rng: random.Random, n: int, flavor: str = "B") -> ActEndo:
-    lo = 0 if flavor == "B" else -5
-    draws = randints(rng, [(lo, 5)] * n + [(0, n - 1)] * n)
-    return ActEndo(flavor, tuple(draws[:n]), tuple(draws[n:]))
+def rand_act_endo(rng: random.Random, n: int) -> ActEndo:
+    draws = randints(rng, [(0, 5)] * n + [(0, n - 1)] * n)
+    return ActEndo("B", tuple(draws[:n]), tuple(draws[n:]))

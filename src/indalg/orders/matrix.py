@@ -292,10 +292,10 @@ def rand_rational_matrix(rng: random.Random, n: int) -> Mat:
     return _rows([Fraction(p, _NONZERO[q]) for p, q in zip(draws, draws)], n)
 
 
-def rand_int_matrix(rng: random.Random, n: int, low_rank_bias: float = 0.4) -> IntMat:
-    """Random integer matrix; with the given probability, a product of
-    thin factors so that rank-deficient cases are well represented."""
-    if n > 1 and rng.random() < low_rank_bias:
+def rand_int_matrix(rng: random.Random, n: int) -> IntMat:
+    """Random integer matrix; with probability 0.4, a product of thin
+    factors so that rank-deficient cases are well represented."""
+    if n > 1 and rng.random() < 0.4:
         k = rng.randint(1, n - 1)
         ab = randints(rng, [(-4, 4)] * (2 * n * k))  # n x k, then k x n
         return matmul_int(_rows(ab[:n * k], k), _rows(ab[n * k:], n))

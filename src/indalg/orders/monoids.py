@@ -30,7 +30,6 @@ class PresentedMonoid:
     # certificate(side, a, b) -> reason string when ua = vb (left) or
     # au = bv (right) is structurally impossible
     certificate: Callable = field(default=lambda side, a, b: None)
-    fmt: Callable = field(default=str)
 
 
 def _posint_elements(depth: int) -> list[int]:
@@ -127,10 +126,10 @@ def ore_check(monoid: PresentedMonoid, side: str, depth: int) -> OreResult:
         for b, mb in zip(elems, multiples):
             reason = monoid.certificate(side, a, b)
             if reason is not None:
-                fail = {"a": monoid.fmt(a), "b": monoid.fmt(b), "certificate": reason}
+                fail = {"a": str(a), "b": str(b), "certificate": reason}
                 return OreResult("fails", fail, pairs)
             if stuck is None and ma.isdisjoint(mb):
-                stuck = {"a": monoid.fmt(a), "b": monoid.fmt(b), "depth": depth}
+                stuck = {"a": str(a), "b": str(b), "depth": depth}
     if stuck is not None:
         return OreResult("inconclusive", stuck, pairs)
     return OreResult("holds", None, pairs)

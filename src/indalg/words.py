@@ -67,13 +67,11 @@ def div(u: Word, v: Word) -> Word:
     return u[:i] + inv(v[:j])
 
 
-def gen(i: int, e: int = 1) -> Word:
-    """The word z_i**e, checked as ``reduce`` checks a syllable."""
+def gen(i: int) -> Word:
+    """The word z_i, checked as ``reduce`` checks a generator."""
     if not (isinstance(i, int) and i >= 1):
         raise ValueError(f"generator index must be a positive int, got {i!r}")
-    if not isinstance(e, int):
-        raise ValueError(f"exponent must be an int, got {e!r}")
-    return ((i, e),) if e else IDENTITY
+    return ((i, 1),)
 
 
 def gen_content(u: Word) -> frozenset[int]:
@@ -119,39 +117,32 @@ def parse_word(text: str) -> Word:
     return reduce(raw)
 
 
-def rand_word(rng, max_gen: int = 5, max_syll: int = 4, max_exp: int = 3) -> Word:
-    """Seeded random reduced word (possibly identity).
+def rand_word(rng) -> Word:
+    """Seeded random reduced word (possibly identity) of at most 4
+    syllables, each a generator z1..z6 with exponent +-1..3.
 
     Stream contract: the words, and the state ``rng`` is left in, are those
-    of ``rng.randint(0, max_syll)`` for the length and, per syllable,
-    ``rng.randint`` for the generator (never the previous one) and the
-    exponent and ``rng.choice((1, -1))`` for its sign.  Each draw below n is
-    read straight from ``rng.getrandbits`` by their rule: ``n.bit_length()``
-    bits, drawn again while the value is n or more."""
-    if max_syll < 0 or max_gen < 1 or max_exp < 1:
-        raise ValueError("rand_word needs max_syll >= 0, max_gen >= 1, max_exp >= 1")
+    of ``rng.randint(0, 4)`` for the length and, per syllable,
+    ``rng.randint(1, 6)`` for the generator (``rng.randint(1, 5)``, shifted
+    past the previous one, after the first), ``rng.randint(1, 3)`` for the
+    exponent and ``rng.choice((1, -1))`` for its sign.  Each draw below n
+    is read straight from ``rng.getrandbits`` by their rule:
+    ``n.bit_length()`` bits, drawn again while the value is n or more."""
     bits = rng.getrandbits
-    kl, ke = (max_syll + 1).bit_length(), max_exp.bit_length()
-    kg, kg1 = max_gen.bit_length(), (max_gen - 1).bit_length()
-    length = bits(kl)
-    while length > max_syll:
-        length = bits(kl)
+    length = bits(3)  # below 5
+    while length > 4:
+        length = bits(3)
     out: list[Syllable] = []
     prev = 0
     for _ in range(length):
-        if max_gen == 1:
-            if prev == 1:
-                break
-            g = 1
-        else:  # below max_gen, or below max_gen - 1 skipping prev
-            n, k = (max_gen - 1, kg1) if prev else (max_gen, kg)
-            g = bits(k)
-            while g >= n:
-                g = bits(k)
-            g += 1 if not prev or g + 1 < prev else 2
-        e = bits(ke)
-        while e >= max_exp:
-            e = bits(ke)
+        n = 5 if prev else 6  # below 5 skipping prev, or below 6
+        g = bits(3)
+        while g >= n:
+            g = bits(3)
+        g += 1 if not prev or g + 1 < prev else 2
+        e = bits(2)  # below 3
+        while e >= 3:
+            e = bits(2)
         sign = bits(2)  # rng.choice((1, -1)) draws below 2
         while sign >= 2:
             sign = bits(2)

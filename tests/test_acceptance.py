@@ -55,10 +55,10 @@ def test_01_pinned_evaluations():
 
 def test_02_right_translation_homogeneity():
     start = time.perf_counter()
-    report = ce.check_homogeneity(HMap(), samples=10_000, seed=2024)
+    check = ce.check_homogeneity(HMap(), samples=10_000, seed=2024)
     elapsed = time.perf_counter() - start
-    assert report["samples"] == 10_000
-    assert report["failures"] == [], report["failures"][:2]
+    assert check.details["samples"] == 10_000
+    assert check.details["failures"] == [], check.details["failures"][:2]
     assert elapsed < 5.0, f"homogeneity sweep took {elapsed:.2f} s"
     print(
         f"[PASS] criterion 02 homogeneity: 10000/10000 triples exact "

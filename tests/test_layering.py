@@ -10,6 +10,10 @@ routes the suites cross-check stay independent.  Every public top-level
 function is named somewhere in the package outside its own body, unless
 the benchmark's span tracer wraps it by name (``TARGETS`` in
 ``perfbench/spans.py``): a helper only the tests call lives in the tests.
+Likewise every parameter with a default, of a public top-level function or
+of a public class's constructor, is passed by some call in the package:
+a value only the tests set is a constant.  ``cli.run(argv)`` is the one
+exception; ``main``, the benchmark harness and the tests pass ``argv``.
 """
 
 import ast
@@ -185,3 +189,77 @@ def test_every_public_function_has_a_caller_in_the_package():
     sources = {".".join(p.relative_to(ROOT).with_suffix("").parts): p.read_text()
                for p in MODULES}
     assert unreferenced(sources, traced_functions(SPANS.read_text())) == []
+
+
+def _defaulted(stmt) -> tuple[list[str], list[str]]:
+    """The constructor parameters of a top-level function or class, in
+    order (keyword-only ones last), and those with a default.  A class's
+    are its ``__init__``'s after ``self``, or else its annotated fields, as
+    a dataclass takes them."""
+    if isinstance(stmt, ast.ClassDef):
+        init = next((s for s in stmt.body
+                     if isinstance(s, ast.FunctionDef) and s.name == "__init__"), None)
+        if init is None:
+            fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)]
+            return ([f.target.id for f in fields],
+                    [f.target.id for f in fields if f.value is not None])
+        stmt = init
+    args = stmt.args
+    params = [a.arg for a in args.posonlyargs + args.args]
+    if stmt.name == "__init__":
+        params = params[1:]  # self
+    defaulted = params[len(params) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return params + [a.arg for a in args.kwonlyargs], defaulted
+
+
+def unpassed_defaults(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``module.f(p)`` for each parameter p with a default of a public
+    top-level function or class f of the sources (module name -> source)
+    that no call of the name f passes, by position or by keyword, unless
+    (module, f) is exempt.  Matching is by name alone; a call with ``*args``
+    or ``**kwargs`` passes every parameter."""
+    found, calls = [], {}
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")
+                    and (mod, stmt.name) not in exempt):
+                params, defaulted = _defaulted(stmt)
+                found += [(mod, stmt.name, params.index(p), p) for p in defaulted]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, index, param):
+        return (len(call.args) > index
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, param) for k in call.keywords))
+
+    return [f"{mod}.{fn}({p})" for mod, fn, i, p in found
+            if not any(passes(c, i, p) for c in calls.get(fn, ()))]
+
+
+def test_checker_flags_unpassed_defaults():
+    sources = {
+        "a": "def f(x, y=1, *, z=2): return f(x, z=3)\n"
+             "def g(x, k=0): return x\n"
+             "def _h(x=0): pass\n"
+             "class H:\n    def __init__(self, pins=None): pass\n"
+             "    def lookup(self, w, cache=True): pass\n",
+        "b": "from dataclasses import dataclass\nfrom . import a\n"
+             "@dataclass\nclass M:\n    name: str\n    fmt: object = str\n"
+             "    size: int = 0\n"
+             "M('m', size=1)\na.H()\na.g(*[1, 2])\n",
+    }
+    assert unpassed_defaults(sources) == ["a.f(y)", "a.H(pins)", "b.M(fmt)"]
+    assert unpassed_defaults(sources, {("a", "f"), ("b", "M")}) == ["a.H(pins)"]
+    assert unpassed_defaults({"c": "def k(x=0): pass\nk(1)\n"}) == []
+
+
+def test_every_default_is_passed_by_a_caller_in_the_package():
+    sources = {".".join(p.relative_to(ROOT).with_suffix("").parts): p.read_text()
+               for p in MODULES}
+    assert unpassed_defaults(sources, {("cli", "run")}) == []

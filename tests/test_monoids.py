@@ -96,7 +96,7 @@ def test_ore_rejects_depths_over_the_element_cap():
 
 def _ore_oracle(monoid, side, depth):
     """The search over u, v for every pair (a, b), as ``ore_check`` ran it
-    before the set-based version, kept verbatim as the oracle."""
+    before the set-based version, kept as the oracle."""
     elems = monoid.elements(depth)
     fail = None
     stuck = None
@@ -108,8 +108,8 @@ def _ore_oracle(monoid, side, depth):
             if reason is not None:
                 if fail is None:
                     fail = {
-                        "a": monoid.fmt(a),
-                        "b": monoid.fmt(b),
+                        "a": str(a),
+                        "b": str(b),
                         "certificate": reason,
                     }
                 continue
@@ -126,7 +126,7 @@ def _ore_oracle(monoid, side, depth):
                 if found:
                     break
             if found is None and stuck is None:
-                stuck = {"a": monoid.fmt(a), "b": monoid.fmt(b), "depth": depth}
+                stuck = {"a": str(a), "b": str(b), "depth": depth}
     if fail is not None:
         return mo.OreResult("fails", fail, pairs)
     if stuck is not None:

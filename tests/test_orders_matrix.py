@@ -430,9 +430,9 @@ def rand_rational_matrix_by_randint(rng, n):
     )
 
 
-def rand_int_matrix_by_randint(rng, n, low_rank_bias=0.4):
+def rand_int_matrix_by_randint(rng, n):
     """``rand_int_matrix`` as it drew before, kept as its oracle."""
-    if n > 1 and rng.random() < low_rank_bias:
+    if n > 1 and rng.random() < 0.4:
         k = rng.randint(1, n - 1)
         a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
@@ -453,11 +453,10 @@ def test_randints_reads_the_randint_stream(seed, spans):
     assert rng.random() == oracle.random()
 
 
-@given(st.integers(), st.integers(1, 4), st.sampled_from((0, 0.4, 1)))
-def test_matrix_samplers_read_the_randint_stream(seed, n, low_rank_bias):
+@given(st.integers(), st.integers(1, 4))
+def test_matrix_samplers_read_the_randint_stream(seed, n):
     rng, oracle = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        assert (mx.rand_int_matrix(rng, n, low_rank_bias)
-                == rand_int_matrix_by_randint(oracle, n, low_rank_bias))
+        assert mx.rand_int_matrix(rng, n) == rand_int_matrix_by_randint(oracle, n)
         assert mx.rand_rational_matrix(rng, n) == rand_rational_matrix_by_randint(oracle, n)
     assert rng.random() == oracle.random()

@@ -74,21 +74,20 @@ loose = st.one_of(st.integers(-3, 3), st.integers(), st.booleans(), st.floats(),
                   st.text(max_size=2), st.none())
 
 
-@given(loose, loose)
-@example(True, 1)
-@example(1, False)
-@example(2, True)
-def test_gen_is_the_reduced_single_syllable(i, e):
+@given(loose)
+@example(True)
+@example(2)
+def test_gen_is_the_reduced_single_syllable(i):
     # the same word, down to a bool kept as given, or the same ValueError
-    assert repr(_outcome(gen, i, e)) == repr(_outcome(wd.reduce, [(i, e)]))
+    assert repr(_outcome(gen, i)) == repr(_outcome(wd.reduce, [(i, 1)]))
 
 
 def test_is_positive():
     assert not we.is_positive(IDENTITY)  # identity excluded
     assert we.is_positive(gen(3))
-    assert we.is_positive(mul(gen(1, 2), gen(2)))
-    assert not we.is_positive(gen(1, -1))
-    assert not we.is_positive(mul(gen(1), gen(2, -3)))
+    assert we.is_positive(wd.parse_word("z1^2*z2"))
+    assert not we.is_positive(wd.parse_word("z1^-1"))
+    assert not we.is_positive(wd.parse_word("z1*z2^-3"))
 
 
 def test_gen_content_and_lengths():
@@ -144,30 +143,18 @@ def test_positive_tuples_cover_small_pairs():
 def test_rand_word_reduced_and_bounded():
     rng = random.Random(0)
     for _ in range(200):
-        w = wd.rand_word(rng, max_gen=4, max_syll=3, max_exp=2)
+        w = wd.rand_word(rng)
         assert w == wd.reduce(w)
-        assert we.max_gen(w) <= 4
-        for _, e in w:
-            assert abs(e) <= 2 + 2  # merges can sum adjacent exponents
+        assert len(w) <= 4
+        assert we.max_gen(w) <= 6
+        assert all(1 <= abs(e) <= 3 for _, e in w)
 
 
-@pytest.mark.parametrize("params", [(6, 4, 3), (5, 4, 3), (4, 3, 2), (2, 2, 1),
-                                    (1, 4, 3), (6, 0, 3)])
+# the one shape rand_word draws: (max_gen, max_syll, max_exp) of the oracle
+@pytest.mark.parametrize("params", [(6, 4, 3)])
 def test_rand_word_keeps_the_randint_stream(params):
     # reports cannot catch a changed stream: homogeneity holds on any words
     fast, oracle = random.Random(11), random.Random(11)
     for _ in range(20_000):
-        assert wd.rand_word(fast, *params) == we.rand_word_by_randint(oracle, *params)
+        assert wd.rand_word(fast) == we.rand_word_by_randint(oracle, *params)
     assert fast.random() == oracle.random()
-
-
-class _NoDraws:
-    def getrandbits(self, k):
-        raise AssertionError("a draw before the ranges were checked")
-
-
-def test_rand_word_rejects_empty_ranges():
-    # checked up front: a draw below 0 would take 0 bits and never end
-    for params in [(0, 2, 2), (3, -1, 2), (3, 2, 0)]:
-        with pytest.raises(ValueError):
-            wd.rand_word(_NoDraws(), *params)
