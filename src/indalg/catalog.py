@@ -22,42 +22,48 @@ Every instance also names ``gen_ops``, a few basic ops that generate all of
 them by composition (the tests check this per kind).  Closure, the unary
 clone and endomorphisms are computed against ``gen_ops`` only: the same
 subalgebras, unary term ops and homomorphisms, over far smaller tuple
-spaces.  Endomorphisms are searched over a generating set, as UACalc
-searches homomorphisms: each assignment of images to the generators is
-filled in along one recorded derivation per element and kept iff it
-preserves every op, and ``TooLarge`` is raised up front when there are more
-assignments than a budget; the exchange check enumerates only the closed
-sets (Ganter's NextClosure) and memoizes closures by generating set.
+spaces.  ``make_instance`` builds gen_ops directly; the full list of basic
+ops, ``ops`` (7 to 775 tables for a field kind), is built the first time it
+is read, and only the witness check reads it.  Endomorphisms are searched
+over a generating set, as UACalc searches homomorphisms: each assignment of
+images to the generators is filled in along one recorded derivation per
+element and kept iff it preserves every op, and ``TooLarge`` is raised up
+front when there are more assignments than a budget; the exchange check
+enumerates only the closed sets (Ganter's NextClosure) and memoizes closures
+by generating set.
 
-One semi-naive fixpoint, ``_fixpoint``, serves closure and the derivations
-of the endomorphism search (elements under the basic ops), the unary clone
-(unary tables under composition) and clone generation (tables of each arity
-under composition by the witness ops).  It yields each element as it is
-found, in an order independent of hashing, so generation stops as soon as
-its last target appears and its step and table caps trip at the same place
-in every process.
+Closure runs a whole table at a time: each round applies every non-constant
+gen op to all tuples over the set so far with one composition.  One
+semi-naive fixpoint, ``_fixpoint``, serves the derivations of the
+endomorphism search (elements under the basic ops), the unary clone (unary
+tables under composition) and clone generation (tables of each arity under
+composition by the witness ops).  It yields each element as it is found, in
+an order independent of hashing, so generation stops as soon as its last
+target appears and its step and table caps trip at the same place in every
+process.
 
-Op tables are composed by one byte-table kernel, ``_compose``: the unary
-clone and clone generation compose tables whole.  It runs no Python code
-per entry: it reads each argument table as one big integer with one lane
-per entry, forms every entry's index into f's table at once, and reads the
-table through the indices with one ``translate`` -- byte lanes for tables
-of at most 256 entries, 16-bit lanes decoded as UTF-16 for longer ones
-(every table here has at most 25**3 = 15,625 < 0xD800 entries, so each
+Op tables are composed by one byte-table kernel, ``_compose``: closure, the
+unary clone and clone generation compose tables whole.  It runs no Python
+code per entry: it reads each argument table as one big integer with one
+lane per entry, forms every entry's index into f's table at once, and reads
+the table through the indices with one ``translate`` -- byte lanes for
+tables of at most 256 entries, 16-bit lanes decoded as UTF-16 for longer
+ones (every table here has at most 25**3 = 15,625 < 0xD800 entries, so each
 index is one code unit outside the surrogate range).  Lanes never carry
-because every table entry is below its op's size, which the tests check
-for every instance kind.  The field ops are built row by row from the
-tables of their coefficient prefixes.  The witness check and the
-endomorphism search test that a unary map preserves an op one whole table
-at a time, by comparing two tables; the witness check looks for the first
-failing tuple only when they differ.  No table is built at import.
+because every table entry is below its op's size, which the tests check for
+every instance kind.  The field ops are built row by row from the tables of
+their coefficient prefixes.  The witness check and the endomorphism search
+test that a unary map preserves an op one whole table at a time, by
+comparing two tables; the witness check looks for the first failing tuple
+only when they differ.  No table is built at import.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 EXCHANGE_CAP = 16
 # endomorphism search: n^g assignments of images to g generators; g <= n,
@@ -100,18 +106,25 @@ class Op:
 class FiniteAlgebra:
     kind: str
     size: int
-    ops: tuple[Op, ...]
     # basic ops generating every basic op by composition; closure, the unary
     # clone and the endomorphism search run against this set (same results,
     # much smaller tuple spaces)
     gen_ops: tuple[Op, ...]
+    # returns every basic op; run once, the first time ``ops`` is read, so
+    # the checks that read gen_ops alone never build the full list
+    build_ops: Callable[[], tuple[Op, ...]]
+
+    @cached_property
+    def ops(self) -> tuple[Op, ...]:
+        return self.build_ops()
 
     @property
     def elements(self) -> range:
         return range(self.size)
 
     def __repr__(self) -> str:  # params live in the op names
-        return f"FiniteAlgebra({self.kind}, size={self.size}, ops={len(self.ops)})"
+        return (f"FiniteAlgebra({self.kind}, size={self.size}, "
+                f"gen_ops={len(self.gen_ops)})")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +156,41 @@ def _span(vectors: Sequence[Sequence[int]], q: int, dim: int) -> list[int]:
     return sorted(_vidx(v, q) for v in pts)
 
 
+def _field_tables(q: int, dim: int) -> tuple[bytes, list[bytes]]:
+    """The tables of x + y and of x -> l * x, one per l in F_q, on F_q^dim."""
+    size = q**dim
+    vecs = [_vec(i, q, dim) for i in range(size)]
+    add = bytes(
+        _vidx([(x + y) % q for x, y in zip(u, v)], q) for u in vecs for v in vecs
+    )
+    scal = [bytes(_vidx([(lam * x) % q for x in v], q) for v in vecs)
+            for lam in range(q)]
+    return add, scal
+
+
+def _field_gen_ops(kind: str, q: int, dim: int, a0: list[int]) -> tuple[Op, ...]:
+    """The gen_ops of a field kind, built without the other basic ops.
+
+    ``linear``: x+y, every l*x with l != 0 and the constants a in a0;
+    ``affine``: x-y+z and the translations x+a; ``q_homog_field``: x-y+z.
+    Each has the name and table of its op in ``_field_ops``'s list.
+    """
+    size = q**dim
+    add, scal = _field_tables(q, dim)
+    if kind == "linear":
+        return (Op("f(1,1)+0", 2, size, add),
+                *(Op(f"f({lam})+0", 1, size, scal[lam]) for lam in range(1, q)),
+                *(Op(f"f(0)+{a}", 1, size, bytes([a]) * size) for a in a0))
+    plus = Op("+", 2, size, add)
+    x, y, z = _projections(size, 3)
+    minus_y = y.translate(scal[q - 1].ljust(256, b"\0"))
+    maltsev = _compose(plus, [_compose(plus, [x, minus_y]), z])
+    if kind == "q_homog_field":
+        return (Op(f"f(1,{q-1},1)", 3, size, maltsev),)
+    return (Op(f"f(1,{q-1},1)+0", 3, size, maltsev),
+            *(Op(f"f(1)+{a}", 1, size, add[a * size:(a + 1) * size]) for a in a0))
+
+
 def _field_ops(q: int, dim: int, a0: list[int], affine_only: bool,
                with_const: bool) -> list[Op]:
     """Every map sum(l_i * x_i) (+ a for a in a0) of arity 1-3 on F_q^dim.
@@ -154,11 +202,7 @@ def _field_ops(q: int, dim: int, a0: list[int], affine_only: bool,
     shift +a is one more translation of the table.
     """
     size = q**dim
-    vecs = [_vec(i, q, dim) for i in range(size)]
-    add = bytes(
-        _vidx([(x + y) % q for x, y in zip(u, v)], q) for u in vecs for v in vecs
-    )
-    scal = [[_vidx([(lam * x) % q for x in v], q) for v in vecs] for lam in range(q)]
+    add, scal = _field_tables(q, dim)
     # rows[l][c]: the table of x -> c + l * x
     rows = [[bytes(add[c * size + s] for s in scal[l]) for c in range(size)]
             for l in range(q)]
@@ -218,7 +262,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         ops = tuple(
             Op(f"c{a}", 1, size, bytes([a] * size)) for a in range(size)
         )
-        return FiniteAlgebra(kind, size, ops, ops)
+        return FiniteAlgebra(kind, size, ops, lambda: ops)
 
     if kind in ("linear", "affine"):
         q = _int(params.pop("q", 3), "q")
@@ -226,18 +270,10 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         a0_vecs = _validate_field_params(q, dim, params.pop("a0", [[1] * dim]))
         _no_extra(params)
         a0 = _span(a0_vecs, q, dim)
-        ops = tuple(_field_ops(q, dim, a0, affine_only=(kind == "affine"),
-                               with_const=True))
-        by_name = {op.name: op for op in ops}
-        if kind == "linear":
-            gen = [by_name["f(1,1)+0"]]  # x+y
-            gen += [by_name[f"f({lam})+0"] for lam in range(1, q)]
-            gen += [by_name[f"f(0)+{a}"] for a in a0]
-        else:
-            minus = q - 1
-            gen = [by_name[f"f(1,{minus},1)+0"]]  # x-y+z
-            gen += [by_name[f"f(1)+{a}"] for a in a0]
-        return FiniteAlgebra(kind, q**dim, ops, tuple(gen))
+        return FiniteAlgebra(
+            kind, q**dim, _field_gen_ops(kind, q, dim, a0),
+            lambda: tuple(_field_ops(q, dim, a0, affine_only=(kind == "affine"),
+                                     with_const=True)))
 
     if kind == "exceptional":
         _no_extra(params)
@@ -251,7 +287,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
             else:
                 q_table.append(6 - x - y - z)
         ops = (Op("i", 1, 4, i_table), Op("q", 3, 4, bytes(q_table)))
-        return FiniteAlgebra(kind, 4, ops, ops)
+        return FiniteAlgebra(kind, 4, ops, lambda: ops)
 
     if kind == "group_action":
         size = _int(params.pop("size", 5), "size")
@@ -283,17 +319,16 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
             [Op(f"g{k}", 1, size, bytes(p)) for k, p in enumerate(perms)]
             + [Op(f"c{a}", 1, size, bytes([a] * size)) for a in consts]
         )
-        return FiniteAlgebra(kind, size, ops, ops)
+        return FiniteAlgebra(kind, size, ops, lambda: ops)
 
     if kind == "q_homog_field":
         q = _int(params.pop("q", 3), "q")
         _no_extra(params)
         if q not in FIELD_ORDERS:
             raise InvalidParams(f"field order must be one of {FIELD_ORDERS}")
-        ops = tuple(_field_ops(q, 1, [0], affine_only=True, with_const=False))
-        by_name = {op.name: op for op in ops}
-        gen = (by_name[f"f(1,{q-1},1)"],)  # x-y+z
-        return FiniteAlgebra(kind, q, ops, gen)
+        return FiniteAlgebra(
+            kind, q, _field_gen_ops(kind, q, 1, [0]),
+            lambda: tuple(_field_ops(q, 1, [0], affine_only=True, with_const=False)))
 
     if kind == "semilattice":
         _no_extra(params)
@@ -301,7 +336,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         for x, y in itertools.product(range(3), repeat=2):
             table.append(x if x == y else 2)
         ops = (Op("join", 2, 3, bytes(table)),)
-        return FiniteAlgebra(kind, 3, ops, ops)
+        return FiniteAlgebra(kind, 3, ops, lambda: ops)
 
     raise InvalidParams(f"unknown kind {kind!r}")
 
@@ -366,10 +401,29 @@ def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> Iterator:
 
 
 def closure(alg: FiniteAlgebra, xs: Iterable[int]) -> frozenset[int]:
-    """Subalgebra generated by xs (with every constant-op value included)."""
-    start = set(xs)
-    start.update(op.table[0] for op in alg.gen_ops if op.is_constant())
-    return frozenset(_fixpoint(alg.gen_ops, start, lambda op, args: op(*args)))
+    """Subalgebra generated by xs (with every constant-op value included).
+
+    Each round applies every non-constant gen op f of arity k to all of S^k
+    at once, S the set so far: the k projection tables of S^k, read through
+    S's sorted elements, are composed with f in one ``_compose``.  The
+    rounds stop when one adds nothing.
+    """
+    have = set(xs)
+    ops = []
+    for op in alg.gen_ops:
+        if op.is_constant():
+            have.add(op.table[0])
+        else:
+            ops.append(op)
+    while True:
+        elems = bytes(sorted(have)).ljust(256, b"\0")
+        found = set()
+        for op in ops:
+            found.update(_compose(op, [p.translate(elems)
+                                       for p in _projections(len(have), op.arity)]))
+        if found <= have:
+            return frozenset(have)
+        have |= found
 
 
 @dataclass(frozen=True)
@@ -508,7 +562,7 @@ def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
 
 def _projections(n: int, m: int) -> list[bytes]:
     """The m projection tables of arity m on {0..n-1}."""
-    return [bytes(x for x in range(n) for _ in range(n ** (m - 1 - i))) * n**i
+    return [b"".join(bytes((x,)) * n ** (m - 1 - i) for x in range(n)) * n**i
             for i in range(m)]
 
 
@@ -596,7 +650,7 @@ class WitnessReport:
         return self.generates and not self.non_clone and not self.violations
 
 
-def witness_set(alg: FiniteAlgebra, variant: str = "standard") -> WitnessSet:
+def witness_set(alg: FiniteAlgebra, variant: str) -> WitnessSet:
     """The canonical generating set proposed for each instance kind."""
     if alg.kind == "linear":
         by_name = {op.name: op for op in alg.ops}

@@ -240,7 +240,8 @@ def _catalog_checks(args):
             if res.witness:
                 x, y, zz = res.witness
                 details["witness"] = {"X": list(x), "y": y, "z": zz}
-            checks.append(Check(f"exchange[{label}]", expected, outcome, details))
+            checks.append(Check(f"exchange[{label}]", expected, outcome,
+                                details=details))
         elif args.check == "witness":
             variant = args.variant or "standard"
             wit = cat.witness_set(alg, variant=variant)
@@ -253,7 +254,8 @@ def _catalog_checks(args):
                 "missing": list(rep.missing), "non_clone": list(rep.non_clone),
                 "violations": list(rep.violations[:3]),
             }
-            checks.append(Check(f"witness[{label}]", expected, outcome, details))
+            checks.append(Check(f"witness[{label}]", expected, outcome,
+                                details=details))
         elif args.check == "clone":
             uc = cat.unary_clone(alg)
             checks.append(Check(
@@ -382,7 +384,7 @@ def cmd_ore_check(args):
             res.status, "inconclusive"
         )
         checks.append(Check(
-            f"ore[{args.monoid},{side}]", expected, outcome, res.as_dict()
+            f"ore[{args.monoid},{side}]", expected, outcome, details=res.as_dict()
         ))
     return checks
 

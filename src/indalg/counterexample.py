@@ -129,7 +129,7 @@ class HMap:
         return ((idx, 1),) + w2
 
 
-def check_homogeneity(h: HMap, samples: int, seed: int = 0) -> Check:
+def check_homogeneity(h: HMap, samples: int, seed: int) -> Check:
     """Verify g(w1 w', w2 w') == g(w1, w2) w' on seeded random triples."""
     rng = random.Random(seed)
     g, rand_word, fmt = h.g, words.rand_word, words.format_word
@@ -154,8 +154,8 @@ class TermForm:
     form: int  # 1 or 2
     arity: int
     star: int
+    case: str
     prefix: Optional[Word] = None  # Form 1 only
-    case: str = ""
     # Form 2 only: (pos1, pos2, excluded, odd_only), the arguments after the
     # arity of the _fresh_pair_tuples stream its witnesses are drawn from
     plan: Optional[tuple[int, int, frozenset[int], bool]] = None
@@ -311,14 +311,10 @@ class Refutation:
         return self.lhs != self.rhs
 
 
-def refute_distributivity(
-    t: Term, h: HMap, form: Optional[TermForm] = None
-) -> Refutation:
+def refute_distributivity(t: Term, h: HMap, form: TermForm) -> Refutation:
     """Produce (a, mu, lhs, rhs) with a * t(mu) != t(a*mu) for a Form 2 term.
 
-    ``form`` is t's classification when the caller already has it."""
-    if form is None:
-        form = classify(t, h)
+    ``form`` is t's classification under h."""
     if form.form != 2:
         raise NotForm2(f"{t!r} has constant prefix; no refutation exists")
     sample = sample_witnesses(form, t, h, 1)[0]

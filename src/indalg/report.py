@@ -18,7 +18,7 @@ class Check:
     name: str
     expected: str = "pass"
     outcome: str = "pass"
-    details: dict = field(default_factory=dict)
+    details: dict = field(kw_only=True)
 
     @classmethod
     def sampled(cls, name: str) -> Check:

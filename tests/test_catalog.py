@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from indalg import catalog as cat
+from indalg import catalog as cat, cli
 from indalg.catalog import InvalidParams, TooLarge
 
 
@@ -119,8 +120,8 @@ def test_exchange_size_cap():
     big = cat.FiniteAlgebra(
         kind=alg.kind,
         size=cat.EXCHANGE_CAP + 1,
-        ops=(),
         gen_ops=(),
+        build_ops=tuple,
     )
     with pytest.raises(TooLarge):
         cat.check_exchange(big)
@@ -177,7 +178,7 @@ def test_witness_set_variants():
     names = {}
     for kind, params in cat.DEFAULT_INSTANCES:
         alg = cat.make_instance(kind, **params)
-        names.setdefault(kind, cat.witness_set(alg).name)
+        names.setdefault(kind, cat.witness_set(alg, "standard").name)
     assert names["rank0"] == "unary-ops"
     assert names["group_action"] == "unary-ops"
     assert names["linear"] == "maltsev+unary"
@@ -191,7 +192,7 @@ def test_witness_set_variants():
 def test_witness_reports_pass_on_defaults():
     for kind, params in cat.DEFAULT_INSTANCES:
         alg = cat.make_instance(kind, **params)
-        report = cat.check_witness(alg, cat.witness_set(alg))
+        report = cat.check_witness(alg, cat.witness_set(alg, "standard"))
         assert report.ok, (kind, params, report)
         assert report.generates
         assert report.missing == ()
@@ -244,6 +245,7 @@ GEN_OPS_CASES = list(cat.DEFAULT_INSTANCES) + [
     ("linear", {"q": 2, "dim": 2, "a0": [[1, 1]]}),
     ("linear", {"q": 2, "dim": 2, "a0": [[1, 0], [0, 1]]}),
     ("affine", {"q": 5, "dim": 2}),
+    ("affine", {"q": 3, "dim": 1, "a0": []}),
 ]
 
 
@@ -259,6 +261,35 @@ def test_gen_ops_generate_every_basic_op(kind, params):
     gen = {(op.arity, op.table) for op in alg.gen_ops}
     targets = {(op.arity, op.table) for op in alg.ops} - gen
     assert cat.generated_covers(alg, alg.gen_ops, targets) == targets
+
+
+@pytest.mark.parametrize("kind,params", [
+    c for c in GEN_OPS_CASES if c[0] in ("linear", "affine", "q_homog_field")])
+def test_field_gen_ops_are_their_entries_in_the_full_list(kind, params):
+    alg = cat.make_instance(kind, **params)
+    repr(alg)
+    assert "ops" not in vars(alg)  # neither construction nor repr built them
+    full = {op.name: op for op in alg.ops}
+    assert [full[op.name] for op in alg.gen_ops] == list(alg.gen_ops)
+
+
+@pytest.mark.parametrize("check,builds",
+                         [("exchange", 0), ("clone", 0), ("endos", 0), ("witness", 1)])
+def test_only_the_witness_check_builds_the_field_ops(monkeypatch, capsys,
+                                                     check, builds):
+    calls = []
+    build = cat._field_ops
+    monkeypatch.setattr(cat, "_field_ops",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    for kind, params in [("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
+                         ("affine", {"q": 3, "dim": 2, "a0": [[2, 1]]}),
+                         ("q_homog_field", {"q": 5})]:
+        calls.clear()
+        argv = ["catalog", "--kind", kind, "--params", json.dumps(params),
+                "--check", check]
+        assert cli.run(argv) == 0
+        assert len(calls) == builds, (kind, check)
+    capsys.readouterr()
 
 
 def oracle_closure(alg, xs):
@@ -367,7 +398,7 @@ def random_algebras(draw, max_size=4, max_arity=2):
         table = draw(st.binary(min_size=n**arity, max_size=n**arity))
         ops.append(cat.Op(f"f{k}", arity, n, bytes(b % n for b in table)))
     ops = tuple(ops)
-    return cat.FiniteAlgebra("random", n, ops, ops)
+    return cat.FiniteAlgebra("random", n, ops, lambda: ops)
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,6 +412,37 @@ def test_kernels_match_oracles_on_generated_algebras(alg):
 @given(random_algebras(max_size=4, max_arity=3))
 def test_endomorphisms_match_oracle_on_ternary_algebras(alg):
     assert cat.endomorphisms(alg) == oracle_endomorphisms(alg)
+
+
+# ---------------------------------------------------------------------------
+# whole-table closure against the per-tuple fixpoint it replaced
+
+
+def fixpoint_closure(alg, xs):
+    """The semi-naive fixpoint over gen_ops, one ``Op.__call__`` per tuple."""
+    start = set(xs)
+    start.update(op.table[0] for op in alg.gen_ops if op.is_constant())
+    return frozenset(cat._fixpoint(alg.gen_ops, start, lambda op, args: op(*args)))
+
+
+# size 9 and arity 3: tables of 7**3 = 343 entries and more take the 16-bit
+# lanes of _compose
+@settings(max_examples=200, deadline=None)
+@given(random_algebras(max_size=9, max_arity=3), st.integers(0, 2**9 - 1))
+def test_closure_matches_fixpoint_on_generated_algebras(alg, mask):
+    xs = [x for x in alg.elements if mask >> x & 1]
+    assert cat.closure(alg, xs) == fixpoint_closure(alg, xs)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
+    ("affine", {"q": 3, "dim": 2, "a0": [[2, 1]]}),
+])
+def test_closure_matches_fixpoint_on_every_subset(kind, params):
+    alg = cat.make_instance(kind, **params)
+    for mask in range(2**alg.size):
+        xs = [x for x in alg.elements if mask >> x & 1]
+        assert cat.closure(alg, xs) == fixpoint_closure(alg, xs), xs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import sys
 
@@ -474,7 +473,7 @@ def test_sample_witnesses_budget(monkeypatch):
 def test_refute_distributivity_basic():
     h = HMap()
     t = G(Var(1), Var(2))
-    r = ce.refute_distributivity(t, h)
+    r = ce.refute_distributivity(t, h, ce.classify(t, h))
     assert r.a == wd.parse_word("z3")  # least odd generator avoiding mu and content
     assert r.holds
     assert r.lhs == mul(r.a, tm.evaluate(t, r.mu, h))
@@ -484,7 +483,7 @@ def test_refute_distributivity_basic():
 def test_refute_distributivity_avoids_content():
     h = HMap()
     t = G(Nu(wd.parse_word("z3"), Var(1)), Var(2))
-    r = ce.refute_distributivity(t, h)
+    r = ce.refute_distributivity(t, h, ce.classify(t, h))
     blocked = set(tm.meta(t).content)
     for w in r.mu:
         blocked |= wd.gen_content(w)
@@ -492,22 +491,11 @@ def test_refute_distributivity_avoids_content():
     assert r.holds
 
 
-def test_refute_distributivity_reuses_a_given_form():
-    h = HMap()
-    pool = [wd.gen(1), wd.gen(2), wd.parse_word("z3*z1")]
-    terms = tm.sample_terms(5, 3, pool, seed=4, count=40)
-    form2 = [t for t in terms if ce.classify(t, h).form == 2]
-    assert len(form2) >= 10
-    for t in form2:
-        reused = ce.refute_distributivity(t, h, form=ce.classify(t, h))
-        fresh = ce.refute_distributivity(t, h)
-        assert dataclasses.astuple(reused) == dataclasses.astuple(fresh)
-
-
 def test_refute_requires_form2():
     h = HMap()
+    t = Nu(wd.gen(2), Var(1))
     with pytest.raises(NotForm2):
-        ce.refute_distributivity(Nu(wd.gen(2), Var(1)), h)
+        ce.refute_distributivity(t, h, ce.classify(t, h))
 
 
 def test_classifier_agrees_with_prefix_constancy_oracle():

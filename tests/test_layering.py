@@ -14,6 +14,8 @@ Likewise every parameter with a default, of a public top-level function or
 of a public class's constructor, is passed by some call in the package:
 a value only the tests set is a constant.  ``cli.run(argv)`` is the one
 exception; ``main``, the benchmark harness and the tests pass ``argv``.
+Conversely, some call in the package omits each such parameter: a default
+that every caller overrides is never used.
 """
 
 import ast
@@ -195,14 +197,15 @@ def _defaulted(stmt) -> tuple[list[str], list[str]]:
     """The constructor parameters of a top-level function or class, in
     order (keyword-only ones last), and those with a default.  A class's
     are its ``__init__``'s after ``self``, or else its annotated fields, as
-    a dataclass takes them."""
+    a dataclass takes them; ``field(...)`` gives a default only with
+    ``default`` or ``default_factory``."""
     if isinstance(stmt, ast.ClassDef):
         init = next((s for s in stmt.body
                      if isinstance(s, ast.FunctionDef) and s.name == "__init__"), None)
         if init is None:
             fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)]
             return ([f.target.id for f in fields],
-                    [f.target.id for f in fields if f.value is not None])
+                    [f.target.id for f in fields if _field_default(f.value)])
         stmt = init
     args = stmt.args
     params = [a.arg for a in args.posonlyargs + args.args]
@@ -213,12 +216,10 @@ def _defaulted(stmt) -> tuple[list[str], list[str]]:
     return params + [a.arg for a in args.kwonlyargs], defaulted
 
 
-def unpassed_defaults(sources: dict[str, str], exempt=frozenset()) -> list[str]:
-    """``module.f(p)`` for each parameter p with a default of a public
-    top-level function or class f of the sources (module name -> source)
-    that no call of the name f passes, by position or by keyword, unless
-    (module, f) is exempt.  Matching is by name alone; a call with ``*args``
-    or ``**kwargs`` passes every parameter."""
+def _defaults_and_calls(sources: dict[str, str], exempt):
+    """(module, f, index, p) for each parameter p with a default of a public
+    top-level function or class f of the sources, unless (module, f) is
+    exempt, and the calls in the sources by the name they call."""
     found, calls = [], {}
     for mod, source in sources.items():
         tree = ast.parse(source)
@@ -232,14 +233,52 @@ def unpassed_defaults(sources: dict[str, str], exempt=frozenset()) -> list[str]:
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
+    return found, calls
 
-    def passes(call, index, param):
-        return (len(call.args) > index
-                or any(isinstance(a, ast.Starred) for a in call.args)
-                or any(k.arg in (None, param) for k in call.keywords))
 
+def _passes(call, index: int, param: str):
+    """True if call surely passes the parameter (by position or keyword),
+    False if it surely omits it, None if ``*args`` or ``**kwargs`` may do
+    either."""
+    if any(k.arg == param for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args[:index + 1]):
+        return None
+    if len(call.args) > index:
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return None
+    return False
+
+
+def _field_default(value) -> bool:
+    if (isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"):
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
+def unpassed_defaults(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``module.f(p)`` for each parameter p with a default of a public
+    top-level function or class f of the sources (module name -> source)
+    that no call of the name f passes, by position or by keyword, unless
+    (module, f) is exempt.  Matching is by name alone; a call with ``*args``
+    or ``**kwargs`` passes every parameter."""
+    found, calls = _defaults_and_calls(sources, exempt)
     return [f"{mod}.{fn}({p})" for mod, fn, i, p in found
-            if not any(passes(c, i, p) for c in calls.get(fn, ()))]
+            if all(_passes(c, i, p) is False for c in calls.get(fn, ()))]
+
+
+def always_passed_defaults(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``module.f(p)`` for each parameter p with a default of a public
+    top-level function or class f of the sources that every call of the
+    name f passes, unless (module, f) is exempt: a default no call relies
+    on.  Matching is by name alone; a call with ``*args`` or ``**kwargs``
+    may omit every parameter it does not name."""
+    found, calls = _defaults_and_calls(sources, exempt)
+    return [f"{mod}.{fn}({p})" for mod, fn, i, p in found
+            if all(_passes(c, i, p) is True for c in calls.get(fn, ()))]
 
 
 def test_checker_flags_unpassed_defaults():
@@ -251,10 +290,12 @@ def test_checker_flags_unpassed_defaults():
              "    def lookup(self, w, cache=True): pass\n",
         "b": "from dataclasses import dataclass\nfrom . import a\n"
              "@dataclass\nclass M:\n    name: str\n    fmt: object = str\n"
-             "    size: int = 0\n"
-             "M('m', size=1)\na.H()\na.g(*[1, 2])\n",
+             "    size: int = 0\n    tags: list = field(kw_only=True)\n"
+             "    notes: list = field(default_factory=list)\n"
+             "M('m', size=1, tags=[])\na.H()\na.g(*[1, 2])\n",
     }
-    assert unpassed_defaults(sources) == ["a.f(y)", "a.H(pins)", "b.M(fmt)"]
+    assert unpassed_defaults(sources) == ["a.f(y)", "a.H(pins)", "b.M(fmt)",
+                                          "b.M(notes)"]
     assert unpassed_defaults(sources, {("a", "f"), ("b", "M")}) == ["a.H(pins)"]
     assert unpassed_defaults({"c": "def k(x=0): pass\nk(1)\n"}) == []
 
@@ -263,3 +304,28 @@ def test_every_default_is_passed_by_a_caller_in_the_package():
     sources = {".".join(p.relative_to(ROOT).with_suffix("").parts): p.read_text()
                for p in MODULES}
     assert unpassed_defaults(sources, {("cli", "run")}) == []
+
+
+def test_checker_flags_always_passed_defaults():
+    sources = {
+        "a": "def f(x, y=1, *, z=2): return f(x, 2, z=3)\n"
+             "def g(x, k=0, m=None): return g(x, m=1) or g(x, 1)\n"
+             "def _h(x=0): pass\n"
+             "class H:\n    def __init__(self, pins=None): pass\n"
+             "def s(x, k=0): return s(*x) or s(x, **{})\n",
+        "b": "from dataclasses import dataclass\nfrom . import a\n"
+             "@dataclass\nclass M:\n    name: str\n    fmt: object = str\n"
+             "    size: int = 0\n"
+             "M('m', str, size=1)\nM('n', fmt=repr)\na.H(pins={})\n"
+             "a._h(1)\na.s([1], k=2)\n",
+    }
+    assert always_passed_defaults(sources) == [
+        "a.f(y)", "a.f(z)", "a.H(pins)", "b.M(fmt)"]
+    assert always_passed_defaults(sources, {("a", "f"), ("a", "H")}) == ["b.M(fmt)"]
+    assert always_passed_defaults({"c": "def k(x=0): pass\nk(1)\nk()\n"}) == []
+
+
+def test_every_default_is_omitted_by_a_caller_in_the_package():
+    sources = {".".join(p.relative_to(ROOT).with_suffix("").parts): p.read_text()
+               for p in MODULES}
+    assert always_passed_defaults(sources) == []
