@@ -168,15 +168,17 @@ def _field_tables(q: int, dim: int) -> tuple[bytes, list[bytes]]:
     return add, scal
 
 
-def _field_gen_ops(kind: str, q: int, dim: int, a0: list[int]) -> tuple[Op, ...]:
-    """The gen_ops of a field kind, built without the other basic ops.
+def _field_gen_ops(kind: str, tables: tuple[bytes, list[bytes]],
+                   a0: list[int]) -> tuple[Op, ...]:
+    """The gen_ops of a field kind, built without the other basic ops, from
+    its ``_field_tables``.
 
     ``linear``: x+y, every l*x with l != 0 and the constants a in a0;
     ``affine``: x-y+z and the translations x+a; ``q_homog_field``: x-y+z.
     Each has the name and table of its op in ``_field_ops``'s list.
     """
-    size = q**dim
-    add, scal = _field_tables(q, dim)
+    add, scal = tables
+    q, size = len(scal), len(scal[0])
     if kind == "linear":
         return (Op("f(1,1)+0", 2, size, add),
                 *(Op(f"f({lam})+0", 1, size, scal[lam]) for lam in range(1, q)),
@@ -191,9 +193,10 @@ def _field_gen_ops(kind: str, q: int, dim: int, a0: list[int]) -> tuple[Op, ...]
             *(Op(f"f(1)+{a}", 1, size, add[a * size:(a + 1) * size]) for a in a0))
 
 
-def _field_ops(q: int, dim: int, a0: list[int], affine_only: bool,
-               with_const: bool) -> list[Op]:
-    """Every map sum(l_i * x_i) (+ a for a in a0) of arity 1-3 on F_q^dim.
+def _field_ops(tables: tuple[bytes, list[bytes]], a0: list[int],
+               affine_only: bool, with_const: bool) -> list[Op]:
+    """Every map sum(l_i * x_i) (+ a for a in a0) of arity 1-3 on F_q^dim,
+    from its ``_field_tables``.
 
     The table of (l_1, ..., l_k) is built once from that of its prefix
     (l_1, ..., l_{k-1}), the previous arity's: with the first k-1 arguments
@@ -201,8 +204,8 @@ def _field_ops(q: int, dim: int, a0: list[int], affine_only: bool,
     row of x -> c + l_k * x.  The empty prefix is the constant 0.  Each
     shift +a is one more translation of the table.
     """
-    size = q**dim
-    add, scal = _field_tables(q, dim)
+    add, scal = tables
+    q, size = len(scal), len(scal[0])
     # rows[l][c]: the table of x -> c + l * x
     rows = [[bytes(add[c * size + s] for s in scal[l]) for c in range(size)]
             for l in range(q)]
@@ -270,9 +273,10 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         a0_vecs = _validate_field_params(q, dim, params.pop("a0", [[1] * dim]))
         _no_extra(params)
         a0 = _span(a0_vecs, q, dim)
+        tables = _field_tables(q, dim)
         return FiniteAlgebra(
-            kind, q**dim, _field_gen_ops(kind, q, dim, a0),
-            lambda: tuple(_field_ops(q, dim, a0, affine_only=(kind == "affine"),
+            kind, q**dim, _field_gen_ops(kind, tables, a0),
+            lambda: tuple(_field_ops(tables, a0, affine_only=(kind == "affine"),
                                      with_const=True)))
 
     if kind == "exceptional":
@@ -326,9 +330,10 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         _no_extra(params)
         if q not in FIELD_ORDERS:
             raise InvalidParams(f"field order must be one of {FIELD_ORDERS}")
+        tables = _field_tables(q, 1)
         return FiniteAlgebra(
-            kind, q, _field_gen_ops(kind, q, 1, [0]),
-            lambda: tuple(_field_ops(q, 1, [0], affine_only=True, with_const=False)))
+            kind, q, _field_gen_ops(kind, tables, [0]),
+            lambda: tuple(_field_ops(tables, [0], affine_only=True, with_const=False)))
 
     if kind == "semilattice":
         _no_extra(params)

@@ -8,6 +8,12 @@ exchange, the free monoid breaking the Ore condition -- are distinguished
 from genuine errors.  The exit status is 0 when every outcome matches its
 expectation, 1 otherwise, 2 on usage errors: a bad flag value or a
 malformed payload.
+
+The JSON is written by ``report.to_json``: the bytes of
+``json.dumps(report, indent=2, sort_keys=True)``, and a TypeError for any
+value but a str, int, bool, None, list or dict with str keys.  ``classify``
+parses its payload with one coefficient table (text -> word) for all its
+terms, so each distinct ``nu`` coefficient text is parsed once a report.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from . import words as wd
 from .orders import acts, matrix, monoids
 from .orders import suite as order_suite
 from .orders.linalg import mat_z
-from .report import Check, fmt_mat, max_digits
+from .report import Check, fmt_mat, max_digits, to_json
 
 
 class UsageError(Exception):
@@ -190,11 +196,12 @@ def cmd_classify(args):
     if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
         raise UsageError("'terms' must be a list of strings")
     h = cx.HMap()
+    coeffs = {}  # coefficient text -> word, shared by every term of the payload
     rows = []
     outcome = "pass"
     for text in texts:
         try:
-            t = tm.parse_term(text)
+            t = tm.parse_term(text, coeffs)
             form = cx.classify(t, h)
             row = {"term": text, "form": form.form, "case": form.case,
                    "arity": form.arity, "star": form.star}
@@ -480,7 +487,7 @@ def _emit(report: dict, args) -> None:
     if args.format == "text":
         text = _render_text(report)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = to_json(report) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

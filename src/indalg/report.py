@@ -5,12 +5,18 @@ A check carries an ``expected`` outcome ("pass" or "finding") next to the
 are told apart from genuine errors.  Its fields are its serialised form:
 a report lists ``vars(check)`` for each check.  ``max_digits`` is the most
 digits an integer in a report may have: the interpreter's print limit.
+
+``to_json`` writes a report: the text ``json.dumps(report, indent=2,
+sort_keys=True)`` gives, byte for byte, for a value made of dicts with str
+keys, lists, str, int, bool and None.  Any other key or value type, a tuple
+or a float among them, raises TypeError instead of being written.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 
 @dataclass
@@ -55,3 +61,52 @@ def printable(n: int) -> bool:
     10**limit."""
     limit = max_digits()
     return abs(n).bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def to_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a report-shaped
+    value; see the module docstring."""
+    out: list[str] = []
+    _write(value, out.append, "\n")
+    return "".join(out)
+
+
+def _write(x, put, newline: str) -> None:
+    """Append the pieces of x, at the indent that ``newline`` ends with,
+    through put.  The escapes and integer digits are json's own."""
+    kind = type(x)
+    if kind is str:
+        put(encode_basestring_ascii(x))
+    elif kind is int:
+        put(int.__repr__(x))
+    elif kind is bool or x is None:
+        put(_CONSTANTS[x])
+    elif kind is dict:
+        if not x:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            put(sep)
+            put(encode_basestring_ascii(key))  # TypeError unless key is a str
+            put(": ")
+            _write(x[key], put, inner)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list:
+        if not x:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            put(sep)
+            _write(item, put, inner)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} into a report")

@@ -8,11 +8,16 @@ reduced words and interprets g through a lookup object ``h`` exposing
 Nodes are hash-consed: a constructor returns the live node with the same
 kind and fields if there is one, so structurally equal terms are the same
 object, and equality and hashing are by identity, O(1) at any size.  The
-intern table is a plain dict from a node's key to a ``weakref.KeyedRef`` to
+intern table is a plain dict from a node's key to a plain ``weakref.ref`` to
 the node, so a node lives exactly as long as some caller keeps it; there is
-no process-wide cache.  The ref's callback deletes the entry when the node
-dies, but only while the dict still holds that same ref: a term built again
-meanwhile has a newer entry, which stays.  Each node stores its
+no process-wide cache.  The ref's callback, ``_drop`` bound to the key,
+deletes the entry when the node dies, but only while the dict still holds
+that same ref: a term built again meanwhile has a newer entry, which stays.
+
+``parse_term`` reads coefficient texts through a table (text -> word) that
+its caller owns and passes in: a caller parsing many terms, such as one
+``classify`` payload, parses each distinct coefficient text once and hands
+the same word tuple to every ``Nu`` built from it.  Each node stores its
 ``arity`` (largest variable index), ``star`` (index of the rightmost
 variable) and ``content`` (generators in its nu-coefficients), computed
 once from its children; ``meta`` reads them.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import random
 import re
 import weakref
+from functools import partial
 from typing import Union
 
 from . import words
@@ -43,19 +49,21 @@ class ArityError(ValueError):
     """Raised when an argument tuple is shorter than the term's max variable."""
 
 
-# (kind, fields...) -> a KeyedRef to the live node, whose callback is _drop;
-# children in a key are nodes, so a key hashes and compares in time
-# independent of the subterms' sizes.  A plain dict costs one ``get`` and one
-# call per lookup, where a WeakValueDictionary runs Python code per access.
-_NODES: dict[tuple, weakref.KeyedRef] = {}
+# (kind, fields...) -> a weakref to the live node, whose callback is _drop
+# bound to the key; children in a key are nodes, so a key hashes and compares
+# in time independent of the subterms' sizes.  A plain dict costs one ``get``
+# and one call per lookup, where a WeakValueDictionary runs Python code per
+# access.  A plain ref with a ``partial`` callback is built in C; a
+# ``KeyedRef`` runs a Python-level ``__new__`` and ``__init__``.
+_NODES: dict[tuple, weakref.ref] = {}
 
 
-def _drop(ref: weakref.KeyedRef, nodes: dict = _NODES) -> None:
+def _drop(key: tuple, ref: weakref.ref, nodes: dict = _NODES) -> None:
     """Callback of a dead node's ref: delete its entry unless the key now
     holds a newer ref.  The table is bound here, not read as a global, so a
     callback that runs while the interpreter clears this module finds it."""
-    if nodes.get(ref.key) is ref:
-        del nodes[ref.key]
+    if nodes.get(key) is ref:
+        del nodes[key]
 
 
 class _Node:
@@ -75,7 +83,7 @@ class _Node:
 
 
 _set = object.__setattr__
-_KeyedRef = weakref.KeyedRef
+_ref = weakref.ref
 
 
 def _fill(node: _Node, arity: int, star: int, content: frozenset[int],
@@ -97,7 +105,7 @@ class Var(_Node):
             if node is not None:
                 return node
         node = object.__new__(cls)
-        _NODES[key] = _KeyedRef(node, _drop, key)
+        _NODES[key] = _ref(node, partial(_drop, key))
         _set(node, "index", index)
         # a bad index is kept, not refused: meta reports it
         _fill(node, index, index, frozenset(), None if index >= 1 else index)
@@ -117,7 +125,7 @@ class Nu(_Node):
         if not isinstance(child, _Node):
             raise TypeError(f"not a term: {child!r}")
         node = object.__new__(cls)
-        _NODES[key] = _KeyedRef(node, _drop, key)
+        _NODES[key] = _ref(node, partial(_drop, key))
         _set(node, "coeff", coeff)
         _set(node, "child", child)
         _fill(node, child.arity, child.star,
@@ -139,7 +147,7 @@ class G(_Node):
             if not isinstance(arg, _Node):
                 raise TypeError(f"not a term: {arg!r}")
         node = object.__new__(cls)
-        _NODES[key] = _KeyedRef(node, _drop, key)
+        _NODES[key] = _ref(node, partial(_drop, key))
         _set(node, "left", left)
         _set(node, "right", right)
         _fill(node, max(left.arity, right.arity), right.star,
@@ -198,14 +206,18 @@ def format_term(t: Term) -> str:
     return f"g({format_term(t.left)}, {format_term(t.right)})"
 
 
-def parse_term(text: str) -> Term:
+def parse_term(text: str, coeffs: dict[str, Word]) -> Term:
     """Parse ``x<i>``, ``nu(<word>, <term>)`` and ``g(<term>, <term>)``.
 
-    Raises ValueError on malformed text and on parentheses nested more than
-    MAX_NESTING deep."""
+    ``coeffs`` maps each coefficient text already parsed to its word; a
+    text not in it is parsed with ``words.parse_word`` and stored, and a
+    text that fails is not stored, so it fails again in the next term.
+    Pass one table to every term of a batch and each distinct text is
+    parsed once.  Raises ValueError on malformed text and on parentheses
+    nested more than MAX_NESTING deep."""
     s = text.strip()
     _check_nesting(s)
-    t, end = _parse(s)
+    t, end = _parse(s, coeffs)
     if end < len(s):  # s is stripped, so what is left holds a non-space
         raise ValueError(f"trailing input {s[end:]!r}")
     return t
@@ -233,17 +245,16 @@ _NU_HEAD, _G_HEAD = 1, 2
 _OPEN_NU, _OPEN_G, _G_LEFT_DONE = range(3)
 
 
-def _parse(s: str) -> tuple[Term, int]:
+def _parse(s: str, coeffs: dict[str, Word]) -> tuple[Term, int]:
     """The term starting at s[0] and the index just past it, in one left to
     right pass.  Each open ``nu(`` or ``g(`` is a frame on an explicit stack:
     ``(_OPEN_NU, coefficient text)``, ``(_OPEN_G, None)`` or, once its left
-    argument is read, ``(_G_LEFT_DONE, left)``.  A coefficient is parsed when
-    its ``nu(...)`` closes, so errors come in the order of a recursive
-    descent that parses the coefficient last; each distinct coefficient text
-    is parsed once a call."""
+    argument is read, ``(_G_LEFT_DONE, left)``.  A coefficient is looked up
+    in ``coeffs`` (or parsed and stored) when its ``nu(...)`` closes, so
+    errors come in the order of a recursive descent that parses the
+    coefficient last."""
     n = len(s)
     frames: list[tuple[int, object]] = []
-    coeffs: dict[str, Word] = {}  # coefficient text -> its parsed word
     i = 0
     while True:
         m = _TERM_HEAD.match(s, i)

@@ -88,7 +88,8 @@ def format_word(u: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
-    """Parse words like ``z1*z2^-1`` or ``1`` (identity)."""
+    """Parse words like ``z1*z2^-1`` or ``1`` (identity).  A syllable's
+    index and exponent are what ``int`` reads, less ``_`` and ``+``."""
     s = text.strip()
     if s == "1":
         return IDENTITY
@@ -100,6 +101,8 @@ def parse_word(text: str) -> Word:
         if not piece.startswith("z"):
             raise ValueError(f"bad syllable {piece!r}")
         body = piece[1:]
+        if "_" in body or "+" in body:  # int() would accept "1_0" and "+3"
+            raise ValueError(f"bad syllable {piece!r}")
         if "^" in body:
             gs, es = body.split("^", 1)
         else:

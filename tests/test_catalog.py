@@ -292,6 +292,28 @@ def test_only_the_witness_check_builds_the_field_ops(monkeypatch, capsys,
     capsys.readouterr()
 
 
+def test_each_field_instance_builds_its_tables_once(monkeypatch, capsys):
+    calls = []
+    build = cat._field_tables
+    monkeypatch.setattr(cat, "_field_tables",
+                        lambda *a: calls.append(a) or build(*a))
+    for kind, params, tables in [("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}, (3, 2)),
+                                 ("affine", {"q": 5, "dim": 1}, (5, 1)),
+                                 ("q_homog_field", {"q": 5}, (5, 1))]:
+        calls.clear()
+        argv = ["catalog", "--kind", kind, "--params", json.dumps(params),
+                "--check", "witness"]  # reads both gen_ops and ops
+        assert cli.run(argv) == 0
+        assert calls == [tables], kind
+    calls.clear()
+    algs = cat.default_catalog()
+    for alg in algs:
+        assert alg.ops  # from the tables built with the instance
+    assert len(calls) == sum(alg.kind in ("linear", "affine", "q_homog_field")
+                             for alg in algs) > 0
+    capsys.readouterr()
+
+
 def oracle_closure(alg, xs):
     cur = set(xs)
     cur.update(op.table[0] for op in alg.ops if op.is_constant())
@@ -697,7 +719,8 @@ def test_field_ops_match_row_by_row_builder(kind, q, dim, a0):
         args = (q, 1, [0], True, False)
     else:
         args = (q, dim, cat._span(a0, q, dim), kind == "affine", True)
-    assert cat._field_ops(*args) == loop_field_ops(*args)
+    tables = cat._field_tables(*args[:2])  # (q, dim)
+    assert cat._field_ops(tables, *args[2:]) == loop_field_ops(*args)
 
 
 def test_generation_step_budget():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from report_json import canonical_report
 
 from indalg import cli
 
@@ -28,7 +29,7 @@ def test_report_schema_and_determinism(capsys):
     assert rep["ok"] is True
     assert {"name", "expected", "outcome", "details"} <= set(rep["checks"][0])
     # canonical serialization: sorted keys, two-space indent, trailing newline
-    assert out1 == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+    assert canonical_report(out1) == rep
 
 
 def test_verify_counterexample_checks(capsys):
@@ -164,7 +165,7 @@ def test_classify_error_rows_keep_their_cause(monkeypatch, capsys):
     # a bad variable is a meta error, found only once the text has parsed
     import io
 
-    texts = ["g(x0, x1", "x0", "g(x1, nu(z1, x0))", "nu(zz, x0"]
+    texts = ["g(x0, x1", "x0", "g(x1, nu(z1, x0))", "nu(zz, x0", "nu(z1_0, x1)"]
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"terms": texts})))
     code = cli.run(["classify", "--input", "-"])
     rows = json.loads(capsys.readouterr().out)["checks"][0]["details"]["terms"]
@@ -174,7 +175,31 @@ def test_classify_error_rows_keep_their_cause(monkeypatch, capsys):
         "variable index must be >= 1, got 0",
         "variable index must be >= 1, got 0",
         "expected ')' closing nu(...)",
+        "bad syllable 'z1_0'",  # int() alone would read z10
     ]
+
+
+def test_classify_rows_are_those_of_one_term_payloads(monkeypatch, capsys):
+    # the payload shares one coefficient table; one term a payload does not
+    import io
+
+    texts = ["g(nu(z3, x1), nu(z3 , x2))", "nu(z3 , nu(z3, x1))",
+             "nu(z1_0, x1)", "g(x1, nu(z1*z2, x3))", "g(nu(z1_0, x2), x1)",
+             "nu(z1*z2, g(x2, nu(z3, x1)))", "nu(z0, x2)", "g(nu(z0, x1), x1)"]
+
+    def rows(terms):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"terms": terms})))
+        code = cli.run(["classify", "--input", "-"])
+        return code, json.loads(capsys.readouterr().out)["checks"][0]["details"]["terms"]
+
+    code, shared = rows(texts)
+    singles = [rows([text]) for text in texts]
+    assert code == max(c for c, _ in singles) == 1
+    assert shared == [r for _, (r,) in singles]
+    # a coefficient that fails is not stored, so it fails in every term
+    assert [r.get("error") for r in shared] == [
+        None, None, "bad syllable 'z1_0'", None, "bad syllable 'z1_0'", None,
+        "generator index must be >= 1 in 'z0'", "generator index must be >= 1 in 'z0'"]
 
 
 def test_term_table_is_bounded_by_a_report(monkeypatch, capsys):

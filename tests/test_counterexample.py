@@ -398,7 +398,7 @@ def test_witness_plans_stream_what_the_padded_closures_did(seed, depth, max_var,
 
 
 def _aligned_chain(levels):
-    return tm.parse_term("g(" * levels + "x1" + ", x1)" * levels)
+    return tm.parse_term("g(" * levels + "x1" + ", x1)" * levels, {})
 
 
 def test_printable_is_exact_at_the_print_limit():

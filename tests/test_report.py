@@ -1,0 +1,53 @@
+"""``report.to_json`` against ``json.dumps(indent=2, sort_keys=True)``."""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from indalg.report import to_json
+
+# ASCII and beyond, controls that json escapes, lone surrogates, astral
+# characters (written as surrogate pairs) and json's own escape characters
+_CHARS = st.one_of(
+    st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
+    st.sampled_from(["\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u2028",
+                     "\xe9", "\U0001f600", '"', "\\", "/", "\b", "\f", "\n", "\t"]),
+)
+_TEXT = st.text(_CHARS, max_size=8)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(-10, 10), st.integers(-(2**200), 2**200),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(_VALUES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [{}, [[]]], "": None})
+@example([True, False, None, 0, -1, 2**64, -(2**64) - 1, 10**100])
+@example({"\ud800": "\udfff\x00", "\xe9": ["\x1f", "\U0001f600"]})
+def test_writer_is_json_dumps_with_indent_and_sorted_keys(value):
+    assert to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"},  # json would write the key as "1"
+    {"a": {1, 2}},
+    [set()],
+    {"a": (1, 2)},  # json would write a list
+    [1.5],
+    {None: 0},
+    {"a": 1, 2: "b"},
+])
+def test_writer_refuses_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        to_json(value)

@@ -93,8 +93,8 @@ def test_format_parse_round_trip():
         "nu(1, x1)",
     ]
     for s in texts:
-        t = tm.parse_term(s)
-        assert tm.parse_term(tm.format_term(t)) == t
+        t = tm.parse_term(s, {})
+        assert tm.parse_term(tm.format_term(t), {}) == t
 
 
 _COEFFS = st.lists(
@@ -109,14 +109,14 @@ _TERMS = st.recursive(
 
 @given(_TERMS)
 def test_parse_of_format_is_the_same_node(t):
-    assert tm.parse_term(tm.format_term(t)) is t
+    assert tm.parse_term(tm.format_term(t), {}) is t
 
 
 def test_equal_constructions_are_one_node():
     a = G(Nu(wd.parse_word("z1*z2"), Var(2)), Var(1))
     b = G(Nu(((1, 1), (2, 1)), Var(2)), Var(1))
     assert a is b
-    assert tm.parse_term(" g( nu(z1*z2 , x2),x1 ) ") is a
+    assert tm.parse_term(" g( nu(z1*z2 , x2),x1 ) ", {}) is a
     assert G(Var(1), Var(2)) is not G(Var(2), Var(1))
     assert Nu(wd.gen(1), Var(1)) is not Nu(wd.gen(2), Var(1))
     assert (a.arity, a.star, a.content, depth(a)) == (2, 1, frozenset({1, 2}), 3)
@@ -148,12 +148,13 @@ def test_a_stale_callback_leaves_the_newer_entry():
     key = (Var, 10**30 + 18)
     node = Var(key[1])
     old = tm._NODES[key]
+    callback = old.__callback__  # a dead ref no longer holds its callback
     del node
     assert key not in tm._NODES and old() is None
     node = Var(key[1])  # the same term, built again
     new = tm._NODES[key]
     assert new is not old and new() is node
-    tm._drop(old)  # the old ref's callback, run late
+    callback(old)  # the old ref's own callback, run late
     assert tm._NODES[key] is new
     assert Var(key[1]) is node
     del node
@@ -211,10 +212,10 @@ def test_sample_terms_keeps_the_randint_stream(depth, max_var, pool_size, seed):
 def test_parse_rejects_garbage():
     for bad in ("", "x0y", "nu(z1)", "g(x1)", "g(x1, x2", "h(x1, x2)", "x1 x2"):
         with pytest.raises(ValueError):
-            tm.parse_term(bad)
+            tm.parse_term(bad, {})
     # a variable's index runs over every str.isdigit character, as it always did
     with pytest.raises(ValueError, match="invalid literal for int"):
-        tm.parse_term("g(x1², x2)")
+        tm.parse_term("g(x1², x2)", {})
 
 
 def test_parse_reads_each_coefficient_text_once_a_call(monkeypatch):
@@ -224,15 +225,21 @@ def test_parse_reads_each_coefficient_text_once_a_call(monkeypatch):
     text = "g(nu(z1*z2, x1), g(nu(z1*z2, x2), nu( z3 , nu(z1*z2, x1))))"
     c, z3 = parse_word("z1*z2"), wd.gen(3)
     want = G(Nu(c, Var(1)), G(Nu(c, Var(2)), Nu(z3, Nu(c, Var(1)))))
-    for _ in range(2):  # nothing is kept from one call to the next
+    for _ in range(2):  # a fresh table each call: each distinct text once
         calls.clear()
-        assert tm.parse_term(text) == want
+        assert tm.parse_term(text, {}) == want
         assert sorted(calls) == [" z3 ", "z1*z2"]
+    coeffs = {}  # one table for a batch: a text is parsed in the first term only
+    calls.clear()
+    for _ in range(2):
+        assert tm.parse_term(text, coeffs) == want
+    assert sorted(calls) == [" z3 ", "z1*z2"]
+    assert coeffs == {" z3 ": z3, "z1*z2": c}
     # a bad coefficient still fails when its nu(...) closes, after its term
     with pytest.raises(ValueError, match="generator index must be >= 1 in 'z0'"):
-        tm.parse_term("g(nu(z1, x1), nu(z1, nu(z0, x2)))")
+        tm.parse_term("g(nu(z1, x1), nu(z1, nu(z0, x2)))", {})
     with pytest.raises(ValueError, match="expected ',' inside g"):
-        tm.parse_term("nu(z0, g(x1))")
+        tm.parse_term("nu(z0, g(x1))", {})
 
 
 def test_parse_bounds_nesting_not_size():
@@ -242,10 +249,10 @@ def test_parse_bounds_nesting_not_size():
         t = G(t, Nu(wd.gen(2), t))
     text = tm.format_term(t)
     assert text.count("(") > tm.MAX_NESTING
-    assert tm.parse_term(text) == t
+    assert tm.parse_term(text, {}) == t
     deep = "nu(z1, " * (tm.MAX_NESTING + 1) + "x1" + ")" * (tm.MAX_NESTING + 1)
     with pytest.raises(ValueError, match="nested more than"):
-        tm.parse_term(deep)
+        tm.parse_term(deep, {})
 
 
 def test_sample_terms_distinct_bounded_deterministic():

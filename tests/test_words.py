@@ -114,6 +114,14 @@ def test_parse_rejects_garbage():
             wd.parse_word(bad)
 
 
+@pytest.mark.parametrize("bad", ["z1_0", "z1^1_0", "z+3", "z1^+2", "z2*z_3"])
+def test_parse_refuses_what_only_int_would_accept(bad):
+    # int() reads "1_0" as 10 and "+3" as 3; a syllable is digits only
+    with pytest.raises(ValueError, match="bad syllable"):
+        wd.parse_word(bad)
+    assert wd.parse_word("z10^-2*z3") == ((10, -2), (3, 1))
+
+
 def test_enumeration_is_graded_and_injective():
     seen = []
     it = we.enumerate_words()
