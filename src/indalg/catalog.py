@@ -656,7 +656,10 @@ class WitnessReport:
 
 
 def witness_set(alg: FiniteAlgebra, variant: str) -> WitnessSet:
-    """The canonical generating set proposed for each instance kind."""
+    """The canonical generating set proposed for each instance kind: the
+    "standard" variant, or "plus" for a linear one."""
+    if variant != "standard" and not (variant == "plus" and alg.kind == "linear"):
+        raise InvalidParams(f"no witness variant {variant!r} for kind {alg.kind}")
     if alg.kind == "linear":
         by_name = {op.name: op for op in alg.ops}
         unary = [op for op in alg.ops if op.arity == 1]
@@ -665,8 +668,6 @@ def witness_set(alg: FiniteAlgebra, variant: str) -> WitnessSet:
         q = next(p for p in FIELD_ORDERS if alg.size in (p, p * p))
         g = by_name[f"f(1,{q-1},1)+0"]  # x-y+z
         return WitnessSet("maltsev+unary", tuple([g] + unary))
-    if variant != "standard":
-        raise InvalidParams(f"no witness variant {variant!r} for kind {alg.kind}")
     if alg.kind == "exceptional":
         return WitnessSet("i,q", alg.ops)
     if alg.kind in ("rank0", "group_action"):

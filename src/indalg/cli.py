@@ -14,6 +14,16 @@ The JSON is written by ``report.to_json``: the bytes of
 value but a str, int, bool, None, list or dict with str keys.  ``classify``
 parses its payload with one coefficient table (text -> word) for all its
 terms, so each distinct ``nu`` coefficient text is parsed once a report.
+
+``run`` reads argv of one plain shape, a subcommand followed by exact
+``--flag value`` pairs, from a table derived once per process from the
+parser (``_flag_table``), so every flag is still declared only in
+``build_parser``.  Any other argv goes to ``parse_args``: an abbreviated or
+unknown flag, ``--flag=value``, ``-h``, ``--``, a flag without its value, a
+value starting with ``-`` that is neither ``-`` nor a negative number, a
+value its type or choices refuse, and the ``quotient`` subcommand, which
+takes a positional.  argparse alone writes help, usage and error text, and
+alone reads abbreviations and ``=``; both paths give the same namespace.
 """
 
 from __future__ import annotations
@@ -176,8 +186,11 @@ def cmd_verify_counterexample(args):
     if exhausted:
         details.update(inconclusive=len(exhausted), exhausted=exhausted[:3],
                        witness_budget=cx.SAMPLE_BUDGET)
+    if constant == len(corpus):  # every term has a constant prefix: none was tested
+        details["varying_prefix"] = 0
     checks.append(Check("distributivity_refutations", details=details, outcome=(
-        "fail" if unrefuted else "inconclusive" if exhausted else "pass")))
+        "fail" if unrefuted else "inconclusive" if exhausted or not refuted
+        else "pass")))
     return checks
 
 
@@ -193,8 +206,9 @@ _DEMO_TERMS = [
 def cmd_classify(args):
     payload = _load_payload(args) or {}
     texts = payload.get("terms", _DEMO_TERMS)
-    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
-        raise UsageError("'terms' must be a list of strings")
+    if not (isinstance(texts, list) and texts
+            and all(isinstance(t, str) for t in texts)):
+        raise UsageError("'terms' must be a non-empty list of strings")
     h = cx.HMap()
     coeffs = {}  # coefficient text -> word, shared by every term of the payload
     rows = []
@@ -251,7 +265,8 @@ def _catalog_checks(args):
                                 details=details))
         elif args.check == "witness":
             variant = args.variant or "standard"
-            wit = cat.witness_set(alg, variant=variant)
+            with _reading("--variant"):
+                wit = cat.witness_set(alg, variant=variant)
             rep = cat.check_witness(alg, wit)
             expected = "finding" if (alg.kind == "linear" and variant == "plus") else "pass"
             outcome = "pass" if rep.ok else "finding"
@@ -498,12 +513,73 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def run(argv=None) -> int:
+@functools.cache
+def _flag_table() -> dict:
+    """subcommand -> (flags, defaults, negative-number matcher), read off
+    the parser once per process: flags maps each option string to its
+    (dest, type, choices), and defaults is the namespace the bare
+    subcommand parses to, ``command`` and ``handler`` included.  A
+    subcommand with a positional or any action but a plain store is left
+    out.  The table reads argparse's own (private) attributes, so
+    ``tests/test_cli_table.py`` checks every parse it gives against
+    ``parse_args``."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    (subparsers,) = (a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in subparsers.choices.items():
+        flags = {}
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if (type(action) is not argparse._StoreAction or not action.option_strings
+                    or action.nargs is not None or action.required):
+                break
+            flags |= dict.fromkeys(action.option_strings,
+                                   (action.dest, action.type, action.choices))
+        else:
+            if not sub._has_negative_number_optionals:
+                table[name] = (flags, vars(parser.parse_args([name])),
+                               sub._negative_number_matcher.match)
+    return table
+
+
+def _fast_parse(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for argv
+    made of a subcommand in ``_flag_table`` and exact ``--flag value``
+    pairs; None for any other argv, or for a value that argparse would not
+    read as a value or that its type or choices refuse."""
+    entry = _flag_table().get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    flags, defaults, negative_number = entry
+    values = dict(defaults)
+    for i in range(1, len(argv), 2):
+        flag = flags.get(argv[i])
+        text = argv[i + 1]
+        if flag is None or (text.startswith("-") and text != "-"
+                            and not negative_number(text)):
+            return None
+        dest, convert, choices = flag
+        try:
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
+
+
+def run(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
     config = {
         k: v
         for k, v in sorted(vars(args).items())

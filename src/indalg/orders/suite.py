@@ -313,6 +313,9 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
             _witness(alpha=sq, a=a_el, b=b_el),
         )
 
+    if "nonvacuous" not in evii_r.details:  # the hypothesis never held
+        evii_r.details["nonvacuous"] = 0
+        evii_r.outcome = "inconclusive"
     return [fs_r, fs_l, ei, eii_l, eii_r, eiii_l, eiii_r, evi_l, evi_r,
             evii_r, gii]
 

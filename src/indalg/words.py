@@ -7,6 +7,7 @@ is the identity.  Generator indices are unbounded Python ints.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 Syllable = tuple[int, int]
@@ -87,9 +88,13 @@ def format_word(u: Word) -> str:
     return "*".join(parts)
 
 
+_SYLLABLE = re.compile(r"z([0-9]+)(?:\^(-?[0-9]+))?")
+
+
 def parse_word(text: str) -> Word:
-    """Parse words like ``z1*z2^-1`` or ``1`` (identity).  A syllable's
-    index and exponent are what ``int`` reads, less ``_`` and ``+``."""
+    """Parse words like ``z1*z2^-1`` or ``1`` (identity).  A syllable is
+    ``z``, ASCII digits, and optionally ``^``, an optional ``-`` and ASCII
+    digits; spaces may stand only around a syllable."""
     s = text.strip()
     if s == "1":
         return IDENTITY
@@ -98,19 +103,13 @@ def parse_word(text: str) -> Word:
     raw: list[Syllable] = []
     for piece in s.split("*"):
         piece = piece.strip()
-        if not piece.startswith("z"):
+        m = _SYLLABLE.fullmatch(piece)
+        if m is None:
             raise ValueError(f"bad syllable {piece!r}")
-        body = piece[1:]
-        if "_" in body or "+" in body:  # int() would accept "1_0" and "+3"
-            raise ValueError(f"bad syllable {piece!r}")
-        if "^" in body:
-            gs, es = body.split("^", 1)
-        else:
-            gs, es = body, "1"
         try:
-            g = int(gs)
-            e = int(es)
-        except ValueError:
+            g = int(m[1])
+            e = int(m[2]) if m[2] else 1
+        except ValueError:  # more digits than int() reads
             raise ValueError(f"bad syllable {piece!r}") from None
         if g < 1:
             raise ValueError(f"generator index must be >= 1 in {piece!r}")

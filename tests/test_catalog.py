@@ -187,6 +187,11 @@ def test_witness_set_variants():
     assert names["q_homog_field"] == "all-basic-ops"
     lin = cat.make_instance("linear", q=3, dim=1, a0=[[1]])
     assert cat.witness_set(lin, "plus").name == "plus+unary"
+    # "plus" names a linear witness only; no kind has another variant
+    for alg, variant in [(lin, "bogus"), (cat.make_instance("rank0"), "plus"),
+                         (cat.make_instance("exceptional"), "bogus")]:
+        with pytest.raises(InvalidParams, match="no witness variant"):
+            cat.witness_set(alg, variant)
 
 
 def test_witness_reports_pass_on_defaults():

@@ -50,6 +50,17 @@ def test_verify_counterexample_checks(capsys):
     assert refs["unrefuted"] == []
 
 
+def test_a_refutation_check_that_tests_no_term_is_inconclusive(capsys):
+    # every sampled term has a constant prefix, so no term is refutable
+    code, rep, _ = run_json(capsys, "verify-counterexample", "--samples", "1",
+                            "--terms", "5", "--depth", "3", "--seed", "7")
+    check = rep["checks"][2]
+    assert code == 1
+    assert check["outcome"] == "inconclusive"
+    assert check["details"] == {"terms": 5, "constant_prefix": 5, "refuted": 0,
+                                "unrefuted": [], "varying_prefix": 0}
+
+
 def test_classify_demo_terms(capsys):
     code, rep, _ = run_json(capsys, "classify")
     assert code == 0
@@ -165,7 +176,8 @@ def test_classify_error_rows_keep_their_cause(monkeypatch, capsys):
     # a bad variable is a meta error, found only once the text has parsed
     import io
 
-    texts = ["g(x0, x1", "x0", "g(x1, nu(z1, x0))", "nu(zz, x0", "nu(z1_0, x1)"]
+    texts = ["g(x0, x1", "x0", "g(x1, nu(z1, x0))", "nu(zz, x0", "nu(z1_0, x1)",
+             "nu(z3 ^ 2, x1)", "nu(z\u0661, x1)"]
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"terms": texts})))
     code = cli.run(["classify", "--input", "-"])
     rows = json.loads(capsys.readouterr().out)["checks"][0]["details"]["terms"]
@@ -176,6 +188,8 @@ def test_classify_error_rows_keep_their_cause(monkeypatch, capsys):
         "variable index must be >= 1, got 0",
         "expected ')' closing nu(...)",
         "bad syllable 'z1_0'",  # int() alone would read z10
+        "bad syllable 'z3 ^ 2'",  # ... z3^2
+        "bad syllable 'z\u0661'",  # ... z1
     ]
 
 
@@ -423,6 +437,7 @@ USAGE_ERRORS = [
     (["classify", "--input", "/nonexistent/file.json"], None),
     (["classify", "--input", "-"], '["x1"]'),
     (["classify", "--input", "-"], '{"terms": ["x1", 7]}'),
+    (["classify", "--input", "-"], '{"terms": []}'),
     (["suite", "--samples", "-5"], None),
     (["suite", "--backend", "matrix", "--n", "9"], None),
     (["suite", "--backend", "act", "--n", "0"], None),
@@ -434,6 +449,11 @@ USAGE_ERRORS = [
     (["ore-check", "--depth", "100000000000000000000"], None),
     (["ore-check", "--monoid", "free2", "--depth", "8"], None),
     (["catalog", "--kind", "linear", "--params", '{"q":"x"}'], None),
+    # a witness variant that the kind does not have
+    (["catalog", "--kind", "rank0", "--check", "witness", "--variant", "plus"], None),
+    (["catalog", "--check", "witness", "--variant", "plus"], None),
+    (["catalog", "--kind", "linear", "--check", "witness", "--variant", "bogus"],
+     None),
     # catalog integer parameters: a float, boolean or string is not truncated
     (["catalog", "--kind", "rank0", "--params", '{"size":3.9}', "--check", "endos"],
      None),

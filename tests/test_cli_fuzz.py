@@ -1,6 +1,7 @@
 """The input contract, fuzzed: every run of ``cli.run`` ends in exit 0 or 1
 with a canonical JSON report on stdout, or in exit 2 with a usage error on
-stderr, and never in an exception."""
+stderr, and never in an exception.  No check of a report passes on an
+empty tested population: no samples, terms, refutations or pairs."""
 
 import io
 import json
@@ -48,6 +49,10 @@ def run(argv, stdin=""):
     return code, out.getvalue(), err.getvalue()
 
 
+# the detail keys that count a check's tested population
+POPULATION = ("samples", "nonvacuous", "terms", "refuted", "pairs_checked")
+
+
 def check_contract(argv, stdin=""):
     code, out, err = run(argv, stdin)
     assert code in (0, 1, 2), (argv, stdin)
@@ -55,7 +60,10 @@ def check_contract(argv, stdin=""):
         assert out == "" and err.startswith("error: "), (argv, stdin)
     else:
         assert err == "", (argv, stdin)
-        canonical_report(out)
+        for check in canonical_report(out)["checks"]:
+            if check["outcome"] == "pass":
+                empty = [k for k in POPULATION if check["details"].get(k, 1) in (0, [])]
+                assert not empty, (argv, stdin, check)
     return code
 
 
@@ -68,7 +76,7 @@ def check_contract(argv, stdin=""):
 @example(["x" + "1" * 5000])  # a variable index past the print limit
 def test_classify_payloads_keep_the_contract(terms):
     code = check_contract(["classify", "--input", "-"], json.dumps({"terms": terms}))
-    assert code in (0, 1)
+    assert code in (0, 1) if terms else code == 2  # an empty payload is a usage error
 
 
 @settings(max_examples=40)
@@ -76,9 +84,169 @@ def test_classify_payloads_keep_the_contract(terms):
        depth=st.integers(-2, 14), seed=st.integers(-(2**70), 2**70))
 @example(samples=1, terms=1, depth=12, seed=0)
 @example(samples=0, terms=-1, depth=13, seed=-1)
+@example(samples=1, terms=5, depth=3, seed=7)  # every term has a constant prefix
 def test_verify_counterexample_flags_keep_the_contract(samples, terms, depth, seed):
     argv = ["verify-counterexample", "--samples", str(samples), "--terms", str(terms),
             "--depth", str(depth), "--seed", str(seed)]
     code = check_contract(argv)
     assert (code == 2) == (min(samples, terms, depth) < 1 or depth > 12
                            or (depth == 1 and terms > 3))
+
+
+# --- payloads and flags of the other subcommands ------------------------------
+
+# an integer field, now and then a value of another JSON type
+_JINT = st.one_of(st.integers(-2, 9), st.sampled_from([True, 2.5, "3", None, [1]]))
+_ENTRY = st.one_of(st.integers(-4, 4), st.sampled_from(
+    ["1/2", "-2/3", "0", "7", "x", "1/0", "1e3", "1e5000", 0.5, False, None]))
+
+
+def _rows(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# mostly square, now and then ragged, empty or not a list
+_MATRIX = st.one_of(st.integers(1, 3).flatmap(lambda n: _rows(n, _ENTRY)),
+                    st.integers(1, 3).flatmap(lambda n: _rows(n, st.integers(-4, 4))),
+                    st.lists(st.lists(_ENTRY, max_size=3), max_size=3),
+                    st.sampled_from([7, "1/2", {}]))
+
+
+def _act(n, entry=st.integers(-1, 3)):
+    """An act endomorphism on n generators; a target is now and then 0."""
+    return st.fixed_dictionaries(
+        {"shifts": st.lists(entry, min_size=n, max_size=n),
+         "targets": st.lists(st.sampled_from([*range(1, n + 1)] * 3 + [0]),
+                             min_size=n, max_size=n)},
+        optional={"flavor": st.sampled_from(["A", "B", "A", "B", "C", 1])})
+
+
+_ACT = st.integers(1, 3).flatmap(lambda n: _act(n, st.one_of(st.integers(-3, 3), _JINT)))
+
+
+def _pair(of_size):
+    """{"a": ..., "b": ...} of one size, most often a readable pair."""
+    return st.integers(1, 3).flatmap(
+        lambda n: st.fixed_dictionaries({"a": of_size(n), "b": of_size(n)}))
+
+
+def _quot(fields):
+    return st.fixed_dictionaries({f: st.integers(-2, 4) for f in fields})
+
+
+def _maybe(key_values):
+    """A dict holding some of the given keys."""
+    return st.fixed_dictionaries({}, optional=key_values)
+
+
+# (q, dim) pairs cheap enough to check; q=5 dim=2 takes seconds a witness
+_FIELD = st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (4, 1), (3, 0),
+                          (3, 3), (7, 1), ("3", 1), (3, True)])
+_CATALOG_PARAMS = {
+    "rank0": _maybe({"size": _JINT}),
+    "linear": _FIELD.flatmap(lambda qd: _maybe({
+        "q": st.just(qd[0]), "dim": st.just(qd[1]),
+        "a0": st.lists(st.lists(_JINT, max_size=3), max_size=2)})),
+    "affine": _FIELD.map(lambda qd: {"q": qd[0], "dim": qd[1]}),
+    "q_homog_field": _maybe({"q": st.sampled_from([2, 3, 5, 4, 1.0])}),
+    "group_action": st.integers(1, 6).flatmap(lambda n: _maybe({
+        "size": st.sampled_from([n, n, 9, "5"]),
+        "generators": st.lists(st.one_of(st.permutations(range(n)),
+                                         st.lists(_JINT, max_size=n)), max_size=2),
+        "constants": st.lists(st.one_of(st.integers(0, n), _JINT), max_size=3)})),
+    "exceptional": st.just({}),
+    "semilattice": _maybe({"size": _JINT}),
+    "no-such-kind": st.just({}),
+}
+
+
+@st.composite
+def _catalog_argv(draw):
+    kind = draw(st.sampled_from(sorted(_CATALOG_PARAMS)))
+    params = draw(st.one_of(_CATALOG_PARAMS[kind].map(json.dumps),
+                            st.sampled_from(["[1]", "{", "3", '{"bogus": 1}'])))
+    argv = ["catalog", "--kind", kind, "--params", params,
+            "--check", draw(st.sampled_from(["exchange", "witness", "clone", "endos"]))]
+    variant = draw(st.sampled_from([None, "plus", "standard", "bogus"]))
+    return argv + (["--variant", variant] if variant else [])
+
+
+@settings(max_examples=150)
+@given(_catalog_argv())
+@example(["catalog", "--kind", "group_action", "--params",
+          '{"size": 3, "generators": [[1, 2, 0]], "constants": [0]}', "--check", "endos"])
+def test_catalog_params_keep_the_contract(argv):
+    check_contract(argv)
+
+
+_PAYLOADS = {
+    ("decompose", "matrix"): _maybe({"alpha": _MATRIX}),
+    ("decompose", "act"): _maybe({"alpha": _ACT}),
+    ("greens", "matrix"): st.one_of(
+        _maybe({"a": _MATRIX, "b": _MATRIX}),
+        _pair(lambda n: _rows(n, st.one_of(st.integers(-4, 4), _ENTRY)))),
+    ("greens", "act"): st.one_of(_maybe({"a": _ACT, "b": _ACT}), _pair(_act)),
+    ("quotient", "matrix"): st.one_of(
+        _maybe({"p": _maybe({"t": _JINT, "v": st.lists(_JINT, max_size=3)}),
+                "q": _maybe({"t": _JINT, "v": st.lists(_JINT, max_size=3)}),
+                "v": st.lists(_JINT, max_size=3)}),
+        st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+            e: st.fixed_dictionaries({"t": st.integers(-2, 4),
+                                      "v": st.lists(st.integers(-4, 4),
+                                                    min_size=n, max_size=n)})
+            for e in "pq"}))),
+    ("quotient", "act"): st.one_of(
+        _maybe({"p": _maybe({"k": _JINT, "m": _JINT, "i": _JINT}),
+                "q": _maybe({"k": _JINT, "m": _JINT, "i": _JINT}),
+                "m": _JINT, "i": _JINT}),
+        st.fixed_dictionaries({"p": _quot("kmi"), "q": _quot("kmi")}),
+        _quot("mi")),
+}
+_MODE_FLAGS = {
+    "decompose": ("--mode", ["left", "right", "straight"]),
+    "greens": ("--side", ["R", "L", "Rstar", "Lstar"]),
+}
+
+
+@st.composite
+def _payload_run(draw):
+    command, backend = draw(st.sampled_from(sorted(_PAYLOADS)))
+    payload = draw(_PAYLOADS[command, backend])
+    if command == "quotient":
+        argv = ["quotient", draw(st.sampled_from(["eq", "embed"]))]
+    else:
+        flag, choices = _MODE_FLAGS[command]
+        argv = [command, flag, draw(st.sampled_from(choices))]
+    stdin = draw(st.one_of(st.just(json.dumps(payload)),
+                           st.sampled_from(["", "[]", "{", '"x"'])))
+    return argv + ["--backend", backend, "--input", "-"], stdin
+
+
+@settings(max_examples=250)
+@given(_payload_run())
+@example((["decompose", "--mode", "straight", "--backend", "matrix", "--input", "-"],
+          '{"alpha": [[1, 1], [0, 0]]}'))
+@example((["greens", "--side", "Lstar", "--backend", "act", "--input", "-"],
+          '{"a": {"shifts": [0, -1], "targets": [2, 2]}, '
+          '"b": {"flavor": "A", "shifts": [1, 0], "targets": [1, 2]}}'))
+def test_order_payloads_keep_the_contract(run_):
+    argv, stdin = run_
+    check_contract(argv, stdin)
+
+
+@settings(max_examples=60)
+@given(monoid=st.sampled_from(["posint", "free2"]), depth=st.integers(-1, 9))
+def test_ore_check_flags_keep_the_contract(monoid, depth):
+    code = check_contract(["ore-check", "--monoid", monoid, "--depth", str(depth)])
+    assert (code == 2) == (depth < 1 or (monoid == "free2" and depth > 7))
+
+
+@settings(max_examples=60)
+@given(backend=st.sampled_from(["matrix", "act"]), n=st.integers(-1, 5),
+       samples=st.integers(-1, 4), seed=st.integers(-(2**70), 2**70))
+@example(backend="act", n=2, samples=1, seed=2)  # the kernel hypothesis never holds
+def test_suite_flags_keep_the_contract(backend, n, samples, seed):
+    code = check_contract(["suite", "--backend", backend, "--n", str(n),
+                           "--samples", str(samples), "--seed", str(seed)])
+    ranks = range(1, 5) if backend == "matrix" else range(1, 4)
+    assert (code == 2) == (samples < 1 or n not in ranks)

@@ -37,6 +37,15 @@ def test_act_suite_kernel_cancellation_nonvacuous():
     assert evii.details["nonvacuous"] > 0
 
 
+def test_act_suite_kernel_cancellation_untested_is_inconclusive():
+    # one sample whose kernel hypothesis fails tests the implication on nothing
+    report = su.run_act_suite(2, seed=2, samples=1)
+    evii = next(c for c in report if c.name == "evii_r_kernel_cancellation")
+    assert evii.outcome == "inconclusive"
+    assert evii.details == {"samples": 1, "failures": [], "nonvacuous": 0}
+    assert all(c.outcome == "pass" for c in report if c is not evii)
+
+
 def test_matrix_suite_passes():
     for n in (1, 2, 3, 4):
         report = su.run_matrix_suite(n, seed=1, samples=60)

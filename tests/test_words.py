@@ -114,12 +114,16 @@ def test_parse_rejects_garbage():
             wd.parse_word(bad)
 
 
-@pytest.mark.parametrize("bad", ["z1_0", "z1^1_0", "z+3", "z1^+2", "z2*z_3"])
+@pytest.mark.parametrize("bad", ["z1_0", "z1^1_0", "z+3", "z1^+2", "z2*z_3",
+                                 "z 3", "z3 ^ 2", "z3^ 2", "z3^- 2", "z\u0661",
+                                 "z3^\u0662", "z1*z\u00b2"])
 def test_parse_refuses_what_only_int_would_accept(bad):
-    # int() reads "1_0" as 10 and "+3" as 3; a syllable is digits only
+    # int() reads "1_0" as 10, "+3" as 3, " 2" as 2 and any Unicode decimal
+    # digit; a syllable is ASCII digits only, with no space inside it
     with pytest.raises(ValueError, match="bad syllable"):
         wd.parse_word(bad)
     assert wd.parse_word("z10^-2*z3") == ((10, -2), (3, 1))
+    assert wd.parse_word(" z3 * z2^2 ") == ((3, 1), (2, 2))  # spaces around a syllable
 
 
 def test_enumeration_is_graded_and_injective():
