@@ -1,4 +1,9 @@
 """Verification workbench for word-algebra counterexamples, clone catalogs,
-and order-theoretic structure of endomorphism monoids."""
+and order-theoretic structure of endomorphism monoids.
+
+Records are ``typing.NamedTuple``s or plain classes, not the standard
+library's data classes: importing that module (and ``inspect`` with it)
+and running the code its decorator generates took about half of the
+CLI's cold start."""
 
 __version__ = "0.1.0"

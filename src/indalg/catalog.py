@@ -61,9 +61,8 @@ only when they differ.  No table is built at import.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 EXCHANGE_CAP = 16
 # endomorphism search: n^g assignments of images to g generators; g <= n,
@@ -83,8 +82,7 @@ class TooLarge(RuntimeError):
     """Exhaustive check requested beyond its feasibility bound."""
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """Total operation on {0..size-1}, table flat row-major (last arg fastest)."""
 
     name: str
@@ -102,17 +100,23 @@ class Op:
         return len(set(self.table)) == 1
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
-    kind: str
-    size: int
-    # basic ops generating every basic op by composition; closure, the unary
-    # clone and the endomorphism search run against this set (same results,
-    # much smaller tuple spaces)
-    gen_ops: tuple[Op, ...]
-    # returns every basic op; run once, the first time ``ops`` is read, so
-    # the checks that read gen_ops alone never build the full list
-    build_ops: Callable[[], tuple[Op, ...]]
+    """An algebra on {0..size-1}.  ``gen_ops`` are basic ops generating
+    every basic op by composition; closure, the unary clone and the
+    endomorphism search run against them (same results, much smaller tuple
+    spaces).  ``build_ops`` returns every basic op; it runs once, the first
+    time ``ops`` is read, so the checks that read gen_ops alone never build
+    the full list.  The fields refuse assignment."""
+
+    def __init__(self, kind: str, size: int, gen_ops: tuple[Op, ...],
+                 build_ops: Callable[[], tuple[Op, ...]]):
+        vars(self).update(kind=kind, size=size, gen_ops=gen_ops, build_ops=build_ops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an algebra")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an algebra")
 
     @cached_property
     def ops(self) -> tuple[Op, ...]:
@@ -431,8 +435,7 @@ def closure(alg: FiniteAlgebra, xs: Iterable[int]) -> frozenset[int]:
         have |= found
 
 
-@dataclass(frozen=True)
-class ExchangeResult:
+class ExchangeResult(NamedTuple):
     holds: bool
     witness: Optional[tuple[tuple[int, ...], int, int]]  # (X, y, z)
 
@@ -489,8 +492,7 @@ def check_exchange(alg: FiniteAlgebra) -> ExchangeResult:
 # unary clone and endomorphisms
 
 
-@dataclass(frozen=True)
-class UnaryClone:
+class UnaryClone(NamedTuple):
     t_ops: tuple[bytes, ...]  # non-constant, sorted
     constants: tuple[bytes, ...]
 
@@ -637,14 +639,12 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
     return found
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(NamedTuple):
     name: str
     ops: tuple[Op, ...]
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     generates: bool
     missing: tuple[str, ...]       # basic ops not generated by W
     non_clone: tuple[str, ...]     # W members not in the clone

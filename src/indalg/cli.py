@@ -230,6 +230,8 @@ def cmd_classify(args):
 
 def _catalog_instances(args):
     if args.kind == "all":
+        if args.params is not None:
+            raise UsageError("--params needs --kind: the default catalog takes none")
         return cat.default_catalog() + [cat.make_instance("semilattice")]
     with _reading("--params"):
         params = json.loads(args.params) if args.params else {}
@@ -250,6 +252,8 @@ def cmd_catalog(args):
 
 
 def _catalog_checks(args):
+    if args.variant is not None and args.check != "witness":
+        raise UsageError("--variant applies to --check witness only")
     checks = []
     for alg in _catalog_instances(args):
         label = _instance_label(alg)

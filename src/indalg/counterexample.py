@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import words
 from .report import Check, max_digits, printable
@@ -147,8 +146,7 @@ def check_homogeneity(h: HMap, samples: int, seed: int) -> Check:
 _PREFIX_INVARIANT = "prefix generators must be even or lie in the term's content"
 
 
-@dataclass(frozen=True)
-class TermForm:
+class TermForm(NamedTuple):
     """Classification of a term: constant prefix (Form 1) or varying (Form 2)."""
 
     form: int  # 1 or 2
@@ -161,8 +159,7 @@ class TermForm:
     plan: Optional[tuple[int, int, frozenset[int], bool]] = None
 
 
-@dataclass(frozen=True)
-class WitnessSample:
+class WitnessSample(NamedTuple):
     mu: tuple[Word, ...]
     prefix: Word
     fresh_gen: int
@@ -299,8 +296,7 @@ def sample_witnesses(form: TermForm, t: Term, h: HMap, count: int) -> list[Witne
     return out
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     a: Word
     mu: tuple[Word, ...]
     lhs: Word

@@ -25,27 +25,38 @@ elements and the Ore solutions are all written with them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrix import PreconditionViolated, randints
 
 
-@dataclass(frozen=True)
-class ActEndo:
+class _ActEndoFields(NamedTuple):
     flavor: str  # "A" (integer shifts) or "B" (nonnegative shifts)
     shifts: tuple[int, ...]
     targets: tuple[int, ...]  # 0-based generator indices
 
-    def __post_init__(self):
-        if self.flavor not in ("A", "B"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        n = len(self.shifts)
-        if len(self.targets) != n:
+
+class ActEndo(_ActEndoFields):
+    """An endomorphism, checked on every construction: ``_make`` and
+    ``_replace`` go through ``__new__`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, flavor: str, shifts: tuple[int, ...], targets: tuple[int, ...]):
+        if flavor not in ("A", "B"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        n = len(shifts)
+        if len(targets) != n:
             raise ValueError("shifts/targets length mismatch")
-        if n and (min(self.targets) < 0 or max(self.targets) >= n):
+        if n and (min(targets) < 0 or max(targets) >= n):
             raise ValueError("target index out of range")
-        if self.flavor == "B" and n and min(self.shifts) < 0:
+        if flavor == "B" and n and min(shifts) < 0:
             raise ValueError("flavor B requires nonnegative shifts")
+        return tuple.__new__(cls, (flavor, shifts, targets))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -170,8 +181,7 @@ def greens_leq(side: str, a: ActEndo, b: ActEndo) -> bool:
 # --- quotient elements ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActQuot:
+class ActQuot(NamedTuple):
     """t^k \\ (m, i) reduced to canonical form (m - k, i) in the
     overmonoid's copy of the act."""
 
@@ -317,31 +327,38 @@ def rand_square_cancellable(rng: random.Random, n: int) -> ActEndo:
     return alpha
 
 
-def hstar_element(alpha: ActEndo, assignment, bases) -> ActEndo:
+def hstar_class(alpha: ActEndo) -> tuple:
+    """(kernel key, target set) of alpha: equal exactly for the members of
+    alpha's kernel/image class.  The functions below take it next to alpha,
+    so a caller drawing many members of one class computes it once."""
+    return kernel_key(alpha), target_set(alpha)
+
+
+def hstar_element(alpha: ActEndo, assignment, bases, hclass: tuple) -> ActEndo:
     """The member of alpha's kernel/image class sending merge class k (by
-    least member) onto target assignment[k] with base shift bases[k]."""
+    least member) onto target assignment[k] with base shift bases[k];
+    ``hclass`` is ``hstar_class(alpha)``."""
     theta = with_kernel(alpha, bases, assignment)
-    assert kernel_key(theta) == kernel_key(alpha)
-    assert target_set(theta) == target_set(alpha)
+    assert hstar_class(theta) == hclass
     return theta
 
 
-def rand_hstar_element(rng: random.Random, alpha: ActEndo) -> ActEndo:
+def rand_hstar_element(rng: random.Random, alpha: ActEndo, hclass: tuple) -> ActEndo:
     # one merge class per target
-    perm = sorted(target_set(alpha))
+    perm = sorted(hclass[1])
     rng.shuffle(perm)
-    return hstar_element(alpha, perm, randints(rng, [(0, 4)] * len(perm)))
+    return hstar_element(alpha, perm, randints(rng, [(0, 4)] * len(perm)), hclass)
 
 
 def left_ore_solve(
-    alpha: ActEndo, a: ActEndo, b: ActEndo
+    alpha: ActEndo, a: ActEndo, b: ActEndo, hclass: tuple
 ) -> tuple[ActEndo, ActEndo]:
-    """u, v in the kernel/image class of alpha with u a = v b, computed by
-    aligning both compositions onto a common target assignment and padding
-    per-class base shifts to reconcile the exponents."""
+    """u, v in the kernel/image class ``hclass`` of alpha with u a = v b,
+    computed by aligning both compositions onto a common target assignment
+    and padding per-class base shifts to reconcile the exponents."""
     # common target pattern: k-th class (by least member) onto k-th target,
     # one class per target
-    hit = sorted(target_set(alpha))
+    hit = sorted(hclass[1])
 
     def aligned(theta: ActEndo):
         # choose the class assignment whose theta-composition lands on the
@@ -355,8 +372,8 @@ def left_ore_solve(
 
     assign_u, du = aligned(a)
     assign_v, dv = aligned(b)
-    u = hstar_element(alpha, assign_u, [max(0, y - x) for x, y in zip(du, dv)])
-    v = hstar_element(alpha, assign_v, [max(0, x - y) for x, y in zip(du, dv)])
+    u = hstar_element(alpha, assign_u, [max(0, y - x) for x, y in zip(du, dv)], hclass)
+    v = hstar_element(alpha, assign_v, [max(0, x - y) for x, y in zip(du, dv)], hclass)
     assert compose(u, a) == compose(v, b)
     return u, v
 

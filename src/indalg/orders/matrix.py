@@ -25,10 +25,10 @@ Composition convention: "apply a, then b" is the matrix product b @ a.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from ..report import fmt_mat
 from .linalg import (
@@ -138,8 +138,7 @@ def group_inverse(s) -> Mat:
 # --- decompositions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     a: IntMat
     b: IntMat
 
@@ -220,8 +219,7 @@ def straight_certificates(alpha, dec: Decomposition) -> dict:
 # --- quotient elements ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotElem:
+class QuotElem(NamedTuple):
     """Canonical fraction t \\ v over the positive integers acting on Z^n
     by scalar multiplication: the pair (t, v) reduced by gcd(t, content(v))."""
 

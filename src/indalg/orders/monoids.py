@@ -15,13 +15,11 @@ computed from the depth before anything is built and capped at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class PresentedMonoid:
+class PresentedMonoid(NamedTuple):
     name: str
     elements: Callable[[int], list]
     op: Callable
@@ -29,7 +27,7 @@ class PresentedMonoid:
     size: Callable[[int], int]
     # certificate(side, a, b) -> reason string when ua = vb (left) or
     # au = bv (right) is structurally impossible
-    certificate: Callable = field(default=lambda side, a, b: None)
+    certificate: Callable = lambda side, a, b: None
 
 
 def _posint_elements(depth: int) -> list[int]:
@@ -87,8 +85,7 @@ MONOIDS = {"posint": POSINT, "free2": FREE2}
 MAX_ELEMENTS = 256
 
 
-@dataclass(frozen=True)
-class OreResult:
+class OreResult(NamedTuple):
     status: str  # "holds" | "fails" | "inconclusive"
     witness: dict | None
     pairs_checked: int

@@ -2,9 +2,11 @@
 
 A check carries an ``expected`` outcome ("pass" or "finding") next to the
 ``outcome`` actually observed, so that mathematically expected failures
-are told apart from genuine errors.  Its fields are its serialised form:
-a report lists ``vars(check)`` for each check.  ``max_digits`` is the most
-digits an integer in a report may have: the interpreter's print limit.
+are told apart from genuine errors.  ``Check`` is a plain class whose
+``vars`` is its serialised form: a report lists ``vars(check)`` for each
+check, so its instance attributes are exactly ``name``, ``expected``,
+``outcome`` and ``details``.  ``max_digits`` is the most digits an
+integer in a report may have: the interpreter's print limit.
 
 ``to_json`` writes a report: the text ``json.dumps(report, indent=2,
 sort_keys=True)`` gives, byte for byte, for a value made of dicts with str
@@ -15,16 +17,24 @@ or a float among them, raises TypeError instead of being written.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 
-@dataclass
 class Check:
-    name: str
-    expected: str = "pass"
-    outcome: str = "pass"
-    details: dict = field(kw_only=True)
+    def __init__(self, name: str, expected: str = "pass", outcome: str = "pass",
+                 *, details: dict):
+        self.name = name
+        self.expected = expected
+        self.outcome = outcome
+        self.details = details
+
+    def __eq__(self, other):
+        if type(other) is not Check:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"Check({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @classmethod
     def sampled(cls, name: str) -> Check:

@@ -61,6 +61,34 @@ def test_op_indexing_row_major():
     assert join(0, 1) == 2  # two incomparable atoms join to the top
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cat.Op("f", 1, 2, bytes((1, 0))),
+    lambda: cat.ExchangeResult(False, ((0,), 1, 2)),
+    lambda: cat.UnaryClone((bytes((1, 0)),), (bytes((0, 0)),)),
+    lambda: cat.WitnessSet("w", (cat.Op("f", 1, 2, bytes((1, 0))),)),
+    lambda: cat.WitnessReport(True, (), ("f",), ()),
+])
+def test_records_are_values_that_refuse_assignment(make):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
+def test_algebra_refuses_assignment_and_builds_its_ops_once():
+    calls = []
+    ops = (cat.Op("f", 1, 2, bytes((1, 0))),)
+    alg = cat.FiniteAlgebra("k", 2, ops, lambda: calls.append(1) or ops)
+    for name in ("kind", "size", "gen_ops", "build_ops", "ops", "other"):
+        with pytest.raises(AttributeError):
+            setattr(alg, name, None)
+    with pytest.raises(AttributeError):
+        del alg.kind
+    assert calls == []
+    assert alg.ops is alg.ops is ops and calls == [1]
+    assert (alg.kind, alg.size, alg.gen_ops, alg.elements) == ("k", 2, ops, range(2))
+
+
 def test_closure_semilattice():
     semi = cat.make_instance("semilattice")
     assert cat.closure(semi, [0, 1]) == frozenset({0, 1, 2})

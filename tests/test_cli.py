@@ -454,6 +454,12 @@ USAGE_ERRORS = [
     (["catalog", "--check", "witness", "--variant", "plus"], None),
     (["catalog", "--kind", "linear", "--check", "witness", "--variant", "bogus"],
      None),
+    # a flag the request would ignore: parameters for the default catalog, a
+    # witness variant for another check
+    (["catalog", "--params", '{"q": 99}', "--check", "clone"], None),
+    (["catalog", "--params", "{}"], None),
+    (["catalog", "--check", "exchange", "--variant", "standard"], None),
+    (["catalog", "--kind", "linear", "--check", "endos", "--variant", "plus"], None),
     # catalog integer parameters: a float, boolean or string is not truncated
     (["catalog", "--kind", "rank0", "--params", '{"size":3.9}', "--check", "endos"],
      None),

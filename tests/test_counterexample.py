@@ -491,6 +491,18 @@ def test_refute_distributivity_avoids_content():
     assert r.holds
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ce.TermForm(2, 2, 1, "split", plan=(1, 2, frozenset({3}), True)),
+    lambda: ce.WitnessSample((wd.gen(1), wd.gen(2)), IDENTITY, 2, wd.gen(1)),
+    lambda: ce.Refutation(wd.gen(3), (wd.gen(1),), wd.gen(1), wd.gen(2)),
+])
+def test_records_are_values_that_refuse_assignment(make):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
 def test_refute_requires_form2():
     h = HMap()
     t = Nu(wd.gen(2), Var(1))

@@ -16,9 +16,15 @@ a value only the tests set is a constant.  ``cli.run(argv)`` is the one
 exception; ``main``, the benchmark harness and the tests pass ``argv``.
 Conversely, some call in the package omits each such parameter: a default
 that every caller overrides is never used.
+
+Importing the CLI and building its parser, in a fresh ``python -I``, loads
+neither ``dataclasses`` nor ``inspect`` unless a bare interpreter already
+has: the two, and the code ``@dataclass`` generates, were about half of
+the CLI's cold start.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,7 +203,7 @@ def _defaulted(stmt) -> tuple[list[str], list[str]]:
     """The constructor parameters of a top-level function or class, in
     order (keyword-only ones last), and those with a default.  A class's
     are its ``__init__``'s after ``self``, or else its annotated fields, as
-    a dataclass takes them; ``field(...)`` gives a default only with
+    a NamedTuple or a dataclass takes them; ``field(...)`` gives a default only with
     ``default`` or ``default_factory``."""
     if isinstance(stmt, ast.ClassDef):
         init = next((s for s in stmt.body
@@ -329,3 +335,26 @@ def test_every_default_is_omitted_by_a_caller_in_the_package():
     sources = {".".join(p.relative_to(ROOT).with_suffix("").parts): p.read_text()
                for p in MODULES}
     assert always_passed_defaults(sources) == []
+
+
+_LOADED = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+if len(sys.argv) > 2:
+    import indalg.cli
+    indalg.cli.build_parser()
+print(*(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+
+
+def _slow_imports_loaded(import_cli: bool) -> set[str]:
+    """Which of dataclasses and inspect a fresh ``python -I`` has loaded,
+    after importing the CLI and building its parser if import_cli."""
+    argv = [sys.executable, "-I", "-c", _LOADED, str(ROOT.parent)]
+    proc = subprocess.run(argv + ["cli"] * import_cli,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_cold_start_loads_neither_dataclasses_nor_inspect():
+    assert _slow_imports_loaded(True) - _slow_imports_loaded(False) == set()

@@ -74,6 +74,17 @@ def test_result_dict_shapes():
     assert r == {"status": "holds", "witness": None, "pairs_checked": 36}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PresentedMonoid(*POSINT),
+    lambda: mo.OreResult("holds", None, 36),
+])
+def test_records_are_values_that_refuse_assignment(make):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
 def test_size_counts_the_elements():
     for monoid in (POSINT, FREE2):
         for depth in range(9):

@@ -24,6 +24,13 @@ def test_act_endo_validation():
                 ActEndo(flavor, (0, 1), targets)
     with pytest.raises(ValueError, match="^flavor B requires nonnegative shifts$"):
         ActEndo("B", (0, -1), (0, 1))
+    # by keyword and by _replace, construction checks the same way
+    with pytest.raises(ValueError, match="^unknown flavor 'C'$"):
+        ActEndo(flavor="C", shifts=(0,), targets=(0,))
+    with pytest.raises(ValueError, match="^flavor B requires nonnegative shifts$"):
+        ActEndo("A", (0, -1), (0, 1))._replace(flavor="B")
+    with pytest.raises(ValueError, match="^target index out of range$"):
+        ActEndo("A", (0, -1), (0, 1))._replace(targets=(0, 2))
     assert ActEndo("A", (0, -1), (0, 1)).shifts == (0, -1)  # overmonoid allows them
     assert ActEndo("B", (0, 7), (1, 1)).targets == (1, 1)
     # rank 0: the empty endomorphism is valid and composes to itself
@@ -31,6 +38,17 @@ def test_act_endo_validation():
         empty = ActEndo(flavor, (), ())
         assert empty.n == 0 and ac.compose(empty, empty) == empty
     assert ac.rand_act_endo(random.Random(0), 0) == ActEndo("B", (), ())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ActEndo("A", (1, -2), (1, 1)),
+    lambda: ac.act_quot(2, 5, 1),
+])
+def test_records_are_values_that_refuse_assignment(make):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
 
 
 def compose_by_index(theta, phi):
@@ -327,7 +345,7 @@ def test_hstar_element_membership():
     for _ in range(200):
         n = rng.randint(1, 4)
         alpha = ac.rand_square_cancellable(rng, n)
-        theta = ac.rand_hstar_element(rng, alpha)
+        theta = ac.rand_hstar_element(rng, alpha, ac.hstar_class(alpha))
         assert ac.kernel_key(theta) == ac.kernel_key(alpha)
         assert ac.target_set(theta) == ac.target_set(alpha)
 
@@ -337,9 +355,10 @@ def test_left_ore_solve():
     for _ in range(200):
         n = rng.randint(1, 4)
         alpha = ac.rand_square_cancellable(rng, n)
-        a = ac.rand_hstar_element(rng, alpha)
-        b = ac.rand_hstar_element(rng, alpha)
-        u, v = ac.left_ore_solve(alpha, a, b)
+        hclass = ac.hstar_class(alpha)
+        a = ac.rand_hstar_element(rng, alpha, hclass)
+        b = ac.rand_hstar_element(rng, alpha, hclass)
+        u, v = ac.left_ore_solve(alpha, a, b, hclass)
         assert ac.compose(u, a) == ac.compose(v, b)
         for theta in (u, v):
             assert ac.kernel_key(theta) == ac.kernel_key(alpha)
@@ -446,7 +465,8 @@ def rand_hstar_element_by_randint(rng, alpha):
     """``rand_hstar_element`` as it drew before, kept as its oracle."""
     perm = sorted(ac.target_set(alpha))
     rng.shuffle(perm)
-    return ac.hstar_element(alpha, perm, [rng.randint(0, 4) for _ in perm])
+    return ac.hstar_element(alpha, perm, [rng.randint(0, 4) for _ in perm],
+                            ac.hstar_class(alpha))
 
 
 @given(st.integers(), st.integers(1, 4))
@@ -456,5 +476,6 @@ def test_act_samplers_read_the_randint_stream(seed, n):
         assert ac.rand_act_endo(rng, n) == rand_act_endo_by_randint(oracle, n)
         sq = ac.rand_square_cancellable(rng, n)
         assert sq == rand_square_cancellable_by_randint(oracle, n)
-        assert ac.rand_hstar_element(rng, sq) == rand_hstar_element_by_randint(oracle, sq)
+        assert (ac.rand_hstar_element(rng, sq, ac.hstar_class(sq))
+                == rand_hstar_element_by_randint(oracle, sq))
     assert rng.random() == oracle.random()

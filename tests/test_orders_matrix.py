@@ -376,6 +376,17 @@ def test_decomposition_as_dict_strings():
 # --- quotient fractions ------------------------------------------------------
 
 
+@pytest.mark.parametrize("make", [
+    lambda: mx.Decomposition(a=z([[2, 0], [0, 2]]), b=z([[1, 1], [0, 1]])),
+    lambda: mx.quot_elem(4, (2, 6)),
+])
+def test_records_are_values_that_refuse_assignment(make):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
 def test_quot_elem_canonical():
     p = mx.quot_elem(4, (2, 6))
     assert (p.t, p.v) == (2, (1, 3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indalg.report import to_json
+from indalg.report import Check, to_json
 
 # ASCII and beyond, controls that json escapes, lone surrogates, astral
 # characters (written as surrogate pairs) and json's own escape characters
@@ -51,3 +51,21 @@ def test_writer_is_json_dumps_with_indent_and_sorted_keys(value):
 def test_writer_refuses_what_a_report_does_not_hold(value):
     with pytest.raises(TypeError):
         to_json(value)
+
+
+def test_check_is_its_four_fields_and_compares_by_them():
+    check = Check("c", "finding", details={"n": 1})
+    assert vars(check) == {"name": "c", "expected": "finding", "outcome": "pass",
+                           "details": {"n": 1}}
+    assert list(vars(check)) == ["name", "expected", "outcome", "details"]
+    assert check == Check("c", "finding", "pass", details={"n": 1})
+    assert check != Check("c", "finding", "fail", details={"n": 1})
+    assert check != Check("c", "finding", details={"n": 2})
+    assert check != vars(check)
+    with pytest.raises(TypeError):  # mutable, so unhashable
+        hash(check)
+    sampled = Check.sampled("s")
+    sampled.record(True)
+    sampled.record(False, lambda: "w")
+    assert vars(sampled) == {"name": "s", "expected": "pass", "outcome": "fail",
+                             "details": {"samples": 2, "failures": ["w"], "failed": 1}}
