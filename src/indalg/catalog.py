@@ -40,7 +40,10 @@ tables under composition) and clone generation (tables of each arity under
 composition by the witness ops).  It yields each element as it is found, in
 an order independent of hashing, so generation stops as soon as its last
 target appears and its step and table caps trip at the same place in every
-process.
+process.  A search that can be sized beforehand (exchange, endomorphisms)
+is refused up front with ``TooLarge``; generation cannot be, so a cap it
+passes partway raises ``BudgetExhausted``, which names the counter and its
+cap, and the witness check ends inconclusive rather than refused.
 
 Op tables are composed by one byte-table kernel, ``_compose``: closure, the
 unary clone and clone generation compose tables whole.  It runs no Python
@@ -80,6 +83,16 @@ class InvalidParams(ValueError):
 
 class TooLarge(RuntimeError):
     """Exhaustive check requested beyond its feasibility bound."""
+
+
+class BudgetExhausted(RuntimeError):
+    """A search passed one of its caps partway: ``counter`` names what it
+    counted and ``cap`` the bound it passed."""
+
+    def __init__(self, counter: str, cap: int):
+        super().__init__(f"{counter} passed its cap {cap}")
+        self.counter = counter
+        self.cap = cap
 
 
 class Op(NamedTuple):
@@ -611,7 +624,8 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
     Per arity m, the fixpoint of the projections and seed's m-ary tables
     under composition by seed ops (outer op always from seed; complete since
     every term unfolds to seed-rooted compositions of same-arity pieces).
-    Early exit once all targets are found; hard caps guard runaway inputs.
+    Early exit once all targets are found.  Past GEN_STEP_CAP compositions
+    or GEN_TABLE_CAP tables of one arity it raises BudgetExhausted.
     """
     found = set()
     steps = 0
@@ -620,7 +634,7 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
         nonlocal steps
         steps += 1
         if steps > GEN_STEP_CAP:
-            raise TooLarge("generation search budget exhausted")
+            raise BudgetExhausted("generation_steps", GEN_STEP_CAP)
         return _compose(f, gs)
 
     for m in (1, 2, 3):
@@ -630,7 +644,7 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
         start = _projections(alg.size, m) + [op.table for op in seed if op.arity == m]
         for count, tbl in enumerate(_fixpoint(seed, start, compose), 1):
             if count > GEN_TABLE_CAP:
-                raise TooLarge("generated table cap exceeded")
+                raise BudgetExhausted("generated_tables", GEN_TABLE_CAP)
             if tbl in want:
                 found.add((m, tbl))
                 want.discard(tbl)

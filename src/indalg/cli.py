@@ -7,7 +7,22 @@ mathematically expected failures -- the semilattice control breaking
 exchange, the free monoid breaking the Ore condition -- are distinguished
 from genuine errors.  The exit status is 0 when every outcome matches its
 expectation, 1 otherwise, 2 on usage errors: a bad flag value or a
-malformed payload.
+malformed payload.  A search refused up front for its size is a usage
+error; one that runs out of a budget partway ends its check
+``inconclusive``, naming the counter and its cap.
+
+Importing this module loads of the package only ``report``.  Each handler
+imports its own backend when it runs, with one ``from . import`` before
+any work: words, terms and counterexample for ``classify`` and
+``verify-counterexample``, the catalog for ``catalog``, and the part of
+``orders`` its backend needs (``monoids`` alone, without ``fractions``,
+for ``ore-check``).  One process per report then pays only for what that
+report runs.  An import of a loaded module still costs one to a few
+microseconds (a relative one runs ``ModuleSpec.parent`` and
+``_handle_fromlist`` in Python), so none sits on a path taken once per
+matrix entry, sample or term: ``_parse_qmats`` imports ``fractions`` once
+a payload and reads all of its matrices, and ``_parse_act`` is handed its
+constructor by the handler.
 
 The JSON is written by ``report.to_json``: the bytes of
 ``json.dumps(report, indent=2, sort_keys=True)``, and a TypeError for any
@@ -33,15 +48,7 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
-from . import catalog as cat
-from . import counterexample as cx
-from . import terms as tm
-from . import words as wd
-from .orders import acts, matrix, monoids
-from .orders import suite as order_suite
-from .orders.linalg import mat_z
 from .report import Check, fmt_mat, max_digits, to_json
 
 
@@ -86,30 +93,36 @@ def _load_payload(args) -> dict | None:
     return payload
 
 
-def _entry(x) -> Fraction:
-    """An exact rational from an integer or an exact string.  An e-notation
-    string is refused, before its value is built, when that value could
-    have more digits than a report may print."""
+def _exact(x):
+    """x, an integer or an exact string, unless it is an e-notation string
+    whose value could have more digits than a report may print: that is
+    refused before the value is built."""
     if isinstance(x, str):
         mantissa, e, exponent = x.lower().partition("e")
         if e and len(mantissa) + abs(int(exponent)) > max_digits():
             raise ValueError(f"{x[:20]!r} has more than {max_digits()} digits")
-    return Fraction(x)
+    return x
 
 
-def _parse_qmat(rows, size: int | None = None):
-    """A square rational matrix, of the given size when one is given, from
-    rows of integers and exact strings like '1/2'."""
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
-        raise UsageError("a matrix must be a non-empty square list of rows")
-    if size is not None and len(rows) != size:
-        raise UsageError(f"matrix sizes differ: {size} and {len(rows)}")
-    if any(type(x) not in (int, str) for row in rows for x in row):
-        raise UsageError("matrix entries must be integers or exact strings "
-                         "like '1/2'")
-    with _reading("bad matrix entry"):
-        return tuple(tuple(map(_entry, row)) for row in rows)
+def _parse_qmats(matrices) -> list:
+    """Square rational matrices of one size, one from each item of
+    matrices: rows of integers and exact strings like '1/2'.  The items are
+    read in turn, so an error in one is met before the next is looked up."""
+    from fractions import Fraction  # once a payload, never once an entry
+
+    out = []
+    for rows in matrices:
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+            raise UsageError("a matrix must be a non-empty square list of rows")
+        if out and len(rows) != len(out[0]):
+            raise UsageError(f"matrix sizes differ: {len(out[0])} and {len(rows)}")
+        if any(type(x) not in (int, str) for row in rows for x in row):
+            raise UsageError("matrix entries must be integers or exact strings "
+                             "like '1/2'")
+        with _reading("bad matrix entry"):
+            out.append(tuple(tuple(map(Fraction, map(_exact, row))) for row in rows))
+    return out
 
 
 def _int(x, what: str) -> int:
@@ -125,16 +138,19 @@ def _ints(xs, what: str) -> list[int]:
     return [_int(x, what) for x in xs]
 
 
-def _parse_act(d) -> acts.ActEndo:
+def _parse_act(d, act_endo):
+    """An act endomorphism, built by the handler's ``acts.act_endo``."""
     with _reading("bad act endomorphism"):
-        return acts.act_endo(d.get("flavor", "B"), _ints(d["shifts"], "shifts"),
-                             _ints(d["targets"], "targets"))
+        return act_endo(d.get("flavor", "B"), _ints(d["shifts"], "shifts"),
+                        _ints(d["targets"], "targets"))
 
 
 # --- subcommand handlers ------------------------------------------------------
 
 
 def cmd_verify_counterexample(args):
+    from . import counterexample as cx, terms as tm, words as wd
+
     _at_least_one(args, "samples", "terms", "depth")
     h = cx.HMap()
     z = wd.gen
@@ -204,6 +220,8 @@ _DEMO_TERMS = [
 
 
 def cmd_classify(args):
+    from . import counterexample as cx, terms as tm, words as wd
+
     payload = _load_payload(args) or {}
     texts = payload.get("terms", _DEMO_TERMS)
     if not (isinstance(texts, list) and texts
@@ -228,72 +246,73 @@ def cmd_classify(args):
     return [Check("classification", outcome=outcome, details={"terms": rows})]
 
 
-def _catalog_instances(args):
-    if args.kind == "all":
-        if args.params is not None:
-            raise UsageError("--params needs --kind: the default catalog takes none")
-        return cat.default_catalog() + [cat.make_instance("semilattice")]
-    with _reading("--params"):
-        params = json.loads(args.params) if args.params else {}
-        if not isinstance(params, dict):
-            raise UsageError("--params must be a JSON object")
-        return [cat.make_instance(args.kind, **params)]
-
-
 def _instance_label(alg) -> str:
     return f"{alg.kind}(size={alg.size})"
 
 
 def cmd_catalog(args):
-    try:
-        return _catalog_checks(args)
-    except cat.TooLarge as exc:
-        raise UsageError(str(exc)) from exc
+    from . import catalog as cat
 
-
-def _catalog_checks(args):
     if args.variant is not None and args.check != "witness":
         raise UsageError("--variant applies to --check witness only")
+    if args.kind == "all":
+        if args.params is not None:
+            raise UsageError("--params needs --kind: the default catalog takes none")
+        instances = cat.default_catalog() + [cat.make_instance("semilattice")]
+    else:
+        with _reading("--params"):
+            params = json.loads(args.params) if args.params else {}
+            if not isinstance(params, dict):
+                raise UsageError("--params must be a JSON object")
+            instances = [cat.make_instance(args.kind, **params)]
     checks = []
-    for alg in _catalog_instances(args):
-        label = _instance_label(alg)
-        if args.check == "exchange":
-            expected = "finding" if alg.kind == "semilattice" else "pass"
-            res = cat.check_exchange(alg)
-            outcome = "pass" if res.holds else "finding"
-            details = {"instance": label, "holds": res.holds}
-            if res.witness:
-                x, y, zz = res.witness
-                details["witness"] = {"X": list(x), "y": y, "z": zz}
-            checks.append(Check(f"exchange[{label}]", expected, outcome,
-                                details=details))
-        elif args.check == "witness":
-            variant = args.variant or "standard"
-            with _reading("--variant"):
-                wit = cat.witness_set(alg, variant=variant)
-            rep = cat.check_witness(alg, wit)
-            expected = "finding" if (alg.kind == "linear" and variant == "plus") else "pass"
-            outcome = "pass" if rep.ok else "finding"
-            details = {
-                "instance": label, "witness": wit.name,
-                "generates": rep.generates,
-                "missing": list(rep.missing), "non_clone": list(rep.non_clone),
-                "violations": list(rep.violations[:3]),
-            }
-            checks.append(Check(f"witness[{label}]", expected, outcome,
-                                details=details))
-        elif args.check == "clone":
-            uc = cat.unary_clone(alg)
-            checks.append(Check(
-                f"clone[{label}]",
-                details={"instance": label, "non_constant_unary": len(uc.t_ops),
-                         "constants": len(uc.constants)},
-            ))
-        elif args.check == "endos":
-            endos = cat.endomorphisms(alg)
-            checks.append(Check(
-                f"endos[{label}]", details={"instance": label, "count": len(endos)}
-            ))
+    try:
+        for alg in instances:
+            label = _instance_label(alg)
+            if args.check == "exchange":
+                expected = "finding" if alg.kind == "semilattice" else "pass"
+                res = cat.check_exchange(alg)
+                outcome = "pass" if res.holds else "finding"
+                details = {"instance": label, "holds": res.holds}
+                if res.witness:
+                    x, y, zz = res.witness
+                    details["witness"] = {"X": list(x), "y": y, "z": zz}
+                checks.append(Check(f"exchange[{label}]", expected, outcome,
+                                    details=details))
+            elif args.check == "witness":
+                variant = args.variant or "standard"
+                with _reading("--variant"):
+                    wit = cat.witness_set(alg, variant=variant)
+                expected = "finding" if (alg.kind == "linear" and variant == "plus") else "pass"
+                details = {"instance": label, "witness": wit.name}
+                try:
+                    rep = cat.check_witness(alg, wit)
+                except cat.BudgetExhausted as exc:  # ran out partway: no verdict
+                    outcome = "inconclusive"
+                    details |= {"exhausted": exc.counter, "cap": exc.cap}
+                else:
+                    outcome = "pass" if rep.ok else "finding"
+                    details |= {
+                        "generates": rep.generates,
+                        "missing": list(rep.missing), "non_clone": list(rep.non_clone),
+                        "violations": list(rep.violations[:3]),
+                    }
+                checks.append(Check(f"witness[{label}]", expected, outcome,
+                                    details=details))
+            elif args.check == "clone":
+                uc = cat.unary_clone(alg)
+                checks.append(Check(
+                    f"clone[{label}]",
+                    details={"instance": label, "non_constant_unary": len(uc.t_ops),
+                             "constants": len(uc.constants)},
+                ))
+            elif args.check == "endos":
+                endos = cat.endomorphisms(alg)
+                checks.append(Check(
+                    f"endos[{label}]", details={"instance": label, "count": len(endos)}
+                ))
+    except cat.TooLarge as exc:  # a search refused up front
+        raise UsageError(str(exc)) from exc
     return checks
 
 
@@ -304,7 +323,9 @@ _DEMO_ACT_ALPHA = {"flavor": "A", "shifts": [-2, 0], "targets": [1, 2]}
 def cmd_decompose(args):
     payload = _load_payload(args) or {}
     if args.backend == "matrix":
-        alpha = _parse_qmat(payload.get("alpha", _DEMO_ALPHA))
+        from .orders import matrix
+
+        (alpha,) = _parse_qmats([payload.get("alpha", _DEMO_ALPHA)])
         if args.mode == "left":
             dec = matrix.left_decompose(alpha)
         elif args.mode == "right":
@@ -321,9 +342,11 @@ def cmd_decompose(args):
         return [Check("decompose_recompose", outcome="pass" if ok else "fail",
                       details=details)]
     # act backend: the overmonoid decomposition is the left one
+    from .orders import acts
+
     if args.mode != "left":
         raise UsageError("the act backend provides only --mode left")
-    alpha = _parse_act(payload.get("alpha", _DEMO_ACT_ALPHA))
+    alpha = _parse_act(payload.get("alpha", _DEMO_ACT_ALPHA), acts.act_endo)
     a, b = acts.act_left_decompose(alpha)
     ok = acts.verify_act_decomposition(alpha, a, b)
     return [Check(
@@ -344,19 +367,22 @@ def cmd_greens(args):
     payload = _load_payload(args)
     side = args.side
     if args.backend == "matrix":
+        from .orders import linalg, matrix, suite as order_suite
+
         raw = payload or _DEMO_GREENS_MATRIX
         with _reading("greens payload"):
-            a = _parse_qmat(raw["a"])
-            b = _parse_qmat(raw["b"], len(a))
+            a, b = _parse_qmats(raw[k] for k in "ab")
             if side in ("Rstar", "Lstar"):  # the starred orders compare integer matrices
-                a, b = mat_z(a), mat_z(b)
+                a, b = linalg.mat_z(a), linalg.mat_z(b)
         leq = matrix.greens_leq(side, a, b)
         other = order_suite.matrix_route(side, a, b)
         details = {"a": fmt_mat(a), "b": fmt_mat(b)}
     else:
+        from .orders import acts, suite as order_suite
+
         raw = payload or _DEMO_GREENS_ACT
         with _reading("greens payload"):
-            a, b = _parse_act(raw["a"]), _parse_act(raw["b"])
+            a, b = (_parse_act(raw[k], acts.act_endo) for k in "ab")
         if a.n != b.n:
             raise UsageError(f"act endomorphism ranks differ: {a.n} and {b.n}")
         leq = acts.greens_leq(side, a, b)
@@ -372,6 +398,11 @@ _DEMO_QUOT_ACT = {"p": {"k": 2, "m": 5, "i": 1}, "q": {"k": 3, "m": 6, "i": 1}}
 
 
 def cmd_quotient(args):
+    if args.backend == "matrix":
+        from .orders import matrix
+    else:
+        from .orders import acts
+
     payload = _load_payload(args) or {}
     with _reading("quotient payload"):
         if args.action == "embed":
@@ -397,6 +428,8 @@ def cmd_quotient(args):
 
 
 def cmd_ore_check(args):
+    from .orders import monoids
+
     _at_least_one(args, "depth")
     monoid = monoids.MONOIDS[args.monoid]
     expected = "finding" if args.monoid == "free2" else "pass"
@@ -416,6 +449,8 @@ def cmd_ore_check(args):
 
 
 def cmd_suite(args):
+    from .orders import suite as order_suite
+
     _at_least_one(args, "samples")
     ranks = order_suite.RANKS[args.backend]
     if args.n not in ranks:

@@ -756,30 +756,48 @@ def test_field_ops_match_row_by_row_builder(kind, q, dim, a0):
     assert cat._field_ops(tables, *args[2:]) == loop_field_ops(*args)
 
 
-def test_generation_step_budget():
+PLUS_WITNESS = ["catalog", "--kind", "linear", "--check", "witness", "--variant", "plus",
+                "--params", json.dumps({"q": 3, "dim": 2, "a0": [[1, 0]]})]
+
+
+def _plus_witness_check(capsys) -> tuple[int, dict]:
+    """Exit status and the one check of the linear ``plus`` witness report."""
+    status = cli.run(PLUS_WITNESS)
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    return status, check
+
+
+def test_generation_step_budget(capsys):
     """1026 steps is the smallest budget this check finishes in, as counted
-    before the table kernel; the kernel must not change how steps count."""
-    alg = cat.make_instance("linear", q=3, dim=2, a0=[[1, 0]])
-    wit = cat.witness_set(alg, "plus")
+    before the table kernel; the kernel must not change how steps count.
+    One step fewer runs out partway: the check is inconclusive and names the
+    counter and its cap, exit 1, not a usage error."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cat, "GEN_STEP_CAP", 1026)
-        assert cat.check_witness(alg, wit).generates
+        status, check = _plus_witness_check(capsys)
+        assert (status, check["outcome"], check["details"]["generates"]) == (
+            0, "finding", True)
         mp.setattr(cat, "GEN_STEP_CAP", 1025)
-        with pytest.raises(TooLarge):
-            cat.check_witness(alg, wit)
+        status, check = _plus_witness_check(capsys)
+    assert (status, check["outcome"]) == (1, "inconclusive")
+    assert check["details"] == {"instance": "linear(size=9)", "witness": "plus+unary",
+                                "exhausted": "generation_steps", "cap": 1025}
 
 
-def test_generation_table_cap():
+def test_generation_table_cap(capsys):
     """81 tables is the smallest cap this check finishes under, as counted
-    before generation ran on the shared fixpoint."""
-    alg = cat.make_instance("linear", q=3, dim=2, a0=[[1, 0]])
-    wit = cat.witness_set(alg, "plus")
+    before generation ran on the shared fixpoint.  At a cap of 80 the check
+    ends inconclusive, naming the counter and its cap, exit 1."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cat, "GEN_TABLE_CAP", 81)
-        assert cat.check_witness(alg, wit).generates
+        status, check = _plus_witness_check(capsys)
+        assert (status, check["outcome"], check["details"]["generates"]) == (
+            0, "finding", True)
         mp.setattr(cat, "GEN_TABLE_CAP", 80)
-        with pytest.raises(TooLarge):
-            cat.check_witness(alg, wit)
+        status, check = _plus_witness_check(capsys)
+    assert (status, check["outcome"]) == (1, "inconclusive")
+    assert check["details"] == {"instance": "linear(size=9)", "witness": "plus+unary",
+                                "exhausted": "generated_tables", "cap": 80}
 
 
 def test_fixpoint_order_is_independent_of_the_hash_seed():

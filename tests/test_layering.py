@@ -18,9 +18,14 @@ Conversely, some call in the package omits each such parameter: a default
 that every caller overrides is never used.
 
 Importing the CLI and building its parser, in a fresh ``python -I``, loads
-neither ``dataclasses`` nor ``inspect`` unless a bare interpreter already
-has: the two, and the code ``@dataclass`` generates, were about half of
-the CLI's cold start.
+of the package only ``indalg.cli`` and ``indalg.report``, and none of
+``dataclasses``, ``inspect``, ``fractions`` and ``decimal`` unless a bare
+interpreter already has: the first two, and the code ``@dataclass``
+generates, were about half of the CLI's cold start, and the backends no
+subcommand of a process runs were over half of what was left.  A report
+then loads only its own area: words, terms and counterexample for
+``classify``, the catalog for ``catalog``, ``orders.monoids`` without
+``fractions`` for ``ore-check``.
 """
 
 import ast
@@ -202,12 +207,13 @@ def test_every_public_function_has_a_caller_in_the_package():
 def _defaulted(stmt) -> tuple[list[str], list[str]]:
     """The constructor parameters of a top-level function or class, in
     order (keyword-only ones last), and those with a default.  A class's
-    are its ``__init__``'s after ``self``, or else its annotated fields, as
-    a NamedTuple or a dataclass takes them; ``field(...)`` gives a default only with
+    are those of the first ``__init__`` or ``__new__`` it defines, after
+    ``self`` or ``cls``, or else its annotated fields, as a NamedTuple or a
+    dataclass takes them; ``field(...)`` gives a default only with
     ``default`` or ``default_factory``."""
     if isinstance(stmt, ast.ClassDef):
-        init = next((s for s in stmt.body
-                     if isinstance(s, ast.FunctionDef) and s.name == "__init__"), None)
+        init = next((s for s in stmt.body if isinstance(s, ast.FunctionDef)
+                     and s.name in ("__init__", "__new__")), None)
         if init is None:
             fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)]
             return ([f.target.id for f in fields],
@@ -215,8 +221,8 @@ def _defaulted(stmt) -> tuple[list[str], list[str]]:
         stmt = init
     args = stmt.args
     params = [a.arg for a in args.posonlyargs + args.args]
-    if stmt.name == "__init__":
-        params = params[1:]  # self
+    if stmt.name in ("__init__", "__new__"):
+        params = params[1:]  # self or cls
     defaulted = params[len(params) - len(args.defaults):] if args.defaults else []
     defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
     return params + [a.arg for a in args.kwonlyargs], defaulted
@@ -293,16 +299,19 @@ def test_checker_flags_unpassed_defaults():
              "def g(x, k=0): return x\n"
              "def _h(x=0): pass\n"
              "class H:\n    def __init__(self, pins=None): pass\n"
-             "    def lookup(self, w, cache=True): pass\n",
+             "    def lookup(self, w, cache=True): pass\n"
+             "class N(tuple):\n    __slots__ = ()\n"
+             "    def __new__(cls, items, tag=None, *, n=0): pass\n",
         "b": "from dataclasses import dataclass\nfrom . import a\n"
              "@dataclass\nclass M:\n    name: str\n    fmt: object = str\n"
              "    size: int = 0\n    tags: list = field(kw_only=True)\n"
              "    notes: list = field(default_factory=list)\n"
-             "M('m', size=1, tags=[])\na.H()\na.g(*[1, 2])\n",
+             "M('m', size=1, tags=[])\na.H()\na.g(*[1, 2])\na.N((), n=1)\n",
     }
-    assert unpassed_defaults(sources) == ["a.f(y)", "a.H(pins)", "b.M(fmt)",
-                                          "b.M(notes)"]
-    assert unpassed_defaults(sources, {("a", "f"), ("b", "M")}) == ["a.H(pins)"]
+    assert unpassed_defaults(sources) == ["a.f(y)", "a.H(pins)", "a.N(tag)",
+                                          "b.M(fmt)", "b.M(notes)"]
+    assert unpassed_defaults(sources, {("a", "f"), ("b", "M")}) == ["a.H(pins)",
+                                                                  "a.N(tag)"]
     assert unpassed_defaults({"c": "def k(x=0): pass\nk(1)\n"}) == []
 
 
@@ -318,16 +327,18 @@ def test_checker_flags_always_passed_defaults():
              "def g(x, k=0, m=None): return g(x, m=1) or g(x, 1)\n"
              "def _h(x=0): pass\n"
              "class H:\n    def __init__(self, pins=None): pass\n"
-             "def s(x, k=0): return s(*x) or s(x, **{})\n",
+             "def s(x, k=0): return s(*x) or s(x, **{})\n"
+             "class N(tuple):\n    def __new__(cls, items, tag=None): pass\n",
         "b": "from dataclasses import dataclass\nfrom . import a\n"
              "@dataclass\nclass M:\n    name: str\n    fmt: object = str\n"
              "    size: int = 0\n"
              "M('m', str, size=1)\nM('n', fmt=repr)\na.H(pins={})\n"
-             "a._h(1)\na.s([1], k=2)\n",
+             "a._h(1)\na.s([1], k=2)\na.N((), 'x')\n",
     }
     assert always_passed_defaults(sources) == [
-        "a.f(y)", "a.f(z)", "a.H(pins)", "b.M(fmt)"]
-    assert always_passed_defaults(sources, {("a", "f"), ("a", "H")}) == ["b.M(fmt)"]
+        "a.f(y)", "a.f(z)", "a.H(pins)", "a.N(tag)", "b.M(fmt)"]
+    assert always_passed_defaults(sources, {("a", "f"), ("a", "H")}) == [
+        "a.N(tag)", "b.M(fmt)"]
     assert always_passed_defaults({"c": "def k(x=0): pass\nk(1)\nk()\n"}) == []
 
 
@@ -337,24 +348,40 @@ def test_every_default_is_omitted_by_a_caller_in_the_package():
     assert always_passed_defaults(sources) == []
 
 
-_LOADED = """\
-import sys
+SLOW = ("dataclasses", "inspect", "fractions", "decimal")
+_LOADED = f"""\
+import os, sys
 sys.path.insert(0, sys.argv[1])
 if len(sys.argv) > 2:
     import indalg.cli
     indalg.cli.build_parser()
-print(*(m for m in ("dataclasses", "inspect") if m in sys.modules))
+    if len(sys.argv) > 3:
+        indalg.cli.run([*sys.argv[3:], "--out", os.devnull])
+print(*(m for m in sys.modules if m in {SLOW!r} or m.startswith("indalg.")))
 """
 
 
-def _slow_imports_loaded(import_cli: bool) -> set[str]:
-    """Which of dataclasses and inspect a fresh ``python -I`` has loaded,
-    after importing the CLI and building its parser if import_cli."""
-    argv = [sys.executable, "-I", "-c", _LOADED, str(ROOT.parent)]
-    proc = subprocess.run(argv + ["cli"] * import_cli,
+def _slow_imports_loaded(import_cli: bool, *argv: str) -> set[str]:
+    """Which of ``SLOW`` and the package's modules a fresh ``python -I``
+    has loaded, after importing the CLI and building its parser if
+    import_cli, and then running the report argv asks for, if any."""
+    command = [sys.executable, "-I", "-c", _LOADED, str(ROOT.parent)]
+    proc = subprocess.run(command + ["cli"] * import_cli + list(argv),
                           capture_output=True, text=True, timeout=60, check=True)
     return set(proc.stdout.split())
 
 
-def test_cli_cold_start_loads_neither_dataclasses_nor_inspect():
-    assert _slow_imports_loaded(True) - _slow_imports_loaded(False) == set()
+CLI = {"indalg.cli", "indalg.report"}
+
+
+def test_cli_cold_start_loads_no_backend():
+    assert _slow_imports_loaded(True) - _slow_imports_loaded(False) == CLI
+
+
+@pytest.mark.parametrize("argv,area", [
+    (["classify"], {"indalg.counterexample", "indalg.terms", "indalg.words"}),
+    (["catalog", "--check", "clone"], {"indalg.catalog"}),
+    (["ore-check"], {"indalg.orders", "indalg.orders.monoids"}),
+], ids=["classify", "catalog", "ore-check"])
+def test_a_report_loads_only_its_own_area(argv, area):
+    assert _slow_imports_loaded(True, *argv) - _slow_imports_loaded(False) == CLI | area
