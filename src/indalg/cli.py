@@ -11,24 +11,28 @@ malformed payload.  A search refused up front for its size is a usage
 error; one that runs out of a budget partway ends its check
 ``inconclusive``, naming the counter and its cap.
 
-Importing this module loads of the package only ``report``.  Each handler
-imports its own backend when it runs, with one ``from . import`` before
-any work: words, terms and counterexample for ``classify`` and
-``verify-counterexample``, the catalog for ``catalog``, and the part of
-``orders`` its backend needs (``monoids`` alone, without ``fractions``,
-for ``ore-check``).  One process per report then pays only for what that
-report runs.  An import of a loaded module still costs one to a few
-microseconds (a relative one runs ``ModuleSpec.parent`` and
-``_handle_fromlist`` in Python), so none sits on a path taken once per
-matrix entry, sample or term: ``_parse_qmats`` imports ``fractions`` once
-a payload and reads all of its matrices, and ``_parse_act`` is handed its
-constructor by the handler.
+Importing this module loads of the package only ``report``, and neither
+``json`` nor any backend.  Each handler reaches its own backend through
+``_backend`` before any work: words, terms and counterexample for
+``classify`` and ``verify-counterexample``, the catalog for ``catalog``,
+and the part of ``orders`` its backend needs (``monoids`` alone, without
+``fractions``, for ``ore-check``).  ``_backend`` imports a module on its
+first use and reads it from ``sys.modules`` after that, since an import
+statement of a loaded module still costs about a microsecond (a relative
+one runs ``ModuleSpec.parent`` and ``_handle_fromlist`` in Python).  One
+process per report then pays only for what that report runs.  No import
+sits on a path taken once per matrix entry, sample or term:
+``_parse_qmats`` imports ``fractions`` once a payload and reads all of
+its matrices, and ``_parse_act`` is handed its constructor by the handler.
 
-The JSON is written by ``report.to_json``: the bytes of
-``json.dumps(report, indent=2, sort_keys=True)``, and a TypeError for any
-value but a str, int, bool, None, list or dict with str keys.  ``classify``
-parses its payload with one coefficient table (text -> word) for all its
-terms, so each distinct ``nu`` coefficient text is parsed once a report.
+``json`` is imported only where JSON is read: by ``_load_payload`` for an
+``--input`` payload, by ``catalog`` for ``--params``, and by ``_int`` to
+show a value it refuses.  The report is written by ``report.to_json``: the
+bytes of ``json.dumps(report, indent=2, sort_keys=True)``, with ``_json``'s
+string escaper alone, and a TypeError for any value but a str, int, bool,
+None, list or dict with str keys.  ``classify`` parses its payload with
+one coefficient table (text -> word) for all its terms, so each distinct
+``nu`` coefficient text is parsed once a report.
 
 ``run`` reads argv of one plain shape, a subcommand followed by exact
 ``--flag value`` pairs, from a table derived once per process from the
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from contextlib import contextmanager
 
@@ -80,6 +83,8 @@ def _at_least_one(args, *flags) -> None:
 def _load_payload(args) -> dict | None:
     if not getattr(args, "input", None):
         return None
+    import json
+
     try:
         if args.input == "-":
             payload = json.load(sys.stdin)
@@ -128,6 +133,8 @@ def _parse_qmats(matrices) -> list:
 def _int(x, what: str) -> int:
     """An integer payload field: a JSON integer, never a float or a boolean."""
     if type(x) is not int:
+        import json
+
         raise UsageError(f"{what} must be an integer, not {json.dumps(x)}")
     return x
 
@@ -148,8 +155,21 @@ def _parse_act(d, act_endo):
 # --- subcommand handlers ------------------------------------------------------
 
 
+def _backend(name: str):
+    """The module called name, imported on its first use in the process and
+    read from ``sys.modules`` after that: a dict lookup, where an import
+    statement of a loaded module still runs the import machinery."""
+    try:
+        return sys.modules[name]
+    except KeyError:
+        __import__(name)
+        return sys.modules[name]
+
+
 def cmd_verify_counterexample(args):
-    from . import counterexample as cx, terms as tm, words as wd
+    cx = _backend("indalg.counterexample")
+    tm = _backend("indalg.terms")
+    wd = _backend("indalg.words")
 
     _at_least_one(args, "samples", "terms", "depth")
     h = cx.HMap()
@@ -220,7 +240,9 @@ _DEMO_TERMS = [
 
 
 def cmd_classify(args):
-    from . import counterexample as cx, terms as tm, words as wd
+    cx = _backend("indalg.counterexample")
+    tm = _backend("indalg.terms")
+    wd = _backend("indalg.words")
 
     payload = _load_payload(args) or {}
     texts = payload.get("terms", _DEMO_TERMS)
@@ -251,7 +273,7 @@ def _instance_label(alg) -> str:
 
 
 def cmd_catalog(args):
-    from . import catalog as cat
+    cat = _backend("indalg.catalog")
 
     if args.variant is not None and args.check != "witness":
         raise UsageError("--variant applies to --check witness only")
@@ -261,7 +283,11 @@ def cmd_catalog(args):
         instances = cat.default_catalog() + [cat.make_instance("semilattice")]
     else:
         with _reading("--params"):
-            params = json.loads(args.params) if args.params else {}
+            params = {}
+            if args.params:
+                import json
+
+                params = json.loads(args.params)
             if not isinstance(params, dict):
                 raise UsageError("--params must be a JSON object")
             instances = [cat.make_instance(args.kind, **params)]
@@ -323,8 +349,7 @@ _DEMO_ACT_ALPHA = {"flavor": "A", "shifts": [-2, 0], "targets": [1, 2]}
 def cmd_decompose(args):
     payload = _load_payload(args) or {}
     if args.backend == "matrix":
-        from .orders import matrix
-
+        matrix = _backend("indalg.orders.matrix")
         (alpha,) = _parse_qmats([payload.get("alpha", _DEMO_ALPHA)])
         if args.mode == "left":
             dec = matrix.left_decompose(alpha)
@@ -342,8 +367,7 @@ def cmd_decompose(args):
         return [Check("decompose_recompose", outcome="pass" if ok else "fail",
                       details=details)]
     # act backend: the overmonoid decomposition is the left one
-    from .orders import acts
-
+    acts = _backend("indalg.orders.acts")
     if args.mode != "left":
         raise UsageError("the act backend provides only --mode left")
     alpha = _parse_act(payload.get("alpha", _DEMO_ACT_ALPHA), acts.act_endo)
@@ -367,8 +391,9 @@ def cmd_greens(args):
     payload = _load_payload(args)
     side = args.side
     if args.backend == "matrix":
-        from .orders import linalg, matrix, suite as order_suite
-
+        linalg = _backend("indalg.orders.linalg")
+        matrix = _backend("indalg.orders.matrix")
+        order_suite = _backend("indalg.orders.suite")
         raw = payload or _DEMO_GREENS_MATRIX
         with _reading("greens payload"):
             a, b = _parse_qmats(raw[k] for k in "ab")
@@ -378,8 +403,8 @@ def cmd_greens(args):
         other = order_suite.matrix_route(side, a, b)
         details = {"a": fmt_mat(a), "b": fmt_mat(b)}
     else:
-        from .orders import acts, suite as order_suite
-
+        acts = _backend("indalg.orders.acts")
+        order_suite = _backend("indalg.orders.suite")
         raw = payload or _DEMO_GREENS_ACT
         with _reading("greens payload"):
             a, b = (_parse_act(raw[k], acts.act_endo) for k in "ab")
@@ -399,9 +424,9 @@ _DEMO_QUOT_ACT = {"p": {"k": 2, "m": 5, "i": 1}, "q": {"k": 3, "m": 6, "i": 1}}
 
 def cmd_quotient(args):
     if args.backend == "matrix":
-        from .orders import matrix
+        matrix = _backend("indalg.orders.matrix")
     else:
-        from .orders import acts
+        acts = _backend("indalg.orders.acts")
 
     payload = _load_payload(args) or {}
     with _reading("quotient payload"):
@@ -428,8 +453,7 @@ def cmd_quotient(args):
 
 
 def cmd_ore_check(args):
-    from .orders import monoids
-
+    monoids = _backend("indalg.orders.monoids")
     _at_least_one(args, "depth")
     monoid = monoids.MONOIDS[args.monoid]
     expected = "finding" if args.monoid == "free2" else "pass"
@@ -449,8 +473,7 @@ def cmd_ore_check(args):
 
 
 def cmd_suite(args):
-    from .orders import suite as order_suite
-
+    order_suite = _backend("indalg.orders.suite")
     _at_least_one(args, "samples")
     ranks = order_suite.RANKS[args.backend]
     if args.n not in ranks:

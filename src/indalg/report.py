@@ -11,13 +11,32 @@ integer in a report may have: the interpreter's print limit.
 ``to_json`` writes a report: the text ``json.dumps(report, indent=2,
 sort_keys=True)`` gives, byte for byte, for a value made of dicts with str
 keys, lists, str, int, bool and None.  Any other key or value type, a tuple
-or a float among them, raises TypeError instead of being written.
+or a float among them, raises TypeError instead of being written.  Its
+strings are escaped by ``_json``'s C escaper, the one ``json.encoder``
+uses, so writing a report loads no part of the ``json`` package; without
+``_json`` it is ``json.encoder``'s pure-Python one, as in ``json`` itself.
+
+A search with a budget ends in one of two ways.  One refused for its
+size before any work is a usage error (exit 2): ``check_exchange``
+above ``catalog.EXCHANGE_CAP`` elements, an endomorphism search above
+``catalog.ENDO_ASSIGNMENT_CAP`` assignments, ``ore_check`` above
+``monoids.MAX_ELEMENTS`` (256) elements and ``sample_terms`` deeper than
+``terms.MAX_SAMPLE_DEPTH`` (12).  One that runs out partway ends its check
+``inconclusive``, with the counter and its cap in the details, and the
+report exits 1: clone generation past ``catalog.GEN_STEP_CAP`` steps or
+``catalog.GEN_TABLE_CAP`` tables (``exhausted`` and ``cap``), and a
+distributivity witness search past ``counterexample.SAMPLE_BUDGET``
+samples (``inconclusive`` and ``witness_budget``).
 """
 
 from __future__ import annotations
 
 import sys
-from json.encoder import encode_basestring_ascii
+
+try:  # json's C escaper, without the json package around it
+    from _json import encode_basestring_ascii
+except ImportError:  # no accelerator: the pure-Python one json.encoder uses
+    from json.encoder import encode_basestring_ascii
 
 
 class Check:

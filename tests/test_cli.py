@@ -551,6 +551,16 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_integer_fields_name_the_value_they_refuse(capsys, monkeypatch):
+    import io
+
+    for text, shown in [("1.5", "1.5"), ("true", "true"), ('"2"', '"2"')]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"m": {text}, "i": 1}}'))
+        code, out, err = run(capsys, "quotient", "embed", "--backend", "act",
+                             "--input", "-")
+        assert (code, out, err) == (2, "", f"error: m must be an integer, not {shown}\n")
+
+
 def test_catalog_params_of_the_wrong_shape_name_the_field(capsys):
     cases = [(kind, text, f"--params: {field} must be a list")
              for kind, text, field in [

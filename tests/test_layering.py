@@ -19,13 +19,15 @@ that every caller overrides is never used.
 
 Importing the CLI and building its parser, in a fresh ``python -I``, loads
 of the package only ``indalg.cli`` and ``indalg.report``, and none of
-``dataclasses``, ``inspect``, ``fractions`` and ``decimal`` unless a bare
-interpreter already has: the first two, and the code ``@dataclass``
-generates, were about half of the CLI's cold start, and the backends no
-subcommand of a process runs were over half of what was left.  A report
-then loads only its own area: words, terms and counterexample for
-``classify``, the catalog for ``catalog``, ``orders.monoids`` without
-``fractions`` for ``ore-check``.
+``dataclasses``, ``inspect``, ``fractions``, ``decimal`` and ``json`` (with
+its submodules) unless a bare interpreter already has: the first two, and
+the code ``@dataclass`` generates, were about half of the CLI's cold start,
+the backends no subcommand of a process runs were over half of what was
+left, and ``json`` about a fifth of the rest.  A report then loads only its
+own area: words, terms and counterexample for ``classify``, the catalog for
+``catalog``, ``orders.monoids`` without ``fractions`` for ``ore-check``.
+Reports escape their strings with ``_json``'s escaper alone, so only one
+that reads a JSON payload, or ``--params``, loads ``json``.
 """
 
 import ast
@@ -348,7 +350,8 @@ def test_every_default_is_omitted_by_a_caller_in_the_package():
     assert always_passed_defaults(sources) == []
 
 
-SLOW = ("dataclasses", "inspect", "fractions", "decimal")
+JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
+SLOW = ("dataclasses", "inspect", "fractions", "decimal", *sorted(JSON))
 _LOADED = f"""\
 import os, sys
 sys.path.insert(0, sys.argv[1])
@@ -382,6 +385,8 @@ def test_cli_cold_start_loads_no_backend():
     (["classify"], {"indalg.counterexample", "indalg.terms", "indalg.words"}),
     (["catalog", "--check", "clone"], {"indalg.catalog"}),
     (["ore-check"], {"indalg.orders", "indalg.orders.monoids"}),
-], ids=["classify", "catalog", "ore-check"])
+    (["catalog", "--kind", "rank0", "--params", '{"size": 2}', "--check", "clone"],
+     {"indalg.catalog"} | JSON),
+], ids=["classify", "catalog", "ore-check", "catalog-params"])
 def test_a_report_loads_only_its_own_area(argv, area):
     assert _slow_imports_loaded(True, *argv) - _slow_imports_loaded(False) == CLI | area

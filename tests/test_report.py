@@ -1,11 +1,15 @@
 """``report.to_json`` against ``json.dumps(indent=2, sort_keys=True)``."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import indalg
 from indalg.report import Check, to_json
 
 # ASCII and beyond, controls that json escapes, lone surrogates, astral
@@ -69,3 +73,30 @@ def test_check_is_its_four_fields_and_compares_by_them():
     sampled.record(False, lambda: "w")
     assert vars(sampled) == {"name": "s", "expected": "pass", "outcome": "fail",
                              "details": {"samples": 2, "failures": ["w"], "failed": 1}}
+
+
+_WITHOUT_C_ESCAPER = """\
+import sys
+sys.modules["_json"] = None  # as in an interpreter built without it
+sys.path.insert(0, sys.argv[1])
+import ast, json.encoder, indalg.report
+assert indalg.report.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii
+sys.stdout.write(indalg.report.to_json(ast.literal_eval(sys.argv[2])))
+"""
+
+
+def test_writer_without_the_c_escaper_is_json_dumps():
+    report = {
+        "schema": 1, "command": "classify", "config": {}, "ok": False,
+        "checks": [{"name": "caf\xe9 \u2028\U0001f600", "expected": "pass",
+                    "outcome": "fail",
+                    "details": {"terms": [{"term": 'nu("z1", x1)\\\x00\x1f\x7f\t\n',
+                                           "error": "\ud800", "form": -(2**70)}],
+                                "failures": [], "witness": {}, "nested": [[{}], [None]],
+                                "": True}}],
+    }
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _WITHOUT_C_ESCAPER,
+         str(Path(indalg.__file__).parent.parent), ascii(report)],
+        capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == json.dumps(report, indent=2, sort_keys=True)
