@@ -9,6 +9,8 @@ subcommand imports its own area (words, terms and counterexample; the
 catalog; or ``orders``) when it runs, so a process pays only for the areas
 its reports use.  Nor does it load ``json``: reports are written with
 ``_json``'s string escaper alone, and ``json`` is imported only to read a
-payload or ``--params``."""
+payload or ``--params``.  The command line is read against one declared
+flag table, so neither the standard library's argument parser nor the
+``gettext`` and ``locale`` it loads are imported."""
 
 __version__ = "0.1.0"

@@ -34,23 +34,18 @@ None, list or dict with str keys.  ``classify`` parses its payload with
 one coefficient table (text -> word) for all its terms, so each distinct
 ``nu`` coefficient text is parsed once a report.
 
-``run`` reads argv of one plain shape, a subcommand followed by exact
-``--flag value`` pairs, from a table derived once per process from the
-parser (``_flag_table``), so every flag is still declared only in
-``build_parser``.  Any other argv goes to ``parse_args``: an abbreviated or
-unknown flag, ``--flag=value``, ``-h``, ``--``, a flag without its value, a
-value starting with ``-`` that is neither ``-`` nor a negative number, a
-value its type or choices refuse, and the ``quotient`` subcommand, which
-takes a positional.  argparse alone writes help, usage and error text, and
-alone reads abbreviations and ``=``; both paths give the same namespace.
+Every subcommand's handler, positional and flags (dest, type, choices,
+default) are declared once, in ``_COMMANDS``, and ``parse`` reads every
+argv against that one table: ``-h`` prints help (exit 0), and an argv it
+refuses is a usage error like any other (``error: ...``, exit 2).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from .report import Check, fmt_mat, max_digits, to_json
 
@@ -482,69 +477,141 @@ def cmd_suite(args):
     return order_suite.run_suite(args.backend, args.n, args.seed, args.samples)
 
 
-# --- plumbing -----------------------------------------------------------------
+# --- the command line ---------------------------------------------------------
+
+# A flag by its dest, as (type, choices, default[, help]): the text after
+# ``--dest`` is read by type and must then be one of choices, if any.
+_COMMON = {
+    "seed": (int, None, 0), "samples": (int, None, 1000), "depth": (int, None, 4),
+    "n": (int, None, 2), "format": (str, ("json", "text"), "json"),
+    "out": (str, None, None, "write the report to this path"),
+    "input": (str, None, None, "JSON payload path ('-' for stdin)"),
+}
+_BACKENDS = ("matrix", "act")
+# subcommand -> (handler, positional or None, flags besides _COMMON); a
+# positional is given as build_parser gives a flag: (dest, type, choices, name)
+_COMMANDS = {
+    "verify-counterexample": (cmd_verify_counterexample, None,
+                              {"terms": (int, None, 200)}),
+    "classify": (cmd_classify, None, {}),
+    "catalog": (cmd_catalog, None, {
+        "kind": (str, None, "all"),
+        "params": (str, None, None, "instance parameters as a JSON object"),
+        "check": (str, ("exchange", "witness", "clone", "endos"), "exchange"),
+        "variant": (str, None, None, "witness variant (e.g. 'plus' for linear)")}),
+    "decompose": (cmd_decompose, None, {
+        "mode": (str, ("left", "right", "straight"), "left"),
+        "backend": (str, _BACKENDS, "matrix")}),
+    "greens": (cmd_greens, None, {"side": (str, ("R", "L", "Rstar", "Lstar"), "R"),
+                                  "backend": (str, _BACKENDS, "matrix")}),
+    "quotient": (cmd_quotient, ("action", str, ("eq", "embed"), "action"),
+                 {"backend": (str, _BACKENDS, "matrix")}),
+    "ore-check": (cmd_ore_check, None, {"monoid": (str, ("posint", "free2"), "posint")}),
+    "suite": (cmd_suite, None, {"backend": (str, _BACKENDS, "act")}),
+}
+_HELP = ("help", None, None, "-h/--help")  # what -h and --help map to
+_TOP = {"-h": _HELP, "--help": _HELP}  # the options before the subcommand
+
+
+class Help(Exception):
+    """-h or --help was read: its one argument is the text to print."""
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process on first use; parsing
-    never changes it and every default is immutable."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=1000)
-    common.add_argument("--depth", type=int, default=4)
-    common.add_argument("--n", type=int, default=2)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--input", help="JSON payload path ('-' for stdin)")
+def build_parser() -> dict:
+    """subcommand -> (options, defaults, positional), read off ``_COMMANDS``
+    once per process: options maps each option string to ``(dest, type,
+    choices, name)``, or to ``_HELP``."""
+    table = {}
+    for name, (handler, positional, own) in _COMMANDS.items():
+        options, defaults = dict(_TOP), {"command": name, "handler": handler}
+        for dest, (convert, choices, default, *_) in (_COMMON | own).items():
+            options[f"--{dest}"] = dest, convert, choices, f"--{dest}"
+            defaults[dest] = default
+        table[name] = options, defaults, positional
+    return table
 
-    parser = argparse.ArgumentParser(
-        prog="indalg",
-        description="verification workbench for word algebras, finite "
-        "algebra witnesses and endomorphism orders",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-counterexample", parents=[common])
-    p.add_argument("--terms", type=int, default=200)
-    p.set_defaults(handler=cmd_verify_counterexample)
+def _option(options: dict, token: str):
+    """None if token is an argument: one not starting with '-', or '-', a
+    negative number or a text with a space that names no option.  Else the
+    entry of options that token up to any '=' names, whole or as a unique
+    prefix (None for no entry), and the text after the '=' (None without)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, text = token.partition("=")
+    if name not in options and name.startswith("--") and name != "--":
+        matches = [o for o in options if o.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        name = matches[0] if matches else name
+    if name in options:
+        return options[name], (text if eq else None)
+    whole, dot, frac = token[1:].partition(".")  # a negative number: \d+ or \d*\.\d+
+    number = (whole.isdecimal() or not whole and dot) and (frac.isdecimal() or not dot)
+    return None if number or " " in token else (None, None)
 
-    p = sub.add_parser("classify", parents=[common])
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("catalog", parents=[common])
-    p.add_argument("--kind", default="all")
-    p.add_argument("--params", help="instance parameters as a JSON object")
-    p.add_argument("--check", choices=("exchange", "witness", "clone", "endos"),
-                   default="exchange")
-    p.add_argument("--variant", help="witness variant (e.g. 'plus' for linear)")
-    p.set_defaults(handler=cmd_catalog)
+def parse(argv) -> SimpleNamespace:
+    """The subcommand's defaults, updated by its positional and by each
+    ``--flag value`` or ``--flag=value`` (the last of a repeated flag wins).
+    Raises Help for -h or --help, UsageError for a refused argv: an unknown
+    option or an argument too many only after the rest, where a later -h is
+    still read; '--' with all that follows it."""
+    table = build_parser()
+    options, values, positional = _TOP, {}, ("command", str, table, "command")
+    strays, tokens = [], iter(argv)
+    for token in tokens:
+        flag, text = options.get(token), None
+        if flag is None:
+            flag, text = _option(options, token) or (positional, token)
+            if flag is None:  # an unknown option or an argument too many
+                strays += [token, *tokens] if token == "--" else [token]
+                continue
+            if flag is positional:
+                positional = None
+        if flag is _HELP:
+            if text is not None:
+                raise UsageError(f"{token}: -h/--help takes no value")
+            raise Help(_help(values.get("command")))
+        dest, convert, choices, name = flag
+        if text is None:
+            text = next(tokens, None)
+            if text is None or _option(options, text) is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+        try:
+            value = convert(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid {convert.__name__} "
+                             f"value: {text!r}") from None
+        if choices is not None and value not in choices:
+            raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        if options is _TOP:  # the subcommand: read the rest by its table
+            options, values, positional = table[value]
+            values = dict(values)
+        values[dest] = value
+    if positional is not None:
+        raise UsageError(f"the following arguments are required: {positional[0]}")
+    if strays:
+        raise UsageError(f"unrecognized arguments: {' '.join(strays)}")
+    return SimpleNamespace(**values)
 
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("--mode", choices=("left", "right", "straight"),
-                   default="left")
-    p.add_argument("--backend", choices=("matrix", "act"), default="matrix")
-    p.set_defaults(handler=cmd_decompose)
 
-    p = sub.add_parser("greens", parents=[common])
-    p.add_argument("--side", choices=("R", "L", "Rstar", "Lstar"), default="R")
-    p.add_argument("--backend", choices=("matrix", "act"), default="matrix")
-    p.set_defaults(handler=cmd_greens)
-
-    p = sub.add_parser("quotient", parents=[common])
-    p.add_argument("action", choices=("eq", "embed"))
-    p.add_argument("--backend", choices=("matrix", "act"), default="matrix")
-    p.set_defaults(handler=cmd_quotient)
-
-    p = sub.add_parser("ore-check", parents=[common])
-    p.add_argument("--monoid", choices=("posint", "free2"), default="posint")
-    p.set_defaults(handler=cmd_ore_check)
-
-    p = sub.add_parser("suite", parents=[common])
-    p.add_argument("--backend", choices=("matrix", "act"), default="act")
-    p.set_defaults(handler=cmd_suite)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The subcommands, for None; else command's flags with choices and defaults."""
+    if command is None:
+        return "usage: indalg COMMAND [--flag value ...]\n\ncommands:\n" + "".join(
+            f"  {name}\n" for name in _COMMANDS)
+    _, positional, own = _COMMANDS[command]
+    usage = " {%s}" % ",".join(positional[2]) if positional else ""
+    text = f"usage: indalg {command}{usage} [--flag value ...]\n\nflags:\n"
+    text += "  -h, --help             show this help\n"
+    for dest, (convert, choices, default, *about) in (_COMMON | own).items():
+        kind = "{%s}" % ",".join(choices) if choices else convert.__name__.upper()
+        about += [f"(default: {default})"] * (default is not None)
+        text += f"  --{dest} {kind}".ljust(24) + " ".join(["", *about]) + "\n"
+    return text
 
 
 def _render_text(report: dict) -> str:
@@ -575,88 +642,20 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-@functools.cache
-def _flag_table() -> dict:
-    """subcommand -> (flags, defaults, negative-number matcher), read off
-    the parser once per process: flags maps each option string to its
-    (dest, type, choices), and defaults is the namespace the bare
-    subcommand parses to, ``command`` and ``handler`` included.  A
-    subcommand with a positional or any action but a plain store is left
-    out.  The table reads argparse's own (private) attributes, so
-    ``tests/test_cli_table.py`` checks every parse it gives against
-    ``parse_args``."""
-    parser = build_parser()
-    (subparsers,) = (a for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in subparsers.choices.items():
-        flags = {}
-        for action in sub._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            if (type(action) is not argparse._StoreAction or not action.option_strings
-                    or action.nargs is not None or action.required):
-                break
-            flags |= dict.fromkeys(action.option_strings,
-                                   (action.dest, action.type, action.choices))
-        else:
-            if not sub._has_negative_number_optionals:
-                table[name] = (flags, vars(parser.parse_args([name])),
-                               sub._negative_number_matcher.match)
-    return table
-
-
-def _fast_parse(argv) -> argparse.Namespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` returns, for argv
-    made of a subcommand in ``_flag_table`` and exact ``--flag value``
-    pairs; None for any other argv, or for a value that argparse would not
-    read as a value or that its type or choices refuse."""
-    entry = _flag_table().get(argv[0]) if argv else None
-    if entry is None or len(argv) % 2 == 0:
-        return None
-    flags, defaults, negative_number = entry
-    values = dict(defaults)
-    for i in range(1, len(argv), 2):
-        flag = flags.get(argv[i])
-        text = argv[i + 1]
-        if flag is None or (text.startswith("-") and text != "-"
-                            and not negative_number(text)):
-            return None
-        dest, convert, choices = flag
-        try:
-            value = text if convert is None else convert(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
-        if choices is not None and value not in choices:
-            return None
-        values[dest] = value
-    return argparse.Namespace(**values)
-
-
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _fast_parse(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code) if exc.code is not None else 0
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler", "out", "input") and v is not None
-    }
     try:
+        args = parse(argv)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("handler", "out", "input") and v is not None}
         checks = args.handler(args)
         ok = all(c.outcome == c.expected for c in checks)
-        _emit({
-            "schema": 1,
-            "command": args.command,
-            "config": config,
-            "checks": [vars(c) for c in checks],
-            "ok": ok,
-        }, args)
+        _emit({"schema": 1, "command": args.command, "config": config,
+               "checks": [vars(c) for c in checks], "ok": ok}, args)
+    except Help as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -431,9 +431,23 @@ def test_text_format(capsys):
 
 
 USAGE_ERRORS = [
+    # argv the flag table refuses: an unknown flag, an ambiguous prefix, a
+    # bad int, a bad choice, a flag without its value (also before another
+    # flag), no subcommand or an unknown one, quotient without its action,
+    # and a positional too many
+    (["suite", "--bogus", "1"], None),
+    (["suite", "--s", "1"], None),
+    (["suite", "--n", "x"], None),
     (["greens", "--side", "Q"], None),
+    (["classify", "--format", "xml"], None),
+    (["suite", "--seed"], None),
+    (["suite", "--out", "--format", "text"], None),
+    ([], None),
     (["no-such-command"], None),
     (["ci-check"], None),
+    (["quotient", "--backend", "act"], None),
+    (["suite", "extra"], None),
+    (["quotient", "eq", "embed"], None),
     (["classify", "--input", "/nonexistent/file.json"], None),
     (["classify", "--input", "-"], '["x1"]'),
     (["classify", "--input", "-"], '{"terms": ["x1", 7]}'),
@@ -547,8 +561,26 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2, (argv, stdin)
         assert out == ""
-        assert "error:" in err, (argv, stdin)
+        assert err.startswith("error: "), (argv, stdin)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [None, *cli.build_parser()])
+def test_help_lists_the_subcommands_or_every_flag(capsys, command):
+    table = cli.build_parser()
+    if command is None:
+        argv, wanted = [], list(table)
+    else:
+        options, defaults, positional = table[command]
+        argv, wanted = [command], list(positional[2]) if positional else []
+        for option, (dest, _, choices, _) in options.items():
+            wanted += [option, *(choices or ())]
+            if defaults.get(dest) is not None:
+                wanted.append(f"default: {defaults[dest]}")
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, *argv, flag)
+        assert (code, err) == (0, ""), flag
+        assert [w for w in wanted if w not in out] == [], flag
 
 
 def test_integer_fields_name_the_value_they_refuse(capsys, monkeypatch):

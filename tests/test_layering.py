@@ -17,17 +17,20 @@ exception; ``main``, the benchmark harness and the tests pass ``argv``.
 Conversely, some call in the package omits each such parameter: a default
 that every caller overrides is never used.
 
-Importing the CLI and building its parser, in a fresh ``python -I``, loads
-of the package only ``indalg.cli`` and ``indalg.report``, and none of
-``dataclasses``, ``inspect``, ``fractions``, ``decimal`` and ``json`` (with
-its submodules) unless a bare interpreter already has: the first two, and
-the code ``@dataclass`` generates, were about half of the CLI's cold start,
-the backends no subcommand of a process runs were over half of what was
-left, and ``json`` about a fifth of the rest.  A report then loads only its
-own area: words, terms and counterexample for ``classify``, the catalog for
-``catalog``, ``orders.monoids`` without ``fractions`` for ``ore-check``.
-Reports escape their strings with ``_json``'s escaper alone, so only one
-that reads a JSON payload, or ``--params``, loads ``json``.
+Importing the CLI and building its flag table, in a fresh ``python -I``,
+loads of the package only ``indalg.cli`` and ``indalg.report``, and none
+of ``dataclasses``, ``inspect``, ``fractions``, ``decimal``, ``json`` (with
+its submodules), ``argparse``, ``gettext`` and ``locale`` unless a bare
+interpreter already has: the first two, and the code ``@dataclass``
+generates, were about half of the CLI's cold start, the backends no
+subcommand of a process runs were over half of what was left, ``json``
+about a fifth of the rest, and ``argparse`` with the ``gettext`` and
+``locale`` its parser needed most of what was left after that.  A report
+then loads only its own area: words, terms and counterexample for
+``classify``, the catalog for ``catalog``, ``orders.monoids`` without
+``fractions`` for ``ore-check``.  Reports escape their strings with
+``_json``'s escaper alone, so only one that reads a JSON payload, or
+``--params``, loads ``json``.
 """
 
 import ast
@@ -351,7 +354,8 @@ def test_every_default_is_omitted_by_a_caller_in_the_package():
 
 
 JSON = {"json", "json.decoder", "json.encoder", "json.scanner"}
-SLOW = ("dataclasses", "inspect", "fractions", "decimal", *sorted(JSON))
+SLOW = ("dataclasses", "inspect", "fractions", "decimal", *sorted(JSON),
+        "argparse", "gettext", "locale")
 _LOADED = f"""\
 import os, sys
 sys.path.insert(0, sys.argv[1])
@@ -366,7 +370,7 @@ print(*(m for m in sys.modules if m in {SLOW!r} or m.startswith("indalg.")))
 
 def _slow_imports_loaded(import_cli: bool, *argv: str) -> set[str]:
     """Which of ``SLOW`` and the package's modules a fresh ``python -I``
-    has loaded, after importing the CLI and building its parser if
+    has loaded, after importing the CLI and building its flag table if
     import_cli, and then running the report argv asks for, if any."""
     command = [sys.executable, "-I", "-c", _LOADED, str(ROOT.parent)]
     proc = subprocess.run(command + ["cli"] * import_cli + list(argv),
