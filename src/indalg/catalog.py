@@ -18,19 +18,25 @@ Operations with arity <= 3 suffice to generate each clone at these sizes; the
 bound is an explicit soundness boundary of the generation check, not a claim
 about clones in general.
 
-Every instance also names ``gen_ops``, a few basic ops that generate all of
-them by composition (the tests check this per kind).  Closure, the unary
-clone and endomorphisms are computed against ``gen_ops`` only: the same
-subalgebras, unary term ops and homomorphisms, over far smaller tuple
-spaces.  ``make_instance`` builds gen_ops directly; the full list of basic
-ops, ``ops`` (7 to 775 tables for a field kind), is built the first time it
-is read, and only the witness check reads it.  Endomorphisms are searched
-over a generating set, as UACalc searches homomorphisms: each assignment of
-images to the generators is filled in along one recorded derivation per
-element and kept iff it preserves every op, and ``TooLarge`` is raised up
-front when there are more assignments than a budget; the exchange check
-enumerates only the closed sets (Ganter's NextClosure) and memoizes closures
-by generating set.
+Every instance also names ``gen_ops``, a few basic ops (at most 30 for a
+field kind, which has up to 775) that generate all of them by composition
+(the tests check this per kind).  Closure, the unary clone and
+endomorphisms are computed against ``gen_ops`` only: the same subalgebras,
+unary term ops and homomorphisms, over far smaller tuple spaces.  The
+witness check is decided on them too: W generates every basic op iff it
+generates every gen op, and a unary map that preserves every gen op
+preserves every op of the clone.
+``make_instance`` builds gen_ops directly; the full list of basic ops,
+``ops`` (7 to 775 tables for a field kind), is built the first time it is
+read, and only the witness check reads it: to build a witness set, to tell
+which W ops are not basic ops, and, only when W fails to generate some gen
+op, to name the missing basic ops from the full goal.  Endomorphisms are
+searched over a generating set, as UACalc searches homomorphisms: each
+assignment of images to the generators is filled in along one recorded
+derivation per element and kept iff it preserves every op, and
+``TooLarge`` is raised up front when there are more assignments than a
+budget; the exchange check enumerates only the closed sets (Ganter's
+NextClosure) and memoizes closures by generating set.
 
 Closure runs a whole table at a time: each round applies every non-constant
 gen op to all tuples over the set so far with one composition.  One
@@ -691,12 +697,21 @@ def witness_set(alg: FiniteAlgebra, variant: str) -> WitnessSet:
 
 
 def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:
-    """Generation check plus the distributivity scan of T over W (arity >= 2).
+    """Generation check plus the distributivity scan of T over W (arity >= 2),
+    both decided on gen_ops, which generate every basic op.
+
+    W generates every basic op iff it generates every gen op outside W and
+    the projections; only when it does not is the full goal (every basic op)
+    generated, to name the missing ones.  Whether a W op outside the basic
+    ops lies in the clone is asked of the clone gen_ops generate.
 
     a in T preserves f iff a(f(x)) = f(a(x)) for every x: the table of
     a(f(x)) is f's table translated through a, that of f(a(x)) is f composed
     with the projections translated through a, and the two are compared a
-    whole table at a time.  A violation records the first failing tuple.
+    whole table at a time.  An a that preserves every gen op is an
+    endomorphism, so it preserves every op of the clone and only the W ops
+    outside it are scanned; any other a is scanned against every W op.  A
+    violation records the first failing tuple.
     """
     n = alg.size
     projs = {m: _projections(n, m) for m in (1, 2, 3)}
@@ -704,28 +719,35 @@ def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:
     wtabs = {(op.arity, op.table) for op in witness.ops}
     btabs = {(op.arity, op.table) for op in alg.ops}
 
-    goal = btabs - wtabs - proj
-    got = generated_covers(alg, witness.ops, goal) if goal else set()
-    ungenerated = goal - got
-    missing = tuple(
-        sorted(op.name for op in alg.ops if (op.arity, op.table) in ungenerated)
-    )
+    missing: tuple[str, ...] = ()
+    gen_goal = {(op.arity, op.table) for op in alg.gen_ops} - wtabs - proj
+    if gen_goal and generated_covers(alg, witness.ops, gen_goal) != gen_goal:
+        goal = btabs - wtabs - proj
+        ungenerated = goal - generated_covers(alg, witness.ops, goal)
+        missing = tuple(
+            sorted(op.name for op in alg.ops if (op.arity, op.table) in ungenerated)
+        )
 
     alien = wtabs - btabs - proj
-    ok_alien = generated_covers(alg, alg.ops, alien) if alien else set()
-    outside = alien - ok_alien
+    outside = alien - generated_covers(alg, alg.gen_ops, alien) if alien else set()
     non_clone = tuple(
         sorted(op.name for op in witness.ops if (op.arity, op.table) in outside)
     )
 
     t_ops = unary_clone(alg).t_ops
     wops = [op for op in witness.ops if op.arity >= 2]
-    arities = {op.arity for op in wops}
+    wops_outside = [op for op in wops if (op.arity, op.table) in outside]
+    # checking a against the gen ops shortens its scan only if some W op
+    # lies in the clone
+    gens = alg.gen_ops if len(wops_outside) < len(wops) else ()
+    arities = {op.arity for op in (*wops, *gens)}
     violations = []
     for a in t_ops:
         at = a.ljust(256, b"\0")
         moved = {m: [p.translate(at) for p in projs[m]] for m in arities}
-        for op in wops:
+        endo = all(op.table.translate(at) == _compose(op, moved[op.arity])
+                   for op in gens)
+        for op in wops_outside if endo else wops:
             lhs = op.table.translate(at)
             rhs = _compose(op, moved[op.arity])
             if lhs != rhs:

@@ -37,7 +37,12 @@ one coefficient table (text -> word) for all its terms, so each distinct
 Every subcommand's handler, positional and flags (dest, type, choices,
 default) are declared once, in ``_COMMANDS``, and ``parse`` reads every
 argv against that one table: ``-h`` prints help (exit 0), and an argv it
-refuses is a usage error like any other (``error: ...``, exit 2).
+refuses is a usage error like any other (``error: ...``, exit 2).  Each
+entry names the shared ``_COMMON`` flags its handler reads, and a
+subcommand accepts and lists in its help only the flags it reads: a flag it
+would ignore, such as ``catalog --samples 7``, is an unrecognized argument.
+The defaults of the others still fill its ``config``, so every report's
+config holds every shared key.
 """
 
 from __future__ import annotations
@@ -487,27 +492,35 @@ _COMMON = {
     "out": (str, None, None, "write the report to this path"),
     "input": (str, None, None, "JSON payload path ('-' for stdin)"),
 }
+_EMIT = ("format", "out")  # read by run for every subcommand
 _BACKENDS = ("matrix", "act")
-# subcommand -> (handler, positional or None, flags besides _COMMON); a
-# positional is given as build_parser gives a flag: (dest, type, choices, name)
+# subcommand -> (handler, positional or None, the _COMMON flags besides
+# _EMIT its handler reads, its own flags); a positional is given as
+# build_parser gives a flag: (dest, type, choices, name).  A subcommand
+# accepts only the flags it reads, but every _COMMON default still lands in
+# its config.
 _COMMANDS = {
     "verify-counterexample": (cmd_verify_counterexample, None,
+                              ("seed", "samples", "depth"),
                               {"terms": (int, None, 200)}),
-    "classify": (cmd_classify, None, {}),
-    "catalog": (cmd_catalog, None, {
+    "classify": (cmd_classify, None, ("input",), {}),
+    "catalog": (cmd_catalog, None, (), {
         "kind": (str, None, "all"),
         "params": (str, None, None, "instance parameters as a JSON object"),
         "check": (str, ("exchange", "witness", "clone", "endos"), "exchange"),
         "variant": (str, None, None, "witness variant (e.g. 'plus' for linear)")}),
-    "decompose": (cmd_decompose, None, {
+    "decompose": (cmd_decompose, None, ("input",), {
         "mode": (str, ("left", "right", "straight"), "left"),
         "backend": (str, _BACKENDS, "matrix")}),
-    "greens": (cmd_greens, None, {"side": (str, ("R", "L", "Rstar", "Lstar"), "R"),
-                                  "backend": (str, _BACKENDS, "matrix")}),
-    "quotient": (cmd_quotient, ("action", str, ("eq", "embed"), "action"),
+    "greens": (cmd_greens, None, ("input",), {
+        "side": (str, ("R", "L", "Rstar", "Lstar"), "R"),
+        "backend": (str, _BACKENDS, "matrix")}),
+    "quotient": (cmd_quotient, ("action", str, ("eq", "embed"), "action"), ("input",),
                  {"backend": (str, _BACKENDS, "matrix")}),
-    "ore-check": (cmd_ore_check, None, {"monoid": (str, ("posint", "free2"), "posint")}),
-    "suite": (cmd_suite, None, {"backend": (str, _BACKENDS, "act")}),
+    "ore-check": (cmd_ore_check, None, ("depth",),
+                  {"monoid": (str, ("posint", "free2"), "posint")}),
+    "suite": (cmd_suite, None, ("seed", "samples", "n"),
+              {"backend": (str, _BACKENDS, "act")}),
 }
 _HELP = ("help", None, None, "-h/--help")  # what -h and --help map to
 _TOP = {"-h": _HELP, "--help": _HELP}  # the options before the subcommand
@@ -520,14 +533,16 @@ class Help(Exception):
 @functools.cache
 def build_parser() -> dict:
     """subcommand -> (options, defaults, positional), read off ``_COMMANDS``
-    once per process: options maps each option string to ``(dest, type,
-    choices, name)``, or to ``_HELP``."""
+    once per process: options maps the option string of each flag the
+    subcommand reads to ``(dest, type, choices, name)``, and -h and --help
+    to ``_HELP``; defaults holds the default of every flag, read or not."""
     table = {}
-    for name, (handler, positional, own) in _COMMANDS.items():
+    for name, (handler, positional, reads, own) in _COMMANDS.items():
         options, defaults = dict(_TOP), {"command": name, "handler": handler}
         for dest, (convert, choices, default, *_) in (_COMMON | own).items():
-            options[f"--{dest}"] = dest, convert, choices, f"--{dest}"
             defaults[dest] = default
+            if dest in own or dest in reads or dest in _EMIT:
+                options[f"--{dest}"] = dest, convert, choices, f"--{dest}"
         table[name] = options, defaults, positional
     return table
 
@@ -599,15 +614,19 @@ def parse(argv) -> SimpleNamespace:
 
 
 def _help(command: str | None) -> str:
-    """The subcommands, for None; else command's flags with choices and defaults."""
+    """The subcommands, for None; else the flags command reads, with
+    choices and defaults."""
     if command is None:
         return "usage: indalg COMMAND [--flag value ...]\n\ncommands:\n" + "".join(
             f"  {name}\n" for name in _COMMANDS)
-    _, positional, own = _COMMANDS[command]
+    options = build_parser()[command][0]
+    _, positional, _, own = _COMMANDS[command]
     usage = " {%s}" % ",".join(positional[2]) if positional else ""
     text = f"usage: indalg {command}{usage} [--flag value ...]\n\nflags:\n"
     text += "  -h, --help             show this help\n"
     for dest, (convert, choices, default, *about) in (_COMMON | own).items():
+        if f"--{dest}" not in options:
+            continue
         kind = "{%s}" % ",".join(choices) if choices else convert.__name__.upper()
         about += [f"(default: {default})"] * (default is not None)
         text += f"  --{dest} {kind}".ljust(24) + " ".join(["", *about]) + "\n"

@@ -687,6 +687,39 @@ def loop_violations(alg, witness):
     return tuple(out)
 
 
+def oracle_check_witness(alg, witness):
+    """The witness check on every basic op: W must generate each basic op
+    outside W and the projections, the alien W ops are generated from
+    ``alg.ops``, and every W op of arity >= 2 is scanned for every a in T."""
+    n = alg.size
+    projs = {m: cat._projections(n, m) for m in (1, 2, 3)}
+    proj = {(m, t) for m, ts in projs.items() for t in ts}
+    wtabs = {(op.arity, op.table) for op in witness.ops}
+    btabs = {(op.arity, op.table) for op in alg.ops}
+    goal = btabs - wtabs - proj
+    ungenerated = goal - (cat.generated_covers(alg, witness.ops, goal) if goal else set())
+    missing = tuple(sorted(op.name for op in alg.ops
+                           if (op.arity, op.table) in ungenerated))
+    alien = wtabs - btabs - proj
+    outside = alien - (cat.generated_covers(alg, alg.ops, alien) if alien else set())
+    non_clone = tuple(sorted(op.name for op in witness.ops
+                             if (op.arity, op.table) in outside))
+    violations = []
+    for a in cat.unary_clone(alg).t_ops:
+        at = a.ljust(256, b"\0")
+        for op in witness.ops:
+            if op.arity < 2:
+                continue
+            lhs = op.table.translate(at)
+            rhs = cat._compose(op, [p.translate(at) for p in projs[op.arity]])
+            if lhs != rhs:
+                t = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                violations.append({"a": list(a), "op": op.name,
+                                   "args": [p[t] for p in projs[op.arity]],
+                                   "lhs": lhs[t], "rhs": rhs[t]})
+    return cat.WitnessReport(not missing, missing, non_clone, tuple(violations))
+
+
 WITNESS_SCAN_CASES = list(cat.DEFAULT_INSTANCES) + [
     ("semilattice", {}),
     ("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
@@ -700,7 +733,9 @@ def test_whole_table_scan_matches_nested_loop(kind, params):
     variants = ("standard", "plus") if kind == "linear" else ("standard",)
     for variant in variants:
         wit = cat.witness_set(alg, variant)
-        assert cat.check_witness(alg, wit).violations == loop_violations(alg, wit)
+        report = cat.check_witness(alg, wit)
+        assert report.violations == loop_violations(alg, wit)
+        assert report == oracle_check_witness(alg, wit)
 
 
 # size 3 at most: the unary clone of a size-4 ternary algebra can hold all
@@ -710,6 +745,80 @@ def test_whole_table_scan_matches_nested_loop(kind, params):
 def test_whole_table_scan_matches_nested_loop_on_generated_algebras(alg):
     wit = cat.WitnessSet("all", alg.ops)
     assert cat.check_witness(alg, wit).violations == loop_violations(alg, wit)
+
+
+# ---------------------------------------------------------------------------
+# the witness check decided on gen_ops against the one decided on every op
+
+
+def _algebra(gen_ops, derived=()):
+    """The algebra generated by gen_ops whose basic ops are gen_ops, then
+    derived."""
+    ops = gen_ops + derived
+    return cat.FiniteAlgebra("random", gen_ops[0].size, gen_ops, lambda: ops)
+
+
+@st.composite
+def witness_cases(draw):
+    """An algebra from ``random_algebras`` with up to two more basic ops,
+    each a composition of its ops (so gen_ops still generate every basic
+    op), and a witness: some of its ops in any order, plus at most one
+    alien table at any place."""
+    alg = draw(random_algebras(max_size=3, max_arity=3))
+    n = alg.size
+    derived = []
+    for k in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(alg.gen_ops))
+        m = draw(st.integers(1, 3))
+        pool = cat._projections(n, m) + [op.table for op in alg.gen_ops if op.arity == m]
+        args = [draw(st.sampled_from(pool)) for _ in range(f.arity)]
+        derived.append(cat.Op(f"d{k}", m, n, cat._compose(f, args)))
+    alg = _algebra(alg.gen_ops, tuple(derived))
+    order = draw(st.permutations(range(len(alg.ops))))
+    wops = [alg.ops[i] for i in order[:draw(st.integers(0, len(order)))]]
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        table = draw(st.binary(min_size=n**m, max_size=n**m))
+        wops.insert(draw(st.integers(0, len(wops))),
+                    cat.Op("alien", m, n, bytes(b % n for b in table)))
+    return alg, cat.WitnessSet("w", tuple(wops))
+
+
+CYCLE = cat.Op("g", 1, 3, bytes((1, 2, 0)))
+MIN = cat.Op("min", 2, 3, bytes(map(min, itertools.product(range(3), repeat=2))))
+MIN3 = cat.Op("min3", 3, 3, bytes(map(min, itertools.product(range(3), repeat=3))))
+
+
+# lower caps keep a drawn algebra with a large ternary clone to a fraction
+# of a second; a report the oracle cannot finish under them is not compared
+@settings(max_examples=200, deadline=None)
+@given(witness_cases())
+# W misses a gen op, and a derived op with it: only the full goal names both
+@example((_algebra((MIN,), (MIN3,)), cat.WitnessSet("w", ())))
+# a W op outside the clone, violated by a T op that preserves every gen op
+@example((_algebra((CYCLE,)), cat.WitnessSet("w", (MIN,))))
+# a T op (the cycle) that fails a gen op (min), so every W op is scanned
+@example((_algebra((CYCLE, MIN)), cat.WitnessSet("w", (MIN, CYCLE))))
+def test_witness_report_matches_the_check_on_every_op(case):
+    alg, wit = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "GEN_STEP_CAP", 20_000)
+        mp.setattr(cat, "GEN_TABLE_CAP", 1024)
+        try:
+            expected = oracle_check_witness(alg, wit)
+        except cat.BudgetExhausted:
+            expected = None
+        try:
+            got = cat.check_witness(alg, wit)
+        except cat.BudgetExhausted:
+            # the gen_ops goal is a subset of the full one, so without an
+            # alien op no cap trips earlier than it does on every op
+            basic = {(op.arity, op.table) for op in alg.ops}
+            assert expected is None or any(
+                (op.arity, op.table) not in basic and op.table not in
+                cat._projections(alg.size, op.arity) for op in wit.ops)
+            return
+    assert expected is None or got == expected
 
 
 def loop_field_ops(q, dim, a0, affine_only, with_const):
@@ -756,48 +865,85 @@ def test_field_ops_match_row_by_row_builder(kind, q, dim, a0):
     assert cat._field_ops(tables, *args[2:]) == loop_field_ops(*args)
 
 
-PLUS_WITNESS = ["catalog", "--kind", "linear", "--check", "witness", "--variant", "plus",
-                "--params", json.dumps({"q": 3, "dim": 2, "a0": [[1, 0]]})]
+NINE = {"q": 3, "dim": 2, "a0": [[1, 0]]}
+WITNESS = ["catalog", "--kind", "linear", "--params", json.dumps(NINE), "--check", "witness"]
 
 
-def _plus_witness_check(capsys) -> tuple[int, dict]:
-    """Exit status and the one check of the linear ``plus`` witness report."""
-    status = cli.run(PLUS_WITNESS)
+def _witness_check(capsys, *variant) -> tuple[int, dict]:
+    """Exit status and the one check of a witness report on NINE."""
+    status = cli.run(WITNESS + list(variant))
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     return status, check
 
 
-def test_generation_step_budget(capsys):
-    """1026 steps is the smallest budget this check finishes in, as counted
-    before the table kernel; the kernel must not change how steps count.
-    One step fewer runs out partway: the check is inconclusive and names the
-    counter and its cap, exit 1, not a usage error."""
+def _pin_cap(capsys, cap: str, counter: str, smallest: int):
+    """The standard witness on NINE finishes at ``smallest`` and, one
+    below, ends inconclusive naming the counter and its cap, exit 1."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cat, "GEN_STEP_CAP", 1026)
-        status, check = _plus_witness_check(capsys)
+        mp.setattr(cat, cap, smallest)
+        status, check = _witness_check(capsys)
         assert (status, check["outcome"], check["details"]["generates"]) == (
-            0, "finding", True)
-        mp.setattr(cat, "GEN_STEP_CAP", 1025)
-        status, check = _plus_witness_check(capsys)
+            0, "pass", True)
+        mp.setattr(cat, cap, smallest - 1)
+        status, check = _witness_check(capsys)
     assert (status, check["outcome"]) == (1, "inconclusive")
-    assert check["details"] == {"instance": "linear(size=9)", "witness": "plus+unary",
-                                "exhausted": "generation_steps", "cap": 1025}
+    assert check["details"] == {"instance": "linear(size=9)", "witness": "maltsev+unary",
+                                "exhausted": counter, "cap": smallest - 1}
+
+
+def test_generation_step_budget(capsys):
+    """38 steps is the smallest budget the standard witness finishes in: its
+    one gen op outside W, x+y, is generated from the Maltsev op and the
+    unary ops (the full goal takes 416).  One step fewer runs out partway:
+    the check is inconclusive, exit 1, not a usage error."""
+    _pin_cap(capsys, "GEN_STEP_CAP", "generation_steps", 38)
 
 
 def test_generation_table_cap(capsys):
-    """81 tables is the smallest cap this check finishes under, as counted
-    before generation ran on the shared fixpoint.  At a cap of 80 the check
-    ends inconclusive, naming the counter and its cap, exit 1."""
+    """22 tables is the smallest cap the standard witness finishes under (the
+    full goal takes 81); at 21 the check ends inconclusive, exit 1."""
+    _pin_cap(capsys, "GEN_TABLE_CAP", "generated_tables", 22)
+
+
+def test_plus_witness_takes_no_generation_step(capsys):
+    """plus+unary holds every gen op of a linear instance, so it generates
+    every basic op without composing a table: no cap can stop it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cat, "GEN_TABLE_CAP", 81)
-        status, check = _plus_witness_check(capsys)
-        assert (status, check["outcome"], check["details"]["generates"]) == (
-            0, "finding", True)
-        mp.setattr(cat, "GEN_TABLE_CAP", 80)
-        status, check = _plus_witness_check(capsys)
-    assert (status, check["outcome"]) == (1, "inconclusive")
-    assert check["details"] == {"instance": "linear(size=9)", "witness": "plus+unary",
-                                "exhausted": "generated_tables", "cap": 80}
+        mp.setattr(cat, "GEN_STEP_CAP", 0)
+        mp.setattr(cat, "GEN_TABLE_CAP", 0)
+        status, check = _witness_check(capsys, "--variant", "plus")
+    assert (status, check["outcome"], check["details"]["generates"]) == (
+        0, "finding", True)
+
+
+def _pin_fallback_cap(cap: str, counter: str, smallest: int):
+    """W = the unary ops of NINE holds every gen op but x+y, which it does
+    not generate, so the full goal runs to name the 72 missing ops.  The
+    check finishes at ``smallest`` and raises BudgetExhausted one below, in
+    the full goal: the gen_ops goal alone still finishes there."""
+    alg = cat.make_instance("linear", **NINE)
+    wit = cat.WitnessSet("unary", tuple(op for op in alg.ops if op.arity == 1))
+    wtabs = {(op.arity, op.table) for op in wit.ops}
+    gen_goal = {(op.arity, op.table) for op in alg.gen_ops} - wtabs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, cap, smallest)
+        report = cat.check_witness(alg, wit)
+        assert (report.generates, len(report.missing)) == (False, 72)
+        mp.setattr(cat, cap, smallest - 1)
+        assert cat.generated_covers(alg, wit.ops, gen_goal) == set()
+        with pytest.raises(cat.BudgetExhausted) as exc:
+            cat.check_witness(alg, wit)
+    assert (exc.value.counter, exc.value.cap) == (counter, smallest - 1)
+
+
+def test_fallback_generation_step_budget():
+    """324 steps is the smallest budget the full goal finishes in."""
+    _pin_fallback_cap("GEN_STEP_CAP", "generation_steps", 324)
+
+
+def test_fallback_generation_table_cap():
+    """21 tables is the smallest cap the full goal finishes under."""
+    _pin_fallback_cap("GEN_TABLE_CAP", "generated_tables", 21)
 
 
 def test_fixpoint_order_is_independent_of_the_hash_seed():

@@ -468,6 +468,23 @@ USAGE_ERRORS = [
     (["catalog", "--check", "witness", "--variant", "plus"], None),
     (["catalog", "--kind", "linear", "--check", "witness", "--variant", "bogus"],
      None),
+    # a flag the subcommand does not read, given as a shared flag, a prefix
+    # of one, or with '='
+    (["catalog", "--depth", "99", "--samples", "7"], None),
+    (["catalog", "--seed", "1"], None),
+    (["catalog", "--check", "witness", "--n=5"], None),
+    (["catalog", "--input", "-"], "{}"),
+    (["classify", "--seed", "3"], None),
+    (["classify", "--sam", "3"], None),
+    (["verify-counterexample", "--n", "2"], None),
+    (["verify-counterexample", "--input", "-"], "{}"),
+    (["decompose", "--samples", "5"], None),
+    (["greens", "--depth", "2"], None),
+    (["quotient", "eq", "--seed", "1"], None),
+    (["ore-check", "--samples", "5"], None),
+    (["ore-check", "--n", "2"], None),
+    (["suite", "--depth", "3"], None),
+    (["suite", "--input", "-"], "{}"),
     # a flag the request would ignore: parameters for the default catalog, a
     # witness variant for another check
     (["catalog", "--params", '{"q": 99}', "--check", "clone"], None),
@@ -581,6 +598,10 @@ def test_help_lists_the_subcommands_or_every_flag(capsys, command):
         code, out, err = run(capsys, *argv, flag)
         assert (code, err) == (0, ""), flag
         assert [w for w in wanted if w not in out] == [], flag
+        if command is not None:  # and no flag the subcommand does not read
+            listed = {line.split()[0] for line in out.splitlines()
+                      if line.startswith("  --")}
+            assert listed == set(options) - {"-h", "--help"}, flag
 
 
 def test_integer_fields_name_the_value_they_refuse(capsys, monkeypatch):

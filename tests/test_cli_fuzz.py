@@ -8,6 +8,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from report_json import canonical_report
@@ -250,3 +251,67 @@ def test_suite_flags_keep_the_contract(backend, n, samples, seed):
                            "--samples", str(samples), "--seed", str(seed)])
     ranks = range(1, 5) if backend == "matrix" else range(1, 4)
     assert (code == 2) == (samples < 1 or n not in ranks)
+
+
+# --- flags a subcommand does not read -----------------------------------------
+
+# per subcommand, the flag groups of an argv it accepts and runs quickly
+_QUICK = {
+    "verify-counterexample": [["--samples", "1"], ["--terms", "1"], ["--depth", "2"]],
+    "classify": [],
+    "catalog": [["--kind", "rank0"], ["--check", "clone"]],
+    "decompose": [["--mode", "right"]],
+    "greens": [["--side", "L"]],
+    "quotient": [["embed"]],
+    "ore-check": [["--depth", "2"]],
+    "suite": [["--samples", "1"]],
+}
+
+
+@st.composite
+def _unread_run(draw):
+    """A quick argv with one flag its subcommand does not read, given whole
+    or with '=', before, between or after its other groups."""
+    command = draw(st.sampled_from(sorted(_QUICK)))
+    options = cli.build_parser()[command][0]
+    flag = draw(st.sampled_from([f"--{d}" for d in cli._COMMON
+                                 if f"--{d}" not in options]))
+    value = draw(st.sampled_from(["0", "3", "-1", "-", "x.json"]))
+    groups = list(_QUICK[command])
+    groups.insert(draw(st.integers(0, len(groups))),
+                  draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    return [command, *(t for group in groups for t in group)]
+
+
+def test_quick_argv_are_accepted():
+    for command, groups in _QUICK.items():
+        assert check_contract([command, *(t for g in groups for t in g)]) == 0, command
+
+
+@pytest.mark.parametrize("command", sorted(_QUICK))
+def test_each_handler_reads_every_flag_its_subcommand_accepts(command, capsys):
+    """The flags a subcommand accepts, besides --format and --out (which run
+    reads), are the ones its handler reads: none more, none fewer."""
+    args = cli.parse([command, *(t for g in _QUICK[command] for t in g)])
+    read = set()
+
+    class Recording:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(args, name)
+
+    args.handler(Recording())
+    options, _, positional = cli.build_parser()[command]
+    accepted = {dest for dest, *_ in options.values()} - {"help", "format", "out"}
+    assert read - {"command", "handler"} == accepted | ({positional[0]} if positional else set())
+
+
+@settings(max_examples=80)
+@given(_unread_run())
+@example(["catalog", "--depth", "99", "--kind", "rank0", "--check", "clone"])
+@example(["suite", "--samples", "1", "--input=-"])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
+    # the message may name the value instead: as argparse does, an unknown
+    # option takes no value, so 'quotient --seed 0 embed' refuses '0' as the
+    # action
+    assert check_contract(argv) == 2

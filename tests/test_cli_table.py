@@ -143,10 +143,11 @@ def test_other_argv_go_to_argparse(argv):
 
 def test_the_table_reads_values_as_argparse_does():
     argv = ["verify-counterexample", "--seed", "-5", "--terms", "+4",
-            "--depth", "1_0", "--input", "-", "--format", "text", "--seed", "7"]
+            "--depth", "1_0", "--out", "-", "--format", "text", "--seed", "7"]
     args = cli.parse(argv)
     assert vars(args) == argparse_outcome(argv)
-    assert (args.seed, args.terms, args.depth, args.input) == (7, 4, 10, "-")
+    assert (args.seed, args.terms, args.depth, args.out) == (7, 4, 10, "-")
+    assert (args.n, args.input) == (2, None)  # defaults of flags it does not read
     assert args.handler is cli.cmd_verify_counterexample
     assert args.command == "verify-counterexample"
 

@@ -103,8 +103,9 @@ GOLDEN = [
      "544154da940dd4d65a6163e0689a5a31467556d0749b029a0a3bc2f6c90a4deb"),
     # catalog instances beyond the default list: a witness check with
     # violations, the 5-element field, a 9-element affine clone and the
-    # 25-element affine space, whose 15,625-entry ternary tables take the
-    # 16-bit lanes of the composition kernel
+    # 25-element affine and linear spaces, whose 15,625-entry ternary tables
+    # take the 16-bit lanes of the composition kernel (the linear witness
+    # has 775 basic ops and is decided on its 10 gen ops)
     ('catalog --kind linear --params {"q":3,"dim":2,"a0":[[1,0]]} '
      "--check witness --variant plus", 0,
      "74bc2aec366a9cb0b7eeba95992d28dd6f6cadefe846b1e37f8795e40afbd6b2"),
@@ -116,6 +117,8 @@ GOLDEN = [
      "d37db64de4b15120bd66d08419a72eb152654e93509f33417560421e6e2d40d3"),
     ('catalog --kind affine --params {"q":5,"dim":2,"a0":[[1,0]]} --check endos', 0,
      "314581eca4adf332b3b0c0331f86bc0cef1deea75d8d142934721987b960d7d1"),
+    ('catalog --kind linear --params {"q":5,"dim":2,"a0":[[1,0]]} --check witness', 0,
+     "4303ab019eaad5d2ef3ba034232b67087402b05e9e676ea2a31f2934e5ae0059"),
     ("greens --backend matrix --side R --input -", 0,
      "136d42cf1d49c270e69145c2cc5c2da09483def74e4ed46f9800f9f8563ac5df",
      '{"a": [["1/2", "0"], ["0", "0"]], "b": [[1, 0], [0, 1]]}'),
