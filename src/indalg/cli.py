@@ -23,16 +23,21 @@ one runs ``ModuleSpec.parent`` and ``_handle_fromlist`` in Python).  One
 process per report then pays only for what that report runs.  No import
 sits on a path taken once per matrix entry, sample or term:
 ``_parse_qmats`` imports ``fractions`` once a payload and reads all of
-its matrices, and ``_parse_act`` is handed its constructor by the handler.
+its matrices, and ``_parse_acts`` looks its constructor up once a payload.
+
+The ``orders`` subcommands have one path for both backends: ``_orders``
+looks ``--backend`` up in ``_ORDERS`` (its module and payload readers), and
+the handler calls the names both backend modules define.
 
 ``json`` is imported only where JSON is read: by ``_load_payload`` for an
 ``--input`` payload, by ``catalog`` for ``--params``, and by ``_int`` to
 show a value it refuses.  The report is written by ``report.to_json``: the
 bytes of ``json.dumps(report, indent=2, sort_keys=True)``, with ``_json``'s
 string escaper alone, and a TypeError for any value but a str, int, bool,
-None, list or dict with str keys.  ``classify`` parses its payload with
-one coefficient table (text -> word) for all its terms, so each distinct
-``nu`` coefficient text is parsed once a report.
+None, list or dict with str keys.  A result holding an integer too long to
+print is a usage error, raised where the report is written.  ``classify``
+parses its payload with one coefficient table (text -> word) for all its
+terms, so each distinct ``nu`` coefficient text is parsed once a report.
 
 Every subcommand's handler, positional and flags (dest, type, choices,
 default) are declared once, in ``_COMMANDS``, and ``parse`` reads every
@@ -52,7 +57,7 @@ import sys
 from contextlib import contextmanager
 from types import SimpleNamespace
 
-from .report import Check, fmt_mat, max_digits, to_json
+from .report import Check, max_digits, to_json
 
 
 class UsageError(Exception):
@@ -145,11 +150,18 @@ def _ints(xs, what: str) -> list[int]:
     return [_int(x, what) for x in xs]
 
 
-def _parse_act(d, act_endo):
-    """An act endomorphism, built by the handler's ``acts.act_endo``."""
-    with _reading("bad act endomorphism"):
-        return act_endo(d.get("flavor", "B"), _ints(d["shifts"], "shifts"),
-                        _ints(d["targets"], "targets"))
+def _parse_acts(items) -> list:
+    """Act endomorphisms of one rank, one from each item, read in turn."""
+    act_endo = _backend("indalg.orders.acts").act_endo  # once a payload
+    out = []
+    for d in items:
+        with _reading("bad act endomorphism"):
+            theta = act_endo(d.get("flavor", "B"), _ints(d["shifts"], "shifts"),
+                             _ints(d["targets"], "targets"))
+        if out and theta.n != out[0].n:
+            raise UsageError(f"act endomorphism ranks differ: {out[0].n} and {theta.n}")
+        out.append(theta)
+    return out
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -342,112 +354,85 @@ def cmd_catalog(args):
     return checks
 
 
-_DEMO_ALPHA = [["1/2", "1/2"], ["1/2", "1/2"]]
-_DEMO_ACT_ALPHA = {"flavor": "A", "shifts": [-2, 0], "targets": [1, 2]}
-
-
-def cmd_decompose(args):
-    payload = _load_payload(args) or {}
-    if args.backend == "matrix":
-        matrix = _backend("indalg.orders.matrix")
-        (alpha,) = _parse_qmats([payload.get("alpha", _DEMO_ALPHA)])
-        if args.mode == "left":
-            dec = matrix.left_decompose(alpha)
-        elif args.mode == "right":
-            dec = matrix.right_decompose(alpha)
-        else:
-            dec = matrix.straight_left_decompose(alpha)
-        ok = matrix.verify_decomposition(alpha, dec, args.mode)
-        with _reading("decomposition"):  # an entry too long to print
-            details = {"alpha": fmt_mat(alpha), "mode": args.mode} | dec.as_dict()
-        if args.mode == "straight":
-            certs = matrix.straight_certificates(alpha, dec)
-            details["certificates"] = certs
-            ok = ok and all(certs.values())
-        return [Check("decompose_recompose", outcome="pass" if ok else "fail",
-                      details=details)]
-    # act backend: the overmonoid decomposition is the left one
-    acts = _backend("indalg.orders.acts")
-    if args.mode != "left":
-        raise UsageError("the act backend provides only --mode left")
-    alpha = _parse_act(payload.get("alpha", _DEMO_ACT_ALPHA), acts.act_endo)
-    a, b = acts.act_left_decompose(alpha)
-    ok = acts.verify_act_decomposition(alpha, a, b)
-    return [Check(
-        "decompose_recompose", outcome="pass" if ok else "fail",
-        details={"alpha": alpha.as_dict(), "mode": "left",
-                 "a": a.as_dict(), "b": b.as_dict()},
-    )]
-
-
-_DEMO_GREENS_MATRIX = {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]]}
-_DEMO_GREENS_ACT = {
-    "a": {"shifts": [0, 0], "targets": [1, 1]},
-    "b": {"shifts": [0, 0], "targets": [1, 2]},
+# The orders backends by --backend, the one place that names them: the
+# module, its element reader, the demo payload of every subcommand, the
+# readers of ``quot``'s fields in order, and its suite's ranks, runner and
+# second Green's route.  The last two are names in ``orders.suite``, looked up
+# on each call, so that a wrapper the span tracer binds there runs.
+_ORDERS = {
+    "matrix": SimpleNamespace(
+        module="indalg.orders.matrix", read=_parse_qmats,
+        demo={"alpha": [["1/2", "1/2"], ["1/2", "1/2"]], "a": [[1, 0], [0, 0]],
+              "b": [[1, 0], [0, 1]], "p": {"t": 2, "v": [1, 3]},
+              "q": {"t": 4, "v": [2, 6]}, "v": [1, 2]},
+        fields={"t": _int, "v": _ints},
+        ranks=range(1, 5), suite="run_matrix_suite", route="matrix_route"),
+    "act": SimpleNamespace(
+        module="indalg.orders.acts", read=_parse_acts,
+        demo={"alpha": {"flavor": "A", "shifts": [-2, 0], "targets": [1, 2]},
+              "a": {"shifts": [0, 0], "targets": [1, 1]},
+              "b": {"shifts": [0, 0], "targets": [1, 2]},
+              "p": {"k": 2, "m": 5, "i": 1}, "q": {"k": 3, "m": 6, "i": 1},
+              "m": 2, "i": 1},
+        fields={"k": _int, "m": _int, "i": _int},
+        ranks=range(1, 4), suite="run_act_suite", route="act_route"),
 }
 
 
+def _orders(args):
+    """The module ``--backend`` names, imported on first use, and its row."""
+    row = _ORDERS[args.backend]
+    return _backend(row.module), row
+
+
+def cmd_decompose(args):
+    backend, row = _orders(args)
+    payload = _load_payload(args) or {}
+    mode = args.mode
+    if mode not in backend.MODES:
+        raise UsageError(f"the {args.backend} backend provides only --mode "
+                         + "/".join(backend.MODES))
+    (alpha,) = row.read([payload.get("alpha", row.demo["alpha"])])
+    a, b = dec = backend.decompose(alpha, mode)
+    ok = backend.verify_decomposition(alpha, dec, mode)
+    show = backend.show
+    with _reading("decomposition"):  # an entry too long to print
+        details = {"alpha": show(alpha), "mode": mode, "a": show(a), "b": show(b)}
+    if mode == "straight":
+        certs = backend.straight_certificates(alpha, dec)
+        details["certificates"] = certs
+        ok = ok and all(certs.values())
+    return [Check("decompose_recompose", outcome="pass" if ok else "fail",
+                  details=details)]
+
+
 def cmd_greens(args):
-    payload = _load_payload(args)
+    backend, row = _orders(args)
+    order_suite = _backend("indalg.orders.suite")
+    raw = _load_payload(args) or row.demo
     side = args.side
-    if args.backend == "matrix":
-        linalg = _backend("indalg.orders.linalg")
-        matrix = _backend("indalg.orders.matrix")
-        order_suite = _backend("indalg.orders.suite")
-        raw = payload or _DEMO_GREENS_MATRIX
-        with _reading("greens payload"):
-            a, b = _parse_qmats(raw[k] for k in "ab")
-            if side in ("Rstar", "Lstar"):  # the starred orders compare integer matrices
-                a, b = linalg.mat_z(a), linalg.mat_z(b)
-        leq = matrix.greens_leq(side, a, b)
-        other = order_suite.matrix_route(side, a, b)
-        details = {"a": fmt_mat(a), "b": fmt_mat(b)}
-    else:
-        acts = _backend("indalg.orders.acts")
-        order_suite = _backend("indalg.orders.suite")
-        raw = payload or _DEMO_GREENS_ACT
-        with _reading("greens payload"):
-            a, b = (_parse_act(raw[k], acts.act_endo) for k in "ab")
-        if a.n != b.n:
-            raise UsageError(f"act endomorphism ranks differ: {a.n} and {b.n}")
-        leq = acts.greens_leq(side, a, b)
-        other = order_suite.act_route(side, a, b)
-        details = {"a": a.as_dict(), "b": b.as_dict()}
-    agree = leq == other
-    details |= {"side": side, "leq": leq, "routes_agree": agree}
+    with _reading("greens payload"):  # also a starred side's non-integer matrix
+        a, b = row.read(raw[k] for k in "ab")
+        leq = backend.greens_leq(side, a, b)
+    agree = leq == getattr(order_suite, row.route)(side, a, b)
+    details = {"a": backend.show(a), "b": backend.show(b), "side": side,
+               "leq": leq, "routes_agree": agree}
     return [Check("greens_leq", outcome="pass" if agree else "fail", details=details)]
 
 
-_DEMO_QUOT_MATRIX = {"p": {"t": 2, "v": [1, 3]}, "q": {"t": 4, "v": [2, 6]}}
-_DEMO_QUOT_ACT = {"p": {"k": 2, "m": 5, "i": 1}, "q": {"k": 3, "m": 6, "i": 1}}
-
-
 def cmd_quotient(args):
-    if args.backend == "matrix":
-        matrix = _backend("indalg.orders.matrix")
-    else:
-        acts = _backend("indalg.orders.acts")
-
+    backend, row = _orders(args)
     payload = _load_payload(args) or {}
     with _reading("quotient payload"):
-        if args.action == "embed":
-            if args.backend == "matrix":
-                v = _ints(payload.get("v", [1, 2]), "v")
-                details = {"v": v, "element": matrix.embed(v).as_dict()}
-            else:
-                m = _int(payload.get("m", 2), "m")
-                i = _int(payload.get("i", 1), "i")
-                details = {"m": m, "i": i, "element": acts.act_embed(m, i).as_dict()}
+        if args.action == "embed":  # embed takes quot's fields but the first
+            details = {f: read(payload.get(f, row.demo[f]), f)
+                       for f, read in list(row.fields.items())[1:]}
+            details["element"] = backend.embed(*details.values()).as_dict()
             return [Check("quotient_embed", details=details)]
-        if args.backend == "matrix":
-            raw = payload or _DEMO_QUOT_MATRIX
-            p, q = (matrix.quot_elem(_int(raw[e]["t"], "t"), _ints(raw[e]["v"], "v"))
-                    for e in "pq")
-            equal = matrix.quotient_eq(p, q)
-        else:
-            raw = payload or _DEMO_QUOT_ACT
-            p, q = (acts.act_quot(*(_int(raw[e][f], f) for f in "kmi")) for e in "pq")
-            equal = p == q
+        raw = payload or row.demo
+        p, q = (backend.quot(*(read(raw[e][f], f) for f, read in row.fields.items()))
+                for e in "pq")
+        equal = backend.quotient_eq(p, q)
     details = {"p": p.as_dict(), "q": q.as_dict(), "equal": equal}
     return [Check("quotient_eq", details=details)]
 
@@ -473,13 +458,13 @@ def cmd_ore_check(args):
 
 
 def cmd_suite(args):
+    _, row = _orders(args)
     order_suite = _backend("indalg.orders.suite")
     _at_least_one(args, "samples")
-    ranks = order_suite.RANKS[args.backend]
-    if args.n not in ranks:
-        raise UsageError(f"--n must be in {ranks[0]}..{ranks[-1]} for the "
+    if args.n not in row.ranks:
+        raise UsageError(f"--n must be in {row.ranks[0]}..{row.ranks[-1]} for the "
                          f"{args.backend} suite")
-    return order_suite.run_suite(args.backend, args.n, args.seed, args.samples)
+    return getattr(order_suite, row.suite)(args.n, args.seed, args.samples)
 
 
 # --- the command line ---------------------------------------------------------
@@ -493,7 +478,7 @@ _COMMON = {
     "input": (str, None, None, "JSON payload path ('-' for stdin)"),
 }
 _EMIT = ("format", "out")  # read by run for every subcommand
-_BACKENDS = ("matrix", "act")
+_BACKENDS = tuple(_ORDERS)
 # subcommand -> (handler, positional or None, the _COMMON flags besides
 # _EMIT its handler reads, its own flags); a positional is given as
 # build_parser gives a flag: (dest, type, choices, name).  A subcommand
@@ -650,7 +635,10 @@ def _emit(report: dict, args) -> None:
     if args.format == "text":
         text = _render_text(report)
     else:
-        text = to_json(report) + "\n"
+        try:
+            text = to_json(report) + "\n"
+        except ValueError as exc:  # a result with an integer too long to print
+            raise UsageError(f"cannot write the report: {exc}") from exc
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

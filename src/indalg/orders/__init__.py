@@ -4,5 +4,5 @@ quotient elements, Ore checks, and the sampled verification suites.
 
 Two backends are provided: ``matrix`` (integer matrices inside rational
 ones) and ``act`` (endomorphisms of a free monoid act inside its
-overmonoid); each module provides its own ``greens_leq``.
+overmonoid), with one surface of the same names (listed in ``matrix``).
 """

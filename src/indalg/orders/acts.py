@@ -20,6 +20,9 @@ Every kernel computation goes through three functions: ``first_preimages``
 block, onto a chosen target at a chosen base shift).  Kernel keys and
 containment, the gamma constructions, the idempotents, the H*-class
 elements and the Ore solutions are all written with them.
+
+It defines the names ``matrix`` shares with it (see that docstring), with
+the one decomposition mode ``left`` so far.
 """
 
 from __future__ import annotations
@@ -192,40 +195,56 @@ class ActQuot(NamedTuple):
         return {"m": self.m, "i": self.i + 1}
 
 
-def act_quot(k: int, m: int, i_one_based: int) -> ActQuot:
+def quot(k: int, m: int, i: int) -> ActQuot:
     if k < 0:
         raise ValueError("translation power must be nonnegative")
-    return ActQuot(m - k, i_one_based - 1)
+    return ActQuot(m - k, i - 1)
 
 
-def act_embed(m: int, i_one_based: int) -> ActQuot:
+def embed(m: int, i: int) -> ActQuot:
     if m < 0:
         raise ValueError("flavor B exponents are nonnegative")
-    return act_quot(0, m, i_one_based)
+    return quot(0, m, i)
+
+
+def quotient_eq(p: ActQuot, q: ActQuot) -> bool:
+    """Equality of canonical forms."""
+    return p == q
 
 
 # --- decomposition ----------------------------------------------------------
 
+MODES = ("left",)
 
-def act_left_decompose(alpha: ActEndo) -> tuple[ActEndo, ActEndo]:
-    """alpha = a# b for an overmonoid endomorphism alpha: a is the unit
-    translating every generator by d = max(0, -min shift), and b is alpha
-    shifted by d, both with nonnegative shifts."""
+
+def decompose(alpha: ActEndo, mode: str) -> tuple[ActEndo, ActEndo]:
+    """alpha = a# b for an overmonoid endomorphism alpha, in mode 'left':
+    a is the unit translating every generator by d = max(0, -min shift),
+    and b is alpha shifted by d, both with nonnegative shifts."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     d = max(0, -min(alpha.shifts)) if alpha.shifts else 0
     a = ActEndo("B", (d,) * alpha.n, tuple(range(alpha.n)))
     b = ActEndo("B", tuple(s + d for s in alpha.shifts), alpha.targets)
     return a, b
 
 
-def verify_act_decomposition(alpha: ActEndo, a: ActEndo, b: ActEndo) -> bool:
-    """Exact recomposition: a must be a unit pattern (identity targets,
-    constant shift d) and a# b must equal alpha in the overmonoid."""
+def verify_decomposition(alpha: ActEndo, dec, mode: str) -> bool:
+    """Exact recomposition of dec = (a, b): a must be a unit pattern
+    (identity targets, constant shift d) and a# b must equal alpha in the
+    overmonoid."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    a, b = dec
     if a.targets != tuple(range(a.n)) or len(set(a.shifts)) > 1:
         return False
     d = a.shifts[0] if a.shifts else 0
     a_inv = ActEndo("A", (-d,) * a.n, a.targets)
     expected = ActEndo("A", alpha.shifts, alpha.targets)
     return compose(a_inv, lift_endo(b)) == expected
+
+
+show = ActEndo.as_dict  # an endomorphism as report JSON
 
 
 # --- the gamma constructions ------------------------------------------------

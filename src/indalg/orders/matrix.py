@@ -20,6 +20,11 @@ and column spaces:
   canonical basis.
 
 Composition convention: "apply a, then b" is the matrix product b @ a.
+
+The names it shares with ``acts``, which the CLI calls on either backend:
+``MODES``, ``decompose``, ``verify_decomposition``, ``greens_leq``, ``quot``,
+``embed`` (``quot`` of its fields after the first, that field the unit),
+``quotient_eq`` and ``show`` (an endomorphism as report JSON).
 """
 
 from __future__ import annotations
@@ -138,25 +143,27 @@ def group_inverse(s) -> Mat:
 # --- decompositions ---------------------------------------------------------
 
 
+MODES = ("left", "right", "straight")
+
+
 class Decomposition(NamedTuple):
     a: IntMat
     b: IntMat
 
-    def as_dict(self):
-        return {"a": fmt_mat(self.a), "b": fmt_mat(self.b)}
 
-
-def left_decompose(alpha) -> Decomposition:
-    """alpha = a# . b with integer parts, taking a = d I and b = d alpha
-    for d the lcm of the denominators.  (d I)# = (1/d) I, so a# b = alpha."""
-    b, d = split(alpha)
-    return Decomposition(a=scale_int(d, identity(len(b))), b=b)
-
-
-def right_decompose(alpha) -> Decomposition:
-    """alpha = a . b# with integer parts, taking a = d alpha and b = d I."""
-    a, d = split(alpha)
-    return Decomposition(a=a, b=scale_int(d, identity(len(a))))
+def decompose(alpha, mode: str) -> Decomposition:
+    """alpha = a# . b ('left', 'straight') or a . b# ('right') with integer
+    parts.  For d the lcm of alpha's denominators, 'left' takes a = d I and
+    b = d alpha ((d I)# = (1/d) I), and 'right' a = d alpha and b = d I."""
+    if mode == "straight":
+        return straight_left_decompose(alpha)
+    rows, d = split(alpha)
+    scalar = scale_int(d, identity(len(rows)))
+    if mode == "left":
+        return Decomposition(a=scalar, b=rows)
+    if mode == "right":
+        return Decomposition(a=rows, b=scalar)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def straight_left_decompose(alpha) -> Decomposition:
@@ -216,6 +223,9 @@ def straight_certificates(alpha, dec: Decomposition) -> dict:
     }
 
 
+show = fmt_mat  # an endomorphism as report JSON: rows of exact strings
+
+
 # --- quotient elements ------------------------------------------------------
 
 
@@ -230,7 +240,7 @@ class QuotElem(NamedTuple):
         return {"t": self.t, "v": list(self.v)}
 
 
-def quot_elem(t: int, v) -> QuotElem:
+def quot(t: int, v) -> QuotElem:
     if t <= 0:
         raise ValueError("denominator tag must be positive")
     v = tuple(int(x) for x in v)
@@ -242,7 +252,7 @@ def quot_elem(t: int, v) -> QuotElem:
 
 
 def embed(v) -> QuotElem:
-    return quot_elem(1, v)
+    return quot(1, v)
 
 
 def quotient_eq(p: QuotElem, q: QuotElem) -> bool:

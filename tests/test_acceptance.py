@@ -187,8 +187,8 @@ def test_06_decomposition_round_trips():
         n = 1 + k % 4
         alpha = mx.rand_rational_matrix(rng, n)
         for mode, dec in (
-            ("left", mx.left_decompose(alpha)),
-            ("right", mx.right_decompose(alpha)),
+            ("left", mx.decompose(alpha, "left")),
+            ("right", mx.decompose(alpha, "right")),
             ("straight", mx.straight_left_decompose(alpha)),
         ):
             assert la.is_integer_matrix(dec.a) and la.is_integer_matrix(dec.b)

@@ -430,38 +430,53 @@ def test_text_format(capsys):
                for l in lines)
 
 
+# how the interpreter refuses to print an integer of more than 4300 digits
+TOO_LONG = "Exceeds the limit (4300 digits) for integer string conversion"
+RAISE_IT = "use sys.set_int_max_str_digits() to increase the limit"
+LONGEST = 10**4300 - 1  # the longest integer a report may print
+
+# (argv, stdin[, the message after "error: "]): the message is pinned for the
+# orders subcommands
 USAGE_ERRORS = [
     # argv the flag table refuses: an unknown flag, an ambiguous prefix, a
     # bad int, a bad choice, a flag without its value (also before another
     # flag), no subcommand or an unknown one, quotient without its action,
     # and a positional too many
-    (["suite", "--bogus", "1"], None),
-    (["suite", "--s", "1"], None),
-    (["suite", "--n", "x"], None),
-    (["greens", "--side", "Q"], None),
+    (["suite", "--bogus", "1"], None, "unrecognized arguments: --bogus 1"),
+    (["suite", "--s", "1"], None,
+     "ambiguous option: --s could match --seed, --samples"),
+    (["suite", "--n", "x"], None, "argument --n: invalid int value: 'x'"),
+    (["greens", "--side", "Q"], None,
+     "argument --side: invalid choice: 'Q' (choose from 'R', 'L', 'Rstar', 'Lstar')"),
     (["classify", "--format", "xml"], None),
-    (["suite", "--seed"], None),
-    (["suite", "--out", "--format", "text"], None),
+    (["suite", "--seed"], None, "argument --seed: expected one argument"),
+    (["suite", "--out", "--format", "text"], None,
+     "argument --out: expected one argument"),
     ([], None),
     (["no-such-command"], None),
     (["ci-check"], None),
-    (["quotient", "--backend", "act"], None),
-    (["suite", "extra"], None),
-    (["quotient", "eq", "embed"], None),
+    (["quotient", "--backend", "act"], None,
+     "the following arguments are required: action"),
+    (["suite", "extra"], None, "unrecognized arguments: extra"),
+    (["quotient", "eq", "embed"], None, "unrecognized arguments: embed"),
     (["classify", "--input", "/nonexistent/file.json"], None),
     (["classify", "--input", "-"], '["x1"]'),
     (["classify", "--input", "-"], '{"terms": ["x1", 7]}'),
     (["classify", "--input", "-"], '{"terms": []}'),
-    (["suite", "--samples", "-5"], None),
-    (["suite", "--backend", "matrix", "--n", "9"], None),
-    (["suite", "--backend", "act", "--n", "0"], None),
+    (["suite", "--samples", "-5"], None, "--samples must be at least 1"),
+    (["suite", "--backend", "matrix", "--n", "9"], None,
+     "--n must be in 1..4 for the matrix suite"),
+    (["suite", "--backend", "act", "--n", "0"], None,
+     "--n must be in 1..3 for the act suite"),
     (["verify-counterexample", "--terms", "0"], None),
     (["verify-counterexample", "--samples", "0"], None),
     (["verify-counterexample", "--depth", "1", "--terms", "10"], None),
-    (["ore-check", "--depth", "0"], None),
+    (["ore-check", "--depth", "0"], None, "--depth must be at least 1"),
     # ore-check depths whose element count is over the cap
-    (["ore-check", "--depth", "100000000000000000000"], None),
-    (["ore-check", "--monoid", "free2", "--depth", "8"], None),
+    (["ore-check", "--depth", "100000000000000000000"], None,
+     "--depth: depth 100000000000000000000 gives posint more than 256 elements"),
+    (["ore-check", "--monoid", "free2", "--depth", "8"], None,
+     "--depth: depth 8 gives free2 more than 256 elements"),
     (["catalog", "--kind", "linear", "--params", '{"q":"x"}'], None),
     # a witness variant that the kind does not have
     (["catalog", "--kind", "rank0", "--check", "witness", "--variant", "plus"], None),
@@ -478,13 +493,13 @@ USAGE_ERRORS = [
     (["classify", "--sam", "3"], None),
     (["verify-counterexample", "--n", "2"], None),
     (["verify-counterexample", "--input", "-"], "{}"),
-    (["decompose", "--samples", "5"], None),
-    (["greens", "--depth", "2"], None),
-    (["quotient", "eq", "--seed", "1"], None),
-    (["ore-check", "--samples", "5"], None),
-    (["ore-check", "--n", "2"], None),
-    (["suite", "--depth", "3"], None),
-    (["suite", "--input", "-"], "{}"),
+    (["decompose", "--samples", "5"], None, "unrecognized arguments: --samples 5"),
+    (["greens", "--depth", "2"], None, "unrecognized arguments: --depth 2"),
+    (["quotient", "eq", "--seed", "1"], None, "unrecognized arguments: --seed 1"),
+    (["ore-check", "--samples", "5"], None, "unrecognized arguments: --samples 5"),
+    (["ore-check", "--n", "2"], None, "unrecognized arguments: --n 2"),
+    (["suite", "--depth", "3"], None, "unrecognized arguments: --depth 3"),
+    (["suite", "--input", "-"], "{}", "unrecognized arguments: --input -"),
     # a flag the request would ignore: parameters for the default catalog, a
     # witness variant for another check
     (["catalog", "--params", '{"q": 99}', "--check", "clone"], None),
@@ -512,74 +527,110 @@ USAGE_ERRORS = [
       "--check", "endos"], None),
     # quotient eq: vectors of different lengths, a zero tag, a missing element
     (["quotient", "eq", "--input", "-"],
-     '{"p": {"t": 1, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2, 3]}}'),
+     '{"p": {"t": 1, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2, 3]}}',
+     "quotient payload: vector lengths differ: 2 and 3"),
     (["quotient", "eq", "--input", "-"],
-     '{"p": {"t": 0, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2]}}'),
-    (["quotient", "eq", "--input", "-"], '{"p": {"t": 1, "v": [1, 2]}}'),
+     '{"p": {"t": 0, "v": [1, 2]}, "q": {"t": 1, "v": [1, 2]}}',
+     "quotient payload: denominator tag must be positive"),
+    (["quotient", "eq", "--input", "-"], '{"p": {"t": 1, "v": [1, 2]}}',
+     "quotient payload: missing key 'q'"),
     (["quotient", "eq", "--backend", "act", "--input", "-"],
-     '{"q": {"k": 0, "m": 1, "i": 1}}'),
+     '{"q": {"k": 0, "m": 1, "i": 1}}', "quotient payload: missing key 'p'"),
     # matrix shapes and entries
     (["greens", "--side", "R", "--input", "-"],
-     '{"a": [[1, 0], [0, 1]], "b": [[1]]}'),
-    (["greens", "--side", "R", "--input", "-"], '{"a": [[1, 0], [0, 1]]}'),
+     '{"a": [[1, 0], [0, 1]], "b": [[1]]}', "matrix sizes differ: 2 and 1"),
+    (["greens", "--side", "R", "--input", "-"], '{"a": [[1, 0], [0, 1]]}',
+     "greens payload: missing key 'b'"),
     (["greens", "--side", "L", "--input", "-"],
-     '{"a": [["x", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [["x", 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "bad matrix entry: Invalid literal for Fraction: 'x'"),
     (["greens", "--side", "L", "--input", "-"],
-     '{"a": [[0.5, 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [[0.5, 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "matrix entries must be integers or exact strings like '1/2'"),
     (["greens", "--side", "Rstar", "--input", "-"],
-     '{"a": [["1/2", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [["1/2", 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "greens payload: non-integer entry 1/2"),
     (["decompose", "--mode", "straight", "--input", "-"],
-     '{"alpha": [[1, 2, 3], [4, 5, 6]]}'),
-    (["decompose", "--input", "-"], '{"alpha": []}'),
+     '{"alpha": [[1, 2, 3], [4, 5, 6]]}',
+     "a matrix must be a non-empty square list of rows"),
+    (["decompose", "--input", "-"], '{"alpha": []}',
+     "a matrix must be a non-empty square list of rows"),
     # entries too long to print: refused from the exponent before they are
     # built, as a JSON integer, or when a result entry grows past the limit
     (["greens", "--backend", "matrix", "--input", "-"],
-     '{"a": [["1e5000", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [["1e5000", 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "bad matrix entry: '1e5000' has more than 4300 digits"),
     (["greens", "--backend", "matrix", "--input", "-"],
-     '{"a": [["1e999999999", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [["1e999999999", 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "bad matrix entry: '1e999999999' has more than 4300 digits"),
     (["greens", "--side", "L", "--input", "-"],
-     '{"a": [["-2.5E-4400", 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [["-2.5E-4400", 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "bad matrix entry: '-2.5E-4400' has more than 4300 digits"),
     (["decompose", "--mode", "left", "--input", "-"],
-     '{"alpha": [["1e5000", 0], [0, 1]]}'),
+     '{"alpha": [["1e5000", 0], [0, 1]]}',
+     "bad matrix entry: '1e5000' has more than 4300 digits"),
     (["greens", "--input", "-"],
-     '{"a": [[1' + "0" * 5000 + ', 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [[1' + "0" * 5000 + ', 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     f"cannot read input: {TOO_LONG}: value has 5001 digits; {RAISE_IT}"),
     (["decompose", "--mode", "left", "--input", "-"],
-     '{"alpha": [["1e2500", 0], [0, "1e-2000"]]}'),
+     '{"alpha": [["1e2500", 0], [0, "1e-2000"]]}',
+     f"decomposition: {TOO_LONG}; {RAISE_IT}"),
     (["greens", "--backend", "act", "--input", "-"],
      '{"a": {"shifts": [0], "targets": [1]}, '
-     '"b": {"shifts": [0, 0], "targets": [1, 2]}}'),
+     '"b": {"shifts": [0, 0], "targets": [1, 2]}}',
+     "act endomorphism ranks differ: 1 and 2"),
     (["greens", "--backend", "act", "--input", "-"],
-     '{"a": {"shifts": [0], "targets": [1]}}'),
+     '{"a": {"shifts": [0], "targets": [1]}}', "greens payload: missing key 'b'"),
     # integer fields: a float or a boolean is not an integer
     (["quotient", "eq", "--input", "-"],
-     '{"p": {"t": 1, "v": [1.5, 3]}, "q": {"t": 1, "v": [1, 3]}}'),
+     '{"p": {"t": 1, "v": [1.5, 3]}, "q": {"t": 1, "v": [1, 3]}}',
+     "v must be an integer, not 1.5"),
     (["quotient", "eq", "--input", "-"],
-     '{"p": {"t": 1.0, "v": [1, 3]}, "q": {"t": 1, "v": [1, 3]}}'),
+     '{"p": {"t": 1.0, "v": [1, 3]}, "q": {"t": 1, "v": [1, 3]}}',
+     "t must be an integer, not 1.0"),
     (["quotient", "eq", "--backend", "act", "--input", "-"],
-     '{"p": {"k": 0, "m": 1.5, "i": 1}, "q": {"k": 0, "m": 1, "i": 1}}'),
+     '{"p": {"k": 0, "m": 1.5, "i": 1}, "q": {"k": 0, "m": 1, "i": 1}}',
+     "m must be an integer, not 1.5"),
     (["decompose", "--backend", "act", "--input", "-"],
-     '{"alpha": {"shifts": [0.7, 0], "targets": [1, 2]}}'),
+     '{"alpha": {"shifts": [0.7, 0], "targets": [1, 2]}}',
+     "shifts must be an integer, not 0.7"),
     (["decompose", "--backend", "act", "--input", "-"],
-     '{"alpha": {"shifts": [0, 0], "targets": [1, true]}}'),
-    (["quotient", "embed", "--backend", "act", "--input", "-"], '{"m": 2.5}'),
-    (["quotient", "embed", "--input", "-"], '{"v": [1, false]}'),
+     '{"alpha": {"shifts": [0, 0], "targets": [1, true]}}',
+     "targets must be an integer, not true"),
+    (["quotient", "embed", "--backend", "act", "--input", "-"], '{"m": 2.5}',
+     "m must be an integer, not 2.5"),
+    (["quotient", "embed", "--input", "-"], '{"v": [1, false]}',
+     "v must be an integer, not false"),
     (["greens", "--side", "R", "--input", "-"],
-     '{"a": [[true, 0], [0, 1]], "b": [[1, 0], [0, 1]]}'),
+     '{"a": [[true, 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
+     "matrix entries must be integers or exact strings like '1/2'"),
+    # act results that double the longest integer a report may print: a
+    # shift of alpha's decomposition, a quotient's exponent
+    (["decompose", "--backend", "act", "--input", "-"], json.dumps(
+        {"alpha": {"flavor": "A", "shifts": [-LONGEST, LONGEST], "targets": [1, 2]}}),
+     f"cannot write the report: {TOO_LONG}; {RAISE_IT}"),
+    (["quotient", "eq", "--backend", "act", "--input", "-"], json.dumps(
+        {"p": {"k": LONGEST, "m": -LONGEST, "i": 1}, "q": {"k": 0, "m": 0, "i": 1}}),
+     f"cannot write the report: {TOO_LONG}; {RAISE_IT}"),
     # an unwritable report path
-    (["quotient", "embed", "--out", "/nonexistent/dir/x.json"], None),
+    (["quotient", "embed", "--out", "/nonexistent/dir/x.json"], None,
+     "cannot write --out: [Errno 2] No such file or directory: "
+     "'/nonexistent/dir/x.json'"),
 ]
 
 
 def test_usage_errors_exit_2(capsys, monkeypatch):
     import io
 
-    for argv, stdin in USAGE_ERRORS:
+    for argv, stdin, *message in USAGE_ERRORS:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
         code, out, err = run(capsys, *argv)
         assert code == 2, (argv, stdin)
         assert out == ""
         assert err.startswith("error: "), (argv, stdin)
         assert "Traceback" not in err
+        if message:
+            assert err == f"error: {message[0]}\n", (argv, stdin)
 
 
 @pytest.mark.parametrize("command", [None, *cli.build_parser()])
@@ -602,6 +653,40 @@ def test_help_lists_the_subcommands_or_every_flag(capsys, command):
             listed = {line.split()[0] for line in out.splitlines()
                       if line.startswith("  --")}
             assert listed == set(options) - {"-h", "--help"}, flag
+
+
+def test_a_result_too_long_to_print_is_refused_only_in_json(capsys, monkeypatch):
+    import io
+
+    payload = json.dumps({"alpha": {"flavor": "A", "shifts": [-LONGEST, LONGEST],
+                                    "targets": [1, 2]}})
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "decompose", "--backend", "act", "--input", "-",
+                         "--format", "text")
+    assert (code, err) == (0, "")  # the text report prints no details
+    assert out.splitlines()[-1] == "ok"
+
+
+# the names each orders backend defines, so that a handler reaches either
+# backend through one lookup
+SURFACE = ("MODES", "decompose", "verify_decomposition", "greens_leq", "quot",
+           "embed", "quotient_eq", "show")
+
+
+def test_orders_backends_share_one_surface(capsys):
+    import importlib
+
+    for name, row in cli._ORDERS.items():
+        backend = importlib.import_module(row.module)
+        assert [n for n in SURFACE if not hasattr(backend, n)] == [], name
+        (alpha,) = row.read([row.demo["alpha"]])
+        for mode in backend.MODES:
+            dec = backend.decompose(alpha, mode)
+            assert backend.verify_decomposition(alpha, dec, mode), (name, mode)
+    for mode in ("right", "straight"):
+        code, out, err = run(capsys, "decompose", "--backend", "act", "--mode", mode)
+        assert (code, out, err) == (
+            2, "", "error: the act backend provides only --mode left\n")
 
 
 def test_integer_fields_name_the_value_they_refuse(capsys, monkeypatch):

@@ -102,6 +102,14 @@ _ENTRY = st.one_of(st.integers(-4, 4), st.sampled_from(
     ["1/2", "-2/3", "0", "7", "x", "1/0", "1e3", "1e5000", 0.5, False, None]))
 
 
+# act shifts and quotient fields far outside the small draws: wide enough that
+# a walk over the exponents between them cannot end, and as long as a report
+# may print, so that a result of twice the value may not be
+_LONGEST = 10**4300 - 1
+_WIDE = st.sampled_from([10**12, -(10**12), _LONGEST, -_LONGEST])
+_QINT = st.one_of(_JINT, _WIDE)
+
+
 def _rows(n, entry):
     return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
 
@@ -122,7 +130,8 @@ def _act(n, entry=st.integers(-1, 3)):
         optional={"flavor": st.sampled_from(["A", "B", "A", "B", "C", 1])})
 
 
-_ACT = st.integers(1, 3).flatmap(lambda n: _act(n, st.one_of(st.integers(-3, 3), _JINT)))
+_ACT = st.integers(1, 3).flatmap(
+    lambda n: _act(n, st.one_of(st.integers(-3, 3), _JINT, _WIDE)))
 
 
 def _pair(of_size):
@@ -132,7 +141,8 @@ def _pair(of_size):
 
 
 def _quot(fields):
-    return st.fixed_dictionaries({f: st.integers(-2, 4) for f in fields})
+    return st.fixed_dictionaries({f: st.one_of(st.integers(-2, 4), _WIDE)
+                                  for f in fields})
 
 
 def _maybe(key_values):
@@ -188,18 +198,19 @@ _PAYLOADS = {
         _pair(lambda n: _rows(n, st.one_of(st.integers(-4, 4), _ENTRY)))),
     ("greens", "act"): st.one_of(_maybe({"a": _ACT, "b": _ACT}), _pair(_act)),
     ("quotient", "matrix"): st.one_of(
-        _maybe({"p": _maybe({"t": _JINT, "v": st.lists(_JINT, max_size=3)}),
-                "q": _maybe({"t": _JINT, "v": st.lists(_JINT, max_size=3)}),
-                "v": st.lists(_JINT, max_size=3)}),
+        _maybe({"p": _maybe({"t": _QINT, "v": st.lists(_QINT, max_size=3)}),
+                "q": _maybe({"t": _QINT, "v": st.lists(_QINT, max_size=3)}),
+                "v": st.lists(_QINT, max_size=3)}),
         st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
-            e: st.fixed_dictionaries({"t": st.integers(-2, 4),
-                                      "v": st.lists(st.integers(-4, 4),
-                                                    min_size=n, max_size=n)})
+            e: st.fixed_dictionaries({
+                "t": st.one_of(st.integers(-2, 4), _WIDE),
+                "v": st.lists(st.one_of(st.integers(-4, 4), _WIDE),
+                              min_size=n, max_size=n)})
             for e in "pq"}))),
     ("quotient", "act"): st.one_of(
-        _maybe({"p": _maybe({"k": _JINT, "m": _JINT, "i": _JINT}),
-                "q": _maybe({"k": _JINT, "m": _JINT, "i": _JINT}),
-                "m": _JINT, "i": _JINT}),
+        _maybe({"p": _maybe({"k": _QINT, "m": _QINT, "i": _QINT}),
+                "q": _maybe({"k": _QINT, "m": _QINT, "i": _QINT}),
+                "m": _QINT, "i": _QINT}),
         st.fixed_dictionaries({"p": _quot("kmi"), "q": _quot("kmi")}),
         _quot("mi")),
 }
@@ -230,6 +241,17 @@ def _payload_run(draw):
 @example((["greens", "--side", "Lstar", "--backend", "act", "--input", "-"],
           '{"a": {"shifts": [0, -1], "targets": [2, 2]}, '
           '"b": {"flavor": "A", "shifts": [1, 0], "targets": [1, 2]}}'))
+# a result of twice a 4300-digit value is too long to print: a usage error
+@example((["decompose", "--mode", "left", "--backend", "act", "--input", "-"],
+          json.dumps({"alpha": {"flavor": "A", "shifts": [-_LONGEST, _LONGEST],
+                                "targets": [1, 2]}})))
+@example((["quotient", "eq", "--backend", "act", "--input", "-"],
+          json.dumps({"p": {"k": _LONGEST, "m": -_LONGEST, "i": 1},
+                      "q": {"k": 0, "m": 0, "i": 1}})))
+# a shift of 10^12: the kernel route must not walk the exponents up to it
+@example((["greens", "--side", "R", "--backend", "act", "--input", "-"],
+          '{"a": {"shifts": [1000000000000, 0], "targets": [1, 2]}, '
+          '"b": {"shifts": [0, 0], "targets": [1, 1]}}'))
 def test_order_payloads_keep_the_contract(run_):
     argv, stdin = run_
     check_contract(argv, stdin)

@@ -42,7 +42,7 @@ def test_act_endo_validation():
 
 @pytest.mark.parametrize("make", [
     lambda: ActEndo("A", (1, -2), (1, 1)),
-    lambda: ac.act_quot(2, 5, 1),
+    lambda: ac.quot(2, 5, 1),
 ])
 def test_records_are_values_that_refuse_assignment(make):
     record, twin = make(), make()
@@ -165,14 +165,14 @@ def test_pc_closure_and_image():
 
 
 def test_act_quot_canonical_pairs():
-    assert ac.act_quot(2, 5, 1) == ac.act_quot(3, 6, 1)
-    assert ac.act_quot(2, 5, 1).as_dict() == {"m": 3, "i": 1}
-    assert ac.act_quot(0, 1, 1) != ac.act_quot(0, 1, 2)
+    assert ac.quot(2, 5, 1) == ac.quot(3, 6, 1)
+    assert ac.quot(2, 5, 1).as_dict() == {"m": 3, "i": 1}
+    assert ac.quot(0, 1, 1) != ac.quot(0, 1, 2)
     with pytest.raises(ValueError):
-        ac.act_quot(-1, 0, 1)
+        ac.quot(-1, 0, 1)
     with pytest.raises(ValueError):
-        ac.act_embed(-3, 1)
-    assert ac.act_embed(4, 2) == ac.act_quot(1, 5, 2)
+        ac.embed(-3, 1)
+    assert ac.embed(4, 2) == ac.quot(1, 5, 2)
 
 
 # --- decomposition -----------------------------------------------------------
@@ -180,35 +180,40 @@ def test_act_quot_canonical_pairs():
 
 def test_act_left_decompose_negative_shift_example():
     alpha = act_endo("A", (-2, 0), (1, 2))
-    a, b = ac.act_left_decompose(alpha)
+    a, b = ac.decompose(alpha, "left")
     assert a == ActEndo("B", (2, 2), (0, 1))
     assert b == act_endo("B", (0, 2), (1, 2))
-    assert ac.verify_act_decomposition(alpha, a, b)
+    assert ac.verify_decomposition(alpha, (a, b), "left")
 
 
 def test_act_left_decompose_nonnegative_is_trivial():
     alpha = act_endo("A", (1, 0), (2, 2))
-    a, b = ac.act_left_decompose(alpha)
+    a, b = ac.decompose(alpha, "left")
     assert a == identity(2)
     assert b == act_endo("B", (1, 0), (2, 2))
-    assert ac.verify_act_decomposition(alpha, a, b)
+    assert ac.verify_decomposition(alpha, (a, b), "left")
 
 
 def test_act_left_decompose_swap_example():
     alpha = act_endo("A", (-1, -1), (2, 1))
-    a, b = ac.act_left_decompose(alpha)
+    a, b = ac.decompose(alpha, "left")
     assert a.shifts == (1, 1)
     assert b == act_endo("B", (0, 0), (2, 1))
-    assert ac.verify_act_decomposition(alpha, a, b)
+    assert ac.verify_decomposition(alpha, (a, b), "left")
 
 
 def test_verify_act_decomposition_rejects_tampering():
     alpha = act_endo("A", (-2, 0), (1, 2))
-    a, b = ac.act_left_decompose(alpha)
+    a, b = ac.decompose(alpha, "left")
     wrong = ActEndo("B", tuple(s + 1 for s in b.shifts), b.targets)
-    assert not ac.verify_act_decomposition(alpha, a, wrong)
+    assert not ac.verify_decomposition(alpha, (a, wrong), "left")
     non_unit = ActEndo("B", (2, 2), (0, 0))  # not an identity pattern
-    assert not ac.verify_act_decomposition(alpha, non_unit, b)
+    assert not ac.verify_decomposition(alpha, (non_unit, b), "left")
+    for mode in ("right", "straight"):  # the act backend has only the left mode
+        with pytest.raises(ValueError):
+            ac.decompose(alpha, mode)
+        with pytest.raises(ValueError):
+            ac.verify_decomposition(alpha, (a, b), mode)
 
 
 def test_act_left_decompose_random_round_trip():
@@ -216,9 +221,9 @@ def test_act_left_decompose_random_round_trip():
     for _ in range(200):
         n = rng.randint(1, 4)
         alpha = rand_act_endo_by_randint(rng, n, flavor="A")
-        a, b = ac.act_left_decompose(alpha)
+        a, b = ac.decompose(alpha, "left")
         assert all(s >= 0 for s in a.shifts + b.shifts)
-        assert ac.verify_act_decomposition(alpha, a, b)
+        assert ac.verify_decomposition(alpha, (a, b), "left")
 
 
 # --- gamma constructions -------------------------------------------------------

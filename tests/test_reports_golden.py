@@ -131,6 +131,9 @@ GOLDEN = [
     ("quotient eq --input -", 0,
      "9cc9831674087723626025ebe3a694f95df32439fe446ca2f016d281c2e24f3d",
      '{"p": {"t": 3, "v": [2, 4]}, "q": {"t": 6, "v": [4, 8]}}'),
+    ("quotient embed --backend matrix --input -", 0,
+     "91175ce22d5998dbb97a7b89e006d295496c10d7e8c10472e659836cd365140c",
+     '{"v": [-4, 0, 9]}'),
 ]
 
 
@@ -200,5 +203,38 @@ RATIONAL = [
 
 @pytest.mark.parametrize("case", RATIONAL, ids=[c[0] for c in RATIONAL])
 def test_rational_report_digest(case, capsys, monkeypatch):
+    _, argv, digest, payload = case
+    test_report_digest((argv, 0, digest, payload), capsys, monkeypatch)
+
+
+# Act payloads beyond the demos: a decomposition that must translate
+# negative shifts, an incomparable pair for R and one for L, quotients equal
+# and unequal, and an embedding.
+ACT = [
+    ("decompose negative shifts", "decompose --backend act --input -",
+     "acdf6ece0c95f255d9661512123b46bc0b4a04673e39821d390aca65ffb322f9",
+     '{"alpha": {"flavor": "A", "shifts": [-5, 3, -1], "targets": [2, 2, 1]}}'),
+    ("greens R incomparable", "greens --backend act --side R --input -",
+     "feb2d79847616a99e4c8305547b5b40a051f9514cdeadb3b2a50c3f90ce5f138",
+     '{"a": {"shifts": [0, 0], "targets": [1, 2]}, '
+     '"b": {"shifts": [1, 0], "targets": [2, 2]}}'),
+    ("greens L incomparable", "greens --backend act --side L --input -",
+     "7a239e2e571711d9c7870f20f7b766d8259838f4640404775de43f7f1c00f8cb",
+     '{"a": {"shifts": [2, 0, 1], "targets": [1, 3, 3]}, '
+     '"b": {"shifts": [0, 4, 0], "targets": [2, 1, 1]}}'),
+    ("quotient eq equal", "quotient eq --backend act --input -",
+     "fda120b0a85365d9d027ff1b5a2d491854268f28f6eb9bb68ec7467a4f4daf8f",
+     '{"p": {"k": 4, "m": 9, "i": 2}, "q": {"k": 1, "m": 6, "i": 2}}'),
+    ("quotient eq unequal", "quotient eq --backend act --input -",
+     "940561eb46713ef667916522ec777ca8a8fd0a2fdfe6e006db0372d02d3c475b",
+     '{"p": {"k": 4, "m": 9, "i": 2}, "q": {"k": 1, "m": 6, "i": 1}}'),
+    ("quotient embed", "quotient embed --backend act --input -",
+     "4919c8e05689794065c41f7d0d822c96098d26d5464c5e7820df0cd89cf9eaef",
+     '{"m": 7, "i": 3}'),
+]
+
+
+@pytest.mark.parametrize("case", ACT, ids=[c[0] for c in ACT])
+def test_act_report_digest(case, capsys, monkeypatch):
     _, argv, digest, payload = case
     test_report_digest((argv, 0, digest, payload), capsys, monkeypatch)

@@ -1,8 +1,9 @@
+import json
 import random
 
-import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from indalg import cli
 from indalg.orders import acts as ac
 from indalg.orders import suite as su
 
@@ -67,11 +68,11 @@ def test_suite_reports_deterministic():
     assert c == d
 
 
-def test_run_suite_dispatch():
-    assert su.run_suite("act", 2, 0, 10) == su.run_act_suite(2, 0, 10)
-    assert su.run_suite("matrix", 2, 0, 10) == su.run_matrix_suite(2, 0, 10)
-    with pytest.raises(ValueError):
-        su.run_suite("nope", 2, 0, 10)
+def test_suite_dispatch_by_backend(capsys):
+    for backend, runner in (("act", su.run_act_suite), ("matrix", su.run_matrix_suite)):
+        assert cli.run(["suite", "--backend", backend, "--n", "2", "--samples", "10"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] == [vars(c) for c in runner(2, 0, 10)]
 
 
 def test_window_kernel_leq_matches_pair_scan():
@@ -112,9 +113,13 @@ def _act_endo_pairs(draw):
 
 
 @given(_act_endo_pairs())
+@example((ac.ActEndo("B", (10**12, 0), (0, 0)), ac.ActEndo("B", (0, 10**12), (0, 0))))
+@example((ac.ActEndo("B", (10**12, 0), (0, 0)), ac.ActEndo("B", (10**12, 0), (0, 0))))
 def test_window_kernel_leq_matches_the_double_loop(pair):
     a, b = pair
-    assert su.window_kernel_leq(a, b) == _pair_scan_kernel_leq(a, b)
+    # the double loop walks a window as wide as the shifts: too wide at 10^12
+    oracle = ac.kernel_leq if max(a.shifts + b.shifts) > 6 else _pair_scan_kernel_leq
+    assert su.window_kernel_leq(a, b) == oracle(a, b)
 
 
 def test_construct_image_gamma_verified_by_caller():
