@@ -15,13 +15,15 @@ Importing this module loads of the package only ``report``, and neither
 ``json`` nor any backend.  Each handler reaches its own backend through
 ``_backend`` before any work: words, terms and counterexample for
 ``classify`` and ``verify-counterexample``, the catalog for ``catalog``,
-and the part of ``orders`` its backend needs (``monoids`` alone, without
-``fractions``, for ``ore-check``).  ``_backend`` imports a module on its
-first use and reads it from ``sys.modules`` after that, since an import
-statement of a loaded module still costs about a microsecond (a relative
-one runs ``ModuleSpec.parent`` and ``_handle_fromlist`` in Python).  One
-process per report then pays only for what that report runs.  No import
-sits on a path taken once per matrix entry, sample or term:
+and the part of ``orders`` its backend needs: ``acts`` alone, without
+``fractions`` or ``decimal``, for an act ``decompose`` or ``quotient``, and
+``monoids`` alone for ``ore-check`` (``greens`` and ``suite`` also load
+``orders.suite``, which reads both backends).  ``_backend`` imports a
+module on its first use and reads it from ``sys.modules`` after that, since
+an import statement of a loaded module still costs about a microsecond (a
+relative one runs ``ModuleSpec.parent`` and ``_handle_fromlist`` in
+Python).  One process per report then pays only for what that report runs.
+No import sits on a path taken once per matrix entry, sample or term:
 ``_parse_qmats`` imports ``fractions`` once a payload and reads all of
 its matrices, and ``_parse_acts`` looks its constructor up once a payload.
 
@@ -452,7 +454,7 @@ def cmd_ore_check(args):
             res.status, "inconclusive"
         )
         checks.append(Check(
-            f"ore[{args.monoid},{side}]", expected, outcome, details=res.as_dict()
+            f"ore[{args.monoid},{side}]", expected, outcome, details=res._asdict()
         ))
     return checks
 

@@ -21,8 +21,9 @@ block, onto a chosen target at a chosen base shift).  Kernel keys and
 containment, the gamma constructions, the idempotents, the H*-class
 elements and the Ore solutions are all written with them.
 
-It defines the names ``matrix`` shares with it (see that docstring), with
-the one decomposition mode ``left`` so far.
+It defines the names its sibling ``matrix`` shares with it (see that
+docstring), with the one decomposition mode ``left`` so far.  It imports
+nothing from ``matrix``, and draws through the package's ``randints``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .matrix import PreconditionViolated, randints
+from . import randints
+
+
+class PreconditionViolated(ValueError):
+    pass
 
 
 class _ActEndoFields(NamedTuple):
@@ -163,10 +168,6 @@ def kernel_leq(a: ActEndo, b: ActEndo) -> bool:
     return True
 
 
-def pc_image(theta: ActEndo) -> tuple[int, ...]:
-    return tuple(sorted(target_set(theta)))
-
-
 def greens_leq(side: str, a: ActEndo, b: ActEndo) -> bool:
     """Green's order comparisons for act endomorphisms.
 
@@ -198,6 +199,8 @@ class ActQuot(NamedTuple):
 def quot(k: int, m: int, i: int) -> ActQuot:
     if k < 0:
         raise ValueError("translation power must be nonnegative")
+    if i < 1:
+        raise ValueError("generator index must be at least 1")
     return ActQuot(m - k, i - 1)
 
 
@@ -262,7 +265,7 @@ def gamma_left(alpha: ActEndo, beta: ActEndo) -> ActEndo:
     default = first[min(hit)]
     targets = tuple(first[j] if j in hit else default for j in range(alpha.n))
     gamma = ActEndo("B", (0,) * alpha.n, targets)
-    assert pc_image(compose(gamma, beta)) == pc_image(alpha)
+    assert target_set(compose(gamma, beta)) == target_set(alpha)
     return gamma
 
 
@@ -304,7 +307,7 @@ def lstar_idempotent(alpha: ActEndo) -> ActEndo:
     hit = sorted(target_set(alpha))
     targets = tuple(j if j in target_set(alpha) else hit[0] for j in range(alpha.n))
     eps = ActEndo("B", (0,) * alpha.n, targets)
-    assert compose(eps, eps) == eps and pc_image(eps) == pc_image(alpha)
+    assert compose(eps, eps) == eps and target_set(eps) == target_set(alpha)
     return eps
 
 

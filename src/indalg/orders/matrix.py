@@ -21,10 +21,12 @@ and column spaces:
 
 Composition convention: "apply a, then b" is the matrix product b @ a.
 
-The names it shares with ``acts``, which the CLI calls on either backend:
-``MODES``, ``decompose``, ``verify_decomposition``, ``greens_leq``, ``quot``,
+The names it shares with its sibling ``acts`` (neither imports the other),
+which the CLI calls on either backend: ``MODES``, ``decompose`` (an
+``(a, b)`` pair), ``verify_decomposition``, ``greens_leq``, ``quot``,
 ``embed`` (``quot`` of its fields after the first, that field the unit),
-``quotient_eq`` and ``show`` (an endomorphism as report JSON).
+``quotient_eq`` and ``show`` (an endomorphism as report JSON).  Its samplers
+draw through the package's ``randints``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
+from . import randints
 from ..report import fmt_mat
 from .linalg import (
     IntMat,
@@ -61,10 +64,6 @@ from .linalg import (
 
 
 class NoGroupInverse(ValueError):
-    pass
-
-
-class PreconditionViolated(ValueError):
     pass
 
 
@@ -146,12 +145,7 @@ def group_inverse(s) -> Mat:
 MODES = ("left", "right", "straight")
 
 
-class Decomposition(NamedTuple):
-    a: IntMat
-    b: IntMat
-
-
-def decompose(alpha, mode: str) -> Decomposition:
+def decompose(alpha, mode: str) -> tuple[IntMat, IntMat]:
     """alpha = a# . b ('left', 'straight') or a . b# ('right') with integer
     parts.  For d the lcm of alpha's denominators, 'left' takes a = d I and
     b = d alpha ((d I)# = (1/d) I), and 'right' a = d alpha and b = d I."""
@@ -160,13 +154,13 @@ def decompose(alpha, mode: str) -> Decomposition:
     rows, d = split(alpha)
     scalar = scale_int(d, identity(len(rows)))
     if mode == "left":
-        return Decomposition(a=scalar, b=rows)
+        return scalar, rows
     if mode == "right":
-        return Decomposition(a=rows, b=scalar)
+        return rows, scalar
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def straight_left_decompose(alpha) -> Decomposition:
+def straight_left_decompose(alpha) -> tuple[IntMat, IntMat]:
     """alpha = a# . b with a, b integer and col(a) = col(alpha^T)-adapted
     projector:  E projects onto the row space of alpha along a standard
     complement, so E @ alpha = alpha; scaling E and alpha by a common
@@ -188,7 +182,7 @@ def straight_left_decompose(alpha) -> Decomposition:
     p_diag = tuple(tuple(x if j < r else 0 for j, x in enumerate(row)) for row in p)
     e, de = lowest(matmul_int(p_diag, pinv), dp)
     m = lcm(de, da)
-    return Decomposition(a=scale_int(m // de, e), b=scale_int(m // da, al))
+    return scale_int(m // de, e), scale_int(m // da, al)
 
 
 def _times_q(x: tuple[IntMat, int], y: tuple[IntMat, int]) -> tuple[IntMat, int]:
@@ -197,12 +191,13 @@ def _times_q(x: tuple[IntMat, int], y: tuple[IntMat, int]) -> tuple[IntMat, int]
     return lowest(matmul_int(x[0], y[0]), x[1] * y[1])
 
 
-def verify_decomposition(alpha, dec: Decomposition, mode: str) -> bool:
-    """Recompose and compare exactly.  ``mode`` is 'left', 'right' or
-    'straight'; left/straight recompose as a# @ b, right as a @ b#."""
-    if not is_integer_matrix(dec.a) or not is_integer_matrix(dec.b):
+def verify_decomposition(alpha, dec, mode: str) -> bool:
+    """Recompose dec = (a, b) exactly: as a# @ b for 'left' and
+    'straight', as a @ b# for 'right'."""
+    a, b = dec
+    if not is_integer_matrix(a) or not is_integer_matrix(b):
         return False
-    a, b = split(dec.a), split(dec.b)
+    a, b = split(a), split(b)
     if mode in ("left", "straight"):
         return _times_q(_group_inverse(*a), b) == split(alpha)
     if mode == "right":
@@ -210,16 +205,17 @@ def verify_decomposition(alpha, dec: Decomposition, mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def straight_certificates(alpha, dec: Decomposition) -> dict:
-    """Certificates that a straight decomposition is straight:
+def straight_certificates(alpha, dec) -> dict:
+    """Certificates that a straight decomposition dec = (a, b) is straight:
     a# (a b-ish) relations reduce to E acting as the identity on col(alpha),
     checked directly, plus rank agreement between a and alpha."""
-    alpha, a = split(alpha), split(dec.a)
-    ga = _group_inverse(*a)
+    a, b = dec
+    alpha, a_q = split(alpha), split(a)
+    ga = _group_inverse(*a_q)
     return {
-        "projector_fixes_alpha": _times_q(ga, _times_q(a, alpha)) == alpha,
-        "rank_match": rank(dec.a) == rank(alpha[0]),
-        "recompose": _times_q(ga, split(dec.b)) == alpha,
+        "projector_fixes_alpha": _times_q(ga, _times_q(a_q, alpha)) == alpha,
+        "rank_match": rank(a) == rank(alpha[0]),
+        "recompose": _times_q(ga, split(b)) == alpha,
     }
 
 
@@ -270,24 +266,6 @@ def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
 
 
 # --- seeded sampling --------------------------------------------------------
-
-
-def randints(rng: random.Random, bounds) -> list[int]:
-    """One draw of ``rng.randint(lo, hi)`` per ``(lo, hi)`` in ``bounds``,
-    in order, leaving rng as those calls do: each is read straight from
-    ``rng.getrandbits`` by ``_randbelow``'s rule, ``width.bit_length()``
-    bits drawn again while the value is ``width`` or more.  A draw in
-    ``(0, n - 1)`` is ``rng.randrange(n)``, and indexes as ``rng.choice``."""
-    bits = rng.getrandbits
-    out = []
-    for lo, hi in bounds:
-        width = hi - lo + 1
-        k = width.bit_length()
-        x = bits(k)
-        while x >= width:
-            x = bits(k)
-        out.append(lo + x)
-    return out
 
 
 _NONZERO = [d for d in range(-9, 10) if d != 0]

@@ -90,13 +90,6 @@ class OreResult(NamedTuple):
     witness: dict | None
     pairs_checked: int
 
-    def as_dict(self):
-        return {
-            "status": self.status,
-            "witness": self.witness,
-            "pairs_checked": self.pairs_checked,
-        }
-
 
 def ore_check(monoid: PresentedMonoid, side: str, depth: int) -> OreResult:
     """Search for common multiples ua = vb (left) or au = bv (right) with

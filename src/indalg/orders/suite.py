@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from . import acts, matrix
+from . import acts, matrix, randints
 from ..report import Check, fmt_mat
 from .linalg import join, matmul_int, scale_int, solvable, solve_int, split, transpose
-from .matrix import randints
 from .acts import (
     ActEndo,
     compose,
@@ -29,7 +28,6 @@ from .acts import (
     left_ore_solve,
     lift_endo,
     lstar_idempotent,
-    pc_image,
     rand_act_endo,
     rand_hstar_element,
     rand_square_cancellable,
@@ -229,7 +227,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         below = _rand_lstar_below(rng, beta)
         g = gamma_left(below, beta)
         eii_l.record(
-            pc_image(compose(g, beta)) == pc_image(below),
+            target_set(compose(g, beta)) == target_set(below),
             _witness(alpha=below, beta=beta),
         )
 
@@ -247,7 +245,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         eps = lstar_idempotent(alpha)
         eiii_l.record(
             compose(eps, eps) == eps
-            and pc_image(eps) == pc_image(alpha)
+            and target_set(eps) == target_set(alpha)
             and is_square_cancellable(eps),
             _witness(alpha=alpha, eps=eps),
         )

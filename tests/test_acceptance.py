@@ -191,13 +191,14 @@ def test_06_decomposition_round_trips():
             ("right", mx.decompose(alpha, "right")),
             ("straight", mx.straight_left_decompose(alpha)),
         ):
-            assert la.is_integer_matrix(dec.a) and la.is_integer_matrix(dec.b)
+            a, b = dec
+            assert la.is_integer_matrix(a) and la.is_integer_matrix(b)
             assert mx.verify_decomposition(alpha, dec, mode), (mode, alpha)
             if mode == "straight":
-                a2 = la.matmul(dec.a, dec.a)
-                assert la.rank(dec.a) == la.rank(a2)
-                assert col_space_leq(dec.a, dec.b)
-                assert col_space_leq(dec.b, dec.a)
+                a2 = la.matmul(a, a)
+                assert la.rank(a) == la.rank(a2)
+                assert col_space_leq(a, b)
+                assert col_space_leq(b, a)
                 certs = mx.straight_certificates(alpha, dec)
                 assert all(certs.values()), (alpha, certs)
     elapsed = time.perf_counter() - start

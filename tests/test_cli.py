@@ -536,6 +536,12 @@ USAGE_ERRORS = [
      "quotient payload: missing key 'q'"),
     (["quotient", "eq", "--backend", "act", "--input", "-"],
      '{"q": {"k": 0, "m": 1, "i": 1}}', "quotient payload: missing key 'p'"),
+    # act generator indices are 1-based: an index below 1 names no generator
+    (["quotient", "eq", "--backend", "act", "--input", "-"],
+     '{"p": {"k": 0, "m": 0, "i": 0}, "q": {"k": 0, "m": 0, "i": -5}}',
+     "quotient payload: generator index must be at least 1"),
+    (["quotient", "embed", "--backend", "act", "--input", "-"], '{"m": 0, "i": 0}',
+     "quotient payload: generator index must be at least 1"),
     # matrix shapes and entries
     (["greens", "--side", "R", "--input", "-"],
      '{"a": [[1, 0], [0, 1]], "b": [[1]]}', "matrix sizes differ: 2 and 1"),
@@ -682,6 +688,8 @@ def test_orders_backends_share_one_surface(capsys):
         (alpha,) = row.read([row.demo["alpha"]])
         for mode in backend.MODES:
             dec = backend.decompose(alpha, mode)
+            # one shape on both backends: a plain (a, b) pair
+            assert type(dec) is tuple and len(dec) == 2, (name, mode)
             assert backend.verify_decomposition(alpha, dec, mode), (name, mode)
     for mode in ("right", "straight"):
         code, out, err = run(capsys, "decompose", "--backend", "act", "--mode", mode)

@@ -257,6 +257,25 @@ def test_order_payloads_keep_the_contract(run_):
     check_contract(argv, stdin)
 
 
+# well-typed act quotient fields, a generator index now and then 0 or below:
+# the index is 1-based, and embed's exponent is nonnegative
+@settings(max_examples=60)
+@given(action=st.sampled_from(["eq", "embed"]), k=st.integers(0, 3),
+       m=st.integers(-2, 3), i=st.integers(-3, 3), j=st.integers(-3, 3))
+@example(action="eq", k=0, m=0, i=0, j=-5)
+@example(action="embed", k=0, m=0, i=0, j=1)
+def test_act_quotient_index_below_one_is_a_usage_error(action, k, m, i, j):
+    if action == "eq":
+        payload = {"p": {"k": k, "m": m, "i": i}, "q": {"k": 0, "m": m, "i": j}}
+        refused = min(i, j) < 1
+    else:
+        payload = {"m": m, "i": i}
+        refused = m < 0 or i < 1
+    code = check_contract(["quotient", action, "--backend", "act", "--input", "-"],
+                          json.dumps(payload))
+    assert (code == 2) == refused
+
+
 @settings(max_examples=60)
 @given(monoid=st.sampled_from(["posint", "free2"]), depth=st.integers(-1, 9))
 def test_ore_check_flags_keep_the_contract(monoid, depth):

@@ -6,9 +6,11 @@ package imports a private (underscore) name of another:
 an ``import`` that reaches into the package and binds an underscore name
 fails the test.  In ``orders/linalg.py`` neither the rational half nor the
 integer-lattice half uses a function of the other, so the two Green's
-routes the suites cross-check stay independent.  Every public top-level
-function is named somewhere in the package outside its own body, unless
-the benchmark's span tracer wraps it by name (``TARGETS`` in
+routes the suites cross-check stay independent.  The backend modules of
+``orders`` (``matrix``, ``acts`` and ``monoids``) are siblings: none imports
+another, and what they share lives in the package itself.  Every public
+top-level function is named somewhere in the package outside its own body,
+unless the benchmark's span tracer wraps it by name (``TARGETS`` in
 ``perfbench/spans.py``): a helper only the tests call lives in the tests.
 Likewise every parameter with a default, of a public top-level function or
 of a public class's constructor, is passed by some call in the package:
@@ -28,9 +30,10 @@ about a fifth of the rest, and ``argparse`` with the ``gettext`` and
 ``locale`` its parser needed most of what was left after that.  A report
 then loads only its own area: words, terms and counterexample for
 ``classify``, the catalog for ``catalog``, ``orders.monoids`` without
-``fractions`` for ``ore-check``.  Reports escape their strings with
-``_json``'s escaper alone, so only one that reads a JSON payload, or
-``--params``, loads ``json``.
+``fractions`` for ``ore-check``, and ``orders.acts`` without ``fractions``
+or ``decimal`` for an act ``decompose`` or ``quotient``.  Reports escape
+their strings with ``_json``'s escaper alone, so only one that reads a JSON
+payload, or ``--params``, loads ``json``.
 """
 
 import ast
@@ -151,6 +154,49 @@ def test_linalg_halves_do_not_use_each_other():
     source = LINALG.read_text()
     assert all(marker in source for marker in HALVES)
     assert cross_half_uses(source) == []
+
+
+BACKENDS = ("matrix", "acts", "monoids")
+
+
+def sibling_imports(source: str, siblings=BACKENDS) -> list[str]:
+    """The siblings that the imports in source, a module of ``orders``,
+    name, relatively (``from .matrix import f``, ``from . import matrix``,
+    ``from ..orders import matrix``) or absolutely."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level <= 2:
+            base = ("", "indalg.orders", "indalg")[node.level]
+            module = ".".join(filter(None, [base, node.module]))
+            paths = [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        else:
+            continue
+        named = {p.split(".")[2] for p in paths
+                 if p.startswith("indalg.orders.") and p.split(".")[2] in siblings}
+        out += [f"line {node.lineno}: {name}" for name in sorted(named)]
+    return out
+
+
+def test_checker_flags_sibling_imports():
+    assert sibling_imports("from .matrix import randints") == ["line 1: matrix"]
+    assert sibling_imports("from . import acts, randints\n"
+                           "import indalg.orders.monoids as mo\n"
+                           "from indalg.orders.matrix import rref\n"
+                           "from indalg.orders import acts") == [
+        "line 1: acts", "line 2: monoids", "line 3: matrix", "line 4: acts"]
+    assert sibling_imports("from ..orders import matrix") == ["line 1: matrix"]
+    assert sibling_imports("from __future__ import annotations\nimport random\n"
+                           "from . import randints\nfrom .linalg import rref\n"
+                           "from ..report import fmt_mat\nfrom ..terms import acts\n"
+                           "import indalg.orders\nfrom ... import matrix") == []
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_orders_backends_import_no_sibling(backend):
+    source = (ROOT / "orders" / f"{backend}.py").read_text()
+    assert sibling_imports(source, set(BACKENDS) - {backend}) == []
 
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -391,6 +437,9 @@ def test_cli_cold_start_loads_no_backend():
     (["ore-check"], {"indalg.orders", "indalg.orders.monoids"}),
     (["catalog", "--kind", "rank0", "--params", '{"size": 2}', "--check", "clone"],
      {"indalg.catalog"} | JSON),
-], ids=["classify", "catalog", "ore-check", "catalog-params"])
+    (["decompose", "--backend", "act"], {"indalg.orders", "indalg.orders.acts"}),
+    (["quotient", "eq", "--backend", "act"], {"indalg.orders", "indalg.orders.acts"}),
+], ids=["classify", "catalog", "ore-check", "catalog-params", "decompose-act",
+        "quotient-act"])
 def test_a_report_loads_only_its_own_area(argv, area):
     assert _slow_imports_loaded(True, *argv) - _slow_imports_loaded(False) == CLI | area

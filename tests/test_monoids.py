@@ -70,7 +70,7 @@ def test_ore_rejects_bad_arguments():
 
 
 def test_result_dict_shapes():
-    r = mo.ore_check(POSINT, "left", 2).as_dict()
+    r = mo.ore_check(POSINT, "left", 2)._asdict()
     assert r == {"status": "holds", "witness": None, "pairs_checked": 36}
 
 
