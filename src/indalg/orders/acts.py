@@ -21,6 +21,12 @@ block, onto a chosen target at a chosen base shift).  Kernel keys and
 containment, the gamma constructions, the idempotents, the H*-class
 elements and the Ore solutions are all written with them.
 
+A check verifies, a construction does not.  The constructions here refuse
+arguments outside their preconditions with ``PreconditionViolated``, and
+return what they build without re-checking it: each property they promise
+is verified once, by the check of the ``orders.suite`` report that records
+it, so a faulty construction ends as a failed check with its witness.
+
 It defines the names its sibling ``matrix`` shares with it (see that
 docstring), with the one decomposition mode ``left`` so far.  It imports
 nothing from ``matrix``, and draws through the package's ``randints``.
@@ -264,9 +270,7 @@ def gamma_left(alpha: ActEndo, beta: ActEndo) -> ActEndo:
     first = first_preimages(beta)
     default = first[min(hit)]
     targets = tuple(first[j] if j in hit else default for j in range(alpha.n))
-    gamma = ActEndo("B", (0,) * alpha.n, targets)
-    assert target_set(compose(gamma, beta)) == target_set(alpha)
-    return gamma
+    return ActEndo("B", (0,) * alpha.n, targets)
 
 
 def gamma_right(alpha: ActEndo, beta: ActEndo) -> ActEndo:
@@ -294,9 +298,7 @@ def gamma_right(alpha: ActEndo, beta: ActEndo) -> ActEndo:
         else:
             shifts.append(0)
             targets.append(j)
-    gamma = ActEndo("B", tuple(shifts), tuple(targets))
-    assert kernel_key(compose(beta, gamma)) == kernel_key(alpha)
-    return gamma
+    return ActEndo("B", tuple(shifts), tuple(targets))
 
 
 # --- idempotents and subgroup classes ---------------------------------------
@@ -304,11 +306,10 @@ def gamma_right(alpha: ActEndo, beta: ActEndo) -> ActEndo:
 
 def lstar_idempotent(alpha: ActEndo) -> ActEndo:
     """An idempotent with the same pure-closure image as alpha."""
-    hit = sorted(target_set(alpha))
-    targets = tuple(j if j in target_set(alpha) else hit[0] for j in range(alpha.n))
-    eps = ActEndo("B", (0,) * alpha.n, targets)
-    assert compose(eps, eps) == eps and target_set(eps) == target_set(alpha)
-    return eps
+    hit = target_set(alpha)
+    low = min(hit)
+    targets = tuple(j if j in hit else low for j in range(alpha.n))
+    return ActEndo("B", (0,) * alpha.n, targets)
 
 
 def rstar_idempotent(alpha: ActEndo) -> ActEndo:
@@ -316,10 +317,7 @@ def rstar_idempotent(alpha: ActEndo) -> ActEndo:
     retracted onto its minimum-shift representative."""
     reps = [min(members, key=lambda i: (alpha.shifts[i], i))
             for members in merge_classes(alpha)]
-    eps = with_kernel(alpha, [0] * len(reps), reps)
-    assert compose(eps, eps) == eps
-    assert kernel_key(eps) == kernel_key(alpha)
-    return eps
+    return with_kernel(alpha, [0] * len(reps), reps)
 
 
 def is_square_cancellable(alpha: ActEndo) -> bool:
@@ -344,59 +342,50 @@ def rand_square_cancellable(rng: random.Random, n: int) -> ActEndo:
         anchor = i if i in rho else rng.choice(t)
         shifts.append(rng.randint(0, 5))
         targets.append(rho[anchor])
-    alpha = ActEndo("B", tuple(shifts), tuple(targets))
-    assert is_square_cancellable(alpha)
-    return alpha
+    return ActEndo("B", tuple(shifts), tuple(targets))
 
 
 def hstar_class(alpha: ActEndo) -> tuple:
     """(kernel key, target set) of alpha: equal exactly for the members of
-    alpha's kernel/image class.  The functions below take it next to alpha,
-    so a caller drawing many members of one class computes it once."""
+    alpha's kernel/image class.  The suite's ``gii`` check compares it; the
+    constructions below build members of the class with ``with_kernel``
+    and do not re-check them with it."""
     return kernel_key(alpha), target_set(alpha)
 
 
-def hstar_element(alpha: ActEndo, assignment, bases, hclass: tuple) -> ActEndo:
-    """The member of alpha's kernel/image class sending merge class k (by
-    least member) onto target assignment[k] with base shift bases[k];
-    ``hclass`` is ``hstar_class(alpha)``."""
-    theta = with_kernel(alpha, bases, assignment)
-    assert hstar_class(theta) == hclass
-    return theta
-
-
-def rand_hstar_element(rng: random.Random, alpha: ActEndo, hclass: tuple) -> ActEndo:
-    # one merge class per target
-    perm = sorted(hclass[1])
+def rand_hstar_element(rng: random.Random, alpha: ActEndo) -> ActEndo:
+    """A random member of alpha's kernel/image class: its merge classes,
+    by least member, onto a shuffle of alpha's targets, one class per
+    target, at random base shifts."""
+    perm = sorted(target_set(alpha))
     rng.shuffle(perm)
-    return hstar_element(alpha, perm, randints(rng, [(0, 4)] * len(perm)), hclass)
+    return with_kernel(alpha, randints(rng, [(0, 4)] * len(perm)), perm)
 
 
-def left_ore_solve(
-    alpha: ActEndo, a: ActEndo, b: ActEndo, hclass: tuple
-) -> tuple[ActEndo, ActEndo]:
-    """u, v in the kernel/image class ``hclass`` of alpha with u a = v b,
-    computed by aligning both compositions onto a common target assignment
-    and padding per-class base shifts to reconcile the exponents."""
+def left_ore_solve(alpha: ActEndo, a: ActEndo, b: ActEndo) -> tuple[ActEndo, ActEndo]:
+    """u, v in the kernel/image class of alpha with u a = v b, given a and
+    b that permute alpha's targets (the class members of a
+    square-cancellable alpha do), computed by aligning both compositions
+    onto a common target assignment and padding per-class base shifts to
+    reconcile the exponents."""
     # common target pattern: k-th class (by least member) onto k-th target,
     # one class per target
-    hit = sorted(hclass[1])
+    hit = sorted(target_set(alpha))
 
     def aligned(theta: ActEndo):
         # choose the class assignment whose theta-composition lands on the
         # common pattern: route class k to the generator theta sends onto
-        # hit[k] (theta permutes the hit set since alpha never merges two
-        # of its own targets)
+        # hit[k]
         inv = {theta.targets[t]: t for t in hit}
-        assert len(inv) == len(hit)
+        if sorted(inv) != hit:
+            raise PreconditionViolated("a and b must permute the targets of alpha")
         assignment = [inv[t] for t in hit]
         return assignment, [theta.shifts[g] for g in assignment]
 
     assign_u, du = aligned(a)
     assign_v, dv = aligned(b)
-    u = hstar_element(alpha, assign_u, [max(0, y - x) for x, y in zip(du, dv)], hclass)
-    v = hstar_element(alpha, assign_v, [max(0, x - y) for x, y in zip(du, dv)], hclass)
-    assert compose(u, a) == compose(v, b)
+    u = with_kernel(alpha, [max(0, y - x) for x, y in zip(du, dv)], assign_u)
+    v = with_kernel(alpha, [max(0, x - y) for x, y in zip(du, dv)], assign_v)
     return u, v
 
 

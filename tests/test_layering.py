@@ -8,10 +8,13 @@ fails the test.  In ``orders/linalg.py`` neither the rational half nor the
 integer-lattice half uses a function of the other, so the two Green's
 routes the suites cross-check stay independent.  The backend modules of
 ``orders`` (``matrix``, ``acts`` and ``monoids``) are siblings: none imports
-another, and what they share lives in the package itself.  Every public
-top-level function is named somewhere in the package outside its own body,
-unless the benchmark's span tracer wraps it by name (``TARGETS`` in
-``perfbench/spans.py``): a helper only the tests call lives in the tests.
+another, and what they share lives in the package itself.  The package
+holds no ``assert`` statement: ``python -O`` drops them, so a verdict that
+rested on one would differ there; a check verifies through its report.
+Every public top-level function is named somewhere in the package outside
+its own body, unless the benchmark's span tracer wraps it by name
+(``TARGETS`` in ``perfbench/spans.py``): a helper only the tests call lives
+in the tests.
 Likewise every parameter with a default, of a public top-level function or
 of a public class's constructor, is passed by some call in the package:
 a value only the tests set is a constant.  ``cli.run(argv)`` is the one
@@ -110,6 +113,24 @@ def test_checker_flags_private_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_imports_another_modules_private_names(path):
     assert private_imports(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    """The lines of the ``assert`` statements in source."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_checker_flags_assert_statements():
+    assert assert_statements("x = 1\nassert x\nif x:\n    assert x > 0, 'no'") == [
+        "line 2", "line 4"]
+    assert assert_statements("assertion = 'assert x'\n# assert x\n"
+                             "self.assertEqual(1, 1)") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_holds_no_assert_statement(path):
+    assert assert_statements(path.read_text()) == []
 
 
 LINALG = ROOT / "orders" / "linalg.py"

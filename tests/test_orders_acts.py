@@ -355,7 +355,7 @@ def test_hstar_element_membership():
     for _ in range(200):
         n = rng.randint(1, 4)
         alpha = ac.rand_square_cancellable(rng, n)
-        theta = ac.rand_hstar_element(rng, alpha, ac.hstar_class(alpha))
+        theta = ac.rand_hstar_element(rng, alpha)
         assert ac.kernel_key(theta) == ac.kernel_key(alpha)
         assert ac.target_set(theta) == ac.target_set(alpha)
 
@@ -365,14 +365,26 @@ def test_left_ore_solve():
     for _ in range(200):
         n = rng.randint(1, 4)
         alpha = ac.rand_square_cancellable(rng, n)
-        hclass = ac.hstar_class(alpha)
-        a = ac.rand_hstar_element(rng, alpha, hclass)
-        b = ac.rand_hstar_element(rng, alpha, hclass)
-        u, v = ac.left_ore_solve(alpha, a, b, hclass)
+        a = ac.rand_hstar_element(rng, alpha)
+        b = ac.rand_hstar_element(rng, alpha)
+        u, v = ac.left_ore_solve(alpha, a, b)
         assert ac.compose(u, a) == ac.compose(v, b)
         for theta in (u, v):
-            assert ac.kernel_key(theta) == ac.kernel_key(alpha)
-            assert ac.target_set(theta) == ac.target_set(alpha)
+            assert ac.hstar_class(theta) == ac.hstar_class(alpha)
+
+
+def test_left_ore_solve_refuses_elements_that_do_not_permute_the_targets():
+    alpha = identity(2)
+    merged = act_endo("B", (0, 0), (2, 2))  # sends both of alpha's targets onto b_2
+    with pytest.raises(ac.PreconditionViolated, match="permute the targets"):
+        ac.left_ore_solve(alpha, merged, alpha)
+    with pytest.raises(ac.PreconditionViolated, match="permute the targets"):
+        ac.left_ore_solve(alpha, alpha, merged)
+    # alpha hits b_1 alone; an element moving b_1 onto b_2 leaves its class
+    single = act_endo("B", (0, 0), (1, 1))
+    outside = act_endo("B", (0, 0), (2, 1))
+    with pytest.raises(ac.PreconditionViolated, match="permute the targets"):
+        ac.left_ore_solve(single, outside, single)
 
 
 # --- properties on random endomorphisms of one rank, flavors mixed ----------
@@ -412,7 +424,7 @@ def test_compose_is_associative_with_a_two_sided_unit(abc):
 
 @given(st.integers(1, 5).flatmap(lambda n: endos(n, "B")))
 def test_gammas_of_equal_arguments_take_the_general_construction(alpha):
-    # each construction asserts its own property; the checks here repeat them
+    # the constructions do not check their own property; these checks do
     g = ac.gamma_left(alpha, alpha)
     assert ac.target_set(ac.compose(g, alpha)) == ac.target_set(alpha)
     g = ac.gamma_right(alpha, alpha)
@@ -475,8 +487,7 @@ def rand_hstar_element_by_randint(rng, alpha):
     """``rand_hstar_element`` as it drew before, kept as its oracle."""
     perm = sorted(ac.target_set(alpha))
     rng.shuffle(perm)
-    return ac.hstar_element(alpha, perm, [rng.randint(0, 4) for _ in perm],
-                            ac.hstar_class(alpha))
+    return ac.with_kernel(alpha, [rng.randint(0, 4) for _ in perm], perm)
 
 
 @given(st.integers(), st.integers(1, 4))
@@ -486,6 +497,6 @@ def test_act_samplers_read_the_randint_stream(seed, n):
         assert ac.rand_act_endo(rng, n) == rand_act_endo_by_randint(oracle, n)
         sq = ac.rand_square_cancellable(rng, n)
         assert sq == rand_square_cancellable_by_randint(oracle, n)
-        assert (ac.rand_hstar_element(rng, sq, ac.hstar_class(sq))
+        assert (ac.rand_hstar_element(rng, sq)
                 == rand_hstar_element_by_randint(oracle, sq))
     assert rng.random() == oracle.random()

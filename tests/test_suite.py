@@ -75,6 +75,42 @@ def test_suite_dispatch_by_backend(capsys):
         assert report["checks"] == [vars(c) for c in runner(2, 0, 10)]
 
 
+def test_a_faulty_construction_ends_as_a_failed_check(monkeypatch, capsys):
+    real = su.gamma_left
+
+    def missing_a_target(alpha, beta):
+        gamma = real(alpha, beta)
+        return gamma._replace(targets=(gamma.targets[0],) * gamma.n)
+
+    monkeypatch.setattr(su, "gamma_left", missing_a_target)
+    assert cli.run(["suite", "--backend", "act", "--n", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    outcomes = {c["name"]: c["outcome"] for c in report["checks"]}
+    assert outcomes == {name: "fail" if name == "eii_l_gamma_left" else "pass"
+                        for name in ACT_CHECKS}
+    eii_l = next(c for c in report["checks"] if c["name"] == "eii_l_gamma_left")
+    assert eii_l["details"]["failed"] > 0
+    assert set(eii_l["details"]["failures"][0]) == {"alpha", "beta"}
+
+
+def test_a_fault_in_the_act_constructions_fails_checks(monkeypatch, capsys):
+    def flat_classes(alpha, bases, targets):
+        # forgets each member's offset within its merge class
+        shifts, image = [0] * alpha.n, [0] * alpha.n
+        for members, base, target in zip(ac.merge_classes(alpha), bases, targets):
+            for i in members:
+                shifts[i], image[i] = base, target
+        return ac.ActEndo("B", tuple(shifts), tuple(image))
+
+    # read by rstar_idempotent, rand_hstar_element and left_ore_solve
+    monkeypatch.setattr(ac, "with_kernel", flat_classes)
+    assert cli.run(["suite", "--backend", "act", "--n", "3"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("eiii_r_idempotent", "gii_hstar_left_ore"):
+        assert checks[name]["outcome"] == "fail"
+        assert checks[name]["details"]["failures"]
+
+
 def test_window_kernel_leq_matches_pair_scan():
     import random
 
@@ -206,6 +242,8 @@ def test_suite_samplers_read_the_randint_stream(seed, n):
         assert su._rand_lstar_below(rng, beta) == rand_lstar_below_by_randint(oracle, beta)
         above = su._rand_kernel_above(rng, beta)
         assert above == rand_kernel_above_by_randint(oracle, beta)
-        assert (su._kernel_preserving_twin(rng, above)
-                == kernel_preserving_twin_by_randint(oracle, above))
+        assert ac.kernel_leq(above, beta)
+        twin = su._kernel_preserving_twin(rng, above)
+        assert twin == kernel_preserving_twin_by_randint(oracle, above)
+        assert ac.kernel_key(twin) == ac.kernel_key(above)
     assert rng.random() == oracle.random()
