@@ -141,10 +141,6 @@ class FiniteAlgebra:
     def ops(self) -> tuple[Op, ...]:
         return self.build_ops()
 
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
     def __repr__(self) -> str:  # params live in the op names
         return (f"FiniteAlgebra({self.kind}, size={self.size}, "
                 f"gen_ops={len(self.gen_ops)})")
@@ -662,6 +658,7 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
 class WitnessSet(NamedTuple):
     name: str
     ops: tuple[Op, ...]
+    expected: str = "pass"  # the outcome a correct check reports
 
 
 class WitnessReport(NamedTuple):
@@ -677,23 +674,25 @@ class WitnessReport(NamedTuple):
 
 def witness_set(alg: FiniteAlgebra, variant: str) -> WitnessSet:
     """The canonical generating set proposed for each instance kind: the
-    "standard" variant, or "plus" for a linear one."""
+    "standard" variant, or "plus" for a linear one.  Every standard set is
+    expected to pass; plus+unary fails exactly when A0 != {0}, since
+    t = l x + a distributes over x + y iff a = 0."""
     if variant != "standard" and not (variant == "plus" and alg.kind == "linear"):
         raise InvalidParams(f"no witness variant {variant!r} for kind {alg.kind}")
     if alg.kind == "linear":
         by_name = {op.name: op for op in alg.ops}
         unary = [op for op in alg.ops if op.arity == 1]
         if variant == "plus":
-            return WitnessSet("plus+unary", tuple([by_name["f(1,1)+0"]] + unary))
+            shifted = any(op.is_constant() and op.table[0] for op in alg.gen_ops)
+            return WitnessSet("plus+unary", tuple([by_name["f(1,1)+0"]] + unary),
+                              "finding" if shifted else "pass")
         q = next(p for p in FIELD_ORDERS if alg.size in (p, p * p))
         g = by_name[f"f(1,{q-1},1)+0"]  # x-y+z
         return WitnessSet("maltsev+unary", tuple([g] + unary))
-    if alg.kind == "exceptional":
-        return WitnessSet("i,q", alg.ops)
-    if alg.kind in ("rank0", "group_action"):
-        return WitnessSet("unary-ops", tuple(op for op in alg.ops if op.arity == 1))
-    # affine, q_homog_field, semilattice: every basic op (arity <= 3)
-    return WitnessSet("all-basic-ops", alg.ops)
+    # every op of rank0 and group_action is unary; affine, q_homog_field
+    # and semilattice take every basic op (arity <= 3)
+    names = {"exceptional": "i,q", "rank0": "unary-ops", "group_action": "unary-ops"}
+    return WitnessSet(names.get(alg.kind, "all-basic-ops"), alg.ops)
 
 
 def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:

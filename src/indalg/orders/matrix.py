@@ -161,26 +161,24 @@ def decompose(alpha, mode: str) -> tuple[IntMat, IntMat]:
 
 
 def straight_left_decompose(alpha) -> tuple[IntMat, IntMat]:
-    """alpha = a# . b with a, b integer and col(a) = col(alpha^T)-adapted
-    projector:  E projects onto the row space of alpha along a standard
-    complement, so E @ alpha = alpha; scaling E and alpha by a common
-    denominator-clearing factor gives an integer pair with a# b = alpha.
+    """alpha = a# . b with a = m E and b = m alpha for E a projector with
+    range col(alpha), so E @ alpha = alpha, and m the least factor that
+    makes both integer.
 
-    E = p diag(1, .., 1, 0, .., 0) p^-1, where p's columns are the r
-    nonzero rows of the RREF of alpha^T followed by the unit vectors of its
-    non-pivot columns; all of them are taken over the RREF rows' common
-    denominator, which cancels in E.
+    E is read off R = RREF(alpha^T): column p_t of E is row t of R, for
+    p_t its t-th pivot, and every other column is zero.  E fixes each row
+    of R, which span col(alpha), and kills the unit vectors of R's
+    non-pivot columns.  a and alpha share a column space, so the pair is
+    L-related; it is not in general R-related (ker a = ker b), so it is
+    straight in the row-vector convention only.
     """
     al, da = split(alpha)
     n = len(al)
     rr, pivots = rref(transpose(al))
-    r = len(pivots)
-    rows, d = split(rr[:r])
-    units = (tuple(d * (i == j) for i in range(n)) for j in range(n) if j not in pivots)
-    p = transpose((*rows, *units))
-    pinv, dp = solve_int(p, identity(n))
-    p_diag = tuple(tuple(x if j < r else 0 for j, x in enumerate(row)) for row in p)
-    e, de = lowest(matmul_int(p_diag, pinv), dp)
+    rows, d = split(rr[:len(pivots)])
+    cols = dict(zip(pivots, rows))
+    zero = (0,) * n
+    e, de = lowest(transpose([cols.get(j, zero) for j in range(n)]), d)
     m = lcm(de, da)
     return scale_int(m // de, e), scale_int(m // da, al)
 
@@ -252,17 +250,12 @@ def embed(v) -> QuotElem:
 
 
 def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
-    """Fraction equality through an explicit pair of multipliers:
-    (t1, v1) ~ (t2, v2) iff x t1 = y t2 and x v1 = y v2 for the witnesses
-    x = t2/g, y = t1/g with g = gcd(t1, t2).  Vectors of different
-    lengths are not comparable."""
+    """Equality of canonical forms: ``quot`` reduces each fraction to its
+    unique pair with t > 0 and gcd(t, content(v)) = 1.  Vectors of
+    different lengths are not comparable."""
     if len(p.v) != len(q.v):
         raise ValueError(f"vector lengths differ: {len(p.v)} and {len(q.v)}")
-    g = gcd(p.t, q.t)
-    x, y = q.t // g, p.t // g
-    if x * p.t != y * q.t:
-        return False
-    return all(x * a == y * b for a, b in zip(p.v, q.v))
+    return p == q
 
 
 # --- seeded sampling --------------------------------------------------------

@@ -224,7 +224,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         g = gamma_left(below, beta)
         eii_l.record(
             target_set(compose(g, beta)) == target_set(below),
-            _witness(alpha=below, beta=beta),
+            _witness(alpha=below, beta=beta, gamma=g),
         )
 
         # (Eii)(r): alpha' = beta-then-theta is kernel-comparable; verify
@@ -234,7 +234,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
         g = gamma_right(above, beta)
         eii_r.record(
             kernel_key(compose(beta, g)) == kernel_key(above),
-            _witness(alpha=above, beta=beta),
+            _witness(alpha=above, beta=beta, gamma=g),
         )
 
         # (Eiii): idempotents in the same starred classes
@@ -293,7 +293,7 @@ def run_act_suite(n: int, seed: int, samples: int) -> list[Check]:
             compose(u, a_el) == compose(v, b_el)
             and hstar_class(u) == sq_class
             and hstar_class(v) == sq_class,
-            _witness(alpha=sq, a=a_el, b=b_el),
+            _witness(alpha=sq, a=a_el, b=b_el, u=u, v=v),
         )
 
     if "nonvacuous" not in evii_r.details:  # the hypothesis never held

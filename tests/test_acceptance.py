@@ -142,9 +142,9 @@ def test_05_finite_algebra_witnesses():
     q_op = next(op for op in exc.ops if op.name == "q")
     checked = 0
     for table in clone.t_ops:
-        for x in exc.elements:
+        for x in range(exc.size):
             assert table[i_op(x)] == i_op(table[x])
-        for xs in itertools.product(exc.elements, repeat=3):
+        for xs in itertools.product(range(exc.size), repeat=3):
             assert table[q_op(*xs)] == q_op(*(table[x] for x in xs))
             checked += 1
     assert checked == 2 * 4**3

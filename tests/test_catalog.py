@@ -54,7 +54,7 @@ def test_op_indexing_row_major():
     (join,) = semi.ops
     assert join.arity == 2
     # commutative, idempotent, associative over the whole carrier
-    for a, b, c in itertools.product(semi.elements, repeat=3):
+    for a, b, c in itertools.product(range(semi.size), repeat=3):
         assert join(a, b) == join(b, a)
         assert join(a, a) == a
         assert join(join(a, b), c) == join(a, join(b, c))
@@ -86,7 +86,7 @@ def test_algebra_refuses_assignment_and_builds_its_ops_once():
         del alg.kind
     assert calls == []
     assert alg.ops is alg.ops is ops and calls == [1]
-    assert (alg.kind, alg.size, alg.gen_ops, alg.elements) == ("k", 2, ops, range(2))
+    assert (alg.kind, alg.size, alg.gen_ops) == ("k", 2, ops)
 
 
 def test_closure_semilattice():
@@ -163,9 +163,9 @@ def test_endomorphisms_exceptional():
     i_op = next(op for op in exc.ops if op.name == "i")
     q_op = next(op for op in exc.ops if op.name == "q")
     for e in endos:
-        for x in exc.elements:
+        for x in range(exc.size):
             assert e[i_op(x)] == i_op(e[x])
-        for xs in itertools.product(exc.elements, repeat=3):
+        for xs in itertools.product(range(exc.size), repeat=3):
             assert e[q_op(*xs)] == q_op(*(e[x] for x in xs))
 
 
@@ -197,7 +197,7 @@ def test_unary_clone_exceptional():
     assert len(clone.constants) == 0
     tables = set(clone.t_ops)
     i_op = next(op for op in exc.ops if op.name == "i")
-    assert bytes(i_op(x) for x in exc.elements) in tables
+    assert bytes(i_op(x) for x in range(exc.size)) in tables
     assert bytes(range(4)) in tables  # i o i = identity
     assert len(tables) == 2
 
@@ -220,6 +220,22 @@ def test_witness_set_variants():
                          (cat.make_instance("exceptional"), "bogus")]:
         with pytest.raises(InvalidParams, match="no witness variant"):
             cat.witness_set(alg, variant)
+
+
+@pytest.mark.parametrize("params", [
+    {"q": 3, "dim": 1, "a0": []}, {"q": 3, "dim": 1, "a0": [[0]]},
+    {"q": 3, "dim": 1, "a0": [[1]]}, {"q": 2, "dim": 2, "a0": []},
+    {"q": 2, "dim": 2, "a0": [[0, 1]]}, {"q": 5, "dim": 1, "a0": [[0]]},
+])
+def test_witness_set_expects_what_the_check_finds(params):
+    # plus+unary fails exactly when some constant a in A0 is nonzero
+    lin = cat.make_instance("linear", **params)
+    shifted = any(any(v) for v in params["a0"])
+    for variant, expected in (("standard", "pass"),
+                              ("plus", "finding" if shifted else "pass")):
+        wit = cat.witness_set(lin, variant)
+        assert wit.expected == expected
+        assert ("pass" if cat.check_witness(lin, wit).ok else "finding") == expected
 
 
 def test_witness_reports_pass_on_defaults():
@@ -485,7 +501,7 @@ def fixpoint_closure(alg, xs):
 @settings(max_examples=200, deadline=None)
 @given(random_algebras(max_size=9, max_arity=3), st.integers(0, 2**9 - 1))
 def test_closure_matches_fixpoint_on_generated_algebras(alg, mask):
-    xs = [x for x in alg.elements if mask >> x & 1]
+    xs = [x for x in range(alg.size) if mask >> x & 1]
     assert cat.closure(alg, xs) == fixpoint_closure(alg, xs)
 
 
@@ -496,7 +512,7 @@ def test_closure_matches_fixpoint_on_generated_algebras(alg, mask):
 def test_closure_matches_fixpoint_on_every_subset(kind, params):
     alg = cat.make_instance(kind, **params)
     for mask in range(2**alg.size):
-        xs = [x for x in alg.elements if mask >> x & 1]
+        xs = [x for x in range(alg.size) if mask >> x & 1]
         assert cat.closure(alg, xs) == fixpoint_closure(alg, xs), xs
 
 

@@ -281,6 +281,17 @@ def test_catalog_witness_plus_variant(capsys):
     } in check["details"]["violations"]
 
 
+# t = l x + a distributes over x + y when a = 0, so with A0 = {0} the plus
+# witness passes and the report expects it to
+@pytest.mark.parametrize("a0", [[], [[0]]])
+def test_catalog_witness_plus_variant_without_shifts_passes(capsys, a0):
+    params = json.dumps({"q": 3, "dim": 1, "a0": a0})
+    code, rep, _ = run_json(capsys, "catalog", "--kind", "linear", "--params", params,
+                            "--check", "witness", "--variant", "plus")
+    assert code == 0
+    (check,) = rep["checks"]
+    assert check["expected"] == check["outcome"] == "pass"
+
 
 def test_catalog_too_large_is_usage_error(capsys):
     code, out, err = run(

@@ -10,7 +10,8 @@ from indalg.orders import matrix as mx
 from indalg.orders import suite as su
 from indalg.orders.matrix import NoGroupInverse
 
-from linalg_oracles import col_space_leq, inverse, lattice_leq, mat_q
+from linalg_oracles import (col_space_leq, inverse, lattice_leq, mat_q,
+                            straight_by_conjugation)
 
 
 def q(rows):
@@ -344,6 +345,34 @@ def test_decompositions_random_round_trip():
         _check_decomposition(alpha, dec, "straight")
         certs = mx.straight_certificates(alpha, dec)
         assert all(certs.values()), (alpha, certs)
+
+
+@st.composite
+def ranked_alphas(draw):
+    """Square matrices of size 1-5, all rational or all integer, as a
+    product of n x r and r x n factors for r in 0..n: rank at most r."""
+    entries = draw(rational_or_integer)
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    if r == 0:
+        return mat_q(la.zeros(n, n))
+    left = [draw(st.lists(entries, min_size=r, max_size=r)) for _ in range(n)]
+    right = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(r)]
+    return la.matmul(mat_q(left), mat_q(right))
+
+
+@settings(max_examples=300)
+@given(ranked_alphas())
+@example(q(la.zeros(2, 2)))
+@example(q([[2, 4, -2], [1, 2, -1], [0, 0, 0]]))
+@example(q([[1, 1], [0, 0]]))
+def test_straight_projector_read_off_one_echelon_matches_conjugation(alpha):
+    a, b = mx.straight_left_decompose(alpha)
+    assert (a, b) == straight_by_conjugation(alpha)
+    e = la.matmul(mx.group_inverse(a), a)  # a = m E, so a# a = E
+    assert la.matmul(e, e) == e
+    assert la.matmul(e, alpha) == alpha
+    assert la.rank(e) == la.rank(alpha)
 
 
 def test_straight_decompose_scaling_structure():

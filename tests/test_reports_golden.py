@@ -207,6 +207,26 @@ def test_rational_report_digest(case, capsys, monkeypatch):
     test_report_digest((argv, 0, digest, payload), capsys, monkeypatch)
 
 
+# Straight decompositions at the ends of the rank range: the zero matrix,
+# whose projector is zero, and a rank-one integer alpha whose projector
+# has a denominator, so the pair is scaled by it.
+STRAIGHT = [
+    ("decompose straight zero",
+     "26e1b80e61f2ddb5f43386d0590cf2e8e4d14c5d2dcaa949e503a1f16555afda",
+     '{"alpha": [[0, 0], [0, 0]]}'),
+    ("decompose straight integer rank one",
+     "1b719fecae90d1ba80ed544b7c0db994b3bb0b53df36ae01e742f1760d927746",
+     '{"alpha": [[2, 4, -2], [1, 2, -1], [0, 0, 0]]}'),
+]
+
+
+@pytest.mark.parametrize("case", STRAIGHT, ids=[c[0] for c in STRAIGHT])
+def test_straight_report_digest(case, capsys, monkeypatch):
+    _, digest, payload = case
+    test_report_digest(("decompose --mode straight --input -", 0, digest, payload),
+                       capsys, monkeypatch)
+
+
 # Act payloads beyond the demos: a decomposition that must translate
 # negative shifts, an incomparable pair for R and one for L, quotients equal
 # and unequal, and an embedding.

@@ -90,7 +90,7 @@ def test_a_faulty_construction_ends_as_a_failed_check(monkeypatch, capsys):
                         for name in ACT_CHECKS}
     eii_l = next(c for c in report["checks"] if c["name"] == "eii_l_gamma_left")
     assert eii_l["details"]["failed"] > 0
-    assert set(eii_l["details"]["failures"][0]) == {"alpha", "beta"}
+    assert set(eii_l["details"]["failures"][0]) == {"alpha", "beta", "gamma"}
 
 
 def test_a_fault_in_the_act_constructions_fails_checks(monkeypatch, capsys):
@@ -109,6 +109,8 @@ def test_a_fault_in_the_act_constructions_fails_checks(monkeypatch, capsys):
     for name in ("eiii_r_idempotent", "gii_hstar_left_ore"):
         assert checks[name]["outcome"] == "fail"
         assert checks[name]["details"]["failures"]
+    gii = checks["gii_hstar_left_ore"]["details"]["failures"][0]
+    assert set(gii) == {"alpha", "a", "b", "u", "v"}
 
 
 def test_window_kernel_leq_matches_pair_scan():
