@@ -118,22 +118,25 @@ def _exact(x):
 
 def _parse_qmats(matrices) -> list:
     """Square rational matrices of one size, one from each item of
-    matrices: rows of integers and exact strings like '1/2'.  The items are
-    read in turn, so an error in one is met before the next is looked up."""
+    matrices: rows of integers and exact strings like '1/2'.  Each is read
+    with ``Fraction`` and split once into the matrix backend's form,
+    integer rows over one positive denominator.  The items are read in
+    turn, so an error in one is met before the next is looked up."""
     from fractions import Fraction  # once a payload, never once an entry
 
+    split = _backend("indalg.orders.linalg").split
     out = []
     for rows in matrices:
         if not (isinstance(rows, list) and rows
                 and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
             raise UsageError("a matrix must be a non-empty square list of rows")
-        if out and len(rows) != len(out[0]):
-            raise UsageError(f"matrix sizes differ: {len(out[0])} and {len(rows)}")
+        if out and len(rows) != len(out[0][0]):
+            raise UsageError(f"matrix sizes differ: {len(out[0][0])} and {len(rows)}")
         if any(type(x) not in (int, str) for row in rows for x in row):
             raise UsageError("matrix entries must be integers or exact strings "
                              "like '1/2'")
         with _reading("bad matrix entry"):
-            out.append(tuple(tuple(map(Fraction, map(_exact, row))) for row in rows))
+            out.append(split([list(map(Fraction, map(_exact, row))) for row in rows]))
     return out
 
 
@@ -557,19 +560,25 @@ def parse(argv) -> SimpleNamespace:
     ``--flag value`` or ``--flag=value`` (the last of a repeated flag wins).
     Raises Help for -h or --help, UsageError for a refused argv: an unknown
     option or an argument too many only after the rest, where a later -h is
-    still read; '--' with all that follows it."""
+    still read; '--' with all that follows it.  An argument right after an
+    unknown option that is not a choice of the positional is that option's
+    value, so ``quotient --seed 0 embed`` names ``--seed 0``, not ``0``."""
     table = build_parser()
     options, values, positional = _TOP, {}, ("command", str, table, "command")
-    strays, tokens = [], iter(argv)
+    strays, tokens, stray_option = [], iter(argv), False
     for token in tokens:
+        after_stray, stray_option = stray_option, False
         flag, text = options.get(token), None
         if flag is None:
             flag, text = _option(options, token) or (positional, token)
             if flag is None:  # an unknown option or an argument too many
                 strays += [token, *tokens] if token == "--" else [token]
+                stray_option = token[:1] == "-" and "=" not in token
                 continue
             if flag is positional:
                 positional = None
+                if after_stray and token not in flag[2]:
+                    raise UsageError(f"unrecognized arguments: {' '.join(strays)} {token}")
         if flag is _HELP:
             if text is not None:
                 raise UsageError(f"{token}: -h/--help takes no value")

@@ -5,11 +5,19 @@ halves that never call each other, so the unstarred Green's routes stay
 independent of the starred ones they are cross-checked against.
 
 The rational half holds a rational matrix as integer rows over one
-positive denominator, ``(rows, d)``, from ``split`` in lowest terms;
-``join`` builds Fractions only where a public routine returns a matrix.
-Its kernel ``bareiss`` returns an RREF's integer rows, denominator and
-pivot columns: ``rank`` and ``solvable`` read only the pivots,
-``nullspace`` and ``solve_int`` read integer vectors off the rows.
+positive denominator, ``(rows, d)``: the paper's own form d^-1 B of an
+element of End(Q^n), with B in End(Z^n).  Scaling a row by a positive
+factor changes neither a kernel nor solvability, so ``rank``,
+``nullspace``, ``solvable`` and ``solve_int`` take integer rows alone, and
+a rational caller passes its rows without the denominator.  Their kernel
+``bareiss`` returns an RREF's integer rows, denominator and pivot columns:
+``rank`` and ``solvable`` read only the pivots, ``nullspace`` and
+``solve_int`` read integer vectors off the rows.  ``Fraction`` enters
+through ``split``, which takes Fraction (or int) entries to ``(rows, d)``
+in lowest terms, and leaves through ``join``, both at the edges only: the
+CLI splits each matrix it reads once, and the Fraction-valued routines
+(``rref``, ``matmul``, ``solve_right``, ``solve_left`` and
+``matrix.group_inverse``) split what they take and join what they return.
 
 The integer half never touches ``Fraction``.  Its unimodular kernel
 ``_echelon`` makes one pass per pivot row, clearing the column below it
@@ -31,14 +39,6 @@ from operator import attrgetter, mul
 
 Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[int, ...], ...]
-
-
-def mat_z(rows) -> IntMat:
-    """Integer entries (ints or Fractions) as ints; ValueError otherwise."""
-    for x in chain.from_iterable(rows):
-        if x.denominator != 1:
-            raise ValueError(f"non-integer entry {x}")
-    return tuple(tuple(x.numerator for x in row) for row in rows)
 
 
 def shape(a) -> tuple[int, int]:
@@ -135,14 +135,15 @@ def rref(a) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(a) -> int:
-    return len(bareiss(split(a)[0])[2])
+    """The rank of the integer rows a."""
+    return len(bareiss(a)[2])
 
 
 def nullspace(a) -> IntMat:
-    """Integer basis of the right kernel {v : a v = 0}: for each free
-    column f of a's RREF rows / d, d at f and -row[f] at each row's pivot
-    (the RREF kernel vector scaled by d > 0)."""
-    rows, d, pivots = bareiss(split(a)[0])
+    """Integer basis of the right kernel {v : a v = 0} of integer rows a:
+    for each free column f of a's RREF rows / d, d at f and -row[f] at each
+    row's pivot (the RREF kernel vector scaled by d > 0)."""
+    rows, d, pivots = bareiss(a)
     ncols = shape(a)[1]
     basis = []
     for free in range(ncols):
@@ -161,16 +162,18 @@ def matmul(a, b) -> Mat:
 
 
 def solvable(a, b) -> bool:
-    """True iff a @ X = b is solvable: no pivot of [a | b] is in b."""
-    pivots = bareiss(split(hstack(a, b))[0])[2]
+    """True iff a @ X = b is solvable, for integer rows a and b: no pivot
+    of [a | b] is in b."""
+    pivots = bareiss(hstack(a, b))[2]
     return not pivots or pivots[-1] < shape(a)[1]
 
 
 def solve_int(a, b) -> tuple[IntMat, int] | None:
-    """(X, d) with a @ (X / d) = b, X integer and d > 0, or None.  Free
-    variables are set to zero, so X / d is read off the RREF of [a | b]."""
+    """(X, d) with a @ (X / d) = b for integer rows a and b, X integer and
+    d > 0, or None.  Free variables are set to zero, so X / d is read off
+    the RREF of [a | b]."""
     m, k = shape(a)[1], shape(b)[1]
-    rows, d, pivots = bareiss(split(hstack(a, b))[0])
+    rows, d, pivots = bareiss(hstack(a, b))
     if pivots and pivots[-1] >= m:
         return None
     x = [(0,) * k] * m
@@ -179,20 +182,24 @@ def solve_int(a, b) -> tuple[IntMat, int] | None:
     return tuple(x), d
 
 
+def _solve_q(a, b) -> tuple[IntMat, int] | None:
+    """``solve_int`` for rational a and b.  With a = x / da and b = y / db,
+    x @ (X / d) = y gives a @ (da X / (d db)) = b."""
+    (x, da), (y, db) = split(a), split(b)
+    sol = solve_int(x, y)
+    return None if sol is None else (scale_int(da, sol[0]), sol[1] * db)
+
+
 def solve_right(a, b) -> Mat | None:
     """X with a @ X = b, or None.  Free variables are set to zero."""
-    sol = solve_int(a, b)
+    sol = _solve_q(a, b)
     return None if sol is None else join(*sol)
 
 
 def solve_left(a, b) -> Mat | None:
     """X with X @ a = b, or None."""
-    sol = solve_int(transpose(a), transpose(b))
+    sol = _solve_q(transpose(a), transpose(b))
     return None if sol is None else transpose(join(*sol))
-
-
-def is_integer_matrix(a) -> bool:
-    return all(x.denominator == 1 for row in a for x in row)
 
 
 # --- integer lattice routines --------------------------------------------

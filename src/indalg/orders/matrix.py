@@ -21,6 +21,17 @@ and column spaces:
 
 Composition convention: "apply a, then b" is the matrix product b @ a.
 
+A matrix crosses this surface as ``(rows, d)``: integer rows over one
+positive denominator, in lowest terms, as ``linalg.split`` gives them
+(End(Z^n) is a left order in End(Q^n), so every rational matrix is d^-1 B
+with B integer).  The CLI splits each payload matrix once; ``greens_leq``,
+``decompose`` (whose parts have d = 1), ``verify_decomposition``,
+``straight_certificates``, ``show`` and the samplers take or return that
+form, and ``show`` writes each entry as ``str(Fraction)`` would.  A
+``Fraction`` is built only by ``divides_left`` and ``group_inverse``, which
+take and return Fraction matrices, and by the one ``rref`` of
+``straight_left_decompose``.
+
 The names it shares with its sibling ``acts`` (neither imports the other),
 which the CLI calls on either backend: ``MODES``, ``decompose`` (an
 ``(a, b)`` pair), ``verify_decomposition``, ``greens_leq``, ``quot``,
@@ -32,23 +43,20 @@ draw through the package's ``randints``.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
 from . import randints
-from ..report import fmt_mat
 from .linalg import (
     IntMat,
     Mat,
     bareiss,
     identity,
-    is_integer_matrix,
     join,
     left_kernel_gens,
     lowest,
-    mat_z,
     matmul_int,
     nullspace,
     rank,
@@ -70,22 +78,36 @@ class NoGroupInverse(ValueError):
 def greens_leq(side: str, a, b) -> bool:
     """Green's order comparisons for matrix endomorphisms.
 
-    R and L compare rational matrices through one rational kernel each,
-    Rstar and Lstar integer matrices through one integer kernel each; in
-    both pairs the left order is the transpose dual of the right one:
-    L(a, b) is R(a^T, b^T).
+    a and b are ``(rows, d)``.  R and L compare rational matrices through
+    one rational kernel each, which the denominators do not change, so they
+    read the rows alone; Rstar and Lstar compare integer matrices through
+    one integer kernel each, and refuse a non-integer one.  In both pairs
+    the left order is the transpose dual of the right one: L(a, b) is
+    R(a^T, b^T).
     """
     if side == "R":
-        return _annihilates(split(a)[0], nullspace(b))
+        return _annihilates(a[0], nullspace(b[0]))
     if side == "L":
-        return _annihilates(split(transpose(a))[0], nullspace(transpose(b)))
+        return _annihilates(transpose(a[0]), nullspace(transpose(b[0])))
     if side == "Rstar":
-        a, b = mat_z(a), mat_z(b)
+        a, b = _integer(a), _integer(b)
         return _annihilates(a, left_kernel_gens(transpose(b)))
     if side == "Lstar":
-        a, b = mat_z(a), mat_z(b)
+        a, b = _integer(a), _integer(b)
         return _annihilates(transpose(a), left_kernel_gens(b))
     raise ValueError(f"unknown side {side!r}")
+
+
+def _integer(m) -> IntMat:
+    """The integer matrix m = (rows, d) as rows; ValueError naming its
+    first non-integer entry when it has one."""
+    rows, d = m
+    if d == 1:
+        return rows
+    for x in chain.from_iterable(rows):
+        if x % d:
+            raise ValueError(f"non-integer entry {_entry(x, d)}")
+    return tuple(tuple(x // d for x in row) for row in rows)
 
 
 def _annihilates(rows, vectors) -> bool:
@@ -145,18 +167,20 @@ def group_inverse(s) -> Mat:
 MODES = ("left", "right", "straight")
 
 
-def decompose(alpha, mode: str) -> tuple[IntMat, IntMat]:
+def decompose(alpha, mode: str) -> tuple[tuple[IntMat, int], tuple[IntMat, int]]:
     """alpha = a# . b ('left', 'straight') or a . b# ('right') with integer
-    parts.  For d the lcm of alpha's denominators, 'left' takes a = d I and
-    b = d alpha ((d I)# = (1/d) I), and 'right' a = d alpha and b = d I."""
+    parts, each as ``(rows, 1)``.  For alpha = rows / d, 'left' takes
+    a = d I and b = rows ((d I)# = (1/d) I), and 'right' a = rows and
+    b = d I."""
     if mode == "straight":
-        return straight_left_decompose(alpha)
-    rows, d = split(alpha)
+        a, b = straight_left_decompose(alpha)
+        return (a, 1), (b, 1)
+    rows, d = alpha
     scalar = scale_int(d, identity(len(rows)))
     if mode == "left":
-        return scalar, rows
+        return (scalar, 1), (rows, 1)
     if mode == "right":
-        return rows, scalar
+        return (rows, 1), (scalar, 1)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -172,7 +196,7 @@ def straight_left_decompose(alpha) -> tuple[IntMat, IntMat]:
     L-related; it is not in general R-related (ker a = ker b), so it is
     straight in the row-vector convention only.
     """
-    al, da = split(alpha)
+    al, da = alpha
     n = len(al)
     rr, pivots = rref(transpose(al))
     rows, d = split(rr[:len(pivots)])
@@ -190,16 +214,15 @@ def _times_q(x: tuple[IntMat, int], y: tuple[IntMat, int]) -> tuple[IntMat, int]
 
 
 def verify_decomposition(alpha, dec, mode: str) -> bool:
-    """Recompose dec = (a, b) exactly: as a# @ b for 'left' and
-    'straight', as a @ b# for 'right'."""
-    a, b = dec
-    if not is_integer_matrix(a) or not is_integer_matrix(b):
+    """Recompose dec = (a, b), two integer matrices, exactly: as a# @ b
+    for 'left' and 'straight', as a @ b# for 'right'."""
+    a, b = (lowest(*part) for part in dec)
+    if a[1] != 1 or b[1] != 1:
         return False
-    a, b = split(a), split(b)
     if mode in ("left", "straight"):
-        return _times_q(_group_inverse(*a), b) == split(alpha)
+        return _times_q(_group_inverse(*a), b) == lowest(*alpha)
     if mode == "right":
-        return _times_q(a, _group_inverse(*b)) == split(alpha)
+        return _times_q(a, _group_inverse(*b)) == lowest(*alpha)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -208,16 +231,26 @@ def straight_certificates(alpha, dec) -> dict:
     a# (a b-ish) relations reduce to E acting as the identity on col(alpha),
     checked directly, plus rank agreement between a and alpha."""
     a, b = dec
-    alpha, a_q = split(alpha), split(a)
-    ga = _group_inverse(*a_q)
+    alpha = lowest(*alpha)
+    ga = _group_inverse(*a)
     return {
-        "projector_fixes_alpha": _times_q(ga, _times_q(a_q, alpha)) == alpha,
-        "rank_match": rank(a) == rank(alpha[0]),
-        "recompose": _times_q(ga, split(b)) == alpha,
+        "projector_fixes_alpha": _times_q(ga, _times_q(a, alpha)) == alpha,
+        "rank_match": rank(a[0]) == rank(alpha[0]),
+        "recompose": _times_q(ga, b) == alpha,
     }
 
 
-show = fmt_mat  # an endomorphism as report JSON: rows of exact strings
+def _entry(x: int, d: int) -> str:
+    """x / d, for d > 0, as ``str(Fraction(x, d))`` writes it: p/q in
+    lowest terms, or p alone when q is 1."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def show(m) -> list[list[str]]:
+    """An endomorphism (rows, d) as report JSON: rows of exact strings."""
+    rows, d = m
+    return [[_entry(x, d) for x in row] for row in rows]
 
 
 # --- quotient elements ------------------------------------------------------
@@ -264,21 +297,24 @@ def quotient_eq(p: QuotElem, q: QuotElem) -> bool:
 _NONZERO = [d for d in range(-9, 10) if d != 0]
 
 
-def rand_rational_matrix(rng: random.Random, n: int) -> Mat:
+def rand_rational_matrix(rng: random.Random, n: int) -> tuple[IntMat, int]:
     """Entries p / q row by row, p drawn from -9..9 and then q from the
-    nonzero ones."""
+    nonzero ones, as (rows, d) in lowest terms: d is the lcm of the
+    reduced denominators |q| / gcd(p, q), and p d / q is exact."""
     draws = iter(randints(rng, [(-9, 9), (0, 17)] * (n * n)))
-    return _rows([Fraction(p, _NONZERO[q]) for p, q in zip(draws, draws)], n)
+    pairs = [(p, _NONZERO[q]) for p, q in zip(draws, draws)]
+    d = lcm(*[q // gcd(p, q) for p, q in pairs])
+    return _rows([p * d // q for p, q in pairs], n), d
 
 
-def rand_int_matrix(rng: random.Random, n: int) -> IntMat:
-    """Random integer matrix; with probability 0.4, a product of thin
-    factors so that rank-deficient cases are well represented."""
+def rand_int_matrix(rng: random.Random, n: int) -> tuple[IntMat, int]:
+    """Random integer matrix, as (rows, 1); with probability 0.4, a product
+    of thin factors so that rank-deficient cases are well represented."""
     if n > 1 and rng.random() < 0.4:
         k = rng.randint(1, n - 1)
         ab = randints(rng, [(-4, 4)] * (2 * n * k))  # n x k, then k x n
-        return matmul_int(_rows(ab[:n * k], k), _rows(ab[n * k:], n))
-    return _rows(randints(rng, [(-9, 9)] * (n * n)), n)
+        return matmul_int(_rows(ab[:n * k], k), _rows(ab[n * k:], n)), 1
+    return _rows(randints(rng, [(-9, 9)] * (n * n)), n), 1
 
 
 def _rows(entries: list, width: int) -> tuple[tuple, ...]:

@@ -3,8 +3,12 @@ two endomorphism backends.
 
 Every check compares an exact structural predicate against an independent
 route (an element-level definition, an explicit construction, or a
-recomposition), sample by sample.  Samples are independent and the merge
-is keyed by sample index, so reports are deterministic for a fixed seed.
+recomposition), sample by sample.  One ``random.Random(seed)`` stream feeds
+the samples in order, so a report is deterministic for a fixed seed.
+
+The matrix suite works on integer rows throughout: its samplers return
+``(rows, d)`` and it builds no ``Fraction``; ``matrix.show`` writes a
+witness only when its sample fails.
 
 A check verifies, a construction does not.  Each property is verified once,
 by the check that records it: the constructions of ``acts`` and the
@@ -19,8 +23,8 @@ import random
 from math import gcd
 
 from . import acts, matrix, randints
-from ..report import Check, fmt_mat
-from .linalg import join, matmul_int, scale_int, solvable, solve_int, split, transpose
+from ..report import Check
+from .linalg import matmul_int, scale_int, solvable, solve_int, transpose
 from .acts import (
     ActEndo,
     compose,
@@ -46,15 +50,15 @@ from .acts import (
 
 
 def matrix_route(side: str, a, b) -> bool:
-    """a <= b by a route independent of ``matrix.greens_leq(side, a, b)``:
-    the solvability of a = g @ b for R and of a = b @ g for L, one
-    elimination of a stacked matrix where ``greens_leq`` reads a kernel;
-    for Rstar and Lstar, the unstarred order, which reads the integer
-    matrices as rational ones."""
+    """a <= b, for a and b given as ``(rows, d)``, by a route independent
+    of ``matrix.greens_leq(side, a, b)``: the solvability of a = g @ b for
+    R and of a = b @ g for L, one elimination of a stacked matrix of rows
+    where ``greens_leq`` reads a kernel; for Rstar and Lstar, the unstarred
+    order, which reads the integer matrices as rational ones."""
     if side == "R":
-        return solvable(transpose(b), transpose(a))
+        return solvable(transpose(b[0]), transpose(a[0]))
     if side == "L":
-        return solvable(b, a)
+        return solvable(b[0], a[0])
     return matrix.greens_leq(side[0], a, b)
 
 
@@ -70,7 +74,8 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
         for check, side in ((fs_r, "Rstar"), (fs_l, "Lstar")):
             star = matrix.greens_leq(side, a, b)
             plain = matrix_route(side, a, b)
-            check.record(star == plain, lambda: {"a": fmt_mat(a), "b": fmt_mat(b),
+            check.record(star == plain, lambda: {"a": matrix.show(a),
+                                                 "b": matrix.show(b),
                                                  side: star, side[0]: plain})
 
         # informational: on a comparable pair alpha = Gamma b (rationally),
@@ -80,10 +85,11 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
         # overmonoid.  In integers: alpha = g_b / dg, gamma = x^T / den
         # solves b^T gamma^T = alpha^T, and gamma_int b = m alpha reads
         # dg (gamma_int b) = m g_b.
-        g, dg = split(matrix.rand_rational_matrix(rng, n))
-        g_b = matmul_int(g, b)
-        witness = lambda: {"alpha": fmt_mat(join(g_b, dg)), "b": fmt_mat(b)}
-        sol = solve_int(transpose(b), transpose(g_b))
+        g, dg = matrix.rand_rational_matrix(rng, n)
+        b_rows = b[0]
+        g_b = matmul_int(g, b_rows)
+        witness = lambda: {"alpha": matrix.show((g_b, dg)), "b": matrix.show(b)}
+        sol = solve_int(transpose(b_rows), transpose(g_b))
         if sol is None:
             eiir.record(False, witness)
             continue
@@ -93,7 +99,8 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
         m = den // gcd(den, *(y for row in x for y in row))
         gam_den = scale_int(m, transpose(x))  # den * (m gamma): den divides it
         gam_int = tuple(tuple(y // den for y in row) for row in gam_den)
-        eiir.record(scale_int(dg, matmul_int(gam_int, b)) == scale_int(m, g_b), witness)
+        eiir.record(scale_int(dg, matmul_int(gam_int, b_rows)) == scale_int(m, g_b),
+                    witness)
 
     return [fs_r, fs_l, eiir]
 

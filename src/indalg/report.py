@@ -74,11 +74,6 @@ class Check:
                 self.details["failures"].append(witness)
 
 
-def fmt_mat(m) -> list[list[str]]:
-    """A matrix as rows of exact strings."""
-    return [[str(x) for x in row] for row in m]
-
-
 def max_digits() -> int:
     """The most digits an integer may have to be printed in a report."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits

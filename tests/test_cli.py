@@ -507,6 +507,11 @@ USAGE_ERRORS = [
     (["decompose", "--samples", "5"], None, "unrecognized arguments: --samples 5"),
     (["greens", "--depth", "2"], None, "unrecognized arguments: --depth 2"),
     (["quotient", "eq", "--seed", "1"], None, "unrecognized arguments: --seed 1"),
+    # ... also before a positional, which the flag's value is not
+    (["quotient", "--seed", "0", "embed"], None, "unrecognized arguments: --seed 0"),
+    (["--seed", "0", "quotient", "embed"], None, "unrecognized arguments: --seed 0"),
+    (["quotient", "--bogus", "1", "eq"], None, "unrecognized arguments: --bogus 1"),
+    (["quotient", "--bogus", "eq"], None, "unrecognized arguments: --bogus"),
     (["ore-check", "--samples", "5"], None, "unrecognized arguments: --samples 5"),
     (["ore-check", "--n", "2"], None, "unrecognized arguments: --n 2"),
     (["suite", "--depth", "3"], None, "unrecognized arguments: --depth 3"),
@@ -567,6 +572,9 @@ USAGE_ERRORS = [
     (["greens", "--side", "Rstar", "--input", "-"],
      '{"a": [["1/2", 0], [0, 1]], "b": [[1, 0], [0, 1]]}',
      "greens payload: non-integer entry 1/2"),
+    (["greens", "--side", "Lstar", "--input", "-"],
+     '{"a": [[1, 0], [0, 1]], "b": [["4/2", "-6/8"], [0, "1/3"]]}',
+     "greens payload: non-integer entry -3/4"),
     (["decompose", "--mode", "straight", "--input", "-"],
      '{"alpha": [[1, 2, 3], [4, 5, 6]]}',
      "a matrix must be a non-empty square list of rows"),

@@ -113,6 +113,8 @@ def argparse_outcome(argv):
 @example(["-x", "suite", "-h"])  # an unknown option is refused after the rest
 @example(["suite", "rank0", "--he"])
 @example(["suite", "--n", "x", "-h"])  # a bad value is refused where it stands
+@example(["--backend", "0", "--help"])  # so is a stray option's value
+@example(["quotient", "--seed", "eq", "-h"])  # ... unless it is a choice
 def test_the_table_path_is_argparses_parse(argv):
     expected = argparse_outcome(argv)
     if "--" in argv and isinstance(expected, dict):

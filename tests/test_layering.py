@@ -6,7 +6,10 @@ package imports a private (underscore) name of another:
 an ``import`` that reaches into the package and binds an underscore name
 fails the test.  In ``orders/linalg.py`` neither the rational half nor the
 integer-lattice half uses a function of the other, so the two Green's
-routes the suites cross-check stay independent.  The backend modules of
+routes the suites cross-check stay independent.  ``orders/suite.py`` works
+on the matrix backend's integer rows alone: it imports neither ``Fraction``
+(nor ``fractions``) nor the conversions ``split``, ``join`` and ``mat_z``,
+and reads none of them off a module it imports.  The backend modules of
 ``orders`` (``matrix``, ``acts`` and ``monoids``) are siblings: none imports
 another, and what they share lives in the package itself.  The package
 holds no ``assert`` statement: ``python -O`` drops them, so a verdict that
@@ -175,6 +178,51 @@ def test_linalg_halves_do_not_use_each_other():
     source = LINALG.read_text()
     assert all(marker in source for marker in HALVES)
     assert cross_half_uses(source) == []
+
+
+CONVERSIONS = ("Fraction", "fractions", "split", "join", "mat_z")
+
+
+def forbidden_uses(source: str, names) -> list[str]:
+    """``line n: name`` for each of names that an import in source names,
+    as the module or as a name taken from it, under any alias, and
+    ``line n: module.name`` for each it reads as an attribute of a name
+    that it imports."""
+    tree = ast.parse(source)
+    bound, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            base = (node.module or "").split(".") if isinstance(node, ast.ImportFrom) else []
+            for alias in node.names:
+                out += [f"line {node.lineno}: {part}"
+                        for part in base + alias.name.split(".") if part in names]
+                bound.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id in bound):
+            out.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return out
+
+
+def test_checker_flags_fraction_and_conversions():
+    assert forbidden_uses("from fractions import Fraction\n"
+                          "from .linalg import split as s, solvable\n",
+                          CONVERSIONS) == [
+        "line 1: fractions", "line 1: Fraction", "line 2: split"]
+    assert forbidden_uses("import fractions\nfrom . import linalg\n"
+                          "x = linalg.join(r, d)\ny = fractions.Fraction(1)\n",
+                          CONVERSIONS) == [
+        "line 1: fractions", "line 3: linalg.join", "line 4: fractions.Fraction"]
+    assert forbidden_uses("from indalg.orders.linalg import mat_z as z\n",
+                          CONVERSIONS) == ["line 1: mat_z"]
+    assert forbidden_uses("from .linalg import solvable\nfrom . import matrix\n"
+                          "words = ', '.join(s.split())\nmatrix.show(m)\n",
+                          CONVERSIONS) == []
+
+
+def test_the_suites_build_no_fraction_and_call_no_conversion():
+    source = (ROOT / "orders" / "suite.py").read_text()
+    assert forbidden_uses(source, CONVERSIONS) == []
 
 
 BACKENDS = ("matrix", "acts", "monoids")

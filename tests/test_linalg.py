@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from indalg.orders import linalg as la
 
-from linalg_oracles import col_space_leq, inverse, lattice_leq, mat_q
+from linalg_oracles import (col_space_leq, inverse, lattice_leq, mat_q, oracle_kernel,
+                            oracle_solution, rank_q, rref_oracle)
 
 
 def _rand_q(rng, r, c):
@@ -21,14 +22,19 @@ def _rand_q(rng, r, c):
 
 
 def _rand_z(rng, r, c, bound=6):
-    return la.mat_z([[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)])
+    return tuple(tuple(rng.randint(-bound, bound) for _ in range(c)) for _ in range(r))
+
+
+def _rows(a):
+    """The integer rows of a rational matrix, its denominator dropped."""
+    return la.split(a)[0]
 
 
 def test_rref_shape_and_pivots():
     a = mat_q([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     r, pivots = la.rref(a)
     assert pivots == (0, 1)
-    assert la.rank(a) == 2
+    assert rank_q(a) == 2
     # pivot columns are standard basis columns
     for k, p in enumerate(pivots):
         assert [row[p] for row in r] == [1 if i == k else 0 for i in range(len(r))]
@@ -41,7 +47,7 @@ def test_rref_idempotent_and_row_space_preserved():
         r, _ = la.rref(a)
         r2, _ = la.rref(r)
         assert r == r2
-        assert la.rank(a) == la.rank(r)
+        assert rank_q(a) == rank_q(r)
 
 
 def test_nullspace_is_annihilated_and_spans():
@@ -49,13 +55,12 @@ def test_nullspace_is_annihilated_and_spans():
     for _ in range(100):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = _rand_q(rng, rows, cols)
-        basis = la.nullspace(a)
-        assert len(basis) == cols - la.rank(a)
+        basis = la.nullspace(_rows(a))
+        assert len(basis) == cols - rank_q(a)
         for v in basis:
             assert all(row == (0,) for row in la.matmul(a, [(x,) for x in v]))
         if basis:
-            stacked = mat_q([list(v) for v in basis])
-            assert la.rank(stacked) == len(basis)
+            assert la.rank(basis) == len(basis)
 
 
 def test_solve_right():
@@ -104,7 +109,7 @@ def test_inverse_round_trip():
     while found < 40:
         n = rng.randint(1, 4)
         a = _rand_q(rng, n, n)
-        if la.rank(a) < n:
+        if rank_q(a) < n:
             with pytest.raises(ValueError):
                 inverse(a)
             continue
@@ -118,7 +123,8 @@ def test_clear_denominators():
     a = mat_q([[Fraction(1, 2), Fraction(2, 3)], [1, 0]])
     cleared, m = la.split(a)
     assert m == 6
-    assert cleared == la.mat_z(tuple(tuple(m * x for x in row) for row in a))
+    assert cleared == tuple(tuple(m * x for x in row) for row in a)
+    assert all(type(x) is int for row in cleared for x in row)
     assert la.join(cleared, m) == a
 
 
@@ -165,7 +171,7 @@ def test_lattice_leq():
 
 
 def test_left_kernel_int():
-    m = la.mat_z([[1, 2], [2, 4], [3, 6]])
+    m = ((1, 2), (2, 4), (3, 6))
     k = la.left_kernel_int(m)
     # kernel vectors annihilate m, and the kernel has the right rank
     for v in k:
@@ -182,7 +188,7 @@ def test_left_kernel_int_random_completeness():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _rand_z(rng, rows, cols)
         k = la.left_kernel_int(m)
-        rational_nullity = rows - la.rank(mat_q(m))
+        rational_nullity = rows - la.rank(m)
         assert len(k) == rational_nullity
         for v in k:
             assert all(
@@ -191,7 +197,7 @@ def test_left_kernel_int_random_completeness():
 
 
 def test_right_kernel_int():
-    m = la.mat_z([[2, 4]])
+    m = ((2, 4),)
     k = la.right_kernel_int(m)
     assert k == ((2, -1),)
     assert all(sum(m[i][j] * v[j] for j in range(2)) == 0 for v in k for i in range(1))
@@ -220,9 +226,9 @@ def test_saturation_contains_originals_and_is_saturated():
             assert math.gcd(*s[0]) >= 1
 
 
-def test_is_integer_matrix_and_content():
-    assert la.is_integer_matrix(mat_q([[1, 2], [3, 4]]))
-    assert not la.is_integer_matrix(mat_q([[Fraction(1, 2)]]))
+def test_integer_matrix_iff_denominator_one_and_content():
+    assert la.split(mat_q([[1, 2], [3, 4]])) == (((1, 2), (3, 4)), 1)
+    assert la.split(mat_q([[Fraction(1, 2)]]))[1] == 2
     assert math.gcd(4, -6, 8) == 2
     assert math.gcd(0, 0) == 0
 
@@ -402,32 +408,6 @@ def test_left_kernel_gens_annihilate_and_generate_the_canonical_kernel(m):
 # --- property tests for the rational kernel -----------------------------------
 
 
-def _rref_oracle(a):
-    """Fraction Gauss-Jordan elimination: ``rref`` as it was computed before
-    the fraction-free kernel, kept verbatim as the oracle."""
-    rows = [list(map(Fraction, row)) for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
 def _product(a, b):
     """a @ b with plain Fraction sums, independent of ``la.matmul``."""
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
@@ -468,7 +448,7 @@ def rational_matrices(draw, max_rows=5, max_cols=9):
 @given(rational_matrices())
 def test_rref_matches_fraction_gauss_jordan(a):
     r, pivots = la.rref(a)
-    assert (r, pivots) == _rref_oracle(a)
+    assert (r, pivots) == rref_oracle(a)
     assert all(type(x) is Fraction for row in r for x in row)
 
 
@@ -493,7 +473,7 @@ def test_solve_right_and_left_satisfy_the_equation(a, data):
     if x is None:
         assert not consistent
         aug = [list(row) + list(extra) for row, extra in zip(a, b)]
-        assert len(_rref_oracle(aug)[1]) > len(_rref_oracle(a)[1])
+        assert len(rref_oracle(aug)[1]) > len(rref_oracle(a)[1])
     else:
         assert _product(a, x) == [list(map(Fraction, row)) for row in b]
     # X @ a = c, c a combination of a's rows
@@ -505,43 +485,15 @@ def test_solve_right_and_left_satisfy_the_equation(a, data):
 @settings(max_examples=300)
 @given(rational_matrices())
 def test_nullspace_vectors_are_annihilated(a):
-    basis = la.nullspace(a)
-    assert len(basis) == len(a[0]) - len(_rref_oracle(a)[1])
+    basis = la.nullspace(_rows(a))
+    assert len(basis) == len(a[0]) - len(rref_oracle(a)[1])
     for v in basis:
         assert all(x == 0 for row in _product(a, [[x] for x in v]) for x in row)
     if basis:
-        assert len(_rref_oracle(basis)[1]) == len(basis)
+        assert len(rref_oracle(basis)[1]) == len(basis)
 
 
-# --- oracles for the integer-rows-over-one-denominator kernel -----------------
-
-
-def _oracle_kernel(a):
-    """The RREF kernel basis: 1 at each free column, minus the RREF entries
-    at the pivots."""
-    r, pivots = _rref_oracle(a)
-    basis = []
-    for free in range(len(a[0])):
-        if free not in pivots:
-            v = [Fraction(0)] * len(a[0])
-            v[free] = Fraction(1)
-            for row, p in zip(r, pivots):
-                v[p] = -row[free]
-            basis.append(v)
-    return basis
-
-
-def _oracle_solution(a, b):
-    """X with a @ X = b read off the RREF of [a | b], free variables zero;
-    None when a pivot falls in b's columns."""
-    m = len(a[0])
-    r, pivots = _rref_oracle([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    if any(p >= m for p in pivots):
-        return None
-    x = [[Fraction(0)] * len(b[0]) for _ in range(m)]
-    for row, p in zip(r, pivots):
-        x[p] = list(row[m:])
-    return [tuple(row) for row in x]
+# --- the integer-row kernels against the Fraction oracle ----------------------
 
 
 # Bareiss ends [[1, 2], [3, 4]] on the pivot -2 and [[0, 1], [-1, 0]]
@@ -553,14 +505,14 @@ def _oracle_solution(a, b):
 @example([[0, 0, 0], [0, 0, 0]])
 @example([[2, 4], [1, 2]])
 def test_bareiss_rank_and_kernel_match_the_oracle(a):
-    r, pivots = _rref_oracle(a)
-    rows, d, got_pivots = la.bareiss(la.split(a)[0])
+    r, pivots = rref_oracle(a)
+    rows, d, got_pivots = la.bareiss(_rows(a))
     assert d > 0 and got_pivots == pivots
     assert la.join(rows, d) == r
-    assert la.rank(a) == len(pivots)
-    kernel = la.nullspace(a)
+    assert la.rank(_rows(a)) == len(pivots)
+    kernel = la.nullspace(_rows(a))
     assert all(type(x) is int for v in kernel for x in v)
-    oracle = _oracle_kernel(a)
+    oracle = oracle_kernel(a)
     assert len(kernel) == len(oracle)
     for v, w in zip(kernel, oracle):
         free = next(j for j, x in enumerate(w) if x == 1 and j not in pivots)
@@ -579,15 +531,16 @@ def test_solvability_and_solutions_match_the_oracle(a, data):
         k = data.draw(st.integers(1, 3))
         b = (_product(a, data.draw(_rational_rows(len(a[0]), k)))
              if data.draw(st.booleans()) else data.draw(_rational_rows(len(a), k)))
-    want = _oracle_solution(a, b)
-    assert la.solvable(a, b) == (want is not None)
+    want = oracle_solution(a, b)
+    (x, da), (y, db) = la.split(a), la.split(b)
+    assert la.solvable(x, y) == (want is not None)
     assert la.solve_right(a, b) == (None if want is None else tuple(want))
-    sol = la.solve_int(a, b)
+    sol = la.solve_int(x, y)
     assert (sol is None) == (want is None)
-    if sol is not None:
-        x, d = sol
-        assert d > 0 and all(type(y) is int for row in x for y in row)
-        assert la.join(x, d) == tuple(want)
+    if sol is not None:  # x (X / d) = y reads a (da X / (d db)) = b
+        sx, d = sol
+        assert d > 0 and all(type(v) is int for row in sx for v in row)
+        assert la.join(la.scale_int(da, sx), d * db) == tuple(want)
     # X @ a = c, which is a^T @ X^T = c^T; c in a's row space half the time
     if data is None:
         c = [list(col) for col in zip(*b)]
@@ -595,8 +548,54 @@ def test_solvability_and_solutions_match_the_oracle(a, data):
         k = data.draw(st.integers(1, 3))
         c = (_product(data.draw(_rational_rows(k, len(a))), a)
              if data.draw(st.booleans()) else data.draw(_rational_rows(k, len(a[0]))))
-    left = _oracle_solution(list(zip(*a)), list(zip(*c)))
+    left = oracle_solution(list(zip(*a)), list(zip(*c)))
     assert la.solve_left(a, c) == (None if left is None else tuple(zip(*left)))
+
+
+def _positive_multiple(v, w) -> bool:
+    """Whether the integer vector v is c w for some c > 0."""
+    c = next(Fraction(x) / y for x, y in zip(v, w) if y)
+    return c > 0 and [Fraction(x) for x in v] == [c * y for y in w]
+
+
+@settings(max_examples=400)
+@given(rational_matrices(max_cols=5), st.data())
+@example([[1, 2], [2, 4]], None)
+@example([[0, 0], [0, 0]], None)
+@example([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], None)
+def test_integer_row_kernels_match_the_oracle_under_positive_scaling(a, data):
+    """``nullspace``, ``rank``, ``solvable`` and ``solve_int`` take the
+    integer rows x and y of a = x / da and b = y / db, here scaled by their
+    own positive factors ka and kb, and x's rows by their own factors too.
+    Neither the kernel nor solvability moves, and a solution X / d of
+    (ka x) X = kb y is a solution of a scaled by kb db / (ka da)."""
+    if data is None:  # the explicit examples: one factor each, b off the image
+        b, ka, kb, row_factors = [[1], [0]], 6, 35, [2, 3]
+    else:
+        k = data.draw(st.integers(1, 3))
+        b = (_product(a, data.draw(_rational_rows(len(a[0]), k)))
+             if data.draw(st.booleans()) else data.draw(_rational_rows(len(a), k)))
+        ka, kb = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+        row_factors = data.draw(st.lists(st.integers(1, 9), min_size=len(a),
+                                         max_size=len(a)))
+    (x, da), (y, db) = la.split(a), la.split(b)
+    x, y = la.scale_int(ka, x), la.scale_int(kb, y)
+    by_row = [tuple(f * v for v in row) for f, row in zip(row_factors, x)]
+    pivots = rref_oracle(a)[1]
+    oracle = oracle_kernel(a)
+    for rows in (x, by_row):
+        assert la.rank(rows) == len(pivots)
+        kernel = la.nullspace(rows)
+        assert len(kernel) == len(oracle)
+        assert all(_positive_multiple(v, w) for v, w in zip(kernel, oracle))
+    want = oracle_solution(a, b)
+    assert la.solvable(x, y) == (want is not None)
+    sol = la.solve_int(x, y)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        sx, d = sol
+        assert d > 0 and all(type(v) is int for row in sx for v in row)
+        assert la.join(la.scale_int(ka * da, sx), d * kb * db) == tuple(want)
 
 
 @settings(max_examples=300)
@@ -615,7 +614,7 @@ def test_products_and_inverse_match_the_oracle(a, data):
         return
     n = len(square)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    want = _oracle_solution(square, eye)
+    want = oracle_solution(square, eye)
     if want is None:
         with pytest.raises(ValueError):
             inverse(square)

@@ -10,16 +10,23 @@ from indalg.orders import matrix as mx
 from indalg.orders import suite as su
 from indalg.orders.matrix import NoGroupInverse
 
-from linalg_oracles import (col_space_leq, inverse, lattice_leq, mat_q,
+from linalg_oracles import (col_space_leq, inverse, lattice_leq, mat_q, rank_q,
                             straight_by_conjugation)
 
 
 def q(rows):
-    return mat_q(rows)
+    """Rows of ints, Fractions and exact strings as the backend's (rows, d)."""
+    return la.split(mat_q(rows))
 
 
 def z(rows):
-    return la.mat_z(rows)
+    """Integer rows as the backend's (rows, 1)."""
+    return tuple(map(tuple, rows)), 1
+
+
+def fr(m):
+    """The Fraction matrix of (rows, d)."""
+    return la.join(*m)
 
 
 # --- Green's preorders, dual routes ----------------------------------------
@@ -32,7 +39,7 @@ def test_r_order_is_kernel_containment():
         a = mx.rand_rational_matrix(rng, n)
         b = mx.rand_rational_matrix(rng, n)
         via_kernel = mx.greens_leq("R", a, b)
-        assert via_kernel == (mx.divides_left(a, b) is not None)
+        assert via_kernel == (mx.divides_left(fr(a), fr(b)) is not None)
 
 
 def test_l_order_is_image_containment():
@@ -42,15 +49,15 @@ def test_l_order_is_image_containment():
         a = mx.rand_rational_matrix(rng, n)
         b = mx.rand_rational_matrix(rng, n)
         via_cols = mx.greens_leq("L", a, b)
-        assert via_cols == (la.solve_right(b, a) is not None)
+        assert via_cols == (la.solve_right(fr(b), fr(a)) is not None)
 
 
 def test_divisor_witnesses_recompose():
     rng = random.Random(12)
     for _ in range(100):
         n = rng.randint(1, 3)
-        a = mx.rand_rational_matrix(rng, n)
-        b = mx.rand_rational_matrix(rng, n)
+        a = fr(mx.rand_rational_matrix(rng, n))
+        b = fr(mx.rand_rational_matrix(rng, n))
         g = mx.divides_left(a, b)
         if g is not None:
             assert la.matmul(g, b) == a
@@ -66,19 +73,22 @@ def test_starred_orders_extend_unstarred_on_lifts():
         a = mx.rand_int_matrix(rng, n)
         b = mx.rand_int_matrix(rng, n)
         for side, starred in (("R", "Rstar"), ("L", "Lstar")):
-            plain = mx.greens_leq(side, q(a), q(b))
+            plain = mx.greens_leq(side, a, b)
             star = mx.greens_leq(starred, a, b)
             assert star == plain, (side, a, b)
 
 
 def test_starred_orders_reject_rational_input():
     a = q([[Fraction(1, 2)]])
-    with pytest.raises(ValueError):
-        mx.greens_leq("Rstar", a, a)
-    with pytest.raises(ValueError):
-        mx.greens_leq("Lstar", a, a)
+    one = z([[1]])
+    with pytest.raises(ValueError, match="^non-integer entry 1/2$"):
+        mx.greens_leq("Rstar", a, one)
+    with pytest.raises(ValueError, match="^non-integer entry -3/4$"):
+        mx.greens_leq("Lstar", one, q([[1, "-6/8"], [2, "1/2"]]))
     with pytest.raises(ValueError):
         mx.greens_leq("bogus", a, a)
+    # an integer matrix over a denominator that divides every entry is integer
+    assert mx.greens_leq("Rstar", (((2, 4), (6, 8)), 2), z([[1, 0], [0, 1]]))
 
 
 def pc_closure_cols(a):
@@ -93,7 +103,7 @@ def pc_closure_lstar(a, b) -> bool:
 
 
 def test_pc_closure_cols_saturates():
-    a = z([[2, 0], [0, 4]])
+    a = ((2, 0), (0, 4))
     assert pc_closure_cols(a) == ((1, 0), (0, 1))
 
 
@@ -147,9 +157,9 @@ ZERO_2 = la.zeros(2, 2)
 @example((((1, 2), (3, 4)), ((2, 1), (0, 3))))
 def test_lstar_is_one_kernel_and_matches_the_pure_closure_route(pair):
     a, b = pair
-    got = mx.greens_leq("Lstar", a, b)
+    got = mx.greens_leq("Lstar", (a, 1), (b, 1))
     assert got == pc_closure_lstar(a, b)
-    assert got == mx.greens_leq("Rstar", la.transpose(a), la.transpose(b))
+    assert got == mx.greens_leq("Rstar", (la.transpose(a), 1), (la.transpose(b), 1))
 
 
 rational_or_integer = st.sampled_from((
@@ -192,16 +202,16 @@ def l_pairs(draw):
 @settings(max_examples=400)
 @given(l_pairs())
 # the rational rank-deficient golden pair, where a <=_L b fails
-@example((q([["2/3", "1/14", "7/10"], ["4/3", "1/7", "7/5"], [0, 0, 0]]),
-          q([["2/3", 0, "1/5"], [0, "1/7", 1], ["2/3", "1/7", "6/5"]])))
-@example((q([[1, 2], [3, 4]]), q(la.zeros(2, 2))))
-@example((q(la.zeros(2, 2)), q(la.zeros(2, 2))))
+@example((mat_q([["2/3", "1/14", "7/10"], ["4/3", "1/7", "7/5"], [0, 0, 0]]),
+          mat_q([["2/3", 0, "1/5"], [0, "1/7", 1], ["2/3", "1/7", "6/5"]])))
+@example((mat_q([[1, 2], [3, 4]]), mat_q(la.zeros(2, 2))))
+@example((mat_q(la.zeros(2, 2)), mat_q(la.zeros(2, 2))))
 def test_l_is_one_kernel_and_matches_the_rank_and_solvability_routes(pair):
     a, b = pair
-    got = mx.greens_leq("L", a, b)
+    got = mx.greens_leq("L", la.split(a), la.split(b))
     assert got == col_space_leq(a, b)
-    assert got == su.matrix_route("L", a, b)
-    assert got == mx.greens_leq("R", la.transpose(a), la.transpose(b))
+    assert got == su.matrix_route("L", la.split(a), la.split(b))
+    assert got == mx.greens_leq("R", la.split(la.transpose(a)), la.split(la.transpose(b)))
 
 
 # --- group inverses ----------------------------------------------------------
@@ -217,8 +227,8 @@ def test_group_inverse_axioms_on_random_matrices():
     hits = 0
     while hits < 80:
         n = rng.randint(1, 4)
-        s = mx.rand_rational_matrix(rng, n)
-        if la.rank(s) != la.rank(la.matmul(s, s)):
+        s = fr(mx.rand_rational_matrix(rng, n))
+        if rank_q(s) != rank_q(la.matmul(s, s)):
             with pytest.raises(NoGroupInverse):
                 mx.group_inverse(s)
             continue
@@ -241,26 +251,27 @@ def square_matrices(draw):
 
     kind = draw(st.sampled_from(["full", "rational", "product", "nilpotent"]))
     if kind == "full":
-        return q(ints_mat(n, n))
+        return mat_q(ints_mat(n, n))
     if kind == "rational":
         dens = st.integers(1, 5)
-        return q([[Fraction(draw(ints), draw(dens)) for _ in range(n)] for _ in range(n)])
+        return mat_q([[Fraction(draw(ints), draw(dens)) for _ in range(n)]
+                      for _ in range(n)])
     if kind == "product":  # rank at most k
         k = draw(st.integers(1, n))
         return la.matmul(ints_mat(n, k), ints_mat(k, n))
     # a strictly upper triangular matrix conjugated by a unit lower
     # triangular one
     u = [[draw(ints) if j > i else 0 for j in range(n)] for i in range(n)]
-    p = q([[draw(ints) if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    p = mat_q([[draw(ints) if j < i else int(i == j) for j in range(n)] for i in range(n)])
     return la.matmul(la.matmul(p, u), inverse(p))
 
 
 @given(square_matrices())
-@example(q([[0, 1], [0, 0]]))
-@example(q([[1, 1], [1, 1]]))
-@example(q([[2, 4], [-1, -2]]))
+@example(mat_q([[0, 1], [0, 0]]))
+@example(mat_q([[1, 1], [1, 1]]))
+@example(mat_q([[2, 4], [-1, -2]]))
 def test_group_inverse_axioms_property(s):
-    if la.rank(s) != la.rank(la.matmul(s, s)):
+    if rank_q(s) != rank_q(la.matmul(s, s)):
         with pytest.raises(NoGroupInverse):
             mx.group_inverse(s)
         return
@@ -275,22 +286,22 @@ def test_group_inverse_invertible_matches_inverse():
     found = 0
     while found < 30:
         n = rng.randint(1, 3)
-        s = mx.rand_rational_matrix(rng, n)
-        if la.rank(s) < n:
+        s = fr(mx.rand_rational_matrix(rng, n))
+        if rank_q(s) < n:
             continue
         assert mx.group_inverse(s) == inverse(s)
         found += 1
 
 
 def test_group_inverse_nilpotent_rejected():
-    nil = q([[0, 1], [0, 0]])
-    assert la.rank(nil) != la.rank(la.matmul(nil, nil))
+    nil = mat_q([[0, 1], [0, 0]])
+    assert rank_q(nil) != rank_q(la.matmul(nil, nil))
     with pytest.raises(NoGroupInverse):
         mx.group_inverse(nil)
 
 
 def test_group_inverse_projector_is_self():
-    p = q([[1, 0], [0, 0]])
+    p = mat_q([[1, 0], [0, 0]])
     assert mx.group_inverse(p) == p
 
 
@@ -299,32 +310,32 @@ def test_group_inverse_projector_is_self():
 
 def _check_decomposition(alpha, dec, mode):
     a, b = dec
-    assert la.is_integer_matrix(a)
-    assert la.is_integer_matrix(b)
+    assert a[1] == 1 and b[1] == 1  # integer parts
     assert mx.verify_decomposition(alpha, dec, mode)
     if mode in ("left", "straight"):
-        assert la.matmul(mx.group_inverse(a), b) == alpha
+        assert la.matmul(mx.group_inverse(fr(a)), fr(b)) == fr(alpha)
     else:
-        assert la.matmul(a, mx.group_inverse(b)) == alpha
+        assert la.matmul(fr(a), mx.group_inverse(fr(b))) == fr(alpha)
 
 
 def test_left_decompose_diagonal_example():
     alpha = q([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     dec = mx.decompose(alpha, "left")
-    assert dec == (((6, 0), (0, 6)), ((3, 0), (0, 2)))
+    assert dec == ((((6, 0), (0, 6)), 1), (((3, 0), (0, 2)), 1))
     _check_decomposition(alpha, dec, "left")
 
 
 def test_right_decompose_diagonal_example():
     alpha = q([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     dec = mx.decompose(alpha, "right")
-    assert dec == (((3, 0), (0, 2)), ((6, 0), (0, 6)))
+    assert dec == ((((3, 0), (0, 2)), 1), (((6, 0), (0, 6)), 1))
     _check_decomposition(alpha, dec, "right")
 
 
 def test_straight_decompose_rank_one_projector():
     alpha = q([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]])
-    dec = mx.straight_left_decompose(alpha)
+    dec = mx.decompose(alpha, "straight")
+    assert tuple(part[0] for part in dec) == mx.straight_left_decompose(alpha)
     _check_decomposition(alpha, dec, "straight")
     certs = mx.straight_certificates(alpha, dec)
     assert certs == {
@@ -341,7 +352,7 @@ def test_decompositions_random_round_trip():
         alpha = mx.rand_rational_matrix(rng, n)
         _check_decomposition(alpha, mx.decompose(alpha, "left"), "left")
         _check_decomposition(alpha, mx.decompose(alpha, "right"), "right")
-        dec = mx.straight_left_decompose(alpha)
+        dec = mx.decompose(alpha, "straight")
         _check_decomposition(alpha, dec, "straight")
         certs = mx.straight_certificates(alpha, dec)
         assert all(certs.values()), (alpha, certs)
@@ -363,16 +374,16 @@ def ranked_alphas(draw):
 
 @settings(max_examples=300)
 @given(ranked_alphas())
-@example(q(la.zeros(2, 2)))
-@example(q([[2, 4, -2], [1, 2, -1], [0, 0, 0]]))
-@example(q([[1, 1], [0, 0]]))
+@example(mat_q(la.zeros(2, 2)))
+@example(mat_q([[2, 4, -2], [1, 2, -1], [0, 0, 0]]))
+@example(mat_q([[1, 1], [0, 0]]))
 def test_straight_projector_read_off_one_echelon_matches_conjugation(alpha):
-    a, b = mx.straight_left_decompose(alpha)
-    assert (a, b) == straight_by_conjugation(alpha)
+    a, b = mx.straight_left_decompose(la.split(alpha))
+    assert (a, b) == straight_by_conjugation(la.split(alpha))
     e = la.matmul(mx.group_inverse(a), a)  # a = m E, so a# a = E
     assert la.matmul(e, e) == e
     assert la.matmul(e, alpha) == alpha
-    assert la.rank(e) == la.rank(alpha)
+    assert rank_q(e) == rank_q(alpha)
 
 
 def test_straight_decompose_scaling_structure():
@@ -382,15 +393,19 @@ def test_straight_decompose_scaling_structure():
         n = rng.randint(1, 3)
         alpha = mx.rand_rational_matrix(rng, n)
         a, b = mx.straight_left_decompose(alpha)
-        assert la.rank(a) == la.rank(la.matmul(a, a))
-        assert la.rank(a) == la.rank(alpha) or la.rank(alpha) == 0
-        assert col_space_leq(b, a) and col_space_leq(a, b) or la.rank(alpha) == 0
+        r = la.rank(alpha[0])
+        assert la.rank(a) == la.rank(la.matmul_int(a, a))
+        assert la.rank(a) == r or r == 0
+        assert col_space_leq(b, a) and col_space_leq(a, b) or r == 0
 
 
 def test_verify_decomposition_rejects_wrong_pair():
     alpha = q([[Fraction(1, 2)]])
     bad = (z([[3]]), z([[2]]))
     assert not mx.verify_decomposition(alpha, bad, "left")
+    # the right values, but a part that is not integer
+    assert mx.verify_decomposition(alpha, (z([[2]]), z([[1]])), "left")
+    assert not mx.verify_decomposition(alpha, (q([[1]]), q([["1/2"]])), "left")
 
 
 def test_decomposition_as_dict_strings():
@@ -400,6 +415,14 @@ def test_decomposition_as_dict_strings():
         [["1", "1"], ["0", "1"]],
     ]
     assert mx.show(q([[Fraction(-1, 2), 3]])) == [["-1/2", "3"]]
+    assert mx.show((((-3, 0, 12),), 6)) == [["-1/2", "0", "2"]]
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6),
+       st.integers(1, 10**12))
+@example([0, 4, -4, 6, 7], 4)
+def test_show_writes_each_entry_as_str_fraction(row, d):
+    assert mx.show(((tuple(row),), d)) == [[str(Fraction(x, d)) for x in row]]
 
 
 # --- quotient fractions ------------------------------------------------------
@@ -453,11 +476,12 @@ def test_embed_and_act():
 def test_rand_matrices_shapes():
     rng = random.Random(20)
     for n in (1, 2, 3, 4):
-        a = mx.rand_rational_matrix(rng, n)
-        assert la.shape(a) == (n, n)
-        b = mx.rand_int_matrix(rng, n)
-        assert la.shape(q(b)) == (n, n)
-        assert la.is_integer_matrix(q(b))
+        rows, d = mx.rand_rational_matrix(rng, n)
+        assert la.shape(rows) == (n, n) and d > 0
+        assert la.lowest(rows, d) == (rows, d)
+        rows, d = mx.rand_int_matrix(rng, n)
+        assert la.shape(rows) == (n, n) and d == 1
+        assert all(type(x) is int for row in rows for x in row)
 
 
 # --- seeded samplers against their randint streams ----------------------------
@@ -496,10 +520,32 @@ def test_randints_reads_the_randint_stream(seed, spans):
     assert rng.random() == oracle.random()
 
 
+def rand_rational_matrix_by_fractions(rng, n):
+    """``rand_rational_matrix`` as it was before it returned (rows, d): the
+    same draws through ``randints``, as Fractions.  Kept as the oracle that
+    the integer rule returns their split and reads the same stream."""
+    nonzero = [d for d in range(-9, 10) if d != 0]
+    draws = iter(randints(rng, [(-9, 9), (0, 17)] * (n * n)))
+    entries = [Fraction(p, nonzero[q]) for p, q in zip(draws, draws)]
+    return tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+
+
 @given(st.integers(), st.integers(1, 4))
 def test_matrix_samplers_read_the_randint_stream(seed, n):
     rng, oracle = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        assert mx.rand_int_matrix(rng, n) == rand_int_matrix_by_randint(oracle, n)
-        assert mx.rand_rational_matrix(rng, n) == rand_rational_matrix_by_randint(oracle, n)
+        assert mx.rand_int_matrix(rng, n) == (rand_int_matrix_by_randint(oracle, n), 1)
+        assert mx.rand_rational_matrix(rng, n) == la.split(
+            rand_rational_matrix_by_randint(oracle, n))
     assert rng.random() == oracle.random()
+
+
+@settings(max_examples=300)
+@given(st.integers(), st.integers(1, 6))
+@example(0, 1)
+def test_rand_rational_matrix_is_the_split_of_the_fractions_it_drew(seed, n):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert mx.rand_rational_matrix(rng, n) == la.split(
+            rand_rational_matrix_by_fractions(oracle, n))
+        assert rng.getstate() == oracle.getstate()
