@@ -87,6 +87,14 @@ def _at_least_one(args, *flags) -> None:
             raise UsageError(f"--{flag} must be at least 1")
 
 
+def _object(x, what: str) -> dict:
+    """x, which must be a JSON object: a payload, ``--params``, or an item
+    of a payload."""
+    if not isinstance(x, dict):
+        raise UsageError(f"{what} must be a JSON object")
+    return x
+
+
 def _load_payload(args) -> dict | None:
     if not getattr(args, "input", None):
         return None
@@ -100,9 +108,7 @@ def _load_payload(args) -> dict | None:
                 payload = json.load(fh)
     except (OSError, ValueError) as exc:  # also an integer too long to read
         raise UsageError(f"cannot read input: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise UsageError("input must be a JSON object")
-    return payload
+    return _object(payload, "input")
 
 
 def _exact(x):
@@ -160,6 +166,7 @@ def _parse_acts(items) -> list:
     act_endo = _backend("indalg.orders.acts").act_endo  # once a payload
     out = []
     for d in items:
+        _object(d, "an act endomorphism")
         with _reading("bad act endomorphism"):
             theta = act_endo(d.get("flavor", "B"), _ints(d["shifts"], "shifts"),
                              _ints(d["targets"], "targets"))
@@ -305,9 +312,7 @@ def cmd_catalog(args):
                 import json
 
                 params = json.loads(args.params)
-            if not isinstance(params, dict):
-                raise UsageError("--params must be a JSON object")
-            instances = [cat.make_instance(args.kind, **params)]
+            instances = [cat.make_instance(args.kind, **_object(params, "--params"))]
     checks = []
     try:
         for alg in instances:
@@ -433,7 +438,8 @@ def cmd_quotient(args):
             details["element"] = backend.embed(*details.values()).as_dict()
             return [Check("quotient_embed", details=details)]
         raw = payload or row.demo
-        p, q = (backend.quot(*(read(raw[e][f], f) for f, read in row.fields.items()))
+        p, q = (backend.quot(*(read(_object(raw[e], e)[f], f)
+                               for f, read in row.fields.items()))
                 for e in "pq")
         equal = backend.quotient_eq(p, q)
     details = {"p": p.as_dict(), "q": q.as_dict(), "equal": equal}

@@ -21,11 +21,15 @@ block, onto a chosen target at a chosen base shift).  Kernel keys and
 containment, the gamma constructions, the idempotents, the H*-class
 elements and the Ore solutions are all written with them.
 
-A check verifies, a construction does not.  The constructions here refuse
-arguments outside their preconditions with ``PreconditionViolated``, and
-return what they build without re-checking it: each property they promise
-is verified once, by the check of the ``orders.suite`` report that records
-it, so a faulty construction ends as a failed check with its witness.
+A check verifies, a construction does not.  An ``ActEndo`` is plain data:
+it is checked once, where a payload enters, by ``act_endo`` (the CLI's one
+reader of act endomorphisms), and nowhere else.  The constructions here
+refuse arguments outside their preconditions with ``PreconditionViolated``,
+and return what they build without re-checking it: each property they
+promise is verified once, by the check of the report that records it, so a
+faulty construction ends as a failed check with its witness.  That
+includes End(B) membership: ``verify_decomposition`` requires both parts of
+a decomposition to be flavor B with nonnegative shifts.
 
 It defines the names its sibling ``matrix`` shares with it (see that
 docstring), with the one decomposition mode ``left`` so far.  It imports
@@ -44,33 +48,14 @@ class PreconditionViolated(ValueError):
     pass
 
 
-class _ActEndoFields(NamedTuple):
+class ActEndo(NamedTuple):
+    """An endomorphism, as plain data: building one checks nothing.  A
+    record from outside enters through ``act_endo``, and End(B) membership
+    of a decomposition's parts is checked by ``verify_decomposition``."""
+
     flavor: str  # "A" (integer shifts) or "B" (nonnegative shifts)
     shifts: tuple[int, ...]
     targets: tuple[int, ...]  # 0-based generator indices
-
-
-class ActEndo(_ActEndoFields):
-    """An endomorphism, checked on every construction: ``_make`` and
-    ``_replace`` go through ``__new__`` too."""
-
-    __slots__ = ()
-
-    def __new__(cls, flavor: str, shifts: tuple[int, ...], targets: tuple[int, ...]):
-        if flavor not in ("A", "B"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        n = len(shifts)
-        if len(targets) != n:
-            raise ValueError("shifts/targets length mismatch")
-        if n and (min(targets) < 0 or max(targets) >= n):
-            raise ValueError("target index out of range")
-        if flavor == "B" and n and min(shifts) < 0:
-            raise ValueError("flavor B requires nonnegative shifts")
-        return tuple.__new__(cls, (flavor, shifts, targets))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -89,10 +74,21 @@ class ActEndo(_ActEndoFields):
 
 
 def act_endo(flavor: str, shifts, targets_one_based) -> ActEndo:
-    """Build an endomorphism from 1-based generator targets."""
-    return ActEndo(
-        flavor, tuple(int(s) for s in shifts), tuple(int(t) - 1 for t in targets_one_based)
-    )
+    """An endomorphism from 1-based generator targets, checked: the one
+    constructor that refuses an unknown flavor, shifts and targets of
+    different lengths, a target naming no generator, and a negative shift
+    in flavor B, each with a ValueError."""
+    if flavor not in ("A", "B"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    shifts, targets = tuple(shifts), tuple(t - 1 for t in targets_one_based)
+    n = len(shifts)
+    if len(targets) != n:
+        raise ValueError("shifts/targets length mismatch")
+    if n and (min(targets) < 0 or max(targets) >= n):
+        raise ValueError("target index out of range")
+    if flavor == "B" and n and min(shifts) < 0:
+        raise ValueError("flavor B requires nonnegative shifts")
+    return ActEndo(flavor, shifts, targets)
 
 
 def compose(theta: ActEndo, phi: ActEndo) -> ActEndo:
@@ -239,18 +235,20 @@ def decompose(alpha: ActEndo, mode: str) -> tuple[ActEndo, ActEndo]:
 
 
 def verify_decomposition(alpha: ActEndo, dec, mode: str) -> bool:
-    """Exact recomposition of dec = (a, b): a must be a unit pattern
-    (identity targets, constant shift d) and a# b must equal alpha in the
+    """Whether dec = (a, b) is a decomposition of alpha: a and b lie in
+    End(B) (flavor B, every shift nonnegative), a is a unit pattern
+    (identity targets, constant shift d), and a# b equals alpha in the
     overmonoid."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     a, b = dec
+    if any(p.flavor != "B" or min(p.shifts, default=0) < 0 for p in dec):
+        return False
     if a.targets != tuple(range(a.n)) or len(set(a.shifts)) > 1:
         return False
     d = a.shifts[0] if a.shifts else 0
     a_inv = ActEndo("A", (-d,) * a.n, a.targets)
-    expected = ActEndo("A", alpha.shifts, alpha.targets)
-    return compose(a_inv, lift_endo(b)) == expected
+    return compose(a_inv, lift_endo(b)) == lift_endo(alpha)
 
 
 show = ActEndo.as_dict  # an endomorphism as report JSON

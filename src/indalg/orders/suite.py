@@ -20,11 +20,10 @@ every verdict is the same under ``python -O``.
 from __future__ import annotations
 
 import random
-from math import gcd
 
 from . import acts, matrix, randints
 from ..report import Check
-from .linalg import matmul_int, scale_int, solvable, solve_int, transpose
+from .linalg import lowest, matmul_int, scale_int, solvable, solve_int, transpose
 from .acts import (
     ActEndo,
     compose,
@@ -82,9 +81,9 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
         # clearing denominators produces an integer witness gamma with
         # gamma b = m alpha, i.e. the kernel-side divisibility is realized
         # inside the integer monoid up to a positive scalar unit of the
-        # overmonoid.  In integers: alpha = g_b / dg, gamma = x^T / den
-        # solves b^T gamma^T = alpha^T, and gamma_int b = m alpha reads
-        # dg (gamma_int b) = m g_b.
+        # overmonoid.  In integers: alpha = g_b / dg, gamma = x^T / (d dg)
+        # for solve_int's (x, d) solves b^T gamma^T = alpha^T, and
+        # gamma_int b = m alpha reads dg (gamma_int b) = m g_b.
         g, dg = matrix.rand_rational_matrix(rng, n)
         b_rows = b[0]
         g_b = matmul_int(g, b_rows)
@@ -94,11 +93,8 @@ def run_matrix_suite(n: int, seed: int, samples: int) -> list[Check]:
             eiir.record(False, witness)
             continue
         x, d = sol
-        den = d * dg  # gamma = x^T / den
-        # m is the lcm of gamma's denominators
-        m = den // gcd(den, *(y for row in x for y in row))
-        gam_den = scale_int(m, transpose(x))  # den * (m gamma): den divides it
-        gam_int = tuple(tuple(y // den for y in row) for row in gam_den)
+        # gamma in lowest terms is gam_int / m: m is the lcm of its denominators
+        gam_int, m = lowest(transpose(x), d * dg)
         eiir.record(scale_int(dg, matmul_int(gam_int, b_rows)) == scale_int(m, g_b),
                     witness)
 

@@ -606,6 +606,36 @@ USAGE_ERRORS = [
      "act endomorphism ranks differ: 1 and 2"),
     (["greens", "--backend", "act", "--input", "-"],
      '{"a": {"shifts": [0], "targets": [1]}}', "greens payload: missing key 'b'"),
+    # the act reader's refusals: a flavor it does not know, shifts and
+    # targets of different lengths, a 1-based target 0 or n + 1, and a
+    # negative shift in flavor B
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"flavor": "C", "shifts": [0], "targets": [1]}}',
+     "bad act endomorphism: unknown flavor 'C'"),
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"shifts": [0, 0], "targets": [1]}}',
+     "bad act endomorphism: shifts/targets length mismatch"),
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"shifts": [0, 0], "targets": [0, 1]}}',
+     "bad act endomorphism: target index out of range"),
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"shifts": [0, 0], "targets": [1, 3]}}',
+     "bad act endomorphism: target index out of range"),
+    (["decompose", "--backend", "act", "--input", "-"],
+     '{"alpha": {"flavor": "B", "shifts": [0, -1], "targets": [1, 2]}}',
+     "bad act endomorphism: flavor B requires nonnegative shifts"),
+    # a payload element that is not a JSON object
+    (["greens", "--backend", "act", "--input", "-"],
+     '{"a": [1], "b": {"shifts": [0], "targets": [1]}}',
+     "an act endomorphism must be a JSON object"),
+    (["decompose", "--backend", "act", "--input", "-"], '{"alpha": 5}',
+     "an act endomorphism must be a JSON object"),
+    (["quotient", "eq", "--input", "-"], '{"p": [1], "q": {"t": 1, "v": [1]}}',
+     "p must be a JSON object"),
+    (["quotient", "eq", "--input", "-"], '{"p": 5, "q": {"t": 1, "v": [1]}}',
+     "p must be a JSON object"),
+    (["quotient", "eq", "--backend", "act", "--input", "-"],
+     '{"p": {"k": 0, "m": 1, "i": 1}, "q": "x"}', "q must be a JSON object"),
     # integer fields: a float or a boolean is not an integer
     (["quotient", "eq", "--input", "-"],
      '{"p": {"t": 1, "v": [1.5, 3]}, "q": {"t": 1, "v": [1, 3]}}',

@@ -9,11 +9,14 @@ integer-lattice half uses a function of the other, so the two Green's
 routes the suites cross-check stay independent.  ``orders/suite.py`` works
 on the matrix backend's integer rows alone: it imports neither ``Fraction``
 (nor ``fractions``) nor the conversions ``split``, ``join`` and ``mat_z``,
-and reads none of them off a module it imports.  The backend modules of
-``orders`` (``matrix``, ``acts`` and ``monoids``) are siblings: none imports
-another, and what they share lives in the package itself.  The package
-holds no ``assert`` statement: ``python -O`` drops them, so a verdict that
-rested on one would differ there; a check verifies through its report.
+and reads none of them off a module it imports.  ``cli.py`` names no
+``ActEndo``, by import, attribute or bare name: it reaches act records only
+through ``acts.act_endo``, the one constructor that checks one.  The
+backend modules of ``orders`` (``matrix``, ``acts`` and ``monoids``) are
+siblings: none imports another, and what they share lives in the package
+itself.  The package holds no ``assert`` statement: ``python -O`` drops
+them, so a verdict that rested on one would differ there; a check verifies
+through its report.
 Every public top-level function is named somewhere in the package outside
 its own body, unless the benchmark's span tracer wraps it by name
 (``TARGETS`` in ``perfbench/spans.py``): a helper only the tests call lives
@@ -183,11 +186,14 @@ def test_linalg_halves_do_not_use_each_other():
 CONVERSIONS = ("Fraction", "fractions", "split", "join", "mat_z")
 
 
-def forbidden_uses(source: str, names) -> list[str]:
+def forbidden_uses(source: str, names, anywhere: bool = False) -> list[str]:
     """``line n: name`` for each of names that an import in source names,
     as the module or as a name taken from it, under any alias, and
     ``line n: module.name`` for each it reads as an attribute of a name
-    that it imports."""
+    that it imports.  With anywhere, also each of names read as an
+    attribute of any value, and each bare name among them, however bound;
+    for a name like ``split`` that a str method shares, that would flag
+    ``s.split()``."""
     tree = ast.parse(source)
     bound, out = set(), []
     for node in ast.walk(tree):
@@ -197,11 +203,12 @@ def forbidden_uses(source: str, names) -> list[str]:
                 out += [f"line {node.lineno}: {part}"
                         for part in base + alias.name.split(".") if part in names]
                 bound.add(alias.asname or alias.name.split(".")[0])
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in names
-                and isinstance(node.value, ast.Name) and node.value.id in bound):
-            out.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
-    return out
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and (anywhere or isinstance(node.value, ast.Name) and node.value.id in bound)
+            or anywhere and isinstance(node, ast.Name) and node.id in names]
+    uses.sort(key=lambda node: (node.lineno, node.col_offset))
+    return out + [f"line {node.lineno}: {ast.unparse(node)}" for node in uses]
 
 
 def test_checker_flags_fraction_and_conversions():
@@ -223,6 +230,25 @@ def test_checker_flags_fraction_and_conversions():
 def test_the_suites_build_no_fraction_and_call_no_conversion():
     source = (ROOT / "orders" / "suite.py").read_text()
     assert forbidden_uses(source, CONVERSIONS) == []
+
+
+def test_checker_flags_act_records_named_anywhere():
+    source = ("from .orders.acts import ActEndo as E, act_endo\n"
+              "theta = _backend('indalg.orders.acts').ActEndo('B', (), ())\n"
+              "backend.ActEndo\nActEndo = E\nacts.act_endo('B', [0], [1])\n")
+    assert forbidden_uses(source, {"ActEndo"}) == ["line 1: ActEndo"]
+    assert forbidden_uses(source, {"ActEndo"}, anywhere=True) == [
+        "line 1: ActEndo", "line 2: _backend('indalg.orders.acts').ActEndo",
+        "line 3: backend.ActEndo", "line 4: ActEndo"]
+    assert forbidden_uses('read = _backend("indalg.orders.acts").act_endo\n',
+                          {"ActEndo"}, anywhere=True) == []
+
+
+def test_cli_reaches_act_records_only_through_act_endo():
+    source = (ROOT / "cli.py").read_text()
+    assert forbidden_uses(source, {"ActEndo"}, anywhere=True) == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "act_endo"
+               for node in ast.walk(ast.parse(source)))
 
 
 BACKENDS = ("matrix", "acts", "monoids")

@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from indalg import cli
 from indalg.orders import acts as ac
+from indalg.orders import suite as su
 from indalg.orders.acts import ActEndo, PreconditionViolated, act_endo
 
 
@@ -11,33 +14,46 @@ def identity(n, flavor="B"):
     return ActEndo(flavor, (0,) * n, tuple(range(n)))
 
 
+def valid_endo(theta) -> bool:
+    """The four refusals of ``act_endo``, read off a built record: a known
+    flavor, as many targets as shifts, every target a generator, and no
+    negative shift in flavor B.  Every construction must pass it."""
+    n = theta.n
+    return (theta.flavor in ("A", "B") and len(theta.targets) == n
+            and all(0 <= t < n for t in theta.targets)
+            and (theta.flavor == "A" or all(s >= 0 for s in theta.shifts)))
+
+
 def test_act_endo_validation():
     with pytest.raises(ValueError, match="^unknown flavor 'C'$"):
-        ActEndo("C", (0,), (0,))
+        act_endo("C", (0,), (1,))
     with pytest.raises(ValueError, match="^shifts/targets length mismatch$"):
-        ActEndo("B", (0, 0), (0,))
+        act_endo("B", (0, 0), (1,))
     with pytest.raises(ValueError, match="^shifts/targets length mismatch$"):
-        ActEndo("A", (), (0,))
+        act_endo("A", (), (1,))
     for flavor in "AB":
-        for targets in ((0, -1), (2, 0), (1, 2)):  # -1 and n are out of range
+        for targets in ((1, 0), (3, 1), (2, 3)):  # 0 and n + 1 name no generator
             with pytest.raises(ValueError, match="^target index out of range$"):
-                ActEndo(flavor, (0, 1), targets)
+                act_endo(flavor, (0, 1), targets)
     with pytest.raises(ValueError, match="^flavor B requires nonnegative shifts$"):
-        ActEndo("B", (0, -1), (0, 1))
-    # by keyword and by _replace, construction checks the same way
-    with pytest.raises(ValueError, match="^unknown flavor 'C'$"):
-        ActEndo(flavor="C", shifts=(0,), targets=(0,))
-    with pytest.raises(ValueError, match="^flavor B requires nonnegative shifts$"):
-        ActEndo("A", (0, -1), (0, 1))._replace(flavor="B")
-    with pytest.raises(ValueError, match="^target index out of range$"):
-        ActEndo("A", (0, -1), (0, 1))._replace(targets=(0, 2))
-    assert ActEndo("A", (0, -1), (0, 1)).shifts == (0, -1)  # overmonoid allows them
-    assert ActEndo("B", (0, 7), (1, 1)).targets == (1, 1)
+        act_endo("B", (0, -1), (1, 2))
+    assert act_endo("A", (0, -1), (1, 2)).shifts == (0, -1)  # overmonoid allows them
+    assert act_endo("B", (0, 7), (2, 2)).targets == (1, 1)
     # rank 0: the empty endomorphism is valid and composes to itself
     for flavor in "AB":
-        empty = ActEndo(flavor, (), ())
+        empty = act_endo(flavor, (), ())
         assert empty.n == 0 and ac.compose(empty, empty) == empty
+        assert valid_endo(empty)
     assert ac.rand_act_endo(random.Random(0), 0) == ActEndo("B", (), ())
+
+
+def test_valid_endo_refuses_what_act_endo_refuses():
+    assert valid_endo(ActEndo("A", (0, -1), (0, 1)))
+    assert valid_endo(ActEndo("B", (0, 7), (1, 1)))
+    for bad in (ActEndo("C", (0,), (0,)), ActEndo("B", (0, 0), (0,)),
+                ActEndo("A", (0, 1), (0, -1)), ActEndo("A", (0, 1), (2, 0)),
+                ActEndo("B", (0, -1), (0, 1))):
+        assert not valid_endo(bad), bad
 
 
 @pytest.mark.parametrize("make", [
@@ -214,6 +230,18 @@ def test_verify_act_decomposition_rejects_tampering():
     assert not ac.verify_decomposition(alpha, (a, wrong), "left")
     non_unit = ActEndo("B", (2, 2), (0, 0))  # not an identity pattern
     assert not ac.verify_decomposition(alpha, (non_unit, b), "left")
+    # each pair below recomposes to its alpha, but one part lies outside
+    # End(B): b with alpha's negative shift, a part of flavor A, or a unit
+    # with a negative shift
+    unshifted = ActEndo("B", alpha.shifts, alpha.targets)
+    assert not ac.verify_decomposition(alpha, (identity(2), unshifted), "left")
+    assert not ac.verify_decomposition(alpha, (ac.lift_endo(a), b), "left")
+    assert not ac.verify_decomposition(alpha, (a, ac.lift_endo(b)), "left")
+    positive = act_endo("A", (1, 3), (1, 2))
+    negative_unit = ActEndo("B", (-1, -1), (0, 1))
+    assert not ac.verify_decomposition(
+        positive, (negative_unit, act_endo("B", (0, 2), (1, 2))), "left")
+    assert ac.verify_decomposition(positive, ac.decompose(positive, "left"), "left")
     for mode in ("right", "straight"):  # the act backend has only the left mode
         with pytest.raises(ValueError):
             ac.decompose(alpha, mode)
@@ -229,6 +257,19 @@ def test_act_left_decompose_random_round_trip():
         a, b = ac.decompose(alpha, "left")
         assert all(s >= 0 for s in a.shifts + b.shifts)
         assert ac.verify_decomposition(alpha, (a, b), "left")
+
+
+def test_a_decomposition_outside_end_b_fails_its_check(monkeypatch, capsys):
+    def unshifted(alpha, mode):
+        # d = 0: b keeps alpha's negative shifts, and a# b is still alpha
+        return identity(alpha.n), ActEndo("B", alpha.shifts, alpha.targets)
+
+    monkeypatch.setattr(ac, "decompose", unshifted)
+    assert cli.run(["decompose", "--backend", "act"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["outcome"] == "fail"
+    assert check["details"]["b"] == {"flavor": "B", "shifts": [-2, 0],
+                                     "targets": [1, 2]}
 
 
 # --- gamma constructions -------------------------------------------------------
@@ -446,6 +487,42 @@ def test_with_kernel_keeps_the_kernel(alpha_list, data):
     assert ac.kernel_key(ac.with_kernel(alpha, bases, distinct)) == ac.kernel_key(alpha)
     anywhere = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
     assert ac.kernel_leq(ac.with_kernel(alpha, bases, anywhere), alpha)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    endos(n, "B"), endos(n, "B"), endos(n))), st.integers(), st.data())
+def test_each_construction_returns_a_valid_endomorphism_of_its_flavor(
+        triple, seed, data):
+    # the constructions do not check what they build; valid_endo does, on
+    # inputs that meet each one's precondition
+    theta, beta, alpha = triple
+    n, rng = beta.n, random.Random(seed)
+    k = ac.act_rank(alpha)
+    bases = data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    sq = ac.rand_square_cancellable(rng, n)
+    a_el, b_el = ac.rand_hstar_element(rng, sq), ac.rand_hstar_element(rng, sq)
+    mixed = "A" if "A" in (alpha.flavor, beta.flavor) else "B"
+    built = [
+        ("compose", ac.compose(alpha, beta), mixed),
+        ("with_kernel", ac.with_kernel(alpha, bases, targets), "B"),
+        ("gamma_left", ac.gamma_left(ac.compose(theta, beta), beta), "B"),
+        ("gamma_right", ac.gamma_right(ac.compose(beta, theta), beta), "B"),
+        ("lstar_idempotent", ac.lstar_idempotent(alpha), "B"),
+        ("rstar_idempotent", ac.rstar_idempotent(alpha), "B"),
+        *(("left_ore_solve", x, "B") for x in ac.left_ore_solve(sq, a_el, b_el)),
+        *(("decompose", x, "B") for x in ac.decompose(alpha, "left")),
+        ("rand_act_endo", ac.rand_act_endo(rng, n), "B"),
+        ("rand_square_cancellable", sq, "B"),
+        ("rand_hstar_element", a_el, "B"),
+        ("_rand_lstar_below", su._rand_lstar_below(rng, beta), "B"),
+        ("_rand_kernel_above", su._rand_kernel_above(rng, alpha), "B"),
+        ("_kernel_preserving_twin", su._kernel_preserving_twin(rng, beta), "B"),
+        ("construct_image_gamma",
+         su.construct_image_gamma(ac.compose(alpha, beta), beta), "A"),
+    ]
+    for name, record, flavor in built:
+        assert valid_endo(record) and record.flavor == flavor, (name, record)
 
 
 # --- seeded samplers against their randint streams ----------------------------
