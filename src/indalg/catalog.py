@@ -26,10 +26,10 @@ unary term ops and homomorphisms, over far smaller tuple spaces.  The
 witness check is decided on them too: W generates every basic op iff it
 generates every gen op, and a unary map that preserves every gen op
 preserves every op of the clone.
-``make_instance`` builds gen_ops directly; the full list of basic ops,
-``ops`` (7 to 775 tables for a field kind), is built the first time it is
-read, and only the witness check reads it: to build a witness set, to tell
-which W ops are not basic ops, and, only when W fails to generate some gen
+``make_instance`` builds gen_ops up front and no other op; the full list
+of basic ops, ``ops`` (7 to 775 tables for a field kind), is built the
+first time it is read, and only the witness check reads it: to build a
+witness set, to tell which W ops are not basic ops, and, only when W fails to generate some gen
 op, to name the missing basic ops from the full goal.  Endomorphisms are
 searched over a generating set, as UACalc searches homomorphisms: each
 assignment of images to the generators is filled in along one recorded
@@ -60,8 +60,11 @@ tables of at most 256 entries, 16-bit lanes decoded as UTF-16 for longer
 ones (every table here has at most 25**3 = 15,625 < 0xD800 entries, so each
 index is one code unit outside the surrogate range).  Lanes never carry
 because every table entry is below its op's size, which the tests check for
-every instance kind.  The field ops are built row by row from the tables of
-their coefficient prefixes.  The witness check and the endomorphism search
+every instance kind.  One builder, ``_field_instance``, makes every field
+op, gen op or not, by one rule: the table of the map sum(l_i * x_i) joins
+the rows x -> c + l_k * x read through the table of its coefficient
+prefix, and the shift +a is one translation; a field kind is then its gen
+ops' coefficients and shifts.  The witness check and the endomorphism search
 test that a unary map preserves an op one whole table at a time, by
 comparing two tables; the witness check looks for the first failing tuple
 only when they differ.  No table is built at import.
@@ -175,77 +178,64 @@ def _span(vectors: Sequence[Sequence[int]], q: int, dim: int) -> list[int]:
     return sorted(_vidx(v, q) for v in pts)
 
 
-def _field_tables(q: int, dim: int) -> tuple[bytes, list[bytes]]:
-    """The tables of x + y and of x -> l * x, one per l in F_q, on F_q^dim."""
-    size = q**dim
-    vecs = [_vec(i, q, dim) for i in range(size)]
-    add = bytes(
-        _vidx([(x + y) % q for x, y in zip(u, v)], q) for u in vecs for v in vecs
-    )
+def _field_tables(q: int, dim: int) -> tuple[list[bytes], list[bytes]]:
+    """On F_q^dim, the bytes.translate tables (256 entries) of x -> c + x,
+    one per c, and the tables of x -> l * x, one per l in F_q."""
+    vecs = [_vec(i, q, dim) for i in range(q**dim)]
+    shift = [bytes(_vidx([(x + y) % q for x, y in zip(u, v)], q)
+                   for v in vecs).ljust(256, b"\0") for u in vecs]
     scal = [bytes(_vidx([(lam * x) % q for x in v], q) for v in vecs)
             for lam in range(q)]
-    return add, scal
+    return shift, scal
 
 
-def _field_gen_ops(kind: str, tables: tuple[bytes, list[bytes]],
-                   a0: list[int]) -> tuple[Op, ...]:
-    """The gen_ops of a field kind, built without the other basic ops, from
-    its ``_field_tables``.
+def _field_instance(kind: str, q: int, dim: int, a0: list[int]) -> FiniteAlgebra:
+    """The field kind on F_q^dim, whose ops are the maps sum(l_i * x_i) + a
+    of arity 1-3, a in a0, named ``f(l_1,...,l_k)+a``: ``affine`` and
+    ``q_homog_field`` keep those with sum(l_i) = 1, and ``q_homog_field``
+    (a0 = [0]) drops the ``+a`` from its names.
 
-    ``linear``: x+y, every l*x with l != 0 and the constants a in a0;
-    ``affine``: x-y+z and the translations x+a; ``q_homog_field``: x-y+z.
-    Each has the name and table of its op in ``_field_ops``'s list.
+    Every table, of a gen op or not, comes from one rule.  The table of
+    (l_1, ..., l_k) is built from that of its prefix (l_1, ..., l_{k-1}):
+    with the first k-1 arguments fixed, the prefix value c is constant, so
+    each row of the table is the row of x -> c + l_k * x.  The empty prefix
+    is the constant 0.  The shift +a is one more translation of the table.
+    A kind is then the coefficients and shifts of its gen ops.  The rows of
+    an l are built the first time an op reads them, and each list builds
+    only the prefix tables its own ops read.
     """
-    add, scal = tables
-    q, size = len(scal), len(scal[0])
-    if kind == "linear":
-        return (Op("f(1,1)+0", 2, size, add),
-                *(Op(f"f({lam})+0", 1, size, scal[lam]) for lam in range(1, q)),
-                *(Op(f"f(0)+{a}", 1, size, bytes([a]) * size) for a in a0))
-    plus = Op("+", 2, size, add)
-    x, y, z = _projections(size, 3)
-    minus_y = y.translate(scal[q - 1].ljust(256, b"\0"))
-    maltsev = _compose(plus, [_compose(plus, [x, minus_y]), z])
-    if kind == "q_homog_field":
-        return (Op(f"f(1,{q-1},1)", 3, size, maltsev),)
-    return (Op(f"f(1,{q-1},1)+0", 3, size, maltsev),
-            *(Op(f"f(1)+{a}", 1, size, add[a * size:(a + 1) * size]) for a in a0))
+    shift, scal = _field_tables(q, dim)
+    size = q**dim
+    rows: dict[int, list[bytes]] = {}  # rows[l][c]: the table of x -> c + l * x
 
+    def build(specs: Iterable[tuple[tuple[int, ...], Sequence[int]]]) -> tuple[Op, ...]:
+        """The op (l_1, ..., l_k) + a for each (l, shifts) of specs and a in shifts."""
+        tables = {(): b"\0"}
 
-def _field_ops(tables: tuple[bytes, list[bytes]], a0: list[int],
-               affine_only: bool, with_const: bool) -> list[Op]:
-    """Every map sum(l_i * x_i) (+ a for a in a0) of arity 1-3 on F_q^dim,
-    from its ``_field_tables``.
+        def table(lam: tuple[int, ...]) -> bytes:
+            if lam not in tables:
+                l = lam[-1]
+                if l not in rows:
+                    rows[l] = [scal[l].translate(t) for t in shift]
+                tables[lam] = b"".join(map(rows[l].__getitem__, table(lam[:-1])))
+            return tables[lam]
 
-    The table of (l_1, ..., l_k) is built once from that of its prefix
-    (l_1, ..., l_{k-1}), the previous arity's: with the first k-1 arguments
-    fixed, the prefix value c is constant, so each row of the table is the
-    row of x -> c + l_k * x.  The empty prefix is the constant 0.  Each
-    shift +a is one more translation of the table.
-    """
-    add, scal = tables
-    q, size = len(scal), len(scal[0])
-    # rows[l][c]: the table of x -> c + l * x
-    rows = [[bytes(add[c * size + s] for s in scal[l]) for c in range(size)]
-            for l in range(q)]
-    # bytes.translate tables (256 entries) of x -> a + x
-    plus = {a: add[a * size:(a + 1) * size].ljust(256, b"\0") for a in a0}
-    ops = []
-    tables = {(): b"\0"}
-    for arity in (1, 2, 3):
-        # insertion order is itertools.product order: prefix first, l_k last
-        tables = {lam + (l,): b"".join(map(rows[l].__getitem__, prefix))
-                  for lam, prefix in tables.items() for l in range(q)}
-        for lam, table in tables.items():
-            if affine_only and sum(lam) % q != 1:
-                continue
-            tag = ",".join(map(str, lam))
-            if not with_const:
-                ops.append(Op(f"f({tag})", arity, size, table))
-                continue
-            for a in a0:
-                ops.append(Op(f"f({tag})+{a}", arity, size, table.translate(plus[a])))
-    return ops
+        ops = []
+        for lam, shifts in specs:
+            t, name = table(lam), f"f({','.join(map(str, lam))})"
+            for a in shifts:
+                ops.append(Op(f"{name}+{a}" if kind != "q_homog_field" else name,
+                              len(lam), size, t.translate(shift[a])))
+        del table  # its own cell: free the tables now, not in a later gc pass
+        return tuple(ops)
+
+    gens = {"linear": [((1, 1), [0]), *(((l,), [0]) for l in range(1, q)), ((0,), a0)],
+            "affine": [((1, q - 1, 1), [0]), ((1,), a0)],  # x-y+z and x+a
+            "q_homog_field": [((1, q - 1, 1), [0])]}[kind]
+    # the full list in itertools.product order: prefix first, l_k last
+    return FiniteAlgebra(kind, size, build(gens), lambda: build(
+        (lam, a0) for k in (1, 2, 3) for lam in itertools.product(range(q), repeat=k)
+        if kind == "linear" or sum(lam) % q == 1))
 
 
 def _int(x, what: str) -> int:
@@ -291,12 +281,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         dim = _int(params.pop("dim", 1), "dim")
         a0_vecs = _validate_field_params(q, dim, params.pop("a0", [[1] * dim]))
         _no_extra(params)
-        a0 = _span(a0_vecs, q, dim)
-        tables = _field_tables(q, dim)
-        return FiniteAlgebra(
-            kind, q**dim, _field_gen_ops(kind, tables, a0),
-            lambda: tuple(_field_ops(tables, a0, affine_only=(kind == "affine"),
-                                     with_const=True)))
+        return _field_instance(kind, q, dim, _span(a0_vecs, q, dim))
 
     if kind == "exceptional":
         _no_extra(params)
@@ -349,10 +334,7 @@ def make_instance(kind: str, **params) -> FiniteAlgebra:
         _no_extra(params)
         if q not in FIELD_ORDERS:
             raise InvalidParams(f"field order must be one of {FIELD_ORDERS}")
-        tables = _field_tables(q, 1)
-        return FiniteAlgebra(
-            kind, q, _field_gen_ops(kind, tables, [0]),
-            lambda: tuple(_field_ops(tables, [0], affine_only=True, with_const=False)))
+        return _field_instance(kind, q, 1, [0])
 
     if kind == "semilattice":
         _no_extra(params)

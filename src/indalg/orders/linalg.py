@@ -8,16 +8,17 @@ The rational half holds a rational matrix as integer rows over one
 positive denominator, ``(rows, d)``: the paper's own form d^-1 B of an
 element of End(Q^n), with B in End(Z^n).  Scaling a row by a positive
 factor changes neither a kernel nor solvability, so ``rank``,
-``nullspace``, ``solvable`` and ``solve_int`` take integer rows alone, and
-a rational caller passes its rows without the denominator.  Their kernel
-``bareiss`` returns an RREF's integer rows, denominator and pivot columns:
-``rank`` and ``solvable`` read only the pivots, ``nullspace`` and
-``solve_int`` read integer vectors off the rows.  ``Fraction`` enters
-through ``split``, which takes Fraction (or int) entries to ``(rows, d)``
-in lowest terms, and leaves through ``join``, both at the edges only: the
-CLI splits each matrix it reads once, and the Fraction-valued routines
-(``rref``, ``matmul``, ``solve_right``, ``solve_left`` and
-``matrix.group_inverse``) split what they take and join what they return.
+``nullspace`` and ``solve_int`` take integer rows alone, and a rational
+caller passes its rows without the denominator.  Their kernel ``bareiss``
+returns an RREF's integer rows, denominator and pivot columns: ``rank``
+reads only the pivots, ``nullspace`` and ``solve_int`` read integer
+vectors off the rows, and ``solve_int`` answers None, unsolvable, when a
+pivot of [a | b] lies in b.  ``Fraction`` enters through ``split``, which
+takes Fraction (or int) entries to ``(rows, d)`` in lowest terms, and
+leaves through ``join``, both at the edges only: the CLI splits each
+matrix it reads once, and the Fraction-valued routines (``rref``,
+``matmul``, ``solve_right``, ``solve_left`` and ``matrix.group_inverse``)
+split what they take and join what they return.
 
 The integer half never touches ``Fraction``.  Its unimodular kernel
 ``_echelon`` makes one pass per pivot row, clearing the column below it
@@ -159,13 +160,6 @@ def nullspace(a) -> IntMat:
 def matmul(a, b) -> Mat:
     (x, dx), (y, dy) = split(a), split(b)
     return join(matmul_int(x, y), dx * dy)
-
-
-def solvable(a, b) -> bool:
-    """True iff a @ X = b is solvable, for integer rows a and b: no pivot
-    of [a | b] is in b."""
-    pivots = bareiss(hstack(a, b))[2]
-    return not pivots or pivots[-1] < shape(a)[1]
 
 
 def solve_int(a, b) -> tuple[IntMat, int] | None:

@@ -23,7 +23,7 @@ import random
 
 from . import acts, matrix, randints
 from ..report import Check
-from .linalg import lowest, matmul_int, scale_int, solvable, solve_int, transpose
+from .linalg import lowest, matmul_int, scale_int, solve_int, transpose
 from .acts import (
     ActEndo,
     compose,
@@ -55,9 +55,9 @@ def matrix_route(side: str, a, b) -> bool:
     where ``greens_leq`` reads a kernel; for Rstar and Lstar, the unstarred
     order, which reads the integer matrices as rational ones."""
     if side == "R":
-        return solvable(transpose(b[0]), transpose(a[0]))
+        return solve_int(transpose(b[0]), transpose(a[0])) is not None
     if side == "L":
-        return solvable(b[0], a[0])
+        return solve_int(b[0], a[0]) is not None
     return matrix.greens_leq(side[0], a, b)
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -312,8 +313,22 @@ def test_gen_ops_generate_every_basic_op(kind, params):
     assert cat.generated_covers(alg, alg.gen_ops, targets) == targets
 
 
+# every (kind, q, dim) make_instance accepts; the 25-element fields take
+# a0 = [] (shifts by 0 only) to keep the reference loop to about a second
+FIELD_OP_CASES = [
+    (kind, q, dim, [] if q * dim == 10 else [[1] * dim])
+    for kind in ("linear", "affine") for q in cat.FIELD_ORDERS for dim in (1, 2)
+] + [("q_homog_field", q, 1, None) for q in cat.FIELD_ORDERS]
+
+
+def field_params(kind, q, dim, a0) -> dict:
+    """make_instance's params for a FIELD_OP_CASES entry."""
+    return {"q": q} if kind == "q_homog_field" else {"q": q, "dim": dim, "a0": a0}
+
+
 @pytest.mark.parametrize("kind,params", [
-    c for c in GEN_OPS_CASES if c[0] in ("linear", "affine", "q_homog_field")])
+    c for c in GEN_OPS_CASES if c[0] in ("linear", "affine", "q_homog_field")
+] + [(c[0], field_params(*c)) for c in FIELD_OP_CASES])
 def test_field_gen_ops_are_their_entries_in_the_full_list(kind, params):
     alg = cat.make_instance(kind, **params)
     repr(alg)
@@ -322,14 +337,28 @@ def test_field_gen_ops_are_their_entries_in_the_full_list(kind, params):
     assert [full[op.name] for op in alg.gen_ops] == list(alg.gen_ops)
 
 
+@pytest.mark.parametrize("q", cat.FIELD_ORDERS)
+def test_q_homog_field_is_affine_on_the_line_without_shift_names(q):
+    """With dim = 1 and a0 = [] (A0 = {0}), ``affine`` has q_homog_field's
+    ops in the same order, each named with a ``+0`` that q_homog_field drops."""
+    homog = cat.make_instance("q_homog_field", q=q)
+    affine = cat.make_instance("affine", q=q, dim=1, a0=[])
+    assert all(op.name.endswith(")+0") for op in affine.ops)
+    assert ([op._replace(name=op.name[:-2]) for op in affine.ops]
+            == list(homog.ops))
+
+
 @pytest.mark.parametrize("check,builds",
                          [("exchange", 0), ("clone", 0), ("endos", 0), ("witness", 1)])
 def test_only_the_witness_check_builds_the_field_ops(monkeypatch, capsys,
                                                      check, builds):
     calls = []
-    build = cat._field_ops
-    monkeypatch.setattr(cat, "_field_ops",
-                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    init = cat.FiniteAlgebra.__init__
+
+    def counting_init(self, kind, size, gen_ops, build_ops):  # counts ops builds
+        init(self, kind, size, gen_ops, lambda: calls.append(kind) or build_ops())
+
+    monkeypatch.setattr(cat.FiniteAlgebra, "__init__", counting_init)
     for kind, params in [("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
                          ("affine", {"q": 3, "dim": 2, "a0": [[2, 1]]}),
                          ("q_homog_field", {"q": 5})]:
@@ -339,6 +368,22 @@ def test_only_the_witness_check_builds_the_field_ops(monkeypatch, capsys,
         assert cli.run(argv) == 0
         assert len(calls) == builds, (kind, check)
     capsys.readouterr()
+
+
+def test_field_builds_leave_no_cyclic_garbage():
+    """A field instance's op tables are freed when the build that made them
+    returns: cyclic garbage that outlived a few collections would wait for
+    a rare full one, and pile up across reports."""
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, params in [("linear", {"q": 3, "dim": 2, "a0": [[1, 0]]}),
+                             ("affine", {"q": 5, "dim": 1}),
+                             ("q_homog_field", {"q": 3})]:
+            assert cat.make_instance(kind, **params).ops
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_each_field_instance_builds_its_tables_once(monkeypatch, capsys):
@@ -863,22 +908,14 @@ def loop_field_ops(q, dim, a0, affine_only, with_const):
     return ops
 
 
-# every (kind, q, dim) make_instance accepts; the 25-element fields take
-# a0 = [] (shifts by 0 only) to keep the reference loop to about a second
-FIELD_OP_CASES = [
-    (kind, q, dim, [] if q * dim == 10 else [[1] * dim])
-    for kind in ("linear", "affine") for q in cat.FIELD_ORDERS for dim in (1, 2)
-] + [("q_homog_field", q, 1, None) for q in cat.FIELD_ORDERS]
-
-
 @pytest.mark.parametrize("kind,q,dim,a0", FIELD_OP_CASES)
 def test_field_ops_match_row_by_row_builder(kind, q, dim, a0):
     if kind == "q_homog_field":
         args = (q, 1, [0], True, False)
     else:
         args = (q, dim, cat._span(a0, q, dim), kind == "affine", True)
-    tables = cat._field_tables(*args[:2])  # (q, dim)
-    assert cat._field_ops(tables, *args[2:]) == loop_field_ops(*args)
+    alg = cat.make_instance(kind, **field_params(kind, q, dim, a0))
+    assert list(alg.ops) == loop_field_ops(*args)
 
 
 NINE = {"q": 3, "dim": 2, "a0": [[1, 0]]}

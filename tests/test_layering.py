@@ -213,7 +213,7 @@ def forbidden_uses(source: str, names, anywhere: bool = False) -> list[str]:
 
 def test_checker_flags_fraction_and_conversions():
     assert forbidden_uses("from fractions import Fraction\n"
-                          "from .linalg import split as s, solvable\n",
+                          "from .linalg import split as s, solve_int\n",
                           CONVERSIONS) == [
         "line 1: fractions", "line 1: Fraction", "line 2: split"]
     assert forbidden_uses("import fractions\nfrom . import linalg\n"
@@ -222,7 +222,7 @@ def test_checker_flags_fraction_and_conversions():
         "line 1: fractions", "line 3: linalg.join", "line 4: fractions.Fraction"]
     assert forbidden_uses("from indalg.orders.linalg import mat_z as z\n",
                           CONVERSIONS) == ["line 1: mat_z"]
-    assert forbidden_uses("from .linalg import solvable\nfrom . import matrix\n"
+    assert forbidden_uses("from .linalg import solve_int\nfrom . import matrix\n"
                           "words = ', '.join(s.split())\nmatrix.show(m)\n",
                           CONVERSIONS) == []
 
