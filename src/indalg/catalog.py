@@ -14,6 +14,14 @@ Each instance kind packages a small carrier with explicit operation tables:
 * ``semilattice``  -- negative control: the 3-element join-semilattice with
                       two incomparable atoms (its closure violates exchange).
 
+``KINDS`` is the one place that decides a kind: its row holds the builder,
+the name of its standard witness set, and the outcome a correct exchange
+check reports ("finding" for the semilattice alone, "pass" for the rest).
+A builder takes the kind's parameters as keyword-only arguments with their
+defaults, and ``make_instance`` reads every payload by one rule: an unknown
+kind is refused, then every key the builder does not take (all of them,
+sorted, in one message), and only then does the builder read a value.
+
 Operations with arity <= 3 suffice to generate each clone at these sizes; the
 bound is an explicit soundness boundary of the generation check, not a claim
 about clones in general.
@@ -128,10 +136,11 @@ class FiniteAlgebra:
     endomorphism search run against them (same results, much smaller tuple
     spaces).  ``build_ops`` returns every basic op; it runs once, the first
     time ``ops`` is read, so the checks that read gen_ops alone never build
-    the full list.  The fields refuse assignment."""
+    the full list.  Left None, the basic ops are gen_ops themselves.  The
+    fields refuse assignment."""
 
     def __init__(self, kind: str, size: int, gen_ops: tuple[Op, ...],
-                 build_ops: Callable[[], tuple[Op, ...]]):
+                 build_ops: Optional[Callable[[], tuple[Op, ...]]] = None):
         vars(self).update(kind=kind, size=size, gen_ops=gen_ops, build_ops=build_ops)
 
     def __setattr__(self, name, value):
@@ -142,7 +151,7 @@ class FiniteAlgebra:
 
     @cached_property
     def ops(self) -> tuple[Op, ...]:
-        return self.build_ops()
+        return self.gen_ops if self.build_ops is None else self.build_ops()
 
     def __repr__(self) -> str:  # params live in the op names
         return (f"FiniteAlgebra({self.kind}, size={self.size}, "
@@ -151,13 +160,6 @@ class FiniteAlgebra:
 
 # ---------------------------------------------------------------------------
 # instance construction
-
-
-def _vec(idx: int, q: int, dim: int) -> tuple[int, ...]:
-    out = []
-    for p in range(dim - 1, -1, -1):
-        out.append((idx // q**p) % q)
-    return tuple(out)
 
 
 def _vidx(v: Sequence[int], q: int) -> int:
@@ -180,13 +182,21 @@ def _span(vectors: Sequence[Sequence[int]], q: int, dim: int) -> list[int]:
 
 def _field_tables(q: int, dim: int) -> tuple[list[bytes], list[bytes]]:
     """On F_q^dim, the bytes.translate tables (256 entries) of x -> c + x,
-    one per c, and the tables of x -> l * x, one per l in F_q."""
-    vecs = [_vec(i, q, dim) for i in range(q**dim)]
-    shift = [bytes(_vidx([(x + y) % q for x, y in zip(u, v)], q)
-                   for v in vecs).ljust(256, b"\0") for u in vecs]
-    scal = [bytes(_vidx([(lam * x) % q for x in v], q) for v in vecs)
-            for lam in range(q)]
-    return shift, scal
+    one per c, and the tables of x -> l * x, one per l in F_q.
+
+    They are built one coordinate at a time from those of F_q^0, the one
+    point 0: a coordinate a put in front of the vector with index x of
+    F_q^k gives the one with index a * q^k + x, and both maps act on the
+    new coordinate as they do on F_q, apart from the rest.
+    """
+    shift, scal = [bytes(1)], [bytes(1)] * q
+    for k in range(dim):
+        n = q**k
+        shift = [bytes([((a + b) % q) * n + x for b in range(q) for x in row])
+                 for a in range(q) for row in shift]
+        scal = [bytes([((lam * b) % q) * n + x for b in range(q) for x in row])
+                for lam, row in enumerate(scal)]
+    return [t.ljust(256, b"\0") for t in shift], scal
 
 
 def _field_instance(kind: str, q: int, dim: int, a0: list[int]) -> FiniteAlgebra:
@@ -253,7 +263,23 @@ def _list(x, what: str) -> Sequence:
     return x
 
 
-def _validate_field_params(q: int, dim: int, a0):
+_ONES = object()  # a0's default, [[1] * dim]: no JSON value is this object
+
+
+def _rank0(kind: str, *, size=3) -> FiniteAlgebra:
+    size = _int(size, "size")
+    if not 1 <= size <= 8:
+        raise InvalidParams("rank0 size must be in [1,8]")
+    return FiniteAlgebra(kind, size, tuple(
+        Op(f"c{a}", 1, size, bytes([a] * size)) for a in range(size)
+    ))
+
+
+def _linear_or_affine(kind: str, *, q=3, dim=1, a0=_ONES) -> FiniteAlgebra:
+    q = _int(q, "q")
+    dim = _int(dim, "dim")
+    if a0 is _ONES:
+        a0 = [[1] * dim]
     if q not in FIELD_ORDERS:
         raise InvalidParams(f"field order must be one of {FIELD_ORDERS}, got {q}")
     if dim not in (1, 2):
@@ -262,94 +288,94 @@ def _validate_field_params(q: int, dim: int, a0):
     for v in vecs:
         if len(v) != dim or any(not (0 <= _int(c, "a0 entry") < q) for c in v):
             raise InvalidParams(f"spanning vector {v} not in F_{q}^{dim}")
-    return vecs
+    return _field_instance(kind, q, dim, _span(vecs, q, dim))
+
+
+def _exceptional(kind: str) -> FiniteAlgebra:
+    q_table = bytearray()
+    for x, y, z in itertools.product(range(4), repeat=3):
+        if x == y or x == z:
+            q_table.append(x)
+        elif y == z:
+            q_table.append(y)
+        else:
+            q_table.append(6 - x - y - z)
+    return FiniteAlgebra(kind, 4, (Op("i", 1, 4, bytes((1, 0, 3, 2))),
+                                   Op("q", 3, 4, bytes(q_table))))
+
+
+def _group_action(kind: str, *, size=5, generators=((0, 2, 1, 4, 3),),
+                  constants=(0,)) -> FiniteAlgebra:
+    size = _int(size, "size")
+    perms = [tuple(_int(x, "generators entry")
+                   for x in _list(p, "generators entry"))
+             for p in _list(generators, "generators")]
+    consts = sorted({_int(c, "constants entry")
+                     for c in _list(constants, "constants")})
+    if not 1 <= size <= 8:
+        raise InvalidParams("group_action size must be in [1,8]")
+    for p in perms:
+        if sorted(p) != list(range(size)):
+            raise InvalidParams(f"{p} is not a permutation of 0..{size-1}")
+    if any(not 0 <= c < size for c in consts):
+        raise InvalidParams("constants outside the carrier")
+    ident = tuple(range(size))
+    for g in _perm_group(perms, size):
+        bad = [x for x in range(size) if g[x] == x and x not in consts]
+        if bad and g != ident:
+            raise InvalidParams(
+                f"fixed point {bad[0]} of {g} lies outside the constants"
+            )
+    return FiniteAlgebra(kind, size, tuple(
+        [Op(f"g{k}", 1, size, bytes(p)) for k, p in enumerate(perms)]
+        + [Op(f"c{a}", 1, size, bytes([a] * size)) for a in consts]
+    ))
+
+
+def _q_homog_field(kind: str, *, q=3) -> FiniteAlgebra:
+    if _int(q, "q") not in FIELD_ORDERS:
+        raise InvalidParams(f"field order must be one of {FIELD_ORDERS}")
+    return _field_instance(kind, q, 1, [0])
+
+
+def _semilattice(kind: str) -> FiniteAlgebra:
+    table = bytearray()
+    for x, y in itertools.product(range(3), repeat=2):
+        table.append(x if x == y else 2)
+    return FiniteAlgebra(kind, 3, (Op("join", 2, 3, bytes(table)),))
+
+
+class Kind(NamedTuple):
+    """What one instance kind is: how it is built and what the checks of a
+    correct implementation report on it."""
+
+    build: Callable[..., FiniteAlgebra]  # build(kind, **params)
+    witness: str  # the name of the standard witness set
+    exchange: str = "pass"  # the outcome of a correct exchange check
+
+
+KINDS = {
+    "rank0": Kind(_rank0, "unary-ops"),
+    "linear": Kind(_linear_or_affine, "maltsev+unary"),
+    "affine": Kind(_linear_or_affine, "all-basic-ops"),
+    "exceptional": Kind(_exceptional, "i,q"),
+    "group_action": Kind(_group_action, "unary-ops"),
+    "q_homog_field": Kind(_q_homog_field, "all-basic-ops"),
+    "semilattice": Kind(_semilattice, "all-basic-ops", exchange="finding"),
+}
 
 
 def make_instance(kind: str, **params) -> FiniteAlgebra:
-    if kind == "rank0":
-        size = _int(params.pop("size", 3), "size")
-        _no_extra(params)
-        if not 1 <= size <= 8:
-            raise InvalidParams("rank0 size must be in [1,8]")
-        ops = tuple(
-            Op(f"c{a}", 1, size, bytes([a] * size)) for a in range(size)
-        )
-        return FiniteAlgebra(kind, size, ops, lambda: ops)
-
-    if kind in ("linear", "affine"):
-        q = _int(params.pop("q", 3), "q")
-        dim = _int(params.pop("dim", 1), "dim")
-        a0_vecs = _validate_field_params(q, dim, params.pop("a0", [[1] * dim]))
-        _no_extra(params)
-        return _field_instance(kind, q, dim, _span(a0_vecs, q, dim))
-
-    if kind == "exceptional":
-        _no_extra(params)
-        i_table = bytes((1, 0, 3, 2))
-        q_table = bytearray()
-        for x, y, z in itertools.product(range(4), repeat=3):
-            if x == y or x == z:
-                q_table.append(x)
-            elif y == z:
-                q_table.append(y)
-            else:
-                q_table.append(6 - x - y - z)
-        ops = (Op("i", 1, 4, i_table), Op("q", 3, 4, bytes(q_table)))
-        return FiniteAlgebra(kind, 4, ops, lambda: ops)
-
-    if kind == "group_action":
-        size = _int(params.pop("size", 5), "size")
-        perms = [tuple(_int(x, "generators entry")
-                       for x in _list(p, "generators entry"))
-                 for p in _list(params.pop("generators", [(0, 2, 1, 4, 3)]),
-                                "generators")]
-        consts = sorted({_int(c, "constants entry")
-                         for c in _list(params.pop("constants", [0]), "constants")})
-        _no_extra(params)
-        if not 1 <= size <= 8:
-            raise InvalidParams("group_action size must be in [1,8]")
-        for p in perms:
-            if sorted(p) != list(range(size)):
-                raise InvalidParams(f"{p} is not a permutation of 0..{size-1}")
-        if any(not 0 <= c < size for c in consts):
-            raise InvalidParams("constants outside the carrier")
-        group = _perm_group(perms, size)
-        ident = tuple(range(size))
-        for g in group:
-            if g == ident:
-                continue
-            bad = [x for x in range(size) if g[x] == x and x not in consts]
-            if bad:
-                raise InvalidParams(
-                    f"fixed point {bad[0]} of {g} lies outside the constants"
-                )
-        ops = tuple(
-            [Op(f"g{k}", 1, size, bytes(p)) for k, p in enumerate(perms)]
-            + [Op(f"c{a}", 1, size, bytes([a] * size)) for a in consts]
-        )
-        return FiniteAlgebra(kind, size, ops, lambda: ops)
-
-    if kind == "q_homog_field":
-        q = _int(params.pop("q", 3), "q")
-        _no_extra(params)
-        if q not in FIELD_ORDERS:
-            raise InvalidParams(f"field order must be one of {FIELD_ORDERS}")
-        return _field_instance(kind, q, 1, [0])
-
-    if kind == "semilattice":
-        _no_extra(params)
-        table = bytearray()
-        for x, y in itertools.product(range(3), repeat=2):
-            table.append(x if x == y else 2)
-        ops = (Op("join", 2, 3, bytes(table)),)
-        return FiniteAlgebra(kind, 3, ops, lambda: ops)
-
-    raise InvalidParams(f"unknown kind {kind!r}")
-
-
-def _no_extra(params: dict) -> None:
-    if params:
-        raise InvalidParams(f"unexpected parameters: {sorted(params)}")
+    """The instance of kind built from params.  An unknown kind is refused
+    first, then every key that its builder does not take as a keyword, and
+    only then does the builder read a value."""
+    if kind not in KINDS:
+        raise InvalidParams(f"unknown kind {kind!r}")
+    build = KINDS[kind].build
+    extra = params.keys() - (build.__kwdefaults__ or {})
+    if extra:
+        raise InvalidParams(f"unexpected parameters: {sorted(extra)}")
+    return build(kind, **params)
 
 
 def _perm_group(gens: list[tuple[int, ...]], size: int) -> set:
@@ -670,11 +696,10 @@ def witness_set(alg: FiniteAlgebra, variant: str) -> WitnessSet:
                               "finding" if shifted else "pass")
         q = next(p for p in FIELD_ORDERS if alg.size in (p, p * p))
         g = by_name[f"f(1,{q-1},1)+0"]  # x-y+z
-        return WitnessSet("maltsev+unary", tuple([g] + unary))
+        return WitnessSet(KINDS[alg.kind].witness, tuple([g] + unary))
     # every op of rank0 and group_action is unary; affine, q_homog_field
     # and semilattice take every basic op (arity <= 3)
-    names = {"exceptional": "i,q", "rank0": "unary-ops", "group_action": "unary-ops"}
-    return WitnessSet(names.get(alg.kind, "all-basic-ops"), alg.ops)
+    return WitnessSet(KINDS[alg.kind].witness, alg.ops)
 
 
 def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:

@@ -318,15 +318,14 @@ def cmd_catalog(args):
         for alg in instances:
             label = _instance_label(alg)
             if args.check == "exchange":
-                expected = "finding" if alg.kind == "semilattice" else "pass"
                 res = cat.check_exchange(alg)
                 outcome = "pass" if res.holds else "finding"
                 details = {"instance": label, "holds": res.holds}
                 if res.witness:
                     x, y, zz = res.witness
                     details["witness"] = {"X": list(x), "y": y, "z": zz}
-                checks.append(Check(f"exchange[{label}]", expected, outcome,
-                                    details=details))
+                checks.append(Check(f"exchange[{label}]", cat.KINDS[alg.kind].exchange,
+                                    outcome, details=details))
             elif args.check == "witness":
                 with _reading("--variant"):
                     wit = cat.witness_set(alg, variant=args.variant or "standard")
@@ -450,7 +449,6 @@ def cmd_ore_check(args):
     monoids = _backend("indalg.orders.monoids")
     _at_least_one(args, "depth")
     monoid = monoids.MONOIDS[args.monoid]
-    expected = "finding" if args.monoid == "free2" else "pass"
     checks = []
     for side in ("left", "right"):
         try:
@@ -461,7 +459,7 @@ def cmd_ore_check(args):
             res.status, "inconclusive"
         )
         checks.append(Check(
-            f"ore[{args.monoid},{side}]", expected, outcome, details=res._asdict()
+            f"ore[{args.monoid},{side}]", monoid.expected, outcome, details=res._asdict()
         ))
     return checks
 

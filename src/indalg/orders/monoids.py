@@ -28,6 +28,8 @@ class PresentedMonoid(NamedTuple):
     # certificate(side, a, b) -> reason string when ua = vb (left) or
     # au = bv (right) is structurally impossible
     certificate: Callable = lambda side, a, b: None
+    # the outcome a correct Ore check reports on each side
+    expected: str = "pass"
 
 
 def _posint_elements(depth: int) -> list[int]:
@@ -75,6 +77,7 @@ FREE2 = PresentedMonoid(
     op=lambda x, y: x + y,
     size=lambda depth: 2 ** (depth + 1) - 1,
     certificate=_free2_certificate,
+    expected="finding",
 )
 
 MONOIDS = {"posint": POSINT, "free2": FREE2}

@@ -354,12 +354,16 @@ def sample_terms(
 
 
 def _term_sampler(rng: random.Random, max_var: int, pool: list[Word]):
-    """``gen_term(budget)`` of ``sample_terms``' stream contract, over rng."""
+    """``gen_term(budget)`` of ``sample_terms``' stream contract, over rng.
+
+    The recursion is handed itself as an argument rather than reading its
+    own closure cell, so no reference cycle keeps rng alive after a sample.
+    """
     bits, roll = rng.getrandbits, rng.random
     n_pool = len(pool)
     k_var, k_pool = max_var.bit_length(), n_pool.bit_length()
 
-    def gen_term(budget: int) -> Term:
+    def gen(budget: int, again) -> Term:
         if budget > 1:
             r = roll()
             if r >= 0.25:
@@ -367,14 +371,14 @@ def _term_sampler(rng: random.Random, max_var: int, pool: list[Word]):
                     i = bits(k_pool)
                     while i >= n_pool:
                         i = bits(k_pool)
-                    return Nu(pool[i], gen_term(budget - 1))
-                return G(gen_term(budget - 1), gen_term(budget - 1))
+                    return Nu(pool[i], again(budget - 1, again))
+                return G(again(budget - 1, again), again(budget - 1, again))
         i = bits(k_var)
         while i >= max_var:
             i = bits(k_var)
         return Var(i + 1)
 
-    return gen_term
+    return lambda budget: gen(budget, gen)
 
 
 def _has_g(t: Term) -> bool:

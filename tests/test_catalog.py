@@ -50,6 +50,38 @@ def test_make_instance_rejects_bad_params():
             cat.make_instance(kind, **params)
 
 
+# per kind, payloads each refused for one bad value of a known key, type
+# faults before range faults; a kind that takes no key has only {}
+BAD_VALUES = {
+    "rank0": [{"size": 3.5}, {"size": 9}],
+    "linear": [{"q": "3"}, {"q": 4}, {"a0": None}, {"dim": 1, "a0": [[3]]}],
+    "affine": [{"dim": True}, {"dim": 3}],
+    "exceptional": [{}],
+    "group_action": [{"constants": 0}, {"size": 9}, {"constants": [5]}],
+    "q_homog_field": [{"q": 3.0}, {"q": 4}],
+    "semilattice": [{}],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cat.KINDS))
+def test_an_unexpected_key_is_refused_before_any_value(kind):
+    """make_instance refuses every key a kind's builder does not take before
+    the builder reads a value, so one rule names the same fault first for
+    every kind."""
+    assert BAD_VALUES.keys() == cat.KINDS.keys()
+    for params in BAD_VALUES[kind]:
+        if params:
+            with pytest.raises(InvalidParams) as bad:
+                cat.make_instance(kind, **params)
+            assert "unexpected" not in str(bad.value)
+        with pytest.raises(InvalidParams,
+                           match=r"^unexpected parameters: \['bogus'\]$"):
+            cat.make_instance(kind, **params, bogus=1)
+    with pytest.raises(InvalidParams,
+                       match=r"^unexpected parameters: \['a', 'bogus'\]$"):
+        cat.make_instance(kind, bogus=1, a=2)
+
+
 def test_op_indexing_row_major():
     semi = cat.make_instance("semilattice")
     (join,) = semi.ops
@@ -882,20 +914,42 @@ def test_witness_report_matches_the_check_on_every_op(case):
     assert expected is None or got == expected
 
 
+def digit_tables(q, dim):
+    """F_q^dim's index of each vector, with add[u][v], the index of u + v,
+    and scal[l][v], that of l * v.  It shares no code with the catalog: the
+    vector of index i is written out here digit by digit, the first digit
+    the most significant."""
+    vecs = [tuple((i // q**p) % q for p in reversed(range(dim))) for i in range(q**dim)]
+    index = {v: i for i, v in enumerate(vecs)}
+    add = [[index[tuple((x + y) % q for x, y in zip(u, v))] for v in vecs]
+           for u in vecs]
+    scal = [[index[tuple((lam * x) % q for x in v)] for v in vecs] for lam in range(q)]
+    return index, add, scal
+
+
+@pytest.mark.parametrize("q", cat.FIELD_ORDERS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_tables_translate_and_scale(q, dim):
+    _, add, scal = digit_tables(q, dim)
+    assert cat._field_tables(q, dim) == ([bytes(row).ljust(256, b"\0") for row in add],
+                                         [bytes(row) for row in scal])
+
+
 def loop_field_ops(q, dim, a0, affine_only, with_const):
-    """The row-by-row builder: every entry summed through add/scal lookups."""
+    """The row-by-row builder: every entry summed through add/scal lookups
+    of ``digit_tables``; the shifts are A0, the span of the vectors a0,
+    summed one spanning vector at a time."""
     size = q**dim
-    vecs = [cat._vec(i, q, dim) for i in range(size)]
-    add = [[cat._vidx([(x + y) % q for x, y in zip(vecs[i], vecs[j])], q)
-            for j in range(size)] for i in range(size)]
-    scal = [[cat._vidx([(lam * x) % q for x in vecs[i]], q) for i in range(size)]
-            for lam in range(q)]
+    index, add, scal = digit_tables(q, dim)
+    shifts = {0}
+    for w in a0:
+        shifts = {add[s][scal[lam][index[tuple(w)]]] for s in shifts for lam in range(q)}
     ops = []
     for arity in (1, 2, 3):
         for lam in itertools.product(range(q), repeat=arity):
             if affine_only and sum(lam) % q != 1:
                 continue
-            for a in (a0 if with_const else [0]):
+            for a in (sorted(shifts) if with_const else [0]):
                 table = bytearray()
                 for args in itertools.product(range(size), repeat=arity):
                     acc = a if with_const else 0
@@ -911,9 +965,9 @@ def loop_field_ops(q, dim, a0, affine_only, with_const):
 @pytest.mark.parametrize("kind,q,dim,a0", FIELD_OP_CASES)
 def test_field_ops_match_row_by_row_builder(kind, q, dim, a0):
     if kind == "q_homog_field":
-        args = (q, 1, [0], True, False)
+        args = (q, 1, [], True, False)
     else:
-        args = (q, dim, cat._span(a0, q, dim), kind == "affine", True)
+        args = (q, dim, a0, kind == "affine", True)
     alg = cat.make_instance(kind, **field_params(kind, q, dim, a0))
     assert list(alg.ops) == loop_field_ops(*args)
 

@@ -531,6 +531,9 @@ USAGE_ERRORS = [
     (["catalog", "--kind", "linear", "--params", '{"q":3,"dim":1,"a0":[[1.0]]}'],
      None),
     (["catalog", "--kind", "q_homog_field", "--params", '{"q":5.0}'], None),
+    # a key the kind does not take is named before a bad value of one it does
+    (["catalog", "--kind", "linear", "--params", '{"q":4,"bogus":1}'], None,
+     "--params: unexpected parameters: ['bogus']"),
     (["catalog", "--kind", "group_action", "--params",
       '{"size":5,"generators":[[0,1,2,3,4]],"constants":[true,3]}'], None),
     (["catalog", "--kind", "group_action", "--params",

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from report_json import canonical_report
 
-from indalg import cli
+from indalg import catalog, cli
 
 # the term alphabet: heads, separators, word syntax, the extras int() would
 # accept, a digit that str.isdigit accepts and int() refuses, and spaces
@@ -188,6 +188,10 @@ def _catalog_argv(draw):
           '{"size": 3, "generators": [[1, 2, 0]], "constants": [0]}', "--check", "endos"])
 def test_catalog_params_keep_the_contract(argv):
     check_contract(argv)
+
+
+def test_catalog_params_draw_every_kind():
+    assert catalog.KINDS.keys() <= _CATALOG_PARAMS.keys()
 
 
 _PAYLOADS = {
