@@ -365,10 +365,10 @@ KINDS = {
 }
 
 
-def make_instance(kind: str, **params) -> FiniteAlgebra:
+def make_instance(kind: str, /, **params) -> FiniteAlgebra:
     """The instance of kind built from params.  An unknown kind is refused
-    first, then every key that its builder does not take as a keyword, and
-    only then does the builder read a value."""
+    first, then every key that its builder does not take as a keyword, a
+    ``kind`` key too, and only then does the builder read a value."""
     if kind not in KINDS:
         raise InvalidParams(f"unknown kind {kind!r}")
     build = KINDS[kind].build

@@ -50,6 +50,18 @@ subcommand accepts and lists in its help only the flags it reads: a flag it
 would ignore, such as ``catalog --samples 7``, is an unrecognized argument.
 The defaults of the others still fill its ``config``, so every report's
 config holds every shared key.
+
+``run`` is the report boundary, and a report runs with the cyclic garbage
+collector paused: ``gc.disable()`` on entry, and ``gc.enable()`` on every
+ending (a report, ``-h``, a usage error or an exception) only if the caller
+had it on.  Collections in a report would find nothing: each report frees
+what it made by reference counts alone, which ``tests/test_steady_memory.py``
+and the fuzz tests of ``tests/test_cli_fuzz.py`` check after every run, so a
+pause loses no memory.  A large ``verify-counterexample`` or ``classify``
+report grows its live containers past CPython's gen-0 threshold hundreds of
+times, and a running collector would make as many collections that find
+nothing.  ``gc`` is reached through ``_backend`` like a backend, so
+importing this module does not import it.
 """
 
 from __future__ import annotations
@@ -665,6 +677,9 @@ def _emit(report: dict, args) -> None:
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    gc = _backend("gc")
+    collecting = gc.isenabled()
+    gc.disable()  # for this report only: it leaves no cycle to collect
     try:
         args = parse(argv)
         config = {k: v for k, v in sorted(vars(args).items())
@@ -679,6 +694,9 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0 if ok else 1
 
 

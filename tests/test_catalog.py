@@ -80,6 +80,9 @@ def test_an_unexpected_key_is_refused_before_any_value(kind):
     with pytest.raises(InvalidParams,
                        match=r"^unexpected parameters: \['a', 'bogus'\]$"):
         cat.make_instance(kind, bogus=1, a=2)
+    # the kind is positional only, so a "kind" key is a parameter like any other
+    with pytest.raises(InvalidParams, match=r"^unexpected parameters: \['kind'\]$"):
+        cat.make_instance(kind, kind=1)
 
 
 def test_op_indexing_row_major():

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -534,6 +535,9 @@ USAGE_ERRORS = [
     # a key the kind does not take is named before a bad value of one it does
     (["catalog", "--kind", "linear", "--params", '{"q":4,"bogus":1}'], None,
      "--params: unexpected parameters: ['bogus']"),
+    # "kind" is a key like any other, not make_instance's own argument
+    (["catalog", "--kind", "rank0", "--params", '{"kind": 1}'], None,
+     "--params: unexpected parameters: ['kind']"),
     (["catalog", "--kind", "group_action", "--params",
       '{"size":5,"generators":[[0,1,2,3,4]],"constants":[true,3]}'], None),
     (["catalog", "--kind", "group_action", "--params",
@@ -787,3 +791,45 @@ def test_matrix_entries_up_to_the_digit_limit_are_read(capsys, monkeypatch):
     code, rep, _ = run_json(capsys, "greens", "--side", "L", "--input", "-")
     assert code == 0
     assert rep["checks"][0]["details"]["a"][0][0] == "1" + "0" * 4299
+
+
+# one argv for each way a report ends, and the status it ends with
+ENDINGS = [
+    (["catalog", "--kind", "rank0", "--check", "clone"], 0),
+    (["verify-counterexample", "--samples", "1", "--terms", "5", "--depth", "3",
+      "--seed", "7"], 1),
+    (["suite", "--n", "0"], 2),
+    (["suite", "-h"], 0),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_report_runs_with_the_collector_paused_and_restores_it(monkeypatch, enabled):
+    seen = []  # whether the collector ran, at each call of a handler
+
+    def watch(handler):
+        def watched(args):
+            seen.append(gc.isenabled())
+            return handler(args)
+        return watched
+
+    table = {name: (options, dict(defaults, handler=watch(defaults["handler"])), pos)
+             for name, (options, defaults, pos) in cli.build_parser().items()}
+    monkeypatch.setattr(cli, "build_parser", lambda: table)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, status in ENDINGS:
+            assert cli.run(argv) == status, argv
+            assert gc.isenabled() is enabled, argv
+        assert seen == [False] * 3  # -h ends before any handler runs
+
+        def boom(args):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        table["suite"][1]["handler"] = boom
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.run(["suite"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

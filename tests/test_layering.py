@@ -11,7 +11,9 @@ on the matrix backend's integer rows alone: it imports neither ``Fraction``
 (nor ``fractions``) nor the conversions ``split``, ``join`` and ``mat_z``,
 and reads none of them off a module it imports.  ``cli.py`` names no
 ``ActEndo``, by import, attribute or bare name: it reaches act records only
-through ``acts.act_endo``, the one constructor that checks one.  The
+through ``acts.act_endo``, the one constructor that checks one.  Only
+``cli.py`` names ``gc``, the cyclic collector it pauses for each report,
+so the pause stays in one place.  The
 backend modules of ``orders`` (``matrix``, ``acts`` and ``monoids``) are
 siblings: none imports another, and what they share lives in the package
 itself.  The package holds no ``assert`` statement: ``python -O`` drops
@@ -249,6 +251,21 @@ def test_cli_reaches_act_records_only_through_act_endo():
     assert forbidden_uses(source, {"ActEndo"}, anywhere=True) == []
     assert any(isinstance(node, ast.Attribute) and node.attr == "act_endo"
                for node in ast.walk(ast.parse(source)))
+
+
+def test_checker_flags_the_collector_named_anywhere():
+    source = ("import gc\nfrom gc import disable as off\n"
+              "gc.collect()\nmod.gc.enable()\ncollector = gc\n")
+    assert forbidden_uses(source, {"gc"}, anywhere=True) == [
+        "line 1: gc", "line 2: gc", "line 3: gc", "line 4: mod.gc", "line 5: gc"]
+    assert forbidden_uses("# not a gc pass\ngcd = math.gcd(a, b)\nlogic = 'gc'\n",
+                          {"gc"}, anywhere=True) == []
+
+
+def test_only_the_cli_names_the_collector():
+    named = {str(p.relative_to(ROOT)) for p in MODULES
+             if forbidden_uses(p.read_text(), {"gc"}, anywhere=True)}
+    assert named == {"cli.py"}
 
 
 BACKENDS = ("matrix", "acts", "monoids")

@@ -1,17 +1,21 @@
 """Steady memory: long-lived objects do not grow from report to report.
 
-One small batch covers every subcommand, both orders backends and one
-usage error.  It runs three times in one process.  The intern table of
+One small batch covers every subcommand and both orders backends, and a
+few argv end otherwise: a report with error rows, help, and usage errors.
+It runs three times in one process.  The intern table of
 terms is back to its size before the batch after every pass, and once
 the first pass has filled the caches, a further pass leaves no more
 gc-tracked objects behind than the one before it.  The warm passes run
 with the cyclic collector off, and a collection after each argv finds
-nothing: a report frees what it made by reference counts alone, so no
-cycle waits in the oldest generation for a rare full collection.
+nothing, however the argv ends: a report frees what it made by reference
+counts alone, so no cycle waits in the oldest generation for a rare full
+collection, and ``cli.run`` may pause the collector for each report.
 """
 
 import gc
+import io
 import os
+import sys
 
 from indalg import cli, terms
 
@@ -35,20 +39,34 @@ BATCH = [
     ["suite", "--backend", "matrix", "--samples", "3"],
     ["suite", "--backend", "act", "--samples", "3"],
 ]
-USAGE_ERROR = ["suite", "--n", "0"]
+# (argv, stdin, exit status) of runs that end other than in a passing report
+OTHER_ENDINGS = [
+    (["classify", "--input", "-"],
+     '{"terms": ["g(x1", "nu(z1, x0)", "nu(z1^x, x1)", "g(x1, x2)"]}', 1),
+    (["--help"], "", 0),
+    (["catalog", "--help"], "", 0),
+    (["catalog", "--kind", "rank0", "--params", '{"size": 3, "bogus": 1}'], "", 2),
+    (["suite", "--n", "0"], "", 2),
+]
 
 
 def _pass(warm: bool) -> None:
     gc.collect()
     if warm:
         gc.disable()
+    saved = sys.stdin
     try:
         for argv in BATCH:
             assert cli.run([*argv, "--out", os.devnull]) == 0, argv
             if warm:
                 assert gc.collect() == 0, argv
-        assert cli.run(USAGE_ERROR) == 2
+        for argv, stdin, status in OTHER_ENDINGS:
+            sys.stdin = io.StringIO(stdin)
+            assert cli.run(argv) == status, argv
+            if warm:
+                assert gc.collect() == 0, argv
     finally:
+        sys.stdin = saved
         gc.enable()
 
 
@@ -60,5 +78,5 @@ def test_three_passes_leave_no_growth(capsys):
         assert len(terms._NODES) == nodes
         gc.collect()
         tracked.append(len(gc.get_objects()))
-    capsys.readouterr()  # the usage error's message
+    capsys.readouterr()  # the reports, help and usage errors
     assert tracked[2] <= tracked[1], tracked
