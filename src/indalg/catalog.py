@@ -21,6 +21,12 @@ A builder takes the kind's parameters as keyword-only arguments with their
 defaults, and ``make_instance`` reads every payload by one rule: an unknown
 kind is refused, then every key the builder does not take (all of them,
 sorted, in one message), and only then does the builder read a value.
+Beside it, ``CHECKS`` holds one row per ``catalog --check`` value
+(``exchange``, ``witness``, ``clone``, ``endos``): each runs its check on
+one instance and returns the outcome a correct check reports, the outcome
+and the details, and says whether it reads a witness variant.
+``run_check`` turns a row's result into the report's ``Check``, named
+``check[kind(size=n)]`` with the same label as its ``instance`` detail.
 
 Operations with arity <= 3 suffice to generate each clone at these sizes; the
 bound is an explicit soundness boundary of the generation check, not a claim
@@ -51,10 +57,10 @@ gen op to all tuples over the set so far with one composition.  One
 semi-naive fixpoint, ``_fixpoint``, serves the derivations of the
 endomorphism search (elements under the basic ops), the unary clone (unary
 tables under composition) and clone generation (tables of each arity under
-composition by the witness ops).  It yields each element as it is found, in
-an order independent of hashing, so generation stops as soon as its last
-target appears and its step and table caps trip at the same place in every
-process.  A search that can be sized beforehand (exchange, endomorphisms)
+composition by the witness ops).  It yields each element as it is found,
+with the op and arguments that derived it, in an order independent of
+hashing, so generation stops as soon as its last target appears and its
+step and table caps trip at the same place in every process.  A search that can be sized beforehand (exchange, endomorphisms)
 is refused up front with ``TooLarge``; generation cannot be, so a cap it
 passes partway raises ``BudgetExhausted``, which names the counter and its
 cap, and the witness check ends inconclusive rather than refused.
@@ -83,6 +89,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+from .report import Check
 
 EXCHANGE_CAP = 16
 # endomorphism search: n^g assignments of images to g generators; g <= n,
@@ -408,16 +416,19 @@ def _tuples_touching(old: list, new: list, k: int) -> Iterator[tuple]:
         yield from itertools.product(*([old] * pos + [new] + [every] * (k - pos - 1)))
 
 
-def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> Iterator:
+def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> Iterator[tuple]:
     """Close start under x -> apply(op, args) for every op (semi-naive rounds).
 
-    Yields the start elements, then each new element as it is found.  A
-    round's finds are kept in a list, so the yield order does not depend on
-    hashing and a consumer may stop partway through a round.
+    Yields (element, op, args): each start element with ``None, ()``, then
+    each new element as it is found, with the op and the argument tuple
+    that derived it.  A round's finds are kept in a list, so the yield order
+    does not depend on hashing and a consumer may stop partway through a
+    round.
     """
     new = list(dict.fromkeys(start))
     have = set(new)
-    yield from new
+    for v in new:
+        yield v, None, ()
     old: list = []
     while new:
         found = []
@@ -427,7 +438,7 @@ def _fixpoint(ops: Sequence[Op], start: Iterable, apply) -> Iterator:
                 if v not in have:
                     have.add(v)
                     found.append(v)
-                    yield v
+                    yield v, op, args
         old += new
         new = found
 
@@ -526,7 +537,7 @@ def unary_clone(alg: FiniteAlgebra) -> UnaryClone:
     The identity closed under the generating ops: every unary term over the
     basic ops is one over gen_ops, which generate them.
     """
-    seen = list(_fixpoint(alg.gen_ops, [bytes(range(alg.size))], _compose))
+    seen = [t for t, _, _ in _fixpoint(alg.gen_ops, [bytes(range(alg.size))], _compose)]
     t_ops = sorted(t for t in seen if len(set(t)) > 1)
     consts = sorted(t for t in seen if len(set(t)) == 1)
     return UnaryClone(tuple(t_ops), tuple(consts))
@@ -539,30 +550,24 @@ def endomorphisms(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     commutes with every basic op iff it commutes with gen_ops, which
     generate them.  Constants are fixed points.  One closure from the
     constants, restarted from the smallest missing element whenever it stops
-    short, picks the generators and records one derivation v = f(args) per
-    other element.  Each assignment of images to the generators fills phi
-    along the derivations and is kept iff it preserves every non-constant
-    gen op, checked one whole table at a time as in ``check_witness``.  More
-    than ENDO_ASSIGNMENT_CAP assignments raises TooLarge before any search.
+    short, picks the generators and records the derivation v = f(args) that
+    ``_fixpoint`` yields with each other element.  Each assignment of images
+    to the generators fills phi along the derivations and is kept iff it
+    preserves every non-constant gen op, checked one whole table at a time
+    as in ``check_witness``.  More than ENDO_ASSIGNMENT_CAP assignments
+    raises TooLarge before any search.
     """
     n = alg.size
     # phi(a) = a settles a constant op with value a for every argument tuple
     fixed = sorted({op.table[0] for op in alg.gen_ops if op.is_constant()})
     ops = [op for op in alg.gen_ops if not op.is_constant()]
-    last: tuple = ()
-
-    def apply(op: Op, args: tuple) -> int:
-        nonlocal last
-        last = (op, args)
-        return op(*args)
-
     placed = dict.fromkeys(fixed)
     plan: list[tuple] = []  # (v, op, args); op None marks a generator
     while True:
-        for v in _fixpoint(ops, list(placed), apply):
+        for v, op, args in _fixpoint(ops, list(placed), lambda op, args: op(*args)):
             if v not in placed:
                 placed[v] = None
-                plan.append((v, *last))
+                plan.append((v, op, args))
         missing = next((x for x in range(n) if x not in placed), None)
         if missing is None:
             break
@@ -652,7 +657,7 @@ def generated_covers(alg: FiniteAlgebra, seed: Sequence[Op],
         if not want:
             continue
         start = _projections(alg.size, m) + [op.table for op in seed if op.arity == m]
-        for count, tbl in enumerate(_fixpoint(seed, start, compose), 1):
+        for count, (tbl, _, _) in enumerate(_fixpoint(seed, start, compose), 1):
             if count > GEN_TABLE_CAP:
                 raise BudgetExhausted("generated_tables", GEN_TABLE_CAP)
             if tbl in want:
@@ -766,6 +771,71 @@ def check_witness(alg: FiniteAlgebra, witness: WitnessSet) -> WitnessReport:
                     "rhs": rhs[t],
                 })
     return WitnessReport(not missing, missing, non_clone, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# the checks a catalog report runs
+
+
+def _exchange(alg: FiniteAlgebra, variant: str) -> tuple[str, str, dict]:
+    res = check_exchange(alg)
+    details = {"holds": res.holds}
+    if res.witness:
+        x, y, z = res.witness
+        details["witness"] = {"X": list(x), "y": y, "z": z}
+    return KINDS[alg.kind].exchange, "pass" if res.holds else "finding", details
+
+
+def _witness(alg: FiniteAlgebra, variant: str) -> tuple[str, str, dict]:
+    wit = witness_set(alg, variant)
+    details = {"witness": wit.name}
+    try:
+        rep = check_witness(alg, wit)
+    except BudgetExhausted as exc:  # ran out partway: no verdict
+        details |= {"exhausted": exc.counter, "cap": exc.cap}
+        return wit.expected, "inconclusive", details
+    return wit.expected, "pass" if rep.ok else "finding", details | {
+        "generates": rep.generates,
+        "missing": list(rep.missing), "non_clone": list(rep.non_clone),
+        "violations": list(rep.violations[:3]),
+    }
+
+
+def _clone(alg: FiniteAlgebra, variant: str) -> tuple[str, str, dict]:
+    uc = unary_clone(alg)
+    return "pass", "pass", {"non_constant_unary": len(uc.t_ops),
+                            "constants": len(uc.constants)}
+
+
+def _endos(alg: FiniteAlgebra, variant: str) -> tuple[str, str, dict]:
+    return "pass", "pass", {"count": len(endomorphisms(alg))}
+
+
+class CatalogCheck(NamedTuple):
+    """One ``--check`` of a catalog report: ``run(alg, variant)`` returns
+    the outcome a correct check reports on alg, the outcome and the
+    details; ``variant`` says whether it reads a witness variant."""
+
+    run: Callable[[FiniteAlgebra, str], tuple[str, str, dict]]
+    variant: bool = False
+
+
+CHECKS = {
+    "exchange": CatalogCheck(_exchange),
+    "witness": CatalogCheck(_witness, variant=True),
+    "clone": CatalogCheck(_clone),
+    "endos": CatalogCheck(_endos),
+}
+
+
+def run_check(check: str, alg: FiniteAlgebra, variant: str) -> Check:
+    """The report check of ``CHECKS[check]`` on alg, named and labelled by
+    its instance.  Raises TooLarge for a search refused up front, and
+    InvalidParams for a witness variant alg's kind does not have."""
+    label = f"{alg.kind}(size={alg.size})"
+    expected, outcome, details = CHECKS[check].run(alg, variant)
+    return Check(f"{check}[{label}]", expected, outcome,
+                 details={"instance": label, **details})
 
 
 DEFAULT_INSTANCES: tuple[tuple[str, dict], ...] = (

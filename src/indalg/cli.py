@@ -29,7 +29,13 @@ its matrices, and ``_parse_acts`` looks its constructor up once a payload.
 
 The ``orders`` subcommands have one path for both backends: ``_orders``
 looks ``--backend`` up in ``_ORDERS`` (its module and payload readers), and
-the handler calls the names both backend modules define.
+the handler calls the names both backend modules define.  ``catalog`` does
+not branch on ``--check`` either: ``catalog.run_check`` runs the row of
+``catalog.CHECKS`` it names on each instance, and the handler only picks
+the instances and turns a search refused up front and a witness variant
+the kind lacks into usage errors.  The ``--check`` choices in ``_COMMANDS``
+are the keys of ``CHECKS``, copied, since building the flag table may not
+import the catalog; a test keeps the two equal.
 
 ``json`` is imported only where JSON is read: by ``_load_payload`` for an
 ``--input`` payload, by ``catalog`` for ``--params``, and by ``_int`` to
@@ -304,14 +310,10 @@ def cmd_classify(args):
     return [Check("classification", outcome=outcome, details={"terms": rows})]
 
 
-def _instance_label(alg) -> str:
-    return f"{alg.kind}(size={alg.size})"
-
-
 def cmd_catalog(args):
     cat = _backend("indalg.catalog")
 
-    if args.variant is not None and args.check != "witness":
+    if args.variant is not None and not cat.CHECKS[args.check].variant:
         raise UsageError("--variant applies to --check witness only")
     if args.kind == "all":
         if args.params is not None:
@@ -325,52 +327,13 @@ def cmd_catalog(args):
 
                 params = json.loads(args.params)
             instances = [cat.make_instance(args.kind, **_object(params, "--params"))]
-    checks = []
     try:
-        for alg in instances:
-            label = _instance_label(alg)
-            if args.check == "exchange":
-                res = cat.check_exchange(alg)
-                outcome = "pass" if res.holds else "finding"
-                details = {"instance": label, "holds": res.holds}
-                if res.witness:
-                    x, y, zz = res.witness
-                    details["witness"] = {"X": list(x), "y": y, "z": zz}
-                checks.append(Check(f"exchange[{label}]", cat.KINDS[alg.kind].exchange,
-                                    outcome, details=details))
-            elif args.check == "witness":
-                with _reading("--variant"):
-                    wit = cat.witness_set(alg, variant=args.variant or "standard")
-                details = {"instance": label, "witness": wit.name}
-                try:
-                    rep = cat.check_witness(alg, wit)
-                except cat.BudgetExhausted as exc:  # ran out partway: no verdict
-                    outcome = "inconclusive"
-                    details |= {"exhausted": exc.counter, "cap": exc.cap}
-                else:
-                    outcome = "pass" if rep.ok else "finding"
-                    details |= {
-                        "generates": rep.generates,
-                        "missing": list(rep.missing), "non_clone": list(rep.non_clone),
-                        "violations": list(rep.violations[:3]),
-                    }
-                checks.append(Check(f"witness[{label}]", wit.expected, outcome,
-                                    details=details))
-            elif args.check == "clone":
-                uc = cat.unary_clone(alg)
-                checks.append(Check(
-                    f"clone[{label}]",
-                    details={"instance": label, "non_constant_unary": len(uc.t_ops),
-                             "constants": len(uc.constants)},
-                ))
-            elif args.check == "endos":
-                endos = cat.endomorphisms(alg)
-                checks.append(Check(
-                    f"endos[{label}]", details={"instance": label, "count": len(endos)}
-                ))
+        return [cat.run_check(args.check, alg, args.variant or "standard")
+                for alg in instances]
     except cat.TooLarge as exc:  # a search refused up front
         raise UsageError(str(exc)) from exc
-    return checks
+    except cat.InvalidParams as exc:  # a witness variant the kind lacks
+        raise UsageError(f"--variant: {exc}") from exc
 
 
 # The orders backends by --backend, the one place that names them: the

@@ -227,9 +227,18 @@ def verify_decomposition(alpha, dec, mode: str) -> bool:
 
 
 def straight_certificates(alpha, dec) -> dict:
-    """Certificates that a straight decomposition dec = (a, b) is straight:
-    a# (a b-ish) relations reduce to E acting as the identity on col(alpha),
-    checked directly, plus rank agreement between a and alpha."""
+    """Three checks on a straight decomposition dec = (a, b) of alpha:
+
+    * ``projector_fixes_alpha``: a# a alpha = alpha, that is, a# a fixes
+      every column of alpha;
+    * ``rank_match``: a has the rank of alpha;
+    * ``recompose``: a# @ b = alpha, the recomposition
+      ``verify_decomposition`` checks.
+
+    None of them certifies ker a = ker b, the condition that makes the pair
+    straight in the documented column convention.  The pair
+    ``straight_left_decompose`` gives is L-related, and a low-rank one
+    passes all three without being R-related: a wrong report still open."""
     a, b = dec
     alpha = lowest(*alpha)
     ga = _group_inverse(*a)

@@ -227,6 +227,30 @@ def test_endomorphisms_size_cap():
         cat.endomorphisms(trivial)
 
 
+def greedy_basis(alg) -> list[int]:
+    """A basis read off ``closure``: the smallest element outside the
+    closure so far, added until the closure is the whole carrier."""
+    basis, have = [], cat.closure(alg, [])
+    while len(have) < alg.size:
+        basis.append(min(set(range(alg.size)) - have))
+        have = cat.closure(alg, basis)
+    return basis
+
+
+# An independence algebra is free on each basis: every map from a basis
+# into A extends to exactly one endomorphism, so |End(A)| = |A|^rank.
+@pytest.mark.parametrize("kind,params", [
+    pytest.param(kind, params, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 14: exceptional has 8 endomorphisms, "
+                            "not 4**2 = 16; the instance is still to be decided"))
+    if kind == "exceptional" else (kind, params)
+    for kind, params in cat.DEFAULT_INSTANCES
+])
+def test_default_instances_are_free_on_a_basis(kind, params):
+    alg = cat.make_instance(kind, **params)
+    assert len(cat.endomorphisms(alg)) == alg.size ** len(greedy_basis(alg))
+
+
 def test_unary_clone_exceptional():
     exc = cat.make_instance("exceptional")
     clone = cat.unary_clone(exc)
@@ -570,10 +594,21 @@ def test_endomorphisms_match_oracle_on_ternary_algebras(alg):
 
 
 def fixpoint_closure(alg, xs):
-    """The semi-naive fixpoint over gen_ops, one ``Op.__call__`` per tuple."""
+    """The semi-naive fixpoint over gen_ops, one ``Op.__call__`` per tuple,
+    after checking the derivation it yields with each element: ``None, ()``
+    for each start element, all of them first, and for every other element
+    an op whose value at arguments yielded before it is that element."""
     start = set(xs)
     start.update(op.table[0] for op in alg.gen_ops if op.is_constant())
-    return frozenset(cat._fixpoint(alg.gen_ops, start, lambda op, args: op(*args)))
+    seen = []
+    for v, op, args in cat._fixpoint(alg.gen_ops, start, lambda op, args: op(*args)):
+        assert (op is None) == (len(seen) < len(start))
+        if op is None:
+            assert v in start and args == ()
+        else:
+            assert op(*args) == v and set(args) <= set(seen)
+        seen.append(v)
+    return frozenset(seen)
 
 
 # size 9 and arity 3: tables of 7**3 = 343 entries and more take the 16-bit
@@ -1058,11 +1093,13 @@ def test_fallback_generation_table_cap():
 
 def test_fixpoint_order_is_independent_of_the_hash_seed():
     """Generation may stop partway through a round, so the order in which
-    the fixpoint yields tables must not depend on how bytes hash."""
+    the fixpoint yields tables, and the derivation it yields with each,
+    must not depend on how bytes hash."""
     code = ("from indalg import catalog as cat\n"
             "a = cat.make_instance('linear', q=3, dim=2, a0=[[1, 0]])\n"
             "start = [bytes(range(a.size))]\n"
-            "print([t.hex() for t in cat._fixpoint(a.gen_ops, start, cat._compose)])")
+            "print([(t.hex(), op and op.name, [g.hex() for g in args])\n"
+            "       for t, op, args in cat._fixpoint(a.gen_ops, start, cat._compose)])")
     src = str(Path(cat.__file__).parents[1])
     outs = {
         subprocess.run(

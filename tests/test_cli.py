@@ -294,6 +294,16 @@ def test_catalog_witness_plus_variant_without_shifts_passes(capsys, a0):
     assert check["expected"] == check["outcome"] == "pass"
 
 
+def test_catalog_check_choices_are_the_catalog_checks():
+    """The CLI may not import the catalog to build its flag table, so its
+    ``--check`` choices are a copy of the catalog's table, kept equal here."""
+    from indalg import catalog
+
+    _, choices, default = cli._COMMANDS["catalog"][3]["check"]
+    assert choices == tuple(catalog.CHECKS)
+    assert default in choices
+
+
 def test_catalog_too_large_is_usage_error(capsys):
     code, out, err = run(
         capsys, "catalog", "--kind", "linear", "--params", '{"q": 5, "dim": 2}',
