@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import words
 from .report import Check, max_digits, printable
-from .terms import G, Nu, Term, Var, evaluate, meta
+from .terms import G, Nu, Term, evaluate, meta
 from .words import IDENTITY, Word, div, gen_content, mul
 
 PINS: dict[Word, int] = {
@@ -191,49 +191,57 @@ def classify(t: Term, h: HMap) -> TermForm:
     to a varying prefix times y_star (Form 2), following the structural
     recursion on t.
 
-    Subterms are classified children first, left before right, on an explicit
-    stack, and each distinct subterm once per ``h``: the forms are kept in
-    ``h._forms``."""
+    Subterms are classified children first, left before right, and each
+    distinct subterm once per ``h``: the forms are kept in ``h._forms``.  The
+    walk pops each node off an explicit stack and classifies it when its
+    children have forms; otherwise it pushes the node back under the
+    children that have none, the left one on top."""
     forms = h._forms
     form = forms.get(t)
     if form is not None:
         return form
     meta(t)  # a bad variable anywhere in t fails here, before any work
     stack = [t]
+    pop, push = stack.pop, stack.append
     while stack:
-        node = stack[-1]
-        if isinstance(node, G):
-            todo = [c for c in (node.right, node.left) if c not in forms]
-        elif isinstance(node, Nu) and node.child not in forms:
-            todo = [node.child]
-        else:
-            todo = None
-        if todo:
-            stack += todo
+        node = pop()
+        if node in forms:  # a shared subterm may be pushed twice
             continue
-        stack.pop()
-        if node not in forms:  # a shared child may be pushed twice
-            forms[node] = _classify_node(node, forms, h)
+        kind = type(node)  # exact: the node classes are never subclassed
+        if kind is G:
+            left = forms.get(node.left)
+            right = forms.get(node.right)
+            if left is None or right is None:
+                push(node)
+                if right is None:
+                    push(node.right)
+                if left is None:
+                    push(node.left)
+                continue
+            forms[node] = _classify_g(node, left, right, h)
+        elif kind is Nu:
+            sub = forms.get(node.child)
+            if sub is None:
+                push(node)
+                push(node.child)
+                continue
+            if sub.form == 1:
+                prefix = mul(node.coeff, sub.prefix)
+                _check_prefix(prefix, node.content)
+                forms[node] = TermForm(1, node.arity, node.star, prefix=prefix,
+                                       case="nu-lift")
+            else:
+                forms[node] = TermForm(2, node.arity, node.star,
+                                       case="nu-" + sub.case, plan=sub.plan)
+        else:  # a variable
+            forms[node] = TermForm(1, node.arity, node.star, prefix=IDENTITY,
+                                   case="var")
     return forms[t]
 
 
-def _classify_node(t: Term, forms: dict[Term, TermForm], h: HMap) -> TermForm:
-    """t's form, given the forms of its children."""
-    if isinstance(t, Var):
-        return TermForm(1, t.arity, t.star, prefix=IDENTITY, case="var")
-
-    if isinstance(t, Nu):
-        sub = forms[t.child]
-        if sub.form == 1:
-            prefix = mul(t.coeff, sub.prefix)
-            _check_prefix(prefix, t.content)
-            return TermForm(1, t.arity, t.star, prefix=prefix, case="nu-lift")
-        return TermForm(2, t.arity, t.star, case="nu-" + sub.case, plan=sub.plan)
-
-    left = forms[t.left]
-    right = forms[t.right]
+def _classify_g(t: G, left: TermForm, right: TermForm, h: HMap) -> TermForm:
+    """The form of g(t.left, t.right), given the forms of its children."""
     n = t.arity
-
     if right.form == 2:
         return TermForm(2, n, t.star, case="g-right-varying", plan=right.plan)
 

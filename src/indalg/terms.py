@@ -14,10 +14,19 @@ no process-wide cache.  The ref's callback, ``_drop`` bound to the key,
 deletes the entry when the node dies, but only while the dict still holds
 that same ref: a term built again meanwhile has a newer entry, which stays.
 
+A node refuses assignment, so a constructor does not assign through it.
+It fills an instance of a private twin class, which has the same slots and
+plain attribute assignment, then switches that instance's ``__class__`` to
+the public class and only then enters it in the table: the plain slot
+stores and the class switch cost about a third of what a call of
+``object.__setattr__`` per field did.  ``type(node)`` is always ``Var``, ``Nu`` or
+``G``.
+
 ``parse_term`` reads coefficient texts through a table (text -> word) that
 its caller owns and passes in: a caller parsing many terms, such as one
 ``classify`` payload, parses each distinct coefficient text once and hands
-the same word tuple to every ``Nu`` built from it.  Each node stores its
+the same word tuple to every ``Nu`` built from it.  Within one term it
+builds each variable once per digit text.  Each node stores its
 ``arity`` (largest variable index), ``star`` (index of the rightmost
 variable) and ``content`` (generators in its nu-coefficients), computed
 once from its children; ``meta`` reads them.
@@ -40,8 +49,8 @@ from .words import Word
 MAX_NESTING = 256
 
 # sampled trees and their h-indices grow exponentially in depth: on a 2-vCPU
-# guest, verify-counterexample with 200 terms of depth 12 takes ~3 s, with 5
-# terms of depth 14 it took 48 s, and depth 16 did not finish in 90 s
+# guest, verify-counterexample with 200 terms of depth 12 takes ~2.3 s, with
+# 5 terms of depth 14 it took 48 s, and depth 16 did not finish in 90 s
 MAX_SAMPLE_DEPTH = 12
 
 
@@ -54,7 +63,8 @@ class ArityError(ValueError):
 # in time independent of the subterms' sizes.  A plain dict costs one ``get``
 # and one call per lookup, where a WeakValueDictionary runs Python code per
 # access.  A plain ref with a ``partial`` callback is built in C; a
-# ``KeyedRef`` runs a Python-level ``__new__`` and ``__init__``.
+# ``KeyedRef`` runs a Python-level ``__new__`` and ``__init__``.  A node
+# enters the table only once it is whole and of its public class.
 _NODES: dict[tuple, weakref.ref] = {}
 
 
@@ -68,7 +78,13 @@ def _drop(key: tuple, ref: weakref.ref, nodes: dict = _NODES) -> None:
 
 class _Node:
     """Fields every node stores; ``bad`` is the leftmost variable index < 1
-    in the term, or None.  Nodes are shared, so they refuse assignment."""
+    in the term, or None.  Nodes are shared, so they refuse assignment and
+    deletion of any field, ``__class__`` included.
+
+    A constructor builds a node as an instance of its class's twin
+    (``_twin``), fills the slots by plain assignment and then sets
+    ``__class__`` to the public class, before any caller or the intern
+    table can see the node."""
 
     __slots__ = ("arity", "star", "content", "bad", "__weakref__")
 
@@ -82,16 +98,18 @@ class _Node:
         return format_term(self)
 
 
-_set = object.__setattr__
+def _twin(cls: type) -> type:
+    """A subclass of _Node with cls's own slots and the plain ``object``
+    assignment: an instance's ``__class__`` may be switched to cls, since the
+    two lay out their slots alike."""
+    return type(f"_{cls.__name__}Twin", (_Node,), {
+        "__slots__": cls.__slots__, "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__})
+
+
+_new = object.__new__
 _ref = weakref.ref
-
-
-def _fill(node: _Node, arity: int, star: int, content: frozenset[int],
-          bad: int | None) -> None:
-    _set(node, "arity", arity)
-    _set(node, "star", star)
-    _set(node, "content", content)
-    _set(node, "bad", bad)
+_NO_GENERATORS: frozenset[int] = frozenset()
 
 
 class Var(_Node):
@@ -104,11 +122,13 @@ class Var(_Node):
             node = ref()
             if node is not None:
                 return node
-        node = object.__new__(cls)
-        _NODES[key] = _ref(node, partial(_drop, key))
-        _set(node, "index", index)
+        node = _new(_VAR_TWIN)
+        node.index = node.arity = node.star = index
+        node.content = _NO_GENERATORS
         # a bad index is kept, not refused: meta reports it
-        _fill(node, index, index, frozenset(), None if index >= 1 else index)
+        node.bad = None if index >= 1 else index
+        node.__class__ = Var
+        _NODES[key] = _ref(node, partial(_drop, key))
         return node
 
 
@@ -124,12 +144,15 @@ class Nu(_Node):
                 return node
         if not isinstance(child, _Node):
             raise TypeError(f"not a term: {child!r}")
-        node = object.__new__(cls)
+        node = _new(_NU_TWIN)
+        node.coeff = coeff
+        node.child = child
+        node.arity = child.arity
+        node.star = child.star
+        node.content = _union(child.content, words.gen_content(coeff))
+        node.bad = child.bad
+        node.__class__ = Nu
         _NODES[key] = _ref(node, partial(_drop, key))
-        _set(node, "coeff", coeff)
-        _set(node, "child", child)
-        _fill(node, child.arity, child.star,
-              _union(child.content, words.gen_content(coeff)), child.bad)
         return node
 
 
@@ -146,15 +169,19 @@ class G(_Node):
         for arg in (left, right):
             if not isinstance(arg, _Node):
                 raise TypeError(f"not a term: {arg!r}")
-        node = object.__new__(cls)
+        node = _new(_G_TWIN)
+        node.left = left
+        node.right = right
+        node.arity = max(left.arity, right.arity)
+        node.star = right.star
+        node.content = _union(left.content, right.content)
+        node.bad = right.bad if left.bad is None else left.bad
+        node.__class__ = G
         _NODES[key] = _ref(node, partial(_drop, key))
-        _set(node, "left", left)
-        _set(node, "right", right)
-        _fill(node, max(left.arity, right.arity), right.star,
-              _union(left.content, right.content),
-              right.bad if left.bad is None else left.bad)
         return node
 
+
+_VAR_TWIN, _NU_TWIN, _G_TWIN = map(_twin, (Var, Nu, G))
 
 Term = Union[Var, Nu, G]
 
@@ -252,9 +279,12 @@ def _parse(s: str, coeffs: dict[str, Word]) -> tuple[Term, int]:
     argument is read, ``(_G_LEFT_DONE, left)``.  A coefficient is looked up
     in ``coeffs`` (or parsed and stored) when its ``nu(...)`` closes, so
     errors come in the order of a recursive descent that parses the
-    coefficient last."""
+    coefficient last.  Each variable's digit text is read into a ``Var``
+    once per term, and a ``,`` or ``)`` right after a term is read as it
+    stands: ``_CLOSER`` runs only where space or something else follows."""
     n = len(s)
     frames: list[tuple[int, object]] = []
+    variables: dict[str, Var] = {}  # digit text -> its variable, in this term
     i = 0
     while True:
         m = _TERM_HEAD.match(s, i)
@@ -278,27 +308,38 @@ def _parse(s: str, coeffs: dict[str, Word]) -> tuple[Term, int]:
             j += 1
         if j == start:
             raise ValueError(f"bad variable in {s[start - 1 :]!r}")
-        t: Term = Var(int(s[start:j]))
-        i = j
+        digits, i = s[start:j], j
+        t: Term | None = variables.get(digits)
+        if t is None:
+            t = variables[digits] = Var(int(digits))
         # close every frame that t completes, up to a g( awaiting its right side
         while frames:
-            m = _CLOSER.match(s, i)
-            closer = m.group(1) if m else None
+            closer = s[i] if i < n else None
+            if closer == "," or closer == ")":
+                i += 1
+            else:
+                m = _CLOSER.match(s, i)
+                if m is None:
+                    closer = None
+                else:
+                    closer, i = m.group(1), m.end()
             kind, held = frames[-1]
             if kind == _OPEN_G:
                 if closer != ",":
                     raise ValueError("expected ',' inside g(...)")
                 frames[-1] = (_G_LEFT_DONE, t)
-                i = m.end()
                 break
             if closer != ")":
                 what = "nu" if kind == _OPEN_NU else "g"
                 raise ValueError(f"expected ')' closing {what}(...)")
             frames.pop()
-            if kind == _OPEN_NU and held not in coeffs:
-                coeffs[held] = words.parse_word(held)
-            t = Nu(coeffs[held], t) if kind == _OPEN_NU else G(held, t)
-            i = m.end()
+            if kind == _OPEN_NU:
+                coeff = coeffs.get(held)
+                if coeff is None:
+                    coeff = coeffs[held] = words.parse_word(held)
+                t = Nu(coeff, t)
+            else:
+                t = G(held, t)
         else:
             return t, i
 

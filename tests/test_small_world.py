@@ -9,8 +9,13 @@ built by ``itertools.product`` and drawn by no sampler of the package:
 * the 36 flavor-A act endomorphisms of rank 2 with shifts in {-1, 0, 1},
   where ``acts.greens_leq`` must agree with ``suite.act_route``.
 
-Each test also pins how many pairs are comparable, so that it cannot pass
-on a world where the order never holds (or always does).
+Over the same 36 act endomorphisms, the act suite's (Eiii) and (Ei) checks
+hold on every element and every pair: each alpha's Lstar and Rstar
+idempotents, and the rank bridge between each ordered pair.
+
+Each test also pins how many instances met its property or its hypothesis
+(comparable pairs, rank-equal pairs), so that it cannot pass on a world
+where the property never holds (or always does).
 """
 
 from itertools import product
@@ -18,6 +23,7 @@ from itertools import product
 import pytest
 
 from indalg.orders import acts, matrix, suite
+from indalg.orders.acts import compose, kernel_key, target_set
 
 ENTRIES = (-1, 0, 1)
 MATRICES = [((a, b), (c, d)) for a, b, c, d in product(ENTRIES, repeat=4)]
@@ -50,3 +56,28 @@ def test_act_starred_orders_match_their_route_on_every_pair(side, comparable):
     assert len(ACTS) == 36
     assert comparable_pairs(ACTS, acts.greens_leq, suite.act_route,
                             side) == comparable
+
+
+@pytest.mark.parametrize("idempotent,invariant", [
+    (acts.lstar_idempotent, target_set),
+    (acts.rstar_idempotent, kernel_key),
+])
+def test_eiii_every_act_has_its_starred_idempotent(idempotent, invariant):
+    # (Eiii): the idempotent is one, keeps alpha's target set (Lstar) or
+    # kernel (Rstar), and is square-cancellable
+    def holds(alpha) -> bool:
+        eps = idempotent(alpha)
+        return (compose(eps, eps) == eps and invariant(eps) == invariant(alpha)
+                and acts.is_square_cancellable(eps))
+
+    assert sum(map(holds, ACTS)) == 36
+
+
+def test_ei_a_rank_bridge_exists_both_ways_exactly_when_the_ranks_agree():
+    rank_equal = 0
+    for alpha, beta in product(ACTS, repeat=2):
+        same = acts.act_rank(alpha) == acts.act_rank(beta)
+        assert suite._has_rank_bridge(image_of=alpha, kernel_of=beta) == same
+        assert suite._has_rank_bridge(image_of=beta, kernel_of=alpha) == same
+        rank_equal += same
+    assert rank_equal == 648

@@ -127,6 +127,60 @@ def test_equal_constructions_are_one_node():
     assert a.arity == 2
 
 
+FIELDS = ("index", "coeff", "child", "left", "right", "arity", "star", "content",
+          "bad", "__class__")
+NODES = {Var: lambda: Var(4), Nu: lambda: Nu(wd.gen(3), Var(4)),
+         G: lambda: G(Var(4), Nu(wd.gen(3), Var(4)))}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", list(NODES), ids=lambda kind: kind.__name__)
+def test_no_field_of_any_node_can_be_assigned_or_deleted(kind, field):
+    node = NODES[kind]()
+    before = {name: getattr(node, name, None) for name in FIELDS}
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(node, field, Var(5))
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(node, field)
+    assert {name: getattr(node, name, None) for name in FIELDS} == before
+    assert type(node) is kind and NODES[kind]() is node
+
+
+def intern_key(node) -> tuple:
+    if type(node) is Var:
+        return (Var, node.index)
+    if type(node) is Nu:
+        return (Nu, node.coeff, node.child)
+    return (G, node.left, node.right)
+
+
+def test_every_way_of_building_a_node_gives_its_public_class():
+    # sampled, parsed (each parse finds the sampled nodes) and built directly
+    pool = [wd.gen(1), wd.parse_word("z2*z3")]
+    built = tm.sample_terms(5, 3, pool, seed=3, count=40)
+    built += [tm.parse_term(tm.format_term(t), {}) for t in built]
+    built += [G(Var(7), Nu(wd.gen(9), Var(8)))]
+    stack, seen = list(built), 0
+    while stack:
+        node = stack.pop()
+        seen += 1
+        assert type(node) in (Var, Nu, G)
+        assert tm._NODES[intern_key(node)]() is node
+        stack += [getattr(node, f) for f in ("child", "left", "right") if hasattr(node, f)]
+    assert seen > 200
+
+
+def test_a_node_whose_fields_fail_is_never_entered():
+    x = Var(1)
+    not_a_word = ((1,),)  # hashable, so it is looked up, but its content fails
+    with pytest.raises(ValueError) as failed:
+        Nu(not_a_word, x)
+    assert failed.value.__traceback__ is not None  # the failed frame lives on
+    assert (Nu, not_a_word, x) not in tm._NODES
+    with pytest.raises(ValueError):  # built again, not found half built
+        Nu(not_a_word, x)
+
+
 def test_intern_table_holds_one_weak_entry_per_live_node():
     gc.collect()
     before = len(tm._NODES)
@@ -209,13 +263,63 @@ def test_sample_terms_keeps_the_randint_stream(depth, max_var, pool_size, seed):
     assert fast.random() == oracle.random()
 
 
-def test_parse_rejects_garbage():
-    for bad in ("", "x0y", "nu(z1)", "g(x1)", "g(x1, x2", "h(x1, x2)", "x1 x2"):
-        with pytest.raises(ValueError):
-            tm.parse_term(bad, {})
+# the exact messages: reading a closer as it stands must not change any
+GARBAGE = {
+    "": "cannot parse term at ''",
+    "x0y": "trailing input 'y'",
+    "nu(z1)": "expected ',' after nu coefficient",
+    "g(x1)": "expected ',' inside g(...)",
+    "g(x1, x2": "expected ')' closing g(...)",
+    "h(x1, x2)": "cannot parse term at 'h(x1, x2)'",
+    "x1 x2": "trailing input ' x2'",
     # a variable's index runs over every str.isdigit character, as it always did
-    with pytest.raises(ValueError, match="invalid literal for int"):
-        tm.parse_term("g(x1², x2)", {})
+    "g(x1², x2)": "invalid literal for int() with base 10: '1²'",
+    # closers after space, after nothing and in the wrong place
+    "g(x1 x2)": "expected ',' inside g(...)",
+    "g(x1 ; x2)": "expected ',' inside g(...)",
+    "g(x1,x2 ]": "expected ')' closing g(...)",
+    "nu(z1, x1": "expected ')' closing nu(...)",
+    "nu(z1, x1,": "expected ')' closing nu(...)",
+    "g(x1,": "cannot parse term at ''",
+    "g(x1, x2))": "trailing input ')'",
+    "g(x, x1)": "bad variable in 'x, x1)'",
+}
+
+
+def test_parse_rejects_garbage():
+    for text, message in GARBAGE.items():
+        with pytest.raises(ValueError) as err:
+            tm.parse_term(text, {})
+        assert str(err.value) == message, text
+
+
+WHITESPACE = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+
+
+def spaced_format(t, space) -> str:
+    """format_term(t) with a run ``space()`` at every token boundary inside
+    it, in place of the one space after each comma."""
+    if type(t) is Var:
+        return f"x{t.index}"
+    if type(t) is Nu:
+        first = wd.format_word(t.coeff)
+        second = spaced_format(t.child, space)
+    else:
+        first, second = spaced_format(t.left, space), spaced_format(t.right, space)
+    head = "nu(" if type(t) is Nu else "g("
+    return f"{head}{space()}{first}{space()},{space()}{second}{space()})"
+
+
+@given(_TERMS, st.data())
+def test_space_at_every_token_boundary_parses_to_the_same_node(t, data):
+    runs = st.text(st.sampled_from(WHITESPACE), max_size=3)
+    text = spaced_format(t, lambda: data.draw(runs))
+    assert tm.parse_term(data.draw(runs) + text + data.draw(runs), {}) is t
+
+
+def test_space_runs_cover_unicode():
+    assert len(WHITESPACE) == 29 and {"\u2003", "\x1c", "\x85"} <= set(WHITESPACE)
+    assert spaced_format(G(Nu(wd.gen(1), Var(2)), Var(1)), lambda: "") == "g(nu(z1,x2),x1)"
 
 
 def test_parse_reads_each_coefficient_text_once_a_call(monkeypatch):
