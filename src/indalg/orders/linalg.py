@@ -29,6 +29,14 @@ tails, which ``left_kernel_int`` puts in Hermite form.  Each starred
 Green's order only tests annihilation, so it is one echelon of the
 generators (``matrix.greens_leq``); ``saturation``, a double canonical
 kernel, is not on that path.
+
+Nothing in the package calls ``matmul``, ``solve_right``, ``solve_left``
+or ``saturation``, nor, except through them, ``_solve_q``,
+``right_kernel_int``, ``left_kernel_int`` and ``hnf_rows``: the one caller
+of ``solve_left`` is ``matrix.divides_left``, which has none.  They stay
+only because the benchmark's span table, ``TARGETS`` in
+``perfbench/spans.py``, wraps them by name; deleting them waits for a
+change to the benchmark.
 """
 
 from __future__ import annotations

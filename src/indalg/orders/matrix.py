@@ -38,6 +38,11 @@ which the CLI calls on either backend: ``MODES``, ``decompose`` (an
 ``embed`` (``quot`` of its fields after the first, that field the unit),
 ``quotient_eq`` and ``show`` (an endomorphism as report JSON).  Its samplers
 draw through the package's ``randints``.
+
+``divides_left`` and the public ``group_inverse`` have no caller in the
+package: the decomposition checks use ``_group_inverse``.  They stay only
+because the benchmark's span table, ``TARGETS`` in ``perfbench/spans.py``,
+wraps them by name; deleting them waits for a change to the benchmark.
 """
 
 from __future__ import annotations
